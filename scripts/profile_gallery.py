@@ -36,6 +36,7 @@ from plap1d import (
     solution_residual,
     solve_between,
     step_weight,
+    window_eigenpair,
 )
 from plap1d.verify import check_weak_subsolution, check_weak_supersolution
 
@@ -58,7 +59,7 @@ def build_family(name, n, solve, tol):
         c=Weight.constant(csup, UNIT), window=WIN,
     )
     grid = prob.default_grid(n)
-    sub = build_subsolution(prob, theorem, grid)
+    sub = build_subsolution(prob, theorem, grid, window_eigenpair(prob, grid))
     sup = build_supersolution(prob, grid)
     sub = enforce_ordering(sub, sup)
     sub.verified = check_weak_subsolution(sub.u, prob)

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from plap1d import Interval, Problem, Weight, check_all, principal_eigenvalue, step_weight
+from plap1d import Interval, Problem, Weight, check_all, step_weight, window_eigenpair
 
 NAMES = ("cor", "thm1_i", "thm1_ii", "thm2_i", "thm2_ii")
 
@@ -79,8 +79,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     probe = make_problem(args.mu_min, args)
-    n_win = max(64, round(args.n * probe.window.length() / probe.domain.length()))
-    eig = principal_eigenvalue(probe.p, probe.c_plus, probe.m, probe.window, n=n_win)
+    eig = window_eigenpair(probe, probe.default_grid(args.n))
     print(f"lambda1 = {eig.lambda1:.10g}  (independent of mu for this family)")
     print()
 

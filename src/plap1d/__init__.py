@@ -26,7 +26,7 @@ from .core_types import (
     step_weight,
 )
 from .bvp import residual_g, solve_g
-from .eigen import EigenPair, normalize_sup, principal_eigenvalue, shoot
+from .eigen import EigenPair, normalize_sup, principal_eigenvalue, shoot, window_eigenpair
 from .conditions import (
     CONDITION_NAMES,
     ConditionReport,

@@ -1,218 +1,98 @@
-"""Dirichlet solver for -(phi_p(v'))' + c phi_p(v) = g with g >= 0.
+"""Dirichlet solver for the companion problem -(phi_p(v'))' = g with g >= 0.
 
-This is the workhorse behind supersolution construction: the problem is the
-Euler-Lagrange equation of a strictly convex energy, so a damped Newton
-iteration with an Armijo line search converges globally.  For p = 2 and c = 0
-it reduces to the standard second-difference scheme, whose nodal values are
-exact for piecewise-quadratic solutions.
+This is the workhorse behind supersolution construction, where g = m^+.  The
+problem's zero-order term c is left out on purpose: for c >= 0 the term
+c w^{p-1} only adds to the supersolution inequality, so the c-free companion
+serves every such c (and the paper's results are new even for c = 0).
+
+The solve is closed-form up to one scalar root.  In one dimension
+the discrete weak equations have a first integral: with P1 elements, the hat
+at interior node i tests the equation to flux_{i-1} - flux_i = load_i, where
+flux_j = phi_p(v') on cell j and load_i is the exact integral of g against
+that hat.  So flux_j = f0 - (load_1 + ... + load_j), every cell slope is
+phi_p^{-1} of its flux, and the one unknown f0 is fixed by the boundary
+condition: the slopes times the cell widths must sum to zero.  That sum is
+strictly increasing in f0, so plain bisection finds f0 to the last bit, and
+v is the running sum of slope times width (del Pino, Elgueta & Manasevich,
+JDE 80, 1989, for the first-integral treatment of the 1D p-Laplacian).  For
+p = 2 this is the standard second-difference scheme, whose nodal values are
+exact for piecewise-quadratic solutions.  Every p > 1 is solved; the range of
+p in which k(v+1) then verifies is stated at `subsuper.build_supersolution`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .core_types import (
-    AssemblyPlan,
-    Grid,
-    GridFunction,
-    Interval,
-    SolverError,
-    Weight,
-    phi_p,
-)
-
-_DELTA_REG = 1e-9  # Hessian regularization only; gradients stay exact
+from .core_types import AssemblyPlan, Grid, GridFunction, Interval, Weight, phi_p
 
 
-def _energy(plan: AssemblyPlan, v: np.ndarray, p: float, load_g: np.ndarray, delta: float = 0.0) -> float:
-    s = np.diff(v) / plan.grid.h
-    grad_part = float(np.sum((s * s + delta * delta) ** (p / 2.0) * plan.grid.h)) / p
-    c_part = plan.weighted_integral("c", v, p) / p
-    return grad_part + c_part - float(load_g @ v)
+def _load(grid: Grid, g: Weight) -> np.ndarray:
+    plan = AssemblyPlan(grid, {"g": g})
+    return plan.load_vector("g", np.ones(grid.n + 1), 0.0)
 
 
-def _gradient(plan: AssemblyPlan, v: np.ndarray, p: float, load_g: np.ndarray, delta: float = 0.0) -> np.ndarray:
-    s = np.diff(v) / plan.grid.h
-    if delta > 0.0:
-        flux = s * (s * s + delta * delta) ** ((p - 2.0) / 2.0)
-    else:
-        flux = phi_p(s, p)
-    grad = np.zeros_like(v)
-    grad[1:-1] = flux[:-1] - flux[1:]
-    grad[1:-1] += plan.load_vector("c", v, p - 1.0)[1:-1]
-    grad[1:-1] -= load_g[1:-1]
-    return grad
-
-
-def residual_g(v: GridFunction, p: float, c: Weight, g: Weight) -> np.ndarray:
+def residual_g(v: GridFunction, p: float, g: Weight) -> np.ndarray:
     """Hat-normalized weak residuals of v for the companion problem.
 
-    Entry i is the weak form of -(phi_p(v'))' + c phi_p(v) - g tested against
-    the i-th interior hat, divided by the hat's integral.  Boundary entries
-    are zero.
+    Entry i is the weak form of -(phi_p(v'))' - g tested against the i-th
+    interior hat, divided by the hat's integral.  Boundary entries are zero.
     """
-    plan = AssemblyPlan(v.grid, {"c": c, "g": g})
-    load_g = plan.load_vector("g", np.ones(v.grid.n + 1), 0.0)
-    raw = _gradient(plan, v.values, p, load_g)
-    out = np.zeros_like(raw)
-    masses = v.grid.hat_masses()
-    out[1:-1] = raw[1:-1] / masses[1:-1]
+    load = _load(v.grid, g)
+    flux = phi_p(v.slopes(), p)
+    out = np.zeros(v.grid.n + 1)
+    out[1:-1] = (flux[:-1] - flux[1:] - load[1:-1]) / v.grid.hat_masses()[1:-1]
     return out
 
 
 def solve_g(
-    p: float,
-    c: Weight,
-    g: Weight,
-    domain: Interval,
-    grid: Grid | None = None,
-    tol: float = 1e-10,
+    p: float, g: Weight, domain: Interval, grid: Grid | None = None
 ) -> GridFunction:
-    """Minimize the convex Dirichlet energy of the companion problem.
+    """Solve -(phi_p(v'))' = g, v = 0 at both ends, by flux integration.
+
+    There is no zero-order term: the supersolution needs none for c >= 0
+    (see the module docstring), and without it the discrete equations
+    integrate in closed form up to the scalar f0.
 
     Parameters
     ----------
     p : float
         Gradient exponent, p > 1.
-    c, g : Weight
-        Zero-order coefficient (c >= 0) and right-hand side (g >= 0), both
-        covering `domain`.
+    g : Weight
+        Right-hand side, g >= 0, covering `domain`.
     grid : Grid, optional
         Defaults to the uniform grid with 2048 cells.
-    tol : float
-        Requested bound on the hat-normalized weak residual at the returned
-        iterate.  For p < 2 on fine grids the apex slopes are so small that
-        one ulp of a nodal value moves the flux by more than tol; when the
-        iteration stalls at that quantization floor it returns anyway,
-        provided the residual is below max(tol, 1e-6).
 
     Returns
     -------
     GridFunction
-        The nonnegative solution with zero boundary values.
-
-    Notes
-    -----
-    Iterates are projected onto v >= 0; with g >= 0 that never increases the
-    energy, and it keeps the exact-assembly tables in their valid range.
+        The nonnegative solution with zero boundary values.  Its weak
+        residual is at the roundoff level of the nodal values; no iteration
+        tolerance is involved.
     """
     if p <= 1.0:
         raise ValueError(f"invalid exponent: p must be > 1, got {p}")
     if g.min_value() < 0:
         raise ValueError("right-hand side g must be nonnegative")
-    if c.min_value() < 0:
-        raise ValueError("coefficient c must be nonnegative")
     if grid is None:
         grid = Grid.uniform(domain)
-    plan = AssemblyPlan(grid, {"c": c, "g": g})
     h = grid.h
-    masses = grid.hat_masses()
-    load_g = plan.load_vector("g", np.ones(grid.n + 1), 0.0)
+    running = np.concatenate(([0.0], np.cumsum(_load(grid, g)[1:-1])))
 
-    # starting guess: solve the p=2, c=0 problem (one tridiagonal solve),
-    # then damp it to unit size so large p does not start in a stiff region
-    v = np.zeros(grid.n + 1)
-    ab = np.zeros((3, grid.n - 1))
-    ab[0, 1:] = -1.0 / h[1:-1]
-    ab[1, :] = 1.0 / h[:-1] + 1.0 / h[1:]
-    ab[2, :-1] = -1.0 / h[1:-1]
-    v[1:-1] = solve_banded((1, 1), ab, load_g[1:-1])
-    scale = np.max(v)
-    if scale > 0:
-        v *= min(1.0, 1.0 / scale)
-    v = np.maximum(v, 0.0)
+    def slopes(f0: float) -> np.ndarray:
+        # phi_p^{-1} is phi_{p'} with the conjugate exponent p' = p/(p-1)
+        return phi_p(f0 - running, p / (p - 1.0))
 
-    # gradual removal of the flux smoothing; for p >= 2 the extra stages cost
-    # a couple of cheap tridiagonal solves, for p < 2 they are what keeps the
-    # Newton steps effective where v' degenerates (around the maximum of v).
-    # The ladder must reach below the apex slope scale (h ||g||)^(1/(p-1)),
-    # which is what makes p much below 1.3 impractical on fine grids.
-    target = 1e-8
-    if p < 2.0:
-        s_scale = (float(np.max(h)) * max(g.sup_norm(), 1e-30)) ** (1.0 / (p - 1.0))
-        target = max(5e-14, min(1e-8, 1e-4 * s_scale))
-    deltas = [1e-2]
-    while deltas[-1] > target:
-        deltas.append(max(target, deltas[-1] * 1e-2))
-    deltas.append(0.0)
-    for delta in deltas:
-        final = delta == 0.0
-        stage_tol = tol if final else max(tol, 1e-8)
-        v = _newton_stage(plan, v, p, load_g, delta, stage_tol, masses, strict=final)
+    # the closure sum is <= 0 at f0 = 0 and >= 0 at f0 = total load
+    lo, hi = 0.0, float(running[-1])
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if float(slopes(mid) @ h) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    v = np.concatenate(([0.0], np.cumsum(slopes(mid) * h)))
+    v[-1] = 0.0  # the running sum closes there only up to roundoff
     return GridFunction(grid, v)
-
-
-def _newton_stage(
-    plan: AssemblyPlan,
-    v: np.ndarray,
-    p: float,
-    load_g: np.ndarray,
-    delta: float,
-    tol: float,
-    masses: np.ndarray,
-    strict: bool = True,
-) -> np.ndarray:
-    grid = plan.grid
-    h = grid.h
-    ab = np.zeros((3, grid.n - 1))
-    J = _energy(plan, v, p, load_g, delta)
-    best_res = np.inf
-    stalled = 0
-    for _ in range(400):
-        grad = _gradient(plan, v, p, load_g, delta)
-        res = np.max(np.abs(grad[1:-1]) / masses[1:-1]) if grid.n > 1 else 0.0
-        if res <= tol:
-            return v
-        if res < 0.999 * best_res:
-            best_res = res
-            stalled = 0
-        else:
-            stalled += 1
-        if stalled >= 8:
-            # quantization floor: nodal updates below one ulp cannot reduce
-            # the flux imbalance any further
-            if not strict or res <= max(tol, 1e-6):
-                return v
-            raise SolverError(
-                f"residual stalled at {res:.3e}, above the requested {tol:.1e}"
-            )
-        s = np.diff(v) / h
-        d2 = max(delta, _DELTA_REG) ** 2
-        stiff = (s * s + d2) ** ((p - 4.0) / 2.0) * (d2 + (p - 1.0) * s * s) / h
-        mdiag, moff = plan.mass_tridiag("c", v, p - 2.0)
-        diag = stiff[:-1] + stiff[1:] + (p - 1.0) * mdiag[1:-1]
-        off = -stiff[1:-1] + (p - 1.0) * moff[1:-1]
-        ab[0, 1:] = off
-        ab[1, :] = diag
-        ab[2, :-1] = off
-        d = np.zeros_like(v)
-        try:
-            d[1:-1] = solve_banded((1, 1), ab, -grad[1:-1])
-        except np.linalg.LinAlgError:
-            d[1:-1] = -grad[1:-1]
-        if res <= 1e-5:
-            # local regime: the energy is flat to roundoff here, so a line
-            # search would stall; plain Newton converges on its own
-            v = np.maximum(v + d, 0.0)
-            J = _energy(plan, v, p, load_g, delta)
-            continue
-        slope = float(grad @ d)
-        if slope >= 0:
-            d[1:-1] = -grad[1:-1]
-            slope = float(grad @ d)
-        t = 1.0
-        for _halving in range(80):
-            v_try = np.maximum(v + t * d, 0.0)
-            J_try = _energy(plan, v_try, p, load_g, delta)
-            if J_try <= J + 1e-4 * t * slope or J_try < J - 1e-15 * abs(J):
-                break
-            t *= 0.5
-        else:
-            if not strict:
-                return v  # good enough as a warm start for the next stage
-            raise SolverError("step-size underflow in the damped Newton line search")
-        v, J = v_try, J_try
-    if not strict:
-        return v
-    raise SolverError("companion problem did not converge in 400 Newton steps")

@@ -34,7 +34,7 @@ from .core_types import (
     sin_power_weight,
     step_weight,
 )
-from .eigen import principal_eigenvalue
+from .eigen import window_eigenpair
 from .solver import select_theorem, solve_full, sweep
 from .subsuper import build_subsolution, build_supersolution, enforce_ordering
 from .verify import (
@@ -284,11 +284,6 @@ def _certificate_dict(cert):
     }
 
 
-def _eigen_for(prob: Problem, n: int):
-    n_win = max(64, round(n * prob.window.length() / prob.domain.length()))
-    return principal_eigenvalue(prob.p, prob.c_plus, prob.m, prob.window, n=n_win)
-
-
 def _base_report(command: str, args) -> dict:
     return {"schema": 1, "command": command, "seed": args.seed}
 
@@ -298,7 +293,7 @@ def _base_report(command: str, args) -> dict:
 
 def cmd_check(args) -> int:
     prob, n, _ = problem_from_config(load_config(args.config))
-    eig = _eigen_for(prob, n)
+    eig = window_eigenpair(prob, prob.default_grid(n))
     conditions = check_all(prob, eig)
     report = _base_report("check", args)
     report["lambda1"] = float(eig.lambda1)
@@ -310,7 +305,7 @@ def cmd_check(args) -> int:
 
 def cmd_eigen(args) -> int:
     prob, n, _ = problem_from_config(load_config(args.config))
-    eig = _eigen_for(prob, n)
+    eig = window_eigenpair(prob, prob.default_grid(n))
     report = _base_report("eigen", args)
     report["lambda1"] = float(eig.lambda1)
     report["rayleigh"] = float(eig.rayleigh)
@@ -323,10 +318,10 @@ def cmd_eigen(args) -> int:
 def cmd_certify(args) -> int:
     prob, n, _ = problem_from_config(load_config(args.config))
     grid = prob.default_grid(n)
-    eig = _eigen_for(prob, n)
+    eig = window_eigenpair(prob, grid)
     conditions = check_all(prob, eig)
     theorem = select_theorem(prob, conditions, args.policy)
-    sub = build_subsolution(prob, theorem, grid)
+    sub = build_subsolution(prob, theorem, grid, eig)
     sup = build_supersolution(prob, grid)
     sub = enforce_ordering(sub, sup)
     sub.verified = check_weak_subsolution(sub.u, prob)

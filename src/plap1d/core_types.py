@@ -352,14 +352,6 @@ class Weight:
                 out[sel] = P.polyval(xa[sel] - self.breaks[k], self.coefs[k])
         return float(out[0]) if scalar else out
 
-    def degree(self) -> int:
-        deg = 0
-        for c in self.coefs:
-            nz = np.nonzero(c)[0]
-            if nz.size:
-                deg = max(deg, int(nz[-1]))
-        return deg
-
     # -- exact extrema --------------------------------------------------------
 
     def _extrema(self):

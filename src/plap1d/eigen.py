@@ -24,6 +24,7 @@ from .core_types import (
     GridFunction,
     Interval,
     NoEigenvalueError,
+    Problem,
     Weight,
 )
 
@@ -315,3 +316,14 @@ def principal_eigenvalue(
     den = plan.weighted_integral("m", phi.values, p)
     rayleigh = num / den
     return EigenPair(lambda1=lam1, phi=phi, rayleigh=rayleigh)
+
+
+def window_eigenpair(prob: Problem, grid: Grid) -> EigenPair:
+    """Principal eigenpair of prob on its window, resolved to match grid.
+
+    The window gets the share of grid's cells that its length is of the
+    domain's, and at least 64.  Every stage of one problem reads this single
+    eigenpair.
+    """
+    n_win = max(64, round(grid.n * prob.window.length() / prob.domain.length()))
+    return principal_eigenvalue(prob.p, prob.c_plus, prob.m, prob.window, n=n_win)

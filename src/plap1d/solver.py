@@ -31,7 +31,8 @@ from .core_types import (
     SolverError,
     phi_p,
 )
-from .eigen import principal_eigenvalue
+# principal_eigenvalue stays importable from here for existing callers
+from .eigen import principal_eigenvalue, window_eigenpair  # noqa: F401
 from .subsuper import (
     Certificate,
     build_subsolution,
@@ -307,20 +308,30 @@ def solve_full(
     policy: str = "auto",
     tol: float = 1e-8,
 ) -> SolutionReport:
-    """Check conditions, build both certificates, solve, and verify."""
+    """Check conditions, build and verify both certificates, then solve.
+
+    Raises CertificateError, naming the certificate and its worst weak-form
+    value, when either certificate fails verification; the solve between
+    them is not attempted then.
+    """
     if grid is None:
         grid = prob.default_grid()
-    span = prob.domain.length()
-    n_win = max(64, round(grid.n * prob.window.length() / span))
-    eig = principal_eigenvalue(prob.p, prob.c_plus, prob.m, prob.window, n=n_win)
+    eig = window_eigenpair(prob, grid)
     conditions = check_all(prob, eig)
     chosen = select_theorem(prob, conditions, policy)
 
-    sub = build_subsolution(prob, chosen, grid)
+    sub = build_subsolution(prob, chosen, grid, eig)
     sup = build_supersolution(prob, grid)
     sub = enforce_ordering(sub, sup)
     sub.verified = check_weak_subsolution(sub.u, prob)
     sup.verified = check_weak_supersolution(sup.u, prob)
+    for cert in (sub, sup):
+        rep = cert.verified
+        if not rep.passed:
+            raise CertificateError(
+                f"{cert.kind} failed verification: worst value "
+                f"{rep.worst_value:+.3e} at x = {rep.worst_x:.6g} (tol {rep.tol:.1e})"
+            )
 
     u = solve_between(prob, sub, sup, grid, tol=tol)
     residual = solution_residual(u, prob)
@@ -342,13 +353,12 @@ def _sweep_cell(args):
     row = dict(params)
     try:
         prob = factory(**params)
-        n_win = max(64, round((grid_n or 512) * prob.window.length() / prob.domain.length()))
-        eig = principal_eigenvalue(prob.p, prob.c_plus, prob.m, prob.window, n=n_win)
+        grid = prob.default_grid(grid_n) if grid_n else prob.default_grid()
+        eig = window_eigenpair(prob, grid)
         row["lambda1"] = float(eig.lambda1)
         for cond in check_all(prob, eig):
             row[f"{cond.name}_holds"] = cond.holds
             row[f"{cond.name}_margin"] = float(cond.margin)
-        grid = prob.default_grid(grid_n) if grid_n else None
         rep = solve_full(prob, grid=grid, policy=policy, tol=tol)
         row["status"] = "ok"
         row["theorem"] = rep.certificates["sub"].construction["theorem"]

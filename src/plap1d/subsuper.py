@@ -29,7 +29,7 @@ from .core_types import (
     TauTooLargeError,
     Weight,
 )
-from .eigen import principal_eigenvalue
+from .eigen import EigenPair
 
 SUBSOLUTION_THEOREMS = ("thm1_i", "thm1_ii", "thm2_i", "thm2_ii", "cor")
 
@@ -402,26 +402,24 @@ def _construction_params(theorem, prob, tau):
 
 
 def build_subsolution(
-    prob: Problem, theorem: str, grid: Grid | None = None
+    prob: Problem, theorem: str, grid: Grid, eig: EigenPair
 ) -> Certificate:
     """Assemble, glue, and rescale the subsolution the chosen theorem proves.
 
-    Walks the eps halving schedule; within each feasible tau range tries the
-    geometric mean first and then both near-endpoints, since the endpoints
-    maximize one-sided slack when the mid choice fails to glue.
+    eig is the principal eigenpair on the window, as `window_eigenpair`
+    computes it for grid; its eigenfunction is the middle piece.  Walks the
+    eps halving schedule; within each feasible tau range tries the geometric
+    mean first and then both near-endpoints, since the endpoints maximize
+    one-sided slack when the mid choice fails to glue.
     """
     if theorem not in SUBSOLUTION_THEOREMS:
         raise ValueError(f"unknown theorem name: {theorem!r}")
-    if grid is None:
-        grid = prob.default_grid()
     span = prob.domain.length()
     x0, x1 = prob.window.a, prob.window.b
     has_left = x0 - prob.domain.a > _EDGE_TOL * span
     has_right = prob.domain.b - x1 > _EDGE_TOL * span
 
     n_total = grid.n
-    n_win = max(64, round(n_total * prob.window.length() / span))
-    eig = principal_eigenvalue(prob.p, prob.c_plus, prob.m, prob.window, n=n_win)
     u2 = eig.phi
 
     n_left = max(32, round(n_total * (x1 - prob.domain.a) / span))
@@ -476,13 +474,21 @@ def build_subsolution(
 
 
 def build_supersolution(prob: Problem, grid: Grid | None = None) -> Certificate:
-    """k(v+1) with v the companion solution driven by m^+ alone.
+    """k(v+1) with v the companion solution of -(phi_p(v'))' = m^+.
 
     The smallest admissible k is (1+||v||)^{q/(p-1-q)}; the resulting w stays
     at or above k everywhere, so it is strictly positive up to the boundary.
-    When the sign-changing-c flag is set the companion problem runs with c^+
-    and the nonnegativity of v becomes a checked hypothesis rather than a
-    consequence of the construction.
+    The companion problem leaves c out: for c >= 0 the term c w^{p-1} only
+    adds to the left side of the supersolution inequality, so w certifies
+    every such c.  With the sign-changing-c flag set that argument does not
+    hold, and only the independent weak-form check can tell whether w is a
+    supersolution.
+
+    Supported range: v is exact for every p > 1, but near its apex the cell
+    increments of v shrink like h^{p/(p-1)}, and w = k(v+1) stores them next
+    to k and loses their low digits.  On the step weight w verifies for
+    p >= 1.4 up to n = 4096 cells; at p = 1.3 it fails the check from
+    n = 2048 on.
     """
     if prob.c.min_value() < 0.0 and not prob.allow_sign_changing_c:
         raise NoSupersolutionError(
@@ -495,7 +501,7 @@ def build_supersolution(prob: Problem, grid: Grid | None = None) -> Certificate:
         )
     if grid is None:
         grid = prob.default_grid()
-    v = solve_g(prob.p, prob.c_plus, mplus, prob.domain, grid=grid)
+    v = solve_g(prob.p, mplus, prob.domain, grid=grid)
     if float(np.min(v.values)) < -1e-10 * max(1.0, v.sup_norm()):
         raise NoSupersolutionError(
             "companion solution is not nonnegative"

@@ -32,6 +32,7 @@ from plap1d import (
     solve_full,
     solve_g,
     step_weight,
+    window_eigenpair,
 )
 from plap1d.verify import (
     check_weak_subsolution,
@@ -112,7 +113,7 @@ def test_criterion_3_bvp_oracle():
     worst = 0.0
     for p in (1.5, 2.0, 3.0, 4.0):
         pc = p / (p - 1.0)
-        v = solve_g(p, ZERO, ONE, UNIT, grid=grid)
+        v = solve_g(p, ONE, UNIT, grid=grid)
         exact = (0.5**pc - np.abs(0.5 - grid.nodes) ** pc) / pc
         worst = max(worst, float(np.max(np.abs(v.values - exact))))
     ok = worst <= 1e-4
@@ -136,7 +137,7 @@ def test_criterion_4_threshold_and_full_pipeline():
     flip_err = abs(0.5 * (lo + hi) - mu_star) / mu_star
 
     grid = prob0.default_grid(4096)
-    sub = build_subsolution(prob0, "cor", grid)
+    sub = build_subsolution(prob0, "cor", grid, eig)
     sup = build_supersolution(prob0, grid)
     sub = enforce_ordering(sub, sup)
     sub_rep = check_weak_subsolution(sub.u, prob0, tol=1e-3)
@@ -172,7 +173,8 @@ def test_criterion_5_certificate_refinement():
         prob = _step_problem(p, q, mu, csup=csup)
         worst = []
         for n in (2048, 4096):
-            cert = build_subsolution(prob, thm, prob.default_grid(n))
+            grid = prob.default_grid(n)
+            cert = build_subsolution(prob, thm, grid, window_eigenpair(prob, grid))
             worst.append(abs(check_weak_subsolution(cert.u, prob).worst_value))
         ratios[fam] = worst[0] / worst[1]
     ok = all(r >= 1.5 for r in ratios.values())
@@ -232,7 +234,8 @@ def test_criterion_8_homogeneity():
     scaled = Problem(
         p=2.0, q=0.5, domain=UNIT, m=prob.m.affine(tau), c=ZERO, window=WIN
     )
-    cert = build_subsolution(scaled, "cor", scaled.default_grid(1024))
+    grid = scaled.default_grid(1024)
+    cert = build_subsolution(scaled, "cor", grid, window_eigenpair(scaled, grid))
     assert check_weak_subsolution(cert.u, scaled).passed
     back = rescale_certificate(cert.u, tau, prob)
     back_rep = check_weak_subsolution(back, prob)

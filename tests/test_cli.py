@@ -185,7 +185,9 @@ class TestCertifyVerify:
         rows[len(rows) // 2] = f"{x},{float(u) * 50.0 + 1.0}"
         tampered = tmp_path / "tampered.csv"
         tampered.write_text("\n".join(rows) + "\n")
-        assert main(["verify", cfg, "--sub", str(tampered)]) == 2
+        assert main([
+            "verify", cfg, "--sub", str(tampered), "--out", str(tmp_path / "v"),
+        ]) == 2
 
 
 class TestSolve:
@@ -207,6 +209,27 @@ class TestSolve:
         cfg = write_config(tmp_path, m={"preset": "step", "inside": 1.0, "outside": -1.0})
         assert main(["solve", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "margin" in capsys.readouterr().err
+
+    def test_failed_certificate_exits_two(self, tmp_path, capsys):
+        # the companion solve leaves c out, so with c = -0.1 the
+        # supersolution k(v+1) misses the weak inequality near the apex
+        cfg = write_config(tmp_path, c={"preset": "constant", "value": -0.1},
+                           m={"preset": "step", "inside": 1.0, "outside": -0.3},
+                           allow_sign_changing_c=True)
+        assert main(["solve", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "not certified: supersolution failed verification" in err
+
+    def test_p_below_supported_range_fails_before_solving(self, tmp_path, monkeypatch):
+        import plap1d.solver
+
+        calls = []
+        monkeypatch.setattr(plap1d.solver, "solve_between",
+                            lambda *args, **kwargs: calls.append(args))
+        cfg = write_config(tmp_path, p=1.3, q=0.15, n=2048,
+                           m={"preset": "step", "inside": 1.0, "outside": -0.1})
+        assert main(["solve", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert calls == []
 
     def test_explicit_policy_flows_through(self, tmp_path):
         cfg = write_config(tmp_path, c={"preset": "constant", "value": 0.5},

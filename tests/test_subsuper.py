@@ -28,6 +28,7 @@ from plap1d import (
     glue,
     rescale_certificate,
     step_weight,
+    window_eigenpair,
 )
 from plap1d.subsuper import _power_params
 from plap1d.verify import check_weak_subsolution, check_weak_supersolution
@@ -41,6 +42,10 @@ def step_problem(p, q, mu, csup=0.0, window=WIN):
     return Problem(
         p=p, q=q, domain=UNIT, m=m, c=Weight.constant(csup, UNIT), window=window
     )
+
+
+def subsolution(prob, theorem, grid):
+    return build_subsolution(prob, theorem, grid, window_eigenpair(prob, grid))
 
 
 class TestPowerPieces:
@@ -175,7 +180,7 @@ class TestGlue:
 
     def test_glued_function_is_continuous_and_bounded(self):
         prob = step_problem(2.0, 0.5, 0.5)
-        cert = build_subsolution(prob, "cor", Grid.uniform(UNIT, 512))
+        cert = subsolution(prob, "cor", Grid.uniform(UNIT, 512))
         u = cert.u
         s = cert.construction["rescale"]
         assert np.all(np.diff(u.grid.nodes) > 0)
@@ -184,7 +189,7 @@ class TestGlue:
 
     def test_symmetric_problem_gives_symmetric_junctions(self):
         prob = step_problem(2.0, 0.5, 0.5)
-        cert = build_subsolution(prob, "cor", Grid.uniform(UNIT, 1024))
+        cert = subsolution(prob, "cor", Grid.uniform(UNIT, 1024))
         lo = cert.construction["junction_lo"]
         hi = cert.construction["junction_hi"]
         assert lo + hi == pytest.approx(1.0, abs=1e-6)
@@ -212,7 +217,7 @@ class TestRescale:
         # a subsolution for m is one for (tau m)/tau; rescaling moves it to
         # the weight m/tau without spending any slack
         prob = step_problem(2.0, 0.5, 0.5)
-        cert = build_subsolution(prob, "cor", Grid.uniform(UNIT, 1024))
+        cert = subsolution(prob, "cor", Grid.uniform(UNIT, 1024))
         tau = 4.0
         m_small = prob.m.affine(1.0 / tau)
         prob_small = Problem(
@@ -229,7 +234,7 @@ class TestBuildSubsolution:
         prob = Problem(
             p=2.0, q=0.5, domain=UNIT, m=m, c=Weight.constant(0.0, UNIT), window=UNIT
         )
-        cert = build_subsolution(prob, "cor", Grid.uniform(UNIT, 512))
+        cert = subsolution(prob, "cor", Grid.uniform(UNIT, 512))
         assert cert.construction["junction_lo"] == 0.0
         assert cert.construction["junction_hi"] == 1.0
         s = cert.construction["rescale"]
@@ -248,7 +253,7 @@ class TestBuildSubsolution:
     )
     def test_families_verify_on_their_own_grid(self, theorem, p, q, csup, mu):
         prob = step_problem(p, q, mu, csup=csup)
-        cert = build_subsolution(prob, theorem, Grid.uniform(UNIT, 1024))
+        cert = subsolution(prob, theorem, Grid.uniform(UNIT, 1024))
         rep = check_weak_subsolution(cert.u, prob)
         assert rep.passed, f"worst {rep.worst_value} at x={rep.worst_x}"
         assert cert.kind == "subsolution"
@@ -259,16 +264,16 @@ class TestBuildSubsolution:
     def test_infeasible_weight_raises(self):
         prob = step_problem(2.0, 0.5, 1.0)
         with pytest.raises(EpsTooLargeError):
-            build_subsolution(prob, "cor", Grid.uniform(UNIT, 256))
+            subsolution(prob, "cor", Grid.uniform(UNIT, 256))
 
     def test_unknown_theorem_rejected(self):
         prob = step_problem(2.0, 0.5, 0.1)
         with pytest.raises(ValueError, match="theorem"):
-            build_subsolution(prob, "thm3")
+            subsolution(prob, "thm3", Grid.uniform(UNIT, 64))
 
     def test_certificate_positive_inside_window(self):
         prob = step_problem(2.0, 0.5, 0.5)
-        cert = build_subsolution(prob, "cor", Grid.uniform(UNIT, 512))
+        cert = subsolution(prob, "cor", Grid.uniform(UNIT, 512))
         nodes = cert.u.grid.nodes
         inside = (nodes > WIN.a) & (nodes < WIN.b)
         assert np.all(cert.u.values[inside] > 0.0)
@@ -285,6 +290,18 @@ class TestBuildSupersolution:
         assert cert.construction["v_sup"] == pytest.approx(1.0 / 8.0, rel=1e-8)
         rep = check_weak_supersolution(cert.u, prob, tol=1e-6)
         assert rep.passed
+
+    @pytest.mark.parametrize("p", [1.5, 1.77, 1.78, 1.998])
+    def test_step_weight_companion_matches_closed_form(self, p):
+        # m^+ = 1 on (1/4, 3/4): integrating the flux, 1/4 outside the window
+        # and 1/2 - x inside, gives max v = (1/4)^{p'} (1 + 1/p')
+        prob = step_problem(p, 0.5 * (p - 1.0), 0.1)
+        cert = build_supersolution(prob, prob.default_grid(2048))
+        pc = p / (p - 1.0)
+        exact = 0.25**pc * (1.0 + 1.0 / pc)
+        assert cert.construction["v_sup"] == pytest.approx(exact, rel=1e-6)
+        rep = check_weak_supersolution(cert.u, prob)
+        assert rep.passed, f"worst {rep.worst_value} at x={rep.worst_x}"
 
     def test_floor_is_k(self):
         prob = step_problem(2.0, 0.5, 0.5)
@@ -303,9 +320,9 @@ class TestBuildSupersolution:
         assert v2 == pytest.approx(2.0 * v1, rel=1e-7)
 
     def test_sign_changing_c_mode_builds_when_companion_nonnegative(self):
-        # with the flag set the companion problem keeps the true c; a mild
-        # negative c stays below the Dirichlet ground state, so v >= 0 and
-        # the construction goes through
+        # the companion problem leaves c out, so v >= 0 and the construction
+        # goes through; whether w certifies the negative c is for the
+        # weak-form check to decide
         prob = Problem(
             p=2.0,
             q=0.5,
@@ -325,7 +342,7 @@ class TestEnforceOrdering:
     def test_ordered_pair_passes_through(self):
         prob = step_problem(2.0, 0.5, 0.5)
         g = Grid.uniform(UNIT, 512)
-        sub = build_subsolution(prob, "cor", g)
+        sub = subsolution(prob, "cor", g)
         sup = build_supersolution(prob, g)
         out = enforce_ordering(sub, sup)
         assert out is sub
