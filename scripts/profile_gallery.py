@@ -17,9 +17,9 @@ rescale factor, supersolution k) so a profile can be rebuilt by hand.
 
 Usage (from the repository root)::
 
-    python3 scripts/profile_gallery.py
-    python3 scripts/profile_gallery.py --n 2048 --out-dir gallery
-    python3 scripts/profile_gallery.py --no-solve
+    PYTHONPATH=src python3 scripts/profile_gallery.py
+    PYTHONPATH=src python3 scripts/profile_gallery.py --n 2048 --out-dir gallery
+    PYTHONPATH=src python3 scripts/profile_gallery.py --no-solve
 """
 
 import argparse
@@ -30,15 +30,12 @@ from plap1d import (
     Interval,
     Problem,
     Weight,
-    build_subsolution,
-    build_supersolution,
-    enforce_ordering,
+    certify,
     solution_residual,
     solve_between,
     step_weight,
     window_eigenpair,
 )
-from plap1d.verify import check_weak_subsolution, check_weak_supersolution
 
 UNIT = Interval(0.0, 1.0)
 WIN = Interval(0.25, 0.75)
@@ -59,11 +56,7 @@ def build_family(name, n, solve, tol):
         c=Weight.constant(csup, UNIT), window=WIN,
     )
     grid = prob.default_grid(n)
-    sub = build_subsolution(prob, theorem, grid, window_eigenpair(prob, grid))
-    sup = build_supersolution(prob, grid)
-    sub = enforce_ordering(sub, sup)
-    sub.verified = check_weak_subsolution(sub.u, prob)
-    sup.verified = check_weak_supersolution(sup.u, prob)
+    sub, sup = certify(prob, theorem, grid, window_eigenpair(prob, grid))
     u = solve_between(prob, sub, sup, grid, tol=tol) if solve else None
     return prob, grid, sub, sup, u
 

@@ -18,9 +18,9 @@ and the residual hovers at the requested solver tolerance independent of n
 
 Usage (from the repository root)::
 
-    python3 scripts/refinement_study.py
-    python3 scripts/refinement_study.py --levels 256 512 1024 2048 4096
-    python3 scripts/refinement_study.py --out refinement.csv
+    PYTHONPATH=src python3 scripts/refinement_study.py
+    PYTHONPATH=src python3 scripts/refinement_study.py --levels 256 512 1024 2048 4096 --tol 1e-8
+    PYTHONPATH=src python3 scripts/refinement_study.py --out refinement.csv
 """
 
 import argparse

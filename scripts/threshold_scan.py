@@ -15,9 +15,9 @@ is reported as "> mu_max"; one that already fails at the left end as
 
 Usage (from the repository root)::
 
-    python3 scripts/threshold_scan.py
-    python3 scripts/threshold_scan.py --p 2.5 --q 1.0 --csup 0.2
-    python3 scripts/threshold_scan.py --num 33 --out thresholds.csv
+    PYTHONPATH=src python3 scripts/threshold_scan.py
+    PYTHONPATH=src python3 scripts/threshold_scan.py --p 2.5 --q 1.0 --csup 0.2
+    PYTHONPATH=src python3 scripts/threshold_scan.py --num 33 --out thresholds.csv
 """
 
 import argparse

@@ -73,6 +73,7 @@ from .verify import (
 )
 from .solver import (
     SolutionReport,
+    certify,
     energy,
     solve_between,
     solve_full,

@@ -5,9 +5,10 @@ config describing the problem, writes a versioned JSON report (and CSV grid
 functions where applicable) to --out, and echoes the report to stdout.
 
 Exit codes: 0 success, 2 condition-not-satisfied (no sufficient condition,
-failed verification, impossible certificate), 1 internal error, 64 malformed
-config or command line.  All floats in reports are rendered with 17
-significant digits, so identical inputs give byte-identical reports.
+failed verification, impossible certificate) or solve stalled above its
+tolerance, 1 internal error, 64 malformed config or command line.  All
+floats in reports are rendered with 17 significant digits, so identical
+inputs give byte-identical reports.
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ from .core_types import (
     GridFunction,
     Interval,
     Problem,
+    SolverError,
     Weight,
     sin_power_weight,
     step_weight,
 )
 from .eigen import window_eigenpair
-from .solver import select_theorem, solve_full, sweep
-from .subsuper import build_subsolution, build_supersolution, enforce_ordering
+from .solver import certify, select_theorem, solve_full, sweep
 from .verify import (
     check_weak_subsolution,
     check_weak_supersolution,
@@ -321,11 +322,7 @@ def cmd_certify(args) -> int:
     eig = window_eigenpair(prob, grid)
     conditions = check_all(prob, eig)
     theorem = select_theorem(prob, conditions, args.policy)
-    sub = build_subsolution(prob, theorem, grid, eig)
-    sup = build_supersolution(prob, grid)
-    sub = enforce_ordering(sub, sup)
-    sub.verified = check_weak_subsolution(sub.u, prob)
-    sup.verified = check_weak_supersolution(sup.u, prob)
+    sub, sup = certify(prob, theorem, grid, eig)
     report = _base_report("certify", args)
     report["theorem"] = theorem
     report["conditions"] = _condition_dicts(conditions)
@@ -535,6 +532,9 @@ def main(argv=None) -> int:
         return 64
     except (CertificateError, EigenError) as exc:
         print(f"not certified: {exc}", file=sys.stderr)
+        return 2
+    except SolverError as exc:
+        print(f"not solved: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal failures keep their type visible
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

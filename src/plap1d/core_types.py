@@ -226,14 +226,6 @@ class Grid:
             return Grid(self.nodes.copy())
         return Grid(np.unique(np.concatenate([self.nodes, keep])))
 
-    def refine(self) -> "Grid":
-        """Insert every cell midpoint."""
-        mids = 0.5 * (self.nodes[:-1] + self.nodes[1:])
-        out = np.empty(2 * self.n + 1)
-        out[0::2] = self.nodes
-        out[1::2] = mids
-        return Grid(out)
-
     def hat_masses(self) -> np.ndarray:
         """Integral of each nodal hat function, boundary hats included."""
         h = self.h

@@ -4,17 +4,17 @@ With a sign-changing weight the reaction is not monotone in u, so the
 classical monotone iteration between sub- and supersolution is not justified;
 what is justified is minimizing the problem's energy over the order interval,
 whose interior critical points satisfy the discrete weak equation.  The
-minimizer is found by projected gradient with Barzilai-Borwein steps and an
-Armijo backtrack, then polished by a damped Newton step on the free nodes;
-convergence is judged by the projected-gradient residual, so a node pinned
-at a bound counts as converged only when its multiplier has the right sign.
+minimizer is found by projected Newton from the box midpoint: a tridiagonal
+model on the free nodes, clipped into the box and backtracked until it lowers
+the energy or the residual.  Convergence is judged by the projected-gradient
+residual, so a node pinned at a bound counts as converged only when its
+multiplier has the right sign.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-import math
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
@@ -32,7 +32,7 @@ from .core_types import (
     phi_p,
 )
 # principal_eigenvalue stays importable from here for existing callers
-from .eigen import principal_eigenvalue, window_eigenpair  # noqa: F401
+from .eigen import EigenPair, principal_eigenvalue, window_eigenpair  # noqa: F401
 from .subsuper import (
     Certificate,
     build_subsolution,
@@ -44,8 +44,7 @@ from .verify import check_weak_subsolution, check_weak_supersolution, solution_r
 log = logging.getLogger(__name__)
 
 _ARMIJO = 1e-4
-_MAX_OUTER = 500
-_MAX_POLISH = 600
+_MAX_NEWTON = 600
 
 
 @dataclass
@@ -65,11 +64,7 @@ def energy(u: GridFunction, prob: Problem, plan: AssemblyPlan | None = None) -> 
     if plan is None:
         plan = AssemblyPlan(u.grid, {"c": prob.c, "m": prob.m})
     vals = np.maximum(u.values, 0.0)
-    s = np.diff(vals) / u.grid.h
-    grad_part = float(np.sum(np.abs(s) ** prob.p * u.grid.h)) / prob.p
-    zero_part = plan.weighted_integral("c", vals, prob.p) / prob.p
-    reaction = plan.weighted_integral("m", vals, prob.q + 1.0) / (prob.q + 1.0)
-    return grad_part + zero_part - reaction
+    return _energy_and_grad(vals, u.grid, plan, prob.p, prob.q)[0]
 
 
 def _energy_and_grad(vals, grid, plan, p, q):
@@ -106,15 +101,15 @@ def _kkt_residual(g, vals, lo, hi, hbar, atol):
     return r / hbar[1:-1]
 
 
-def _newton_polish(vals, lo, hi, grid, plan, p, q, tol, hbar, atol):
+def _projected_newton(vals, lo, hi, grid, plan, p, q, tol, hbar, atol):
+    """Iterate from vals; return the last iterate and its residual."""
     n = grid.n
     floor = 1e-10 * (np.max(vals) + 1.0) / grid.interval.length()
-    for _ in range(_MAX_POLISH):
-        e, g = _energy_and_grad(vals, grid, plan, p, q)
-        rnorm = _kkt_residual(g, vals, lo, hi, hbar, atol)
-        res = float(np.max(rnorm))
-        if res <= tol:
-            return vals, True
+    e, g = _energy_and_grad(vals, grid, plan, p, q)
+    rnorm = _kkt_residual(g, vals, lo, hi, hbar, atol)
+    for _ in range(_MAX_NEWTON):
+        if float(np.max(rnorm)) <= tol:
+            break
         # any pinned node with an inward gradient re-enters the system; the
         # release can cascade node by node along a bound-hugging tail, which
         # is why the iteration cap is generous
@@ -126,7 +121,6 @@ def _newton_polish(vals, lo, hi, grid, plan, p, q, tol, hbar, atol):
         diag = np.zeros(n + 1)
         diag[:-1] += w
         diag[1:] += w
-        off = -w
         # the reaction Jacobian is mass-lumped (row sums onto the diagonal)
         # and its diagonal contribution clipped at zero: near small values
         # u^(q-1) blows up, and both the consistent couplings and the
@@ -147,24 +141,17 @@ def _newton_polish(vals, lo, hi, grid, plan, p, q, tol, hbar, atol):
         frozen = np.zeros(n + 1, dtype=bool)
         frozen[0] = frozen[-1] = True
         frozen[1:-1] = ~inactive
-        rhs = -g
-        rhs[frozen] = 0.0
-        diag = diag.copy()
-        off_u = off.copy()
-        off_l = off.copy()
-        diag[frozen] = 1.0
-        off_u[frozen[:-1]] = 0.0  # off_u[j] sits in row j
-        off_l[frozen[1:]] = 0.0  # off_l[j] sits in row j + 1
+        rhs = np.where(frozen, 0.0, -g)
         ab = np.zeros((3, n + 1))
-        ab[0, 1:] = off_u
-        ab[1] = diag
-        ab[2, :-1] = off_l
+        ab[0, 1:] = np.where(frozen[:-1], 0.0, -w)  # off[j] sits in row j
+        ab[1] = np.where(frozen, 1.0, diag)
+        ab[2, :-1] = np.where(frozen[1:], 0.0, -w)  # and in row j + 1
         try:
             delta = solve_banded((1, 1), ab, rhs)
         except Exception:
-            return vals, False
+            break
         if not np.all(np.isfinite(delta)):
-            return vals, False
+            break
         # a step is good if it shrinks the l2 size of the projected gradient
         # (terminal sharpening) or makes Armijo progress on the energy; the
         # energy branch is what carries a cascade of bound releases, where
@@ -182,13 +169,13 @@ def _newton_polish(vals, lo, hi, grid, plan, p, q, tol, hbar, atol):
             ec, gc = _energy_and_grad(cand, grid, plan, p, q)
             rc = _kkt_residual(gc, cand, lo, hi, hbar, atol)
             if float(rc @ rc) < theta or ec <= e + _ARMIJO * float(g @ d):
-                vals = cand
+                vals, e, g, rnorm = cand, ec, gc, rc
                 improved = True
                 break
             t *= 0.5
         if not improved:
-            return vals, False
-    return vals, False
+            break
+    return vals, float(np.max(rnorm))
 
 
 def solve_between(
@@ -200,10 +187,15 @@ def solve_between(
 ) -> GridFunction:
     """Minimize the energy over the box [sub, sup] resampled to the grid.
 
-    Returns the minimizer once the projected-gradient residual is below tol
-    at every interior node, meaning the weak equation holds where no bound
-    is active and pinned nodes satisfy complementarity; raises SolverError
-    when the iteration stalls above that.
+    Projected Newton starts from the box midpoint.  Returns the minimizer
+    once the projected-gradient residual is below tol at every interior
+    node, meaning the weak equation holds where no bound is active and
+    pinned nodes satisfy complementarity.  A node that the clipped step
+    pins to a bound leaves the Newton system, but it rejoins as soon as its
+    gradient points into the box; such releases cascade along a stretch of
+    bound-hugging nodes, carried by steps that lower the energy while the
+    residual first grows.  Raises SolverError when the iteration stalls
+    above tol.
     """
     if grid is None:
         grid = prob.default_grid()
@@ -222,45 +214,7 @@ def solve_between(
 
     vals = 0.5 * (lo + hi)
     vals[0] = vals[-1] = 0.0
-    e, g = _energy_and_grad(vals, grid, plan, p, q)
-    step = 1.0 / (float(np.max(np.abs(g))) + 1.0)
-    prev_vals = None
-    prev_g = None
-    res = math.inf
-    for _ in range(_MAX_OUTER):
-        rnorm = _kkt_residual(g, vals, lo, hi, hbar, atol)
-        res = float(np.max(rnorm))
-        if res <= 10.0 * tol:
-            break
-        if prev_vals is not None:
-            dv = vals - prev_vals
-            dg = g - prev_g
-            denom = float(dv @ dg)
-            if denom > 1e-300:
-                step = float(dv @ dv) / denom
-            step = float(np.clip(step, 1e-12, 1e8))
-        accepted = False
-        t = step
-        for _ in range(60):
-            cand = np.clip(vals - t * g, lo, hi)
-            cand[0] = cand[-1] = 0.0
-            d = cand - vals
-            if float(np.max(np.abs(d))) <= 1e-16 * max(scale, 1.0):
-                break
-            ec, gc = _energy_and_grad(cand, grid, plan, p, q)
-            if ec <= e + _ARMIJO * float(g @ d):
-                prev_vals, prev_g = vals, g
-                vals, e, g = cand, ec, gc
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break
-
-    vals, _ = _newton_polish(vals, lo, hi, grid, plan, p, q, tol, hbar, atol)
-    _, g = _energy_and_grad(vals, grid, plan, p, q)
-    rnorm = _kkt_residual(g, vals, lo, hi, hbar, atol)
-    res = float(np.max(rnorm))
+    vals, res = _projected_newton(vals, lo, hi, grid, plan, p, q, tol, hbar, atol)
     active = (vals[1:-1] <= lo[1:-1] + atol) | (vals[1:-1] >= hi[1:-1] - atol)
     n_active = int(np.sum(active))
     if n_active:
@@ -302,6 +256,20 @@ def select_theorem(prob: Problem, conditions, policy: str = "auto") -> str:
     return chosen
 
 
+def certify(prob: Problem, theorem: str, grid: Grid, eig: EigenPair):
+    """(sub, sup) built with the caller's eigenpair, ordered and verified.
+
+    Each certificate's `verified` holds its weak-form check; what a failed
+    check means is the caller's decision.
+    """
+    sub = build_subsolution(prob, theorem, grid, eig)
+    sup = build_supersolution(prob, grid)
+    sub = enforce_ordering(sub, sup)
+    sub.verified = check_weak_subsolution(sub.u, prob)
+    sup.verified = check_weak_supersolution(sup.u, prob)
+    return sub, sup
+
+
 def solve_full(
     prob: Problem,
     grid: Grid | None = None,
@@ -317,14 +285,12 @@ def solve_full(
     if grid is None:
         grid = prob.default_grid()
     eig = window_eigenpair(prob, grid)
-    conditions = check_all(prob, eig)
-    chosen = select_theorem(prob, conditions, policy)
+    return _solve_from(prob, grid, eig, check_all(prob, eig), policy, tol)
 
-    sub = build_subsolution(prob, chosen, grid, eig)
-    sup = build_supersolution(prob, grid)
-    sub = enforce_ordering(sub, sup)
-    sub.verified = check_weak_subsolution(sub.u, prob)
-    sup.verified = check_weak_supersolution(sup.u, prob)
+
+def _solve_from(prob, grid, eig, conditions, policy, tol) -> SolutionReport:
+    chosen = select_theorem(prob, conditions, policy)
+    sub, sup = certify(prob, chosen, grid, eig)
     for cert in (sub, sup):
         rep = cert.verified
         if not rep.passed:
@@ -355,11 +321,12 @@ def _sweep_cell(args):
         prob = factory(**params)
         grid = prob.default_grid(grid_n) if grid_n else prob.default_grid()
         eig = window_eigenpair(prob, grid)
+        conditions = check_all(prob, eig)
         row["lambda1"] = float(eig.lambda1)
-        for cond in check_all(prob, eig):
+        for cond in conditions:
             row[f"{cond.name}_holds"] = cond.holds
             row[f"{cond.name}_margin"] = float(cond.margin)
-        rep = solve_full(prob, grid=grid, policy=policy, tol=tol)
+        rep = _solve_from(prob, grid, eig, conditions, policy, tol)
         row["status"] = "ok"
         row["theorem"] = rep.certificates["sub"].construction["theorem"]
         row["residual"] = rep.residual

@@ -231,6 +231,12 @@ class TestSolve:
         assert main(["solve", cfg, "--out", str(tmp_path / "o")]) == 2
         assert calls == []
 
+    def test_solver_stagnation_is_exit_two(self, tmp_path, capsys):
+        # 1e-15 is below the residual floor of the solve at this grid
+        cfg = write_config(tmp_path, n=128, tol=1e-15)
+        assert main(["solve", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "not solved: residual stagnation" in capsys.readouterr().err
+
     def test_explicit_policy_flows_through(self, tmp_path):
         cfg = write_config(tmp_path, c={"preset": "constant", "value": 0.5},
                            m={"preset": "step", "inside": 1.0, "outside": -0.3})
@@ -258,6 +264,24 @@ class TestSweep:
         assert margins[0] > 0.0 > margins[2]
         report = json.loads((out / "sweep.json").read_text())
         assert report["cells"] == 3 and report["ok"] == 2
+
+    def test_cell_computes_the_window_eigenpair_once(self, tmp_path, monkeypatch):
+        import plap1d.eigen
+
+        calls = []
+        original = plap1d.eigen.principal_eigenvalue
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        # window_eigenpair, the one caller, looks it up in plap1d.eigen
+        monkeypatch.setattr(plap1d.eigen, "principal_eigenvalue", counted)
+        cfg = write_config(tmp_path, n=128)
+        code = main(["sweep", cfg, "m.outside=-0.4:-0.4:1",
+                     "--jobs", "1", "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert len(calls) == 1
 
     def test_unknown_sweep_path_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -71,14 +71,11 @@ def test_grid_basics():
         Grid(np.array([0.0, 0.5, 0.5, 1.0]))
 
 
-def test_grid_with_points_and_refine():
+def test_grid_with_points():
     g = Grid.uniform(UNIT, 4).with_points([0.3, 0.25, 1.7])
     assert 0.3 in g.nodes
     # 0.25 is already a node, 1.7 is outside: neither adds a cell
     assert g.n == 5
-    r = g.refine()
-    assert r.n == 2 * g.n
-    np.testing.assert_allclose(r.nodes[::2], g.nodes)
 
 
 def test_hat_masses_partition():

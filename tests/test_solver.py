@@ -21,7 +21,9 @@ from plap1d import (
     step_weight,
     sweep,
 )
+import plap1d.solver
 from plap1d.core_types import AssemblyPlan
+from plap1d.solver import _energy_and_grad
 
 UNIT = Interval(0.0, 1.0)
 WIN = Interval(0.25, 0.75)
@@ -140,6 +142,43 @@ class TestSolveBetween:
         assert np.all(u.values >= lo - 1e-12)
         # pinned to the bound from above everywhere it matters
         assert float(np.max(u.values - lo)) < 0.05
+
+    def test_partially_active_lower_bound_releases_the_rest(self):
+        # lo sits above the solution on x < 1/3 only; Newton starts from the
+        # box midpoint and must pin that part while the rest equilibrates
+        prob = manufactured_problem()
+        g = prob.default_grid(512)
+        x = g.nodes
+        sin_vals = np.sin(np.pi * x)
+        lo = np.where(x < 1.0 / 3.0, 1.05 * sin_vals, 0.5 * sin_vals)
+        hi = 1.5 * sin_vals + 0.1
+        tol = 1e-8
+        u = solve_between(prob, *box_certificates(g, lo, hi), g, tol=tol)
+        left = x < 1.0 / 3.0
+        # the two nodes next to x = 0 float a few 1e-9 above lo, where the
+        # discrete equation balances; everything else on the left is pinned
+        assert float(np.max(np.abs(u.values - lo)[left])) < 1e-7
+        plan = AssemblyPlan(g, {"c": prob.c, "m": prob.m})
+        _, grad = _energy_and_grad(u.values, g, plan, prob.p, prob.q)
+        free = (u.values > lo + 1e-12) & (u.values < hi - 1e-12)
+        free[0] = free[-1] = False
+        assert np.any(free)
+        assert float(np.max(np.abs(grad[free]) / g.hat_masses()[free])) <= tol
+
+    def test_newton_from_midpoint_needs_few_energy_evaluations(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return _energy_and_grad(*args)
+
+        monkeypatch.setattr(plap1d.solver, "_energy_and_grad", counted)
+        prob = manufactured_problem()
+        g = prob.default_grid(512)
+        sin_vals = np.sin(np.pi * g.nodes)
+        sub, sup = box_certificates(g, 0.5 * sin_vals, sin_vals + 0.5)
+        solve_between(prob, sub, sup, g, tol=1e-9)
+        assert 0 < len(calls) <= 150
 
 
 class TestSolveFull:
