@@ -114,15 +114,6 @@ def _shift_poly(c, s: float):
     return out
 
 
-def _affine_poly(c, s: float, w: float):
-    """Coefficients of xi -> c(s + w*xi), ascending order."""
-    c = np.asarray(c, dtype=float)
-    out = Polynomial(c)(Polynomial([s, w])).coef
-    if len(out) < len(c):
-        out = np.concatenate([out, np.zeros(len(c) - len(out))])
-    return out
-
-
 def _real_roots_in(c, width: float, tol_edge: float):
     """Real roots of the (local) polynomial c strictly inside (0, width).
 
@@ -286,6 +277,11 @@ class Weight:
 
     At a breakpoint the left piece wins; that convention changes nothing
     measurable but makes evaluation deterministic.
+
+    A Weight is immutable: no method changes breaks or coefs, and the
+    algebra returns new instances.  That is what lets each instance compute
+    its extrema and its positive and negative parts once and hand out the
+    same results afterwards.
     """
 
     def __init__(self, breaks, coefs):
@@ -297,7 +293,12 @@ class Weight:
         if len(coefs) != self.breaks.size - 1:
             raise ValueError("one coefficient vector per piece required")
         self.coefs = [np.atleast_1d(np.asarray(ck, dtype=float)) for ck in coefs]
-        self._sup: float | None = None
+        self._memo: dict = {}
+
+    def _memoized(self, key: str, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     # -- construction helpers -------------------------------------------------
 
@@ -359,17 +360,15 @@ class Weight:
         return lo, hi
 
     def min_value(self) -> float:
-        return self._extrema()[0]
+        return self._memoized("extrema", self._extrema)[0]
 
     def max_value(self) -> float:
-        return self._extrema()[1]
+        return self._memoized("extrema", self._extrema)[1]
 
     def sup_norm(self) -> float:
         """Essential sup of |w|, from per-piece polynomial extrema."""
-        if self._sup is None:
-            lo, hi = self._extrema()
-            self._sup = max(abs(lo), abs(hi))
-        return self._sup
+        lo, hi = self._memoized("extrema", self._extrema)
+        return max(abs(lo), abs(hi))
 
     def is_zero(self) -> bool:
         return self.sup_norm() == 0.0
@@ -430,11 +429,11 @@ class Weight:
 
     def pos_part(self) -> "Weight":
         """max(w, 0), with pieces split exactly at interior sign changes."""
-        return self._signed_part(True)
+        return self._memoized("pos", lambda: self._signed_part(True))
 
     def neg_part(self) -> "Weight":
         """max(-w, 0), so that w = pos_part - neg_part."""
-        return self._signed_part(False)
+        return self._memoized("neg", lambda: self._signed_part(False))
 
     def antiderivative(self) -> "Weight":
         """The continuous antiderivative F with F = 0 at the left endpoint."""
@@ -657,7 +656,11 @@ class AssemblyPlan:
     The grid cells are cut at every weight breakpoint.  On each subcell the
     weight piece is re-expressed in the local coordinate xi in [0, 1] and
     multiplied by the two hat restrictions once, at construction time.  A call
-    then only needs the nodal values of u.
+    then only needs the nodal values of u.  The re-expression is one Horner
+    composition batched over all subcells; it performs, subcell by subcell,
+    the same floating-point operations in the same order as evaluating the
+    piece's `numpy.polynomial.Polynomial` at the affine polynomial, so the
+    tables are identical to the per-piece construction.
 
     Where u varies enough across a subcell (relative variation >= 0.2) the
     integral of poly(xi) * u(xi)^r is evaluated in closed form through the
@@ -701,14 +704,18 @@ class AssemblyPlan:
         mids = 0.5 * (self.sub_lo + self.sub_hi)
         for key, wgt in weights.items():
             D = max(len(c) for c in wgt.coefs)
-            WB = np.zeros((self.sub_lo.size, D))
+            C = np.zeros((wgt.npieces, D))
+            for k, c in enumerate(wgt.coefs):
+                C[k, : c.size] = c
             piece = np.asarray(wgt.piece_index(mids))
-            for s in range(self.sub_lo.size):
-                k = int(piece[s])
-                cloc = _affine_poly(
-                    wgt.coefs[k], self.sub_lo[s] - wgt.breaks[k], self.wsub[s]
-                )
-                WB[s, : cloc.size] = cloc
+            C = C[piece]
+            shift = self.sub_lo - wgt.breaks[piece]
+            # Horner in the affine argument shift + wsub*xi, all subcells at once
+            WB = np.zeros((self.sub_lo.size, D))
+            WB[:, 0] = C[:, D - 1]
+            for j in range(D - 2, -1, -1):
+                WB = _mul_linear(WB[:, : D - 1], shift, self.wsub)
+                WB[:, 0] += C[:, j]
             dL = phiL_hi - phiL_lo
             WL = _mul_linear(WB, phiL_lo, dL)
             WR = _mul_linear(WB, 1.0 - phiL_lo, -dL)

@@ -7,6 +7,12 @@ and bisecting on lambda until the first interior zero of u lands on the right
 endpoint.  With m >= 0 on I the first-zero position moves monotonically with
 lambda, which is what makes the bisection correct; the bracket orientation is
 asserted at lambda = 0.
+
+The RK4 shots are plain Python loops on Python floats; there is no JIT.  Each
+shot computes its stage coefficients c - lambda*m with numpy and hands them to
+the loop as lists, because numpy scalars cost about three times as much per
+step.  Elementwise and scalar arithmetic round alike, so the values are the
+same doubles either way.
 """
 
 from __future__ import annotations
@@ -28,23 +34,6 @@ from .core_types import (
     Weight,
 )
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency in practice
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
-
-
 @dataclass
 class EigenPair:
     """Principal eigenvalue with its sup-normalized eigenfunction on I.
@@ -58,27 +47,25 @@ class EigenPair:
     rayleigh: float
 
 
-@njit(cache=True)
-def _rk4_predicate(cn, ch, mn, mh, lam, hsub, pm1, ipm1):
+def _rk4_predicate(K, KH, hsub, pm1, ipm1):
     """1 if u crosses zero at or before the right endpoint, else 0."""
     u = 0.0
     w = 1.0
-    N = mh.size
-    for j in range(N):
+    for j in range(len(KH)):
         k1u = abs(w) ** ipm1 * (1.0 if w >= 0 else -1.0)
-        k1w = (cn[j] - lam * mn[j]) * abs(u) ** pm1 * (1.0 if u >= 0 else -1.0)
+        k1w = K[j] * abs(u) ** pm1 * (1.0 if u >= 0 else -1.0)
         au = u + 0.5 * hsub * k1u
         aw = w + 0.5 * hsub * k1w
         k2u = abs(aw) ** ipm1 * (1.0 if aw >= 0 else -1.0)
-        k2w = (ch[j] - lam * mh[j]) * abs(au) ** pm1 * (1.0 if au >= 0 else -1.0)
+        k2w = KH[j] * abs(au) ** pm1 * (1.0 if au >= 0 else -1.0)
         au = u + 0.5 * hsub * k2u
         aw = w + 0.5 * hsub * k2w
         k3u = abs(aw) ** ipm1 * (1.0 if aw >= 0 else -1.0)
-        k3w = (ch[j] - lam * mh[j]) * abs(au) ** pm1 * (1.0 if au >= 0 else -1.0)
+        k3w = KH[j] * abs(au) ** pm1 * (1.0 if au >= 0 else -1.0)
         au = u + hsub * k3u
         aw = w + hsub * k3w
         k4u = abs(aw) ** ipm1 * (1.0 if aw >= 0 else -1.0)
-        k4w = (cn[j + 1] - lam * mn[j + 1]) * abs(au) ** pm1 * (1.0 if au >= 0 else -1.0)
+        k4w = K[j + 1] * abs(au) ** pm1 * (1.0 if au >= 0 else -1.0)
         u += hsub / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
         w += hsub / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
         if u <= 0.0:
@@ -86,8 +73,7 @@ def _rk4_predicate(cn, ch, mn, mh, lam, hsub, pm1, ipm1):
     return 0
 
 
-@njit(cache=True)
-def _rk4_full(cn, ch, mn, mh, lam, hsub, pm1, ipm1, nsub, out, wmid):
+def _rk4_full(K, KH, hsub, pm1, ipm1, nsub, out, wmid):
     """Integrate to the right endpoint, storing u at every nsub-th substep
     and w at the substep sitting at each ambient cell's midpoint.
 
@@ -96,29 +82,28 @@ def _rk4_full(cn, ch, mn, mh, lam, hsub, pm1, ipm1, nsub, out, wmid):
     """
     u = 0.0
     w = 1.0
-    N = mh.size
     half = nsub // 2
     out[0] = 0.0
     jcross = -1
     u_pre = 0.0
     w_pre = 1.0
-    for j in range(N):
+    for j in range(len(KH)):
         up = u
         wp = w
         k1u = abs(w) ** ipm1 * (1.0 if w >= 0 else -1.0)
-        k1w = (cn[j] - lam * mn[j]) * abs(u) ** pm1 * (1.0 if u >= 0 else -1.0)
+        k1w = K[j] * abs(u) ** pm1 * (1.0 if u >= 0 else -1.0)
         au = u + 0.5 * hsub * k1u
         aw = w + 0.5 * hsub * k1w
         k2u = abs(aw) ** ipm1 * (1.0 if aw >= 0 else -1.0)
-        k2w = (ch[j] - lam * mh[j]) * abs(au) ** pm1 * (1.0 if au >= 0 else -1.0)
+        k2w = KH[j] * abs(au) ** pm1 * (1.0 if au >= 0 else -1.0)
         au = u + 0.5 * hsub * k2u
         aw = w + 0.5 * hsub * k2w
         k3u = abs(aw) ** ipm1 * (1.0 if aw >= 0 else -1.0)
-        k3w = (ch[j] - lam * mh[j]) * abs(au) ** pm1 * (1.0 if au >= 0 else -1.0)
+        k3w = KH[j] * abs(au) ** pm1 * (1.0 if au >= 0 else -1.0)
         au = u + hsub * k3u
         aw = w + hsub * k3w
         k4u = abs(aw) ** ipm1 * (1.0 if aw >= 0 else -1.0)
-        k4w = (cn[j + 1] - lam * mn[j + 1]) * abs(au) ** pm1 * (1.0 if au >= 0 else -1.0)
+        k4w = K[j + 1] * abs(au) ** pm1 * (1.0 if au >= 0 else -1.0)
         u += hsub / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
         w += hsub / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
         if (j + 1) % nsub == 0:
@@ -137,9 +122,12 @@ def _substeps(p: float) -> int:
 
 
 def _stage_tables(c: Weight, m: Weight, I: Interval, n: int, nsub: int):
+    """Substep nodes xs and lam -> (K, KH), the RK4 stage coefficient
+    c - lam*m at the substep nodes and at their midpoints, as float lists."""
     xs = np.linspace(I.a, I.b, n * nsub + 1)
     half = 0.5 * (xs[:-1] + xs[1:])
-    return xs, c(xs), c(half), m(xs), m(half)
+    cn, ch, mn, mh = c(xs), c(half), m(xs), m(half)
+    return xs, lambda lam: ((cn - lam * mn).tolist(), (ch - lam * mh).tolist())
 
 
 def _partial_step(u0, w0, K0, Kh, K1, hsub, t, pm1, ipm1):
@@ -177,7 +165,8 @@ def shoot(
 
     Integrates with a classical fixed-step 4th-order scheme at `_substeps(p)`
     times the ambient resolution n, starting from (u, w) = (0, 1) at the left
-    endpoint of I.  Returns the trajectory sampled on the ambient grid and the
+    endpoint of I, in plain Python on floats (no JIT; see the module
+    docstring).  Returns the trajectory sampled on the ambient grid and the
     location of the first zero of u past the start, None if u stays positive.
     A trajectory that reaches the right endpoint still positive but below
     truncation-error size relative to its peak is counted as hitting zero
@@ -187,7 +176,7 @@ def shoot(
     if p <= 1.0:
         raise ValueError(f"invalid exponent: p must be > 1, got {p}")
     nsub = _substeps(p)
-    xs, cn, ch, mn, mh = _stage_tables(c, m, I, n, nsub)
+    xs, stages = _stage_tables(c, m, I, n, nsub)
     hsub = (I.b - I.a) / (n * nsub)
     if hsub <= 0.0:
         raise EigenError("integration step underflow")
@@ -195,7 +184,8 @@ def shoot(
     ipm1 = 1.0 / pm1
     out = np.empty(n + 1)
     wmid = np.empty(n)
-    jcross, u_pre, w_pre = _rk4_full(cn, ch, mn, mh, lam, hsub, pm1, ipm1, nsub, out, wmid)
+    K, KH = stages(lam)
+    jcross, u_pre, w_pre = _rk4_full(K, KH, hsub, pm1, ipm1, nsub, out, wmid)
     grid = Grid(np.linspace(I.a, I.b, n + 1))
     traj = GridFunction(grid, out)
     if jcross < 0:
@@ -203,14 +193,11 @@ def shoot(
         if top > 0.0 and out[-1] <= 1e-7 * top:
             return traj, float(I.b)
         return traj, None
-    j = int(jcross)
-    K0 = cn[j] - lam * mn[j]
-    Kh = ch[j] - lam * mh[j]
-    K1 = cn[j + 1] - lam * mn[j + 1]
+    j = jcross
     lo_t, hi_t = 0.0, 1.0
     for _ in range(40):
         mid = 0.5 * (lo_t + hi_t)
-        if _partial_step(u_pre, w_pre, K0, Kh, K1, hsub, mid, pm1, ipm1) > 0.0:
+        if _partial_step(u_pre, w_pre, K[j], KH[j], K[j + 1], hsub, mid, pm1, ipm1) > 0.0:
             lo_t = mid
         else:
             hi_t = mid
@@ -261,7 +248,7 @@ def principal_eigenvalue(
     if m_win.pos_part().sup_norm() == 0.0:
         raise NoEigenvalueError("m has no positive part on the window")
     nsub = _substeps(p)
-    xs, cn, ch, mn, mh = _stage_tables(c, m, I, n, nsub)
+    _, stages = _stage_tables(c, m, I, n, nsub)
     hsub = (I.b - I.a) / (n * nsub)
     if hsub <= 0.0:
         raise EigenError("integration step underflow")
@@ -269,7 +256,7 @@ def principal_eigenvalue(
     ipm1 = 1.0 / pm1
 
     def crosses(lam: float) -> bool:
-        return bool(_rk4_predicate(cn, ch, mn, mh, lam, hsub, pm1, ipm1))
+        return bool(_rk4_predicate(*stages(lam), hsub, pm1, ipm1))
 
     if crosses(0.0):
         raise EigenError(
@@ -298,7 +285,7 @@ def principal_eigenvalue(
             lo = mid
     out = np.empty(n + 1)
     wmid = np.empty(n)
-    _rk4_full(cn, ch, mn, mh, lo, hsub, pm1, ipm1, nsub, out, wmid)
+    _rk4_full(*stages(lo), hsub, pm1, ipm1, nsub, out, wmid)
     hcell = (I.b - I.a) / n
     slopes = np.abs(wmid) ** ipm1 * np.sign(wmid)
     vals = np.concatenate(([0.0], np.cumsum(slopes * hcell)))

@@ -1,8 +1,4 @@
-import pytest
 from hypothesis import HealthCheck, settings
-
-from plap1d.core_types import Interval, Weight
-from plap1d.eigen import shoot
 
 settings.register_profile(
     "default",
@@ -11,11 +7,3 @@ settings.register_profile(
 )
 settings.load_profile("default")
 
-
-@pytest.fixture(scope="session", autouse=True)
-def _jit_warmup():
-    # compile the shooting kernels once on a tiny grid so individual tests
-    # are not charged for it
-    I = Interval(0.0, 1.0)
-    shoot(0.0, 2.0, Weight.constant(0.0, I), Weight.constant(1.0, I), I, n=8)
-    yield

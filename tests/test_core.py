@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 from scipy.integrate import quad
 
+from plap1d import core_types
 from plap1d.core_types import (
     AssemblyPlan,
     Grid,
@@ -180,6 +182,24 @@ def test_weight_parts_reconstruction(coefs, brk):
     np.testing.assert_allclose(
         w.pos_part()(xs) - w.neg_part()(xs), w(xs), atol=1e-10 * max(1.0, w.sup_norm())
     )
+
+
+def test_weight_memoizes_extrema_and_parts(monkeypatch):
+    m = sin_power_weight(UNIT, 1.5).affine(1.0, -0.2)
+    assert m.neg_part() is m.neg_part()
+    assert m.pos_part() is m.pos_part()
+    first = m.min_value()
+    calls = []
+    roots = core_types._real_roots_in
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return roots(*args, **kwargs)
+
+    monkeypatch.setattr(core_types, "_real_roots_in", counting)
+    assert m.min_value() == first
+    m.max_value(), m.sup_norm()
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -419,3 +439,56 @@ def test_load_vector_total_matches_quad(vals, r):
         for j in range(g.n)
     )
     assert total == pytest.approx(ref, rel=1e-9, abs=1e-11)
+
+
+def _random_piecewise_weight(rng, npieces):
+    breaks = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, npieces - 1)]))
+    coefs = []
+    for _ in range(npieces):
+        c = rng.normal(size=int(rng.integers(0, 7)) + 1)
+        c *= 10.0 ** rng.integers(-3, 3, size=c.size)
+        coefs.append(c)
+    return Weight(breaks, coefs)
+
+
+@pytest.mark.parametrize("name", ["sin-power", "step", "random"])
+def test_assembly_tables_match_per_subcell_polynomial_composition(name):
+    w = {
+        "sin-power": sin_power_weight(UNIT, 1.7),
+        "step": step_weight(UNIT, Interval(0.25, 0.75), 1.0, -0.3),
+        "random": _random_piecewise_weight(np.random.default_rng(7), 23),
+    }[name]
+    g = Grid.uniform(UNIT, 512).with_points([0.3, 0.77])
+    plan = AssemblyPlan(g, {"w": w})
+    # reference: each subcell's piece composed with its affine map xi ->
+    # s + wsub*xi through numpy.polynomial, one subcell at a time
+    piece = w.piece_index(0.5 * (plan.sub_lo + plan.sub_hi))
+    WB = np.zeros((plan.sub_lo.size, max(c.size for c in w.coefs)))
+    for s, k in enumerate(piece):
+        shift = plan.sub_lo[s] - w.breaks[k]
+        coef = Polynomial(w.coefs[k])(Polynomial([shift, plan.wsub[s]])).coef
+        WB[s, : coef.size] = coef
+    lo = (g.nodes[plan.parent + 1] - plan.sub_lo) / g.h[plan.parent]
+    hi = (g.nodes[plan.parent + 1] - plan.sub_hi) / g.h[plan.parent]
+    left, right = (lo, hi - lo), (1.0 - lo, lo - hi)
+    WL = core_types._mul_linear(WB, *left)
+    WR = core_types._mul_linear(WB, *right)
+    ref = {
+        "L": WL,
+        "R": WR,
+        "LL": core_types._mul_linear(WL, *left),
+        "LR": core_types._mul_linear(WL, *right),
+        "RR": core_types._mul_linear(WR, *right),
+    }
+    for key, table in ref.items():
+        assert np.array_equal(plan.tables["w"][key], table), key
+
+
+def test_assembly_plan_build_does_not_evaluate_polynomial_objects(monkeypatch):
+    def forbidden(self, arg):
+        raise AssertionError("per-subcell numpy.polynomial evaluation")
+
+    w = sin_power_weight(UNIT, 1.5)
+    monkeypatch.setattr(Polynomial, "__call__", forbidden)
+    plan = AssemblyPlan(Grid.uniform(UNIT, 2048), {"m": w})
+    assert plan.tables["m"]["L"].shape[0] >= 2048
