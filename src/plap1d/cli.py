@@ -5,10 +5,10 @@ config describing the problem, writes a versioned JSON report (and CSV grid
 functions where applicable) to --out, and echoes the report to stdout.
 
 Exit codes: 0 success, 2 condition-not-satisfied (no sufficient condition,
-failed verification, impossible certificate) or solve stalled above its
-tolerance, 1 internal error, 64 malformed config or command line.  All
-floats in reports are rendered with 17 significant digits, so identical
-inputs give byte-identical reports.
+failed verification, impossible certificate, uncertified solution) or solve
+stalled above its tolerance, 1 internal error, 64 malformed config or command
+line.  All floats in reports are rendered with 17 significant digits, so
+identical inputs give byte-identical reports.
 """
 
 from __future__ import annotations
@@ -349,6 +349,7 @@ def cmd_solve(args) -> int:
     write_csv(os.path.join(args.out, "u.csv"), rep.u)
     write_csv(os.path.join(args.out, "sub.csv"), rep.certificates["sub"].u)
     write_csv(os.path.join(args.out, "super.csv"), rep.certificates["super"].u)
+    rep.require_certified(tol)
     return 0
 
 

@@ -3,10 +3,13 @@
 The eigenvalue problem -(phi_p(F'))' + c phi_p(F) = lambda m phi_p(F) on
 I = (x0, x1), F = 0 on the endpoints, is solved by integrating the first-order
 system u' = phi_p^{-1}(w), w' = (c - lambda m) phi_p(u) from (u, w) = (0, 1)
-and bisecting on lambda until the first interior zero of u lands on the right
-endpoint.  With m >= 0 on I the first-zero position moves monotonically with
-lambda, which is what makes the bisection correct; the bracket orientation is
-asserted at lambda = 0.
+and bracketing lambda until the first interior zero of u lands on the right
+endpoint.  Only whether a shot crosses zero moves the bracket; its end value
+u(x1; lambda) picks the next probe by regula falsi.  With m >= 0 on I the
+first-zero position moves monotonically with lambda (the Pruefer angle at x1
+grows with lambda), so the bracket is correct and u(x1; lambda) changes sign
+continuously where the crossing flips.  The bracket orientation is asserted at
+lambda = 0.
 
 The RK4 shots are plain Python loops on Python floats; there is no JIT.  Each
 shot computes its stage coefficients c - lambda*m with numpy and hands them to
@@ -39,38 +42,12 @@ class EigenPair:
     """Principal eigenvalue with its sup-normalized eigenfunction on I.
 
     rayleigh is an independently assembled Rayleigh quotient of phi, kept as a
-    cross-check against the bisection result.
+    cross-check against the bracketed lambda1.
     """
 
     lambda1: float
     phi: GridFunction
     rayleigh: float
-
-
-def _rk4_predicate(K, KH, hsub, pm1, ipm1):
-    """1 if u crosses zero at or before the right endpoint, else 0."""
-    u = 0.0
-    w = 1.0
-    for j in range(len(KH)):
-        k1u = abs(w) ** ipm1 * (1.0 if w >= 0 else -1.0)
-        k1w = K[j] * abs(u) ** pm1 * (1.0 if u >= 0 else -1.0)
-        au = u + 0.5 * hsub * k1u
-        aw = w + 0.5 * hsub * k1w
-        k2u = abs(aw) ** ipm1 * (1.0 if aw >= 0 else -1.0)
-        k2w = KH[j] * abs(au) ** pm1 * (1.0 if au >= 0 else -1.0)
-        au = u + 0.5 * hsub * k2u
-        aw = w + 0.5 * hsub * k2w
-        k3u = abs(aw) ** ipm1 * (1.0 if aw >= 0 else -1.0)
-        k3w = KH[j] * abs(au) ** pm1 * (1.0 if au >= 0 else -1.0)
-        au = u + hsub * k3u
-        aw = w + hsub * k3w
-        k4u = abs(aw) ** ipm1 * (1.0 if aw >= 0 else -1.0)
-        k4w = K[j + 1] * abs(au) ** pm1 * (1.0 if au >= 0 else -1.0)
-        u += hsub / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        w += hsub / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        if u <= 0.0:
-            return 1
-    return 0
 
 
 def _rk4_full(K, KH, hsub, pm1, ipm1, nsub, out, wmid):
@@ -117,10 +94,6 @@ def _rk4_full(K, KH, hsub, pm1, ipm1, nsub, out, wmid):
     return jcross, u_pre, w_pre
 
 
-def _substeps(p: float) -> int:
-    return 8 if (p < 1.2 or p > 6.0) else 4
-
-
 def _stage_tables(c: Weight, m: Weight, I: Interval, n: int, nsub: int):
     """Substep nodes xs and lam -> (K, KH), the RK4 stage coefficient
     c - lam*m at the substep nodes and at their midpoints, as float lists."""
@@ -128,6 +101,29 @@ def _stage_tables(c: Weight, m: Weight, I: Interval, n: int, nsub: int):
     half = 0.5 * (xs[:-1] + xs[1:])
     cn, ch, mn, mh = c(xs), c(half), m(xs), m(half)
     return xs, lambda lam: ((cn - lam * mn).tolist(), (ch - lam * mh).tolist())
+
+
+def _shooter(p: float, c: Weight, m: Weight, I: Interval, n: int):
+    """(xs, hsub, pm1, ipm1, shot) for shots on (p, c, m, I, n); shot(lam)
+    returns (out, wmid, (jcross, u_pre, w_pre), K, KH) of one _rk4_full."""
+    if p <= 1.0:
+        raise ValueError(f"invalid exponent: p must be > 1, got {p}")
+    nsub = 8 if (p < 1.2 or p > 6.0) else 4
+    xs, stages = _stage_tables(c, m, I, n, nsub)
+    hsub = (I.b - I.a) / (n * nsub)
+    if hsub <= 0.0:
+        raise EigenError("integration step underflow")
+    pm1 = p - 1.0
+    ipm1 = 1.0 / pm1
+
+    def shot(lam: float):
+        K, KH = stages(lam)
+        out = np.empty(n + 1)
+        wmid = np.empty(n)
+        cross = _rk4_full(K, KH, hsub, pm1, ipm1, nsub, out, wmid)
+        return out, wmid, cross, K, KH
+
+    return xs, hsub, pm1, ipm1, shot
 
 
 def _partial_step(u0, w0, K0, Kh, K1, hsub, t, pm1, ipm1):
@@ -163,8 +159,8 @@ def shoot(
 ) -> tuple[GridFunction, float | None]:
     """Shot trajectory of the eigenvalue system and its first interior zero.
 
-    Integrates with a classical fixed-step 4th-order scheme at `_substeps(p)`
-    times the ambient resolution n, starting from (u, w) = (0, 1) at the left
+    Integrates with a classical fixed-step 4th-order scheme, 4 substeps per
+    ambient cell (8 for p < 1.2 or p > 6), from (u, w) = (0, 1) at the left
     endpoint of I, in plain Python on floats (no JIT; see the module
     docstring).  Returns the trajectory sampled on the ambient grid and the
     location of the first zero of u past the start, None if u stays positive.
@@ -173,19 +169,8 @@ def shoot(
     there; without this, a zero sitting exactly on the endpoint would be
     reported or dropped depending on the sign of the discretization error.
     """
-    if p <= 1.0:
-        raise ValueError(f"invalid exponent: p must be > 1, got {p}")
-    nsub = _substeps(p)
-    xs, stages = _stage_tables(c, m, I, n, nsub)
-    hsub = (I.b - I.a) / (n * nsub)
-    if hsub <= 0.0:
-        raise EigenError("integration step underflow")
-    pm1 = p - 1.0
-    ipm1 = 1.0 / pm1
-    out = np.empty(n + 1)
-    wmid = np.empty(n)
-    K, KH = stages(lam)
-    jcross, u_pre, w_pre = _rk4_full(K, KH, hsub, pm1, ipm1, nsub, out, wmid)
+    xs, hsub, pm1, ipm1, shot = _shooter(p, c, m, I, n)
+    out, _, (jcross, u_pre, w_pre), K, KH = shot(lam)
     grid = Grid(np.linspace(I.a, I.b, n + 1))
     traj = GridFunction(grid, out)
     if jcross < 0:
@@ -223,9 +208,12 @@ def principal_eigenvalue(
 ) -> EigenPair:
     """Positive principal eigenvalue and eigenfunction on the window I.
 
-    Bisection on lambda for the first zero of the shot trajectory to reach the
-    right endpoint, with the bracket grown geometrically first.  Terminates
-    when the bracket width drops below tol * max(1, lambda).
+    Keeps a bracket whose low end's shot stays positive and whose high end's
+    shot crosses zero, grown geometrically from the constant-coefficient
+    closed form, and returns its midpoint once its width is below
+    tol * max(1, lambda).  Each probe is Illinois regula falsi on the ends'
+    u(x1), a midpoint when the high end crossed twice (u(x1) >= 0), and at
+    least tol/4 * max(1, lambda) inside the bracket.
 
     The eigenfunction is rebuilt from the shot at the no-zero end of the final
     bracket with each cell slope set to the inverse p-flux of w at the cell
@@ -242,52 +230,52 @@ def principal_eigenvalue(
     trajectory already crosses zero (possible only for c negative somewhere,
     where no positive principal eigenvalue need exist).
     """
-    if p <= 1.0:
-        raise ValueError(f"invalid exponent: p must be > 1, got {p}")
+    _, _, _, ipm1, shot = _shooter(p, c, m, I, n)
     m_win = m.restrict(I.a, I.b)
     if m_win.pos_part().sup_norm() == 0.0:
         raise NoEigenvalueError("m has no positive part on the window")
-    nsub = _substeps(p)
-    _, stages = _stage_tables(c, m, I, n, nsub)
-    hsub = (I.b - I.a) / (n * nsub)
-    if hsub <= 0.0:
-        raise EigenError("integration step underflow")
-    pm1 = p - 1.0
-    ipm1 = 1.0 / pm1
-
-    def crosses(lam: float) -> bool:
-        return bool(_rk4_predicate(*stages(lam), hsub, pm1, ipm1))
-
-    if crosses(0.0):
+    c_win = c.restrict(I.a, I.b)
+    out, w_lo, (jcross, _, _), _, _ = shot(0.0)
+    if jcross >= 0:
         raise EigenError(
             "trajectory at lambda = 0 already crosses zero; "
             "no positive principal eigenvalue for this c"
         )
-    # initial scale from the constant-coefficient closed form
+    # the first probe is the constant-coefficient closed form, exact when c
+    # and m are constant on the window; probes double until one crosses
     pi_p = 2.0 * np.pi / (p * np.sin(np.pi / p))
     mbar = max(m_win.integral() / I.length(), 1e-12)
-    hi = max(1.0, (p - 1.0) * (pi_p / I.length()) ** p / mbar)
-    lo = 0.0
-    for _ in range(80):
-        if crosses(hi):
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise BracketError("bracket expansion exceeded its cap")
+    cbar = max(c_win.integral() / I.length(), 0.0)
+    seed = max(1.0, ((p - 1.0) * (pi_p / I.length()) ** p + cbar) / mbar)
+    # f_lo > 0 always; f_hi < 0 unless hi crossed zero twice.  side is the
+    # end the last probe moved, for the Illinois halving.
+    lo, f_lo, hi, f_hi, side = 0.0, out[-1], np.inf, 0.0, 0
     while hi - lo > tol * max(1.0, lo):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if crosses(mid):
-            hi = mid
+        gap = 0.25 * tol * max(1.0, lo)
+        if hi == np.inf:
+            if lo >= seed * 2.0**79:
+                raise BracketError("bracket expansion exceeded its cap")
+            lam = 2.0 * lo if lo > 0.0 else seed
+        elif f_hi < 0.0:
+            lam = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         else:
-            lo = mid
-    out = np.empty(n + 1)
-    wmid = np.empty(n)
-    _rk4_full(*stages(lo), hsub, pm1, ipm1, nsub, out, wmid)
+            lam = 0.5 * (lo + hi)
+        lam = min(max(lam, lo + gap), hi - gap)
+        if lam <= lo or lam >= hi:
+            break
+        out, wmid, (jcross, _, _), _, _ = shot(lam)
+        if jcross >= 0:
+            hi, f_hi = lam, out[-1]
+            if side > 0:
+                f_lo *= 0.5
+            side = 1
+        else:
+            lo, f_lo, w_lo = lam, out[-1], wmid
+            if side < 0:
+                f_hi *= 0.5
+            side = -1
     hcell = (I.b - I.a) / n
-    slopes = np.abs(wmid) ** ipm1 * np.sign(wmid)
+    slopes = np.abs(w_lo) ** ipm1 * np.sign(w_lo)
     vals = np.concatenate(([0.0], np.cumsum(slopes * hcell)))
     vals -= vals[-1] * np.linspace(0.0, 1.0, n + 1)
     vals = np.maximum(vals, 0.0)
@@ -297,7 +285,7 @@ def principal_eigenvalue(
     grid = Grid(np.linspace(I.a, I.b, n + 1))
     phi = normalize_sup(GridFunction(grid, vals))
     lam1 = 0.5 * (lo + hi)
-    plan = AssemblyPlan(grid, {"c": c.restrict(I.a, I.b), "m": m_win})
+    plan = AssemblyPlan(grid, {"c": c_win, "m": m_win})
     s = phi.slopes()
     num = float(np.sum(np.abs(s) ** p * grid.h)) + plan.weighted_integral("c", phi.values, p)
     den = plan.weighted_integral("m", phi.values, p)

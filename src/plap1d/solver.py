@@ -58,6 +58,16 @@ class SolutionReport:
     conditions: list = field(default_factory=list)
     certificates: dict = field(default_factory=dict)
 
+    def require_certified(self, tol: float) -> None:
+        """Raise CertificateError unless u lies between the certificates, its
+        residual is at most tol and it is positive at every interior node."""
+        if not self.ordering_ok:
+            raise CertificateError("solution leaves the box between the certificates")
+        if not self.residual <= tol:
+            raise CertificateError(f"residual {self.residual:.3e} above tol {tol:.1e}")
+        if not self.min_interior > 0.0:
+            raise CertificateError(f"min_interior {self.min_interior:.3e} is not positive")
+
 
 def energy(u: GridFunction, prob: Problem, plan: AssemblyPlan | None = None) -> float:
     """(1/p) int (|u'|^p + c u^p) - (1/(q+1)) int m u^{q+1}, u clipped at 0."""
@@ -327,10 +337,11 @@ def _sweep_cell(args):
             row[f"{cond.name}_holds"] = cond.holds
             row[f"{cond.name}_margin"] = float(cond.margin)
         rep = _solve_from(prob, grid, eig, conditions, policy, tol)
-        row["status"] = "ok"
         row["theorem"] = rep.certificates["sub"].construction["theorem"]
         row["residual"] = rep.residual
         row["min_interior"] = rep.min_interior
+        rep.require_certified(tol)
+        row["status"] = "ok"
     except Exception as exc:
         row["status"] = "error"
         row["error"] = f"{type(exc).__name__}: {exc}"

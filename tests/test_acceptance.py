@@ -64,7 +64,7 @@ def _step_problem(p, q, mu, csup=0.0, window=WIN, inside=1.0):
 
 
 def test_criterion_1_eigenvalue_oracle():
-    principal_eigenvalue(2.0, ZERO, ONE, UNIT, n=64)  # compile before timing
+    principal_eigenvalue(2.0, ZERO, ONE, UNIT, n=64)  # warm-up before timing
     t0 = time.perf_counter()
     e2 = principal_eigenvalue(2.0, ZERO, ONE, UNIT)
     t2 = time.perf_counter() - t0

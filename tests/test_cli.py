@@ -18,6 +18,17 @@ BASE = {
 }
 
 
+# exact solution sin(pi x); at n = 512 and tol 1e-9 the solve converges on
+# its own residual, but the independent weak-form residual reads about 3.3e-9
+MANUFACTURED = {
+    "window": [0.0, 1.0],
+    "m": {"preset": "sin-power", "exponent": 0.5, "amplitude": math.pi**2,
+          "npieces": 128},
+    "n": 512,
+    "tol": 1e-9,
+}
+
+
 def write_config(tmp_path, name="cfg.json", **overrides):
     cfg = {**BASE, **overrides}
     path = tmp_path / name
@@ -237,6 +248,15 @@ class TestSolve:
         assert main(["solve", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "not solved: residual stagnation" in capsys.readouterr().err
 
+    def test_residual_above_tol_is_exit_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **MANUFACTURED)
+        out = tmp_path / "out"
+        assert main(["solve", cfg, "--out", str(out)]) == 2
+        assert "not certified: residual" in capsys.readouterr().err
+        report = json.loads((out / "solve.json").read_text())
+        assert report["residual"] > 1e-9
+        assert (out / "u.csv").exists()
+
     def test_explicit_policy_flows_through(self, tmp_path):
         cfg = write_config(tmp_path, c={"preset": "constant", "value": 0.5},
                            m={"preset": "step", "inside": 1.0, "outside": -0.3})
@@ -282,6 +302,16 @@ class TestSweep:
                      "--jobs", "1", "--out", str(tmp_path / "o")])
         assert code == 0
         assert len(calls) == 1
+
+    def test_residual_above_tol_is_an_error_row(self, tmp_path):
+        cfg = write_config(tmp_path, **MANUFACTURED)
+        out = tmp_path / "out"
+        assert main(["sweep", cfg, "q=0.5:0.5:1", "--jobs", "1", "--out", str(out)]) == 0
+        header, line = (out / "sweep.csv").read_text().splitlines()
+        row = dict(zip(header.split(","), line.split(",")))
+        assert row["status"] == "error"
+        assert row["error"].startswith("CertificateError: residual")
+        assert float(row["residual"]) > 1e-9
 
     def test_unknown_sweep_path_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

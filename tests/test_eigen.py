@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from plap1d import eigen
 from plap1d.core_types import (
     Grid,
     GridFunction,
@@ -16,6 +17,11 @@ from plap1d.eigen import normalize_sup, principal_eigenvalue, shoot
 UNIT = Interval(0.0, 1.0)
 ONE = Weight.constant(1.0, UNIT)
 ZERO = Weight.constant(0.0, UNIT)
+WINDOW = Interval(0.25, 0.75)
+STEP = step_weight(UNIT, WINDOW, 1.0, 0.0)
+# positive only near the ends: at a lambda above lambda1 the trajectory can
+# cross zero and come back up before x = 1
+TWO_BUMPS = Weight([0.0, 0.05, 0.95, 1.0], [[1.0], [0.0], [1.0]])
 
 
 def lambda1_constant(p, length):
@@ -111,6 +117,68 @@ class TestPrincipalEigenvalue:
         lam = principal_eigenvalue(p, ZERO, ONE, UNIT, n=128).lambda1
         lam_tau = principal_eigenvalue(p, ZERO, Weight.constant(tau, UNIT), UNIT, n=128).lambda1
         assert lam_tau == pytest.approx(lam / tau, rel=1e-7)
+
+
+def count_shots(monkeypatch):
+    """Count shots by wrapping the stage-table function each one calls."""
+    shots = []
+    original = eigen._stage_tables
+
+    def counted(*args):
+        xs, stages = original(*args)
+
+        def counted_stages(lam):
+            shots.append(lam)
+            return stages(lam)
+
+        return xs, counted_stages
+
+    monkeypatch.setattr(eigen, "_stage_tables", counted)
+    return shots
+
+
+def assert_bracket_invariant(pair, p, c, m, I, n, tol=1e-8):
+    # the final bracket is within tol * lambda1 of lambda1: below it the shot
+    # stays positive to the right endpoint, above it it crosses inside
+    _, zero = shoot(pair.lambda1 * (1.0 - 2.0 * tol), p, c, m, I, n=n)
+    assert zero is None or zero == I.b
+    _, zero = shoot(pair.lambda1 * (1.0 + 2.0 * tol), p, c, m, I, n=n)
+    assert zero is not None and zero < I.b
+
+
+class TestEigenBracket:
+    @pytest.mark.parametrize("c", [0.0, 0.7])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
+    def test_step_weight_needs_few_shots(self, p, c, monkeypatch):
+        shots = count_shots(monkeypatch)
+        principal_eigenvalue(p, Weight.constant(c, UNIT), STEP, WINDOW, n=512)
+        assert len(shots) <= 8
+
+    @pytest.mark.parametrize("c", [0.0, 0.7])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_bracket_invariant(self, p, c):
+        cw = Weight.constant(c, UNIT)
+        pair = principal_eigenvalue(p, cw, STEP, WINDOW, n=512)
+        assert_bracket_invariant(pair, p, cw, STEP, WINDOW, 512)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_crossed_twice_falls_back_to_midpoints(self, p, monkeypatch):
+        shots = count_shots(monkeypatch)
+        ends = []
+        original = eigen._rk4_full
+
+        def recorded(K, KH, hsub, pm1, ipm1, nsub, out, wmid):
+            cross = original(K, KH, hsub, pm1, ipm1, nsub, out, wmid)
+            ends.append((cross[0] >= 0, out[-1]))
+            return cross
+
+        monkeypatch.setattr(eigen, "_rk4_full", recorded)
+        pair = principal_eigenvalue(p, ZERO, TWO_BUMPS, UNIT, n=512)
+        # some bracketing shot crossed and ended nonnegative, so the next
+        # probe was a midpoint; bisection alone took 31 shots or more
+        assert any(crossed and end >= 0.0 for crossed, end in ends)
+        assert len(shots) < 31
+        assert_bracket_invariant(pair, p, ZERO, TWO_BUMPS, UNIT, 512)
 
 
 class TestNormalizeSup:
