@@ -655,20 +655,24 @@ class AssemblyPlan:
 
     The grid cells are cut at every weight breakpoint.  On each subcell the
     weight piece is re-expressed in the local coordinate xi in [0, 1] and
-    multiplied by the two hat restrictions once, at construction time.  A call
-    then only needs the nodal values of u.  The re-expression is one Horner
-    composition batched over all subcells; it performs, subcell by subcell,
-    the same floating-point operations in the same order as evaluating the
-    piece's `numpy.polynomial.Polynomial` at the affine polynomial, so the
-    tables are identical to the per-piece construction.
+    multiplied by the two hat restrictions once, at construction time: the
+    coefficient tables "L" and "R" of weight * hat.  The re-expression is one
+    Horner composition batched over all subcells; it performs, subcell by
+    subcell, the same floating-point operations in the same order as
+    evaluating the piece's `numpy.polynomial.Polynomial` at the affine
+    polynomial, so the tables are identical to the per-piece construction.
+    Also built once: both tables evaluated at the 20 Gauss nodes
+    (`at_gauss`), and the two hats at those nodes, so a call evaluates no
+    polynomial and needs only the nodal values of u.
 
     Where u varies enough across a subcell (relative variation >= 0.2) the
     integral of poly(xi) * u(xi)^r is evaluated in closed form through the
     substitution t = u(xi); this handles the boundary cells, where u vanishes
     like a fractional power and fixed quadrature would lose digits.  Elsewhere
     20-point Gauss is used, whose truncation error is far below roundoff at
-    that variation threshold.  Net effect: load vectors are exact to roundoff
-    for every r > 0.
+    that variation threshold.  Either way u^r (or its power moments) is
+    computed once per call and shared by the left and the right hat.  Net
+    effect: load vectors are exact to roundoff for every r > 0.
     """
 
     _CLOSED_DELTA = 0.2
@@ -699,8 +703,12 @@ class AssemblyPlan:
         xr = nodes[self.parent + 1]
         phiL_lo = (xr - self.sub_lo) / h
         phiL_hi = (xr - self.sub_hi) / h
+        dL = phiL_hi - phiL_lo
         self._off_lo = self.sub_lo - nodes[self.parent]
+        self._hat_left = phiL_lo[:, None] + dL[:, None] * _XI[None, :]
+        self._hat_right = 1.0 - self._hat_left
         self.tables: dict[str, dict[str, np.ndarray]] = {}
+        self.at_gauss: dict[str, dict[str, np.ndarray]] = {}
         mids = 0.5 * (self.sub_lo + self.sub_hi)
         for key, wgt in weights.items():
             D = max(len(c) for c in wgt.coefs)
@@ -716,16 +724,12 @@ class AssemblyPlan:
             for j in range(D - 2, -1, -1):
                 WB = _mul_linear(WB[:, : D - 1], shift, self.wsub)
                 WB[:, 0] += C[:, j]
-            dL = phiL_hi - phiL_lo
-            WL = _mul_linear(WB, phiL_lo, dL)
-            WR = _mul_linear(WB, 1.0 - phiL_lo, -dL)
-            self.tables[key] = {
-                "LL": _mul_linear(WL, phiL_lo, dL),
-                "LR": _mul_linear(WL, 1.0 - phiL_lo, -dL),
-                "RR": _mul_linear(WR, 1.0 - phiL_lo, -dL),
-                "L": WL,
-                "R": WR,
+            tab = {
+                "L": _mul_linear(WB, phiL_lo, dL),
+                "R": _mul_linear(WB, 1.0 - phiL_lo, -dL),
             }
+            self.tables[key] = tab
+            self.at_gauss[key] = {name: _horner_rows(T, _XI) for name, T in tab.items()}
 
     # -- internals ------------------------------------------------------------
 
@@ -739,43 +743,31 @@ class AssemblyPlan:
         uhi = np.maximum(ulo + sp * self.wsub, 0.0)
         return ulo, uhi
 
-    def _moment(self, W: np.ndarray, ulo, uhi, r: float) -> np.ndarray:
-        du = uhi - ulo
-        denom = np.abs(ulo) + np.abs(uhi)
-        delta = np.where(denom > 0, np.abs(du) / np.where(denom > 0, denom, 1.0), 0.0)
-        closed = (delta >= self._CLOSED_DELTA) & (np.abs(du) > 1e-200)
-        out = np.empty(ulo.size)
-        g = ~closed
-        if np.any(g):
-            T = ulo[g, None] + du[g, None] * _XI[None, :]
-            T = np.maximum(T, 0.0)
-            if r < 0:
-                Tr = np.where(T > 0, T, 1.0) ** r * (T > 0)
-            else:
-                Tr = T ** r
-            V = _horner_rows(W[g], _XI)
-            out[g] = (V * Tr) @ _WG
-        if np.any(closed):
-            ul = ulo[closed]
-            uh = uhi[closed]
-            duc = du[closed]
-            Wc = W[closed]
-            D = W.shape[1]
-            e = r + 1.0 + np.arange(D)
-            M = (uh[:, None] ** e[None, :] - ul[:, None] ** e[None, :]) / e[None, :]
-            acc = np.zeros(ul.size)
-            for i in range(D):
-                vi = np.zeros(ul.size)
-                for j in range(i, D):
-                    vi += (
-                        Wc[:, j]
-                        / duc ** j
-                        * math.comb(j, i)
-                        * (-ul) ** (j - i)
-                    )
-                acc += vi * M[:, i]
-            out[closed] = acc / duc
-        return self.wsub * out
+    @staticmethod
+    def _gauss_powers(ulo, du, r: float) -> np.ndarray:
+        """u^r at the Gauss nodes of each subcell; 0 where u vanishes, r < 0."""
+        T = np.maximum(ulo[:, None] + du[:, None] * _XI[None, :], 0.0)
+        if r < 0:
+            return np.where(T > 0, T, 1.0) ** r * (T > 0)
+        return T ** r
+
+    @staticmethod
+    def _closed_moment(W: np.ndarray, ul, uh, duc, M) -> np.ndarray:
+        """Integral of poly(xi) * u(xi)^r over [0, 1] by t = u(xi), given the
+        power moments M[:, i] = (uh^e_i - ul^e_i) / e_i with e_i = r + 1 + i."""
+        D = W.shape[1]
+        acc = np.zeros(ul.size)
+        for i in range(D):
+            vi = np.zeros(ul.size)
+            for j in range(i, D):
+                vi += (
+                    W[:, j]
+                    / duc ** j
+                    * math.comb(j, i)
+                    * (-ul) ** (j - i)
+                )
+            acc += vi * M[:, i]
+        return acc / duc
 
     # -- public ---------------------------------------------------------------
 
@@ -786,17 +778,30 @@ class AssemblyPlan:
         """
         u = np.asarray(u, dtype=float)
         ulo, uhi = self._sub_values(u)
-        tab = self.tables[key]
-        IL = self._moment(tab["L"], ulo, uhi, r)
-        IR = self._moment(tab["R"], ulo, uhi, r)
+        du = uhi - ulo
+        denom = np.abs(ulo) + np.abs(uhi)
+        delta = np.where(denom > 0, np.abs(du) / np.where(denom > 0, denom, 1.0), 0.0)
+        closed = (delta >= self._CLOSED_DELTA) & (np.abs(du) > 1e-200)
+        g = ~closed
+        tab, vals = self.tables[key], self.at_gauss[key]
+        IL = np.empty(ulo.size)
+        IR = np.empty(ulo.size)
+        if np.any(g):
+            Tr = self._gauss_powers(ulo[g], du[g], r)
+            IL[g] = (vals["L"][g] * Tr) @ _WG
+            IR[g] = (vals["R"][g] * Tr) @ _WG
+        if np.any(closed):
+            ul = ulo[closed]
+            uh = uhi[closed]
+            duc = du[closed]
+            e = r + 1.0 + np.arange(tab["L"].shape[1])
+            M = (uh[:, None] ** e[None, :] - ul[:, None] ** e[None, :]) / e[None, :]
+            IL[closed] = self._closed_moment(tab["L"][closed], ul, uh, duc, M)
+            IR[closed] = self._closed_moment(tab["R"][closed], ul, uh, duc, M)
         out = np.zeros(self.grid.n + 1)
-        np.add.at(out, self.parent, IL)
-        np.add.at(out, self.parent + 1, IR)
+        np.add.at(out, self.parent, self.wsub * IL)
+        np.add.at(out, self.parent + 1, self.wsub * IR)
         return out
-
-    def weighted_integral(self, key: str, u: np.ndarray, r: float) -> float:
-        """Integral of weight * u^r over the whole grid interval."""
-        return float(np.sum(self.load_vector(key, u, r)))
 
     def mass_tridiag(self, key: str, u: np.ndarray, r: float):
         """(diag, off) of the matrix int weight * u^r * hat_i * hat_j.
@@ -807,21 +812,15 @@ class AssemblyPlan:
         """
         u = np.asarray(u, dtype=float)
         ulo, uhi = self._sub_values(u)
-        du = uhi - ulo
-        T = np.maximum(ulo[:, None] + du[:, None] * _XI[None, :], 0.0)
-        if r < 0:
-            Tr = np.where(T > 0, T, 1.0) ** r * (T > 0)
-        else:
-            Tr = T ** r
-        tab = self.tables[key]
+        Tr = self._gauss_powers(ulo, uhi - ulo, r)
+        vals = self.at_gauss[key]
+        left = vals["L"] * Tr
         diag = np.zeros(self.grid.n + 1)
         off = np.zeros(self.grid.n)
-        for name, target, idx in (
-            ("LL", diag, self.parent),
-            ("RR", diag, self.parent + 1),
-            ("LR", off, self.parent),
+        for V, hat, target, idx in (
+            (left, self._hat_left, diag, self.parent),
+            (vals["R"] * Tr, self._hat_right, diag, self.parent + 1),
+            (left, self._hat_right, off, self.parent),
         ):
-            V = _horner_rows(tab[name], _XI)
-            I = self.wsub * ((V * Tr) @ _WG)
-            np.add.at(target, idx, I)
+            np.add.at(target, idx, self.wsub * ((V * hat) @ _WG))
         return diag, off

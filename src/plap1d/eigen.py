@@ -287,8 +287,9 @@ def principal_eigenvalue(
     lam1 = 0.5 * (lo + hi)
     plan = AssemblyPlan(grid, {"c": c_win, "m": m_win})
     s = phi.slopes()
-    num = float(np.sum(np.abs(s) ** p * grid.h)) + plan.weighted_integral("c", phi.values, p)
-    den = plan.weighted_integral("m", phi.values, p)
+    v = phi.values
+    num = float(np.sum(np.abs(s) ** p * grid.h)) + float(v @ plan.load_vector("c", v, p - 1.0))
+    den = float(v @ plan.load_vector("m", v, p - 1.0))
     rayleigh = num / den
     return EigenPair(lambda1=lam1, phi=phi, rayleigh=rayleigh)
 

@@ -9,6 +9,11 @@ model on the free nodes, clipped into the box and backtracked until it lowers
 the energy or the residual.  Convergence is judged by the projected-gradient
 residual, so a node pinned at a bound counts as converged only when its
 multiplier has the right sign.
+
+For p < 2 the model's diffusion weight is the Kacanov weight |s|^{p-2} =
+phi_p(s)/s, the secant slope of phi_p, instead of Newton's (p-1)|s|^{p-2},
+which understates it where the slope s passes through zero at the solution's
+apex and makes the iteration crawl or diverge (see `_projected_newton`).
 """
 
 from __future__ import annotations
@@ -72,24 +77,43 @@ class SolutionReport:
 def energy(u: GridFunction, prob: Problem, plan: AssemblyPlan | None = None) -> float:
     """(1/p) int (|u'|^p + c u^p) - (1/(q+1)) int m u^{q+1}, u clipped at 0."""
     if plan is None:
-        plan = AssemblyPlan(u.grid, {"c": prob.c, "m": prob.m})
+        plan = _plan(u.grid, prob)
     vals = np.maximum(u.values, 0.0)
     return _energy_and_grad(vals, u.grid, plan, prob.p, prob.q)[0]
 
 
+def _plan(grid: Grid, prob: Problem) -> AssemblyPlan:
+    """Assembly plan for the energy: m, and c unless c vanishes."""
+    weights = {"m": prob.m} if prob.c.is_zero() else {"m": prob.m, "c": prob.c}
+    return AssemblyPlan(grid, weights)
+
+
 def _energy_and_grad(vals, grid, plan, p, q):
+    # u is piecewise linear, u = sum_i u_i hat_i, so the reaction energies
+    # come from the gradient's own load vectors: int w u^{r+1} equals
+    # sum_i u_i int w u^r hat_i, exactly, because the load vectors are exact
+    # to roundoff; one pass per weight, none for a c the plan left out
     s = np.diff(vals) / grid.h
-    sp = np.abs(s) ** p
     flux = phi_p(s, p)
-    e = float(np.sum(sp * grid.h)) / p
-    e += plan.weighted_integral("c", vals, p) / p
-    e -= plan.weighted_integral("m", vals, q + 1.0) / (q + 1.0)
+    lm = plan.load_vector("m", vals, q)
+    e = float(np.sum(np.abs(s) ** p * grid.h)) / p - float(vals @ lm) / (q + 1.0)
     g = np.zeros_like(vals)
     g[:-1] -= flux
     g[1:] += flux
-    g += plan.load_vector("c", vals, p - 1.0)
-    g -= plan.load_vector("m", vals, q)
+    g -= lm
+    if "c" in plan.tables:
+        lc = plan.load_vector("c", vals, p - 1.0)
+        e += float(vals @ lc) / p
+        g += lc
     return e, g
+
+
+def _lumped_mass(plan, key, vals, r):
+    """Row sums of plan.mass_tridiag(key, vals, r)."""
+    diag, off = plan.mass_tridiag(key, vals, r)
+    diag[:-1] += off
+    diag[1:] += off
+    return diag
 
 
 def _kkt_residual(g, vals, lo, hi, hbar, atol):
@@ -112,7 +136,17 @@ def _kkt_residual(g, vals, lo, hi, hbar, atol):
 
 
 def _projected_newton(vals, lo, hi, grid, plan, p, q, tol, hbar, atol):
-    """Iterate from vals; return the last iterate and its residual."""
+    """Iterate from vals; return the last iterate and its residual.
+
+    The model's diffusion weight on a cell of slope s is
+    max(p - 1, 1) * |s|^(p-2) / h, with |s| floored: Newton's weight for
+    p >= 2 and the Kacanov (lagged-diffusivity) weight for p < 2.  There
+    Newton's (p-1)|s|^(p-2) understates the secant slope of phi_p near the
+    apex, where s passes through zero: a Newton step on phi_p(s) = t
+    multiplies the error by (2-p)/(p-1), which converges only linearly for
+    1.5 < p < 2 and diverges below.  The discrete problem and the stopping
+    rule do not depend on the weight.
+    """
     n = grid.n
     floor = 1e-10 * (np.max(vals) + 1.0) / grid.interval.length()
     e, g = _energy_and_grad(vals, grid, plan, p, q)
@@ -127,7 +161,7 @@ def _projected_newton(vals, lo, hi, grid, plan, p, q, tol, hbar, atol):
             (vals[1:-1] > lo[1:-1] + atol) & (vals[1:-1] < hi[1:-1] - atol)
         ) | (rnorm > 0.0)
         s = np.diff(vals) / grid.h
-        w = (p - 1.0) * np.maximum(np.abs(s), floor) ** (p - 2.0) / grid.h
+        w = max(p - 1.0, 1.0) * np.maximum(np.abs(s), floor) ** (p - 2.0) / grid.h
         diag = np.zeros(n + 1)
         diag[:-1] += w
         diag[1:] += w
@@ -138,15 +172,10 @@ def _projected_newton(vals, lo, hi, grid, plan, p, q, tol, hbar, atol):
         # indefinite, steering Newton into the saddle below instead of the
         # solution above; the clipped M-matrix model keeps every step a
         # positive descent direction and costs only the local rate
-        dc, oc = plan.mass_tridiag("c", vals, p - 2.0)
-        dm, om = plan.mass_tridiag("m", vals, q - 1.0)
-        dcl = dc.copy()
-        dcl[:-1] += oc
-        dcl[1:] += oc
-        dml = dm.copy()
-        dml[:-1] += om
-        dml[1:] += om
-        diag = diag + np.maximum((p - 1.0) * dcl - q * dml, 0.0)
+        react = -q * _lumped_mass(plan, "m", vals, q - 1.0)
+        if "c" in plan.tables:
+            react += (p - 1.0) * _lumped_mass(plan, "c", vals, p - 2.0)
+        diag = diag + np.maximum(react, 0.0)
         # freeze the boundary and the cleanly pinned nodes
         frozen = np.zeros(n + 1, dtype=bool)
         frozen[0] = frozen[-1] = True
@@ -217,7 +246,7 @@ def solve_between(
     if float(np.max(hi - lo)) <= 1e-14 * max(scale, 1.0):
         return GridFunction(grid, lo.copy())
 
-    plan = AssemblyPlan(grid, {"c": prob.c, "m": prob.m})
+    plan = _plan(grid, prob)
     hbar = grid.hat_masses()
     p, q = prob.p, prob.q
     atol = 1e-14 * max(scale, 1.0)

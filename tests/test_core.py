@@ -381,7 +381,7 @@ def test_load_vector_sums_to_integral():
     # the plan integrates the piecewise-linear interpolant, so compare with
     # the trapezoid value of u, not with the parabola's 1/6
     ref = 2.0 * float(np.sum(0.5 * (u[:-1] + u[1:]) * g.h))
-    assert plan.weighted_integral("w", u, 1.0) == pytest.approx(ref, rel=1e-13)
+    assert float(np.sum(plan.load_vector("w", u, 1.0))) == pytest.approx(ref, rel=1e-13)
 
 
 def test_load_vector_tiny_variation_no_cancellation():
@@ -433,7 +433,7 @@ def test_load_vector_total_matches_quad(vals, r):
     u = np.asarray(vals)
     uf = GridFunction(g, u)
     plan = AssemblyPlan(g, {"w": Weight.constant(1.0, UNIT)})
-    total = plan.weighted_integral("w", u, r)
+    total = float(np.sum(plan.load_vector("w", u, r)))
     ref = sum(
         quad(lambda x: uf(x) ** r, g.nodes[j], g.nodes[j + 1], epsabs=1e-13, epsrel=1e-12)[0]
         for j in range(g.n)
@@ -451,13 +451,24 @@ def _random_piecewise_weight(rng, npieces):
     return Weight(breaks, coefs)
 
 
-@pytest.mark.parametrize("name", ["sin-power", "step", "random"])
-def test_assembly_tables_match_per_subcell_polynomial_composition(name):
-    w = {
+def _named_weight(name):
+    return {
         "sin-power": sin_power_weight(UNIT, 1.7),
         "step": step_weight(UNIT, Interval(0.25, 0.75), 1.0, -0.3),
         "random": _random_piecewise_weight(np.random.default_rng(7), 23),
     }[name]
+
+
+def _gauss_powers(ulo, uhi, r):
+    T = np.maximum(ulo[:, None] + (uhi - ulo)[:, None] * core_types._XI[None, :], 0.0)
+    if r < 0:
+        return np.where(T > 0, T, 1.0) ** r * (T > 0)
+    return T ** r
+
+
+@pytest.mark.parametrize("name", ["sin-power", "step", "random"])
+def test_assembly_tables_match_per_subcell_polynomial_composition(name):
+    w = _named_weight(name)
     g = Grid.uniform(UNIT, 512).with_points([0.3, 0.77])
     plan = AssemblyPlan(g, {"w": w})
     # reference: each subcell's piece composed with its affine map xi ->
@@ -480,8 +491,86 @@ def test_assembly_tables_match_per_subcell_polynomial_composition(name):
         "LR": core_types._mul_linear(WL, *right),
         "RR": core_types._mul_linear(WR, *right),
     }
-    for key, table in ref.items():
-        assert np.array_equal(plan.tables["w"][key], table), key
+    for key in ("L", "R"):
+        assert np.array_equal(plan.tables["w"][key], ref[key]), key
+    # mass_tridiag applies the second hat at the Gauss nodes; it must agree
+    # with the hat-product tables integrated by the same Gauss rule
+    u = 0.2 + np.sin(3.0 * g.nodes) ** 2
+    ulo, uhi = plan._sub_values(u)
+    Tr = _gauss_powers(ulo, uhi, 0.5)
+    diag = np.zeros(g.n + 1)
+    off = np.zeros(g.n)
+    for key, target, idx in (("LL", diag, plan.parent), ("RR", diag, plan.parent + 1),
+                             ("LR", off, plan.parent)):
+        V = core_types._horner_rows(ref[key], core_types._XI)
+        np.add.at(target, idx, plan.wsub * ((V * Tr) @ core_types._WG))
+    got_diag, got_off = plan.mass_tridiag("w", u, 0.5)
+    scale = float(np.max(np.abs(diag)))
+    np.testing.assert_allclose(got_diag, diag, rtol=1e-13, atol=1e-15 * scale)
+    np.testing.assert_allclose(got_off, off, rtol=1e-13, atol=1e-15 * scale)
+
+
+@pytest.mark.parametrize("name", ["sin-power", "step", "random"])
+def test_gauss_node_tables_are_the_tables_at_the_nodes(name):
+    plan = AssemblyPlan(Grid.uniform(UNIT, 256).with_points([0.3]), {"w": _named_weight(name)})
+    for key in ("L", "R"):
+        ref = core_types._horner_rows(plan.tables["w"][key], core_types._XI)
+        assert np.array_equal(plan.at_gauss["w"][key], ref), key
+
+
+def _reference_moment(plan, W, ulo, uhi, r):
+    # one hat's moments with a per-call Horner evaluation of its table
+    du = uhi - ulo
+    denom = np.abs(ulo) + np.abs(uhi)
+    delta = np.where(denom > 0, np.abs(du) / np.where(denom > 0, denom, 1.0), 0.0)
+    closed = (delta >= plan._CLOSED_DELTA) & (np.abs(du) > 1e-200)
+    out = np.empty(ulo.size)
+    g = ~closed
+    if np.any(g):
+        V = core_types._horner_rows(W[g], core_types._XI)
+        out[g] = (V * _gauss_powers(ulo[g], uhi[g], r)) @ core_types._WG
+    if np.any(closed):
+        ul, uh, duc, Wc = ulo[closed], uhi[closed], du[closed], W[closed]
+        e = r + 1.0 + np.arange(W.shape[1])
+        M = (uh[:, None] ** e[None, :] - ul[:, None] ** e[None, :]) / e[None, :]
+        acc = np.zeros(ul.size)
+        for i in range(W.shape[1]):
+            vi = np.zeros(ul.size)
+            for j in range(i, W.shape[1]):
+                vi += Wc[:, j] / duc ** j * math.comb(j, i) * (-ul) ** (j - i)
+            acc += vi * M[:, i]
+        out[closed] = acc / duc
+    return plan.wsub * out
+
+
+@pytest.mark.parametrize("name", ["sin-power", "step", "random"])
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 1.7])
+def test_load_vector_is_bit_identical_to_per_call_horner(name, r):
+    g = Grid.uniform(UNIT, 512).with_points([0.3, 0.77])
+    plan = AssemblyPlan(g, {"w": _named_weight(name)})
+    x = g.nodes
+    # vanishing ends and an interior zero patch exercise the closed form
+    u = np.sin(np.pi * x) ** 0.7 * np.maximum(np.cos(5.0 * np.pi * x), 0.0)
+    u[0] = u[-1] = 0.0
+    ulo, uhi = plan._sub_values(u)
+    ref = np.zeros(g.n + 1)
+    np.add.at(ref, plan.parent, _reference_moment(plan, plan.tables["w"]["L"], ulo, uhi, r))
+    np.add.at(ref, plan.parent + 1, _reference_moment(plan, plan.tables["w"]["R"], ulo, uhi, r))
+    assert np.array_equal(plan.load_vector("w", u, r), ref)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("rule", ["q", "p-1"])
+def test_nodal_identity_gives_the_energy_integral(p, rule):
+    # u = sum_i u_i hat_i, so u @ load_vector(w, u, r) = int w u^(r+1)
+    w = step_weight(UNIT, Interval(0.25, 0.75), 1.0, -0.3)
+    g = Grid.uniform(UNIT, 512)
+    plan = AssemblyPlan(g, {"w": w})
+    u = np.sin(np.pi * g.nodes) ** 0.8
+    u[0] = u[-1] = 0.0
+    r = 0.5 * (p - 1.0) if rule == "q" else p - 1.0
+    total = float(np.sum(plan.load_vector("w", u, r + 1.0)))
+    assert float(u @ plan.load_vector("w", u, r)) == pytest.approx(total, rel=1e-13)
 
 
 def test_assembly_plan_build_does_not_evaluate_polynomial_objects(monkeypatch):

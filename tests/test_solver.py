@@ -69,7 +69,7 @@ class TestEnergy:
         x = g.nodes
         u = GridFunction(g, x * (1.0 - x))
         plan = AssemblyPlan(g, {"m": prob.m})
-        reaction = plan.weighted_integral("m", u.values, 1.5) / 1.5
+        reaction = float(np.sum(plan.load_vector("m", u.values, 1.5))) / 1.5
         grad_part = energy(u, prob) + reaction
         h = 1.0 / n
         assert grad_part == pytest.approx(1.0 / 6.0 - h**2 / 6.0, rel=1e-12)
@@ -179,6 +179,56 @@ class TestSolveBetween:
         sub, sup = box_certificates(g, 0.5 * sin_vals, sin_vals + 0.5)
         solve_between(prob, sub, sup, g, tol=1e-9)
         assert 0 < len(calls) <= 150
+
+    @pytest.mark.parametrize("p, n", [(1.4, 1024), (1.6, 2048), (1.8, 2048)])
+    def test_sublinear_p_needs_few_energy_evaluations(self, monkeypatch, p, n):
+        # Newton's model weight stalls here (about 530-660 evaluations, and a
+        # SolverError at p = 1.4); the Kacanov weight takes 35-80
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return _energy_and_grad(*args)
+
+        monkeypatch.setattr(plap1d.solver, "_energy_and_grad", counted)
+        prob = step_problem(p, 0.5 * (p - 1.0), 0.1)
+        tol = 1e-8
+        rep = solve_full(prob, grid=prob.default_grid(n), tol=tol)
+        rep.require_certified(tol)
+        assert 0 < len(calls) <= 100
+
+    @pytest.mark.parametrize("csup, passes", [(0.0, 1), (0.5, 2)])
+    def test_one_load_vector_pass_per_nonzero_weight(self, monkeypatch, csup, passes):
+        calls = []
+        loads = []
+        masses = []
+        load_vector = AssemblyPlan.load_vector
+        mass_tridiag = AssemblyPlan.mass_tridiag
+
+        def counted(*args):
+            calls.append(None)
+            return _energy_and_grad(*args)
+
+        def counted_load(self, key, *args):
+            loads.append(key)
+            return load_vector(self, key, *args)
+
+        def counted_mass(self, key, *args):
+            masses.append(key)
+            return mass_tridiag(self, key, *args)
+
+        monkeypatch.setattr(plap1d.solver, "_energy_and_grad", counted)
+        monkeypatch.setattr(AssemblyPlan, "load_vector", counted_load)
+        monkeypatch.setattr(AssemblyPlan, "mass_tridiag", counted_mass)
+        prob = step_problem(2.0, 0.5, 0.3, csup=csup)
+        g = prob.default_grid(256)
+        sin_vals = np.sin(np.pi * g.nodes)
+        sub, sup = box_certificates(g, 0.05 * sin_vals, sin_vals + 0.5)
+        solve_between(prob, sub, sup, g)
+        assert len(calls) > 1
+        assert len(loads) == passes * len(calls)
+        assert masses.count("m") > 0
+        assert masses.count("c") == (masses.count("m") if passes == 2 else 0)
 
 
 class TestSolveFull:
