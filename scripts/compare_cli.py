@@ -1,0 +1,123 @@
+"""Byte-identity check of the plap1d CLI between two checkouts.
+
+The configs are those the three benchmark workloads of perfbench/workloads.py
+draw at the given seeds (read from the first checkout, never changed), each
+distinct config once, plus the BASE config of tests/test_cli.py.  On every
+config the script runs CLI check, eigen, certify and solve in both checkouts,
+each call in a fresh interpreter with that checkout's src/ first on the path,
+and compares exit codes, stdout, stderr and every file each call wrote to its
+--out directory.  Certify and solve get the workload's --policy, if any.
+
+It prints one line per call and a summary, and exits 1 if any call's
+outputs differ, 0 if every output is byte-identical.
+
+Usage (from the repository root)::
+
+    python3 scripts/compare_cli.py /path/to/base . --seeds 1 2 3
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+COMMANDS = ("check", "eigen", "certify", "solve")
+
+CHILD = "import sys; sys.path.insert(0, sys.argv[1]); from plap1d.cli import main; sys.exit(main(sys.argv[2:]))"
+
+
+def base_config(root: str) -> dict:
+    """The BASE config literal of tests/test_cli.py, read without importing it."""
+    with open(os.path.join(root, "tests", "test_cli.py")) as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "BASE" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    sys.exit(f"compare_cli: no BASE config in {root}/tests/test_cli.py")
+
+
+def cases(root: str, seeds: list[int]) -> list[tuple[str, dict, str | None, int]]:
+    """(name, config, policy, seed) for every distinct workload config and the test base."""
+    sys.path.insert(0, os.path.join(root, "perfbench"))
+    import workloads
+
+    out = [("test_cli-base", base_config(root), None, 0)]
+    seen = {(json.dumps(out[0][1], sort_keys=True), None)}
+    for seed in seeds:
+        for workload in sorted(workloads.WORKLOADS):
+            for prob in workloads.problems(workload, seed):
+                key = (json.dumps(prob.config, sort_keys=True), prob.policy)
+                if key not in seen:
+                    seen.add(key)
+                    out.append((f"{workload}-s{seed}-{prob.name}", prob.config, prob.policy, seed))
+    return out
+
+
+def run(root: str, work: str, command: str, name: str, policy: str | None, seed: int):
+    """One CLI call in a fresh interpreter; (exit code, stdout, stderr, {file: bytes})."""
+    out_dir = f"out-{command}-{name}"
+    argv = [command, f"{name}.json", "--out", out_dir, "--seed", str(seed)]
+    if policy and command in ("certify", "solve"):
+        argv += ["--policy", policy]
+    src = os.path.join(os.path.abspath(root), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, src, *argv], cwd=work, capture_output=True
+    )
+    files = {}
+    full = os.path.join(work, out_dir)
+    for dirpath, _, names in os.walk(full):
+        for fname in names:
+            path = os.path.join(dirpath, fname)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, full)] = fh.read()
+    # warnings name the source file; the checkout's location is not an output
+    strip = lambda b: b.replace(src.encode(), b"<src>")
+    return proc.returncode, strip(proc.stdout), strip(proc.stderr), files
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("base", help="root of the reference checkout")
+    ap.add_argument("change", help="root of the checkout to compare")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    args = ap.parse_args()
+
+    todo = cases(args.base, args.seeds)
+    print(f"{len(todo)} configs x {len(COMMANDS)} commands", flush=True)
+    diffs = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        works = {}
+        for label in ("base", "change"):
+            works[label] = os.path.join(tmp, label)
+            os.makedirs(works[label])
+            for name, cfg, _, _ in todo:
+                with open(os.path.join(works[label], f"{name}.json"), "w") as fh:
+                    json.dump(cfg, fh)
+        for name, _, policy, seed in todo:
+            for command in COMMANDS:
+                a = run(args.base, works["base"], command, name, policy, seed)
+                b = run(args.change, works["change"], command, name, policy, seed)
+                found = [
+                    what
+                    for what, x, y in (("exit code", a[0], b[0]), ("stdout", a[1], b[1]), ("stderr", a[2], b[2]))
+                    if x != y
+                ]
+                for fname in sorted(set(a[3]) | set(b[3])):
+                    if a[3].get(fname) != b[3].get(fname):
+                        found.append(fname)
+                status = "differs in " + ", ".join(found) if found else "identical"
+                print(f"{command:8s} {name:40s} exit {a[0]}/{b[0]}  {status}", flush=True)
+                diffs += bool(found)
+    print(f"{diffs} of {len(todo) * len(COMMANDS)} calls differ")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,8 +17,6 @@ from .core_types import (
     TauTooLargeError,
     Problem,
     Weight,
-    cumulative_negative_left,
-    cumulative_negative_right,
     integrate,
     p_conjugate,
     phi_p,

@@ -69,14 +69,24 @@ def c_pq(p: float, q: float) -> float:
     return (p / d) ** (p - 1.0) * (p - 1.0) * (q + 1.0) / d
 
 
+def _mass_integrals(m: Weight, eps: float):
+    """Antiderivative pair (F, G) of the eps-inflated negative part m^- + eps.
+
+    F(y) = int_a^y (m^- + eps) and G(y) = int_a^y F, both exact piecewise
+    polynomials; the tail integrals follow as F(b) - F(z) and
+    F(b) (b - z) - (G(b) - G(z)).
+    """
+    F = m.neg_part().affine(1.0, eps).antiderivative()
+    return F, F.antiderivative()
+
+
 def _side_masses(m: Weight, eps: float, x0: float, x1: float):
     """Exact one-sided negative-mass data at inflation eps.
 
     Returns (M_a(x1), int_a^{x1} M_a, M_b(x0), int_{x0}^b M_b) where
     M_a(y) = int_a^y (m^- + eps) and M_b(z) = int_z^b (m^- + eps).
     """
-    F = m.neg_part().affine(1.0, eps).antiderivative()
-    G = F.antiderivative()
+    F, G = _mass_integrals(m, eps)
     a, b = m.domain.a, m.domain.b
     Ma = float(F(x1))
     Ia = float(G(x1) - G(a))

@@ -3,18 +3,24 @@
 Everything downstream (eigenvalue brackets, sufficient conditions, certificate
 builders, weak-form residuals) is driven by a handful of primitives defined
 here: intervals, grids, piecewise-linear grid functions, weights stored as
-piecewise polynomials with exactly representable positive/negative parts, the
-cumulative negative-part integrals, and an assembly plan that integrates
-weight * u^r * hat products in closed form.
+piecewise polynomials with exactly representable positive/negative parts, and
+an assembly plan that integrates weight * u^r * hat products in closed form.
+
+A weight keeps its K pieces as one zero-padded (K, D) coefficient array, and
+each of its operations (evaluation, extrema, sign parts, antiderivative,
+restriction, shifts) is one batched numpy pass over all pieces.  Presets and
+piece lists reach 128 pieces and more, where a per-piece loop of
+`numpy.polynomial` calls would dominate a solve; the batched passes perform
+the same floating-point operations in the same order as that per-piece
+arithmetic, so their results are bit-identical to it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Polynomial
 from numpy.polynomial import polynomial as P
 from numpy.polynomial.legendre import leggauss
 
@@ -31,8 +37,6 @@ __all__ = [
     "p_conjugate",
     "phi_p",
     "integrate",
-    "cumulative_negative_left",
-    "cumulative_negative_right",
     "step_weight",
     "sin_power_weight",
     "CertificateError",
@@ -103,48 +107,92 @@ def phi_p(t, p: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _shift_poly(c, s: float):
-    """Coefficients of x -> c(x + s), ascending order, same length as c."""
-    c = np.asarray(c, dtype=float)
-    if s == 0.0:
-        return c.copy()
-    out = Polynomial(c)(Polynomial([s, 1.0])).coef
-    if len(out) < len(c):
-        out = np.concatenate([out, np.zeros(len(c) - len(out))])
+def _horner_rows(coefs: np.ndarray, x) -> np.ndarray:
+    """Rows of ascending coefficients at points x; (K, M).
+
+    x is (M,), shared by all K rows, or (K, M), one point set per row.  Row by
+    row these are the operations of `P.polyval`, in its order, so zero
+    padding of a row changes no bit of its values.
+    """
+    out = np.zeros((coefs.shape[0], np.shape(x)[-1]))
+    for j in range(coefs.shape[1] - 1, -1, -1):
+        out *= x
+        out += coefs[:, j:j + 1]
     return out
 
 
-def _real_roots_in(c, width: float, tol_edge: float):
-    """Real roots of the (local) polynomial c strictly inside (0, width).
+def _mul_linear(coefs: np.ndarray, a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    """Rowwise product of polynomials with the per-row linear a0 + a1*xi."""
+    S, D = coefs.shape
+    out = np.zeros((S, D + 1))
+    out[:, :D] += coefs * a0[:, None]
+    out[:, 1:] += coefs * a1[:, None]
+    return out
 
-    Roots within tol_edge of either edge are dropped, near-duplicates merged.
+
+def _compose_affine(coefs: np.ndarray, a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    """Each row composed with its affine argument a0 + a1*xi; same shape.
+
+    Horner in the affine polynomial, all rows at once: row by row the same
+    floating-point operations in the same order as evaluating
+    `Polynomial(row)` at `Polynomial([a0, a1])`.
     """
-    c = np.asarray(c, dtype=float)
-    amax = np.max(np.abs(c)) if c.size else 0.0
-    if amax == 0.0:
-        return []
-    # drop relatively negligible leading coefficients; their only effect is
-    # far-away roots, and they wreck the companion matrix conditioning
-    c = c / amax
-    last = c.size - 1
-    while last > 0 and abs(c[last]) <= 1e-14:
-        last -= 1
-    c = c[: last + 1]
-    if c.size <= 1:
-        return []
-    roots = P.polyroots(c)
-    real = []
-    for z in roots:
-        if abs(z.imag) <= 1e-9 * max(1.0, abs(z)):
-            r = float(z.real)
-            if tol_edge < r < width - tol_edge:
-                real.append(r)
-    real.sort()
-    merged: list[float] = []
-    for r in real:
-        if not merged or r - merged[-1] > tol_edge:
-            merged.append(r)
-    return merged
+    S, D = coefs.shape
+    out = np.zeros((S, D))
+    out[:, 0] = coefs[:, D - 1]
+    for j in range(D - 2, -1, -1):
+        out = _mul_linear(out[:, : D - 1], a0, a1)
+        out[:, 0] += coefs[:, j]
+    return out
+
+
+def _real_roots_rows(coefs: np.ndarray, width: np.ndarray, tol_edge: np.ndarray):
+    """Real roots of each row strictly inside (0, width[k]), and their count.
+
+    Row k of the (K, D - 1) result holds its count[k] roots in ascending
+    order, then width[k].  Roots within tol_edge[k] of either edge are dropped,
+    near-duplicates merged.  Each row is scaled to unit max norm and its
+    relatively negligible leading coefficients are dropped (their only
+    effect is far-away roots, and they wreck the companion matrix
+    conditioning).  Rows of equal trimmed length share one stacked
+    eigenvalue call on the companion matrices `P.polycompanion` builds,
+    which returns row by row the numbers `P.polyroots` does.
+    """
+    K, D = coefs.shape
+    R = max(D - 1, 0)
+    out = np.repeat(width[:, None], R, axis=1)
+    count = np.zeros(K, dtype=int)
+    if R == 0:
+        return out, count
+    amax = np.max(np.abs(coefs), axis=1)
+    c = coefs / np.where(amax > 0.0, amax, 1.0)[:, None]
+    big = np.abs(c) > 1e-14
+    big[:, 0] = True
+    size = D - np.argmax(big[:, ::-1], axis=1)
+    cand = np.full((K, R), np.nan)
+    for L in np.unique(size[size > 1]):
+        rows = np.flatnonzero(size == L)
+        cr = c[rows, :L]
+        if L == 2:
+            z = -cr[:, :1] / cr[:, 1:]
+        else:
+            mat = np.zeros((rows.size, L - 1, L - 1))
+            mat[:, np.arange(1, L - 1), np.arange(L - 2)] = 1.0
+            mat[:, :, -1] -= cr[:, :-1] / cr[:, -1:]
+            z = np.linalg.eigvals(mat)
+        r = z.real
+        w, tol = width[rows, None], tol_edge[rows, None]
+        ok = (np.abs(z.imag) <= 1e-9 * np.maximum(1.0, np.abs(z))) & (tol < r) & (r < w - tol)
+        cand[rows, : L - 1] = np.where(ok, r, np.nan)
+    cand.sort(axis=1)
+    last = np.full(K, np.nan)
+    for r in cand.T:
+        keep = ~np.isnan(r) & (np.isnan(last) | (r - last > tol_edge))
+        rows = np.flatnonzero(keep)
+        out[rows, count[rows]] = r[rows]
+        count += keep
+        last = np.where(keep, r, last)
+    return out, count
 
 
 # ---------------------------------------------------------------------------
@@ -269,30 +317,55 @@ class Weight:
     Parameters
     ----------
     breaks : array_like
-        K+1 strictly increasing breakpoints tiling the domain.
-    coefs : sequence of array_like
+        K+1 strictly increasing, finite breakpoints tiling the domain.
+    coefs : sequence of array_like, or a (K, D) array
         K coefficient vectors, ascending order, each in the local variable
         x - breaks[k] of its piece.  Local storage keeps evaluation well
-        conditioned for narrow pieces.
+        conditioned for narrow pieces.  Every coefficient must be finite.
+
+    The pieces are stored as one (K, D) float array `coefs`, each row padded
+    with zeros to the longest piece (trailing columns that are zero in every
+    row are dropped).  Presets and piece lists reach 128 pieces and more, so
+    every operation is one batched numpy pass over all rows, never a loop
+    over pieces; row by row it performs the floating-point operations of the
+    per-piece `numpy.polynomial` arithmetic in the same order, and the zero
+    padding is exact, so the results are bit-identical to it.
 
     At a breakpoint the left piece wins; that convention changes nothing
     measurable but makes evaluation deterministic.
 
-    A Weight is immutable: no method changes breaks or coefs, and the
-    algebra returns new instances.  That is what lets each instance compute
-    its extrema and its positive and negative parts once and hand out the
-    same results afterwards.
+    A Weight is immutable: `coefs` is read-only, no method changes breaks or
+    coefs, and the algebra returns new instances.  That is what lets each
+    instance compute its extrema and its positive and negative parts once
+    and hand out the same results afterwards.
     """
 
     def __init__(self, breaks, coefs):
         self.breaks = np.asarray(breaks, dtype=float)
         if self.breaks.ndim != 1 or self.breaks.size < 2:
             raise ValueError("need at least one piece")
-        if not np.all(np.diff(self.breaks) > 0):
+        if not np.isfinite(self.breaks).all():
+            raise ValueError("breakpoints must be finite")
+        if not (self.breaks[1:] > self.breaks[:-1]).all():
             raise ValueError("breakpoints must be strictly increasing")
         if len(coefs) != self.breaks.size - 1:
             raise ValueError("one coefficient vector per piece required")
-        self.coefs = [np.atleast_1d(np.asarray(ck, dtype=float)) for ck in coefs]
+        if isinstance(coefs, np.ndarray) and coefs.ndim == 2:
+            C = coefs.astype(float)
+            empty = C.shape[1] == 0
+        else:
+            rows = [np.atleast_1d(np.asarray(ck, dtype=float)) for ck in coefs]
+            empty = min(r.size for r in rows) == 0
+            C = np.zeros((len(rows), max(r.size for r in rows)))
+            for k, r in enumerate(rows):
+                C[k, : r.size] = r
+        if empty:
+            raise ValueError("each piece needs at least one coefficient")
+        if not np.isfinite(C).all():
+            raise ValueError("coefficients must be finite")
+        used = np.flatnonzero(C.any(axis=0))
+        self.coefs = C[:, : used[-1] + 1 if used.size else 1]
+        self.coefs.flags.writeable = False
         self._memo: dict = {}
 
     def _memoized(self, key: str, compute):
@@ -311,13 +384,13 @@ class Weight:
         """Build from ((lo, hi), coeffs-in-x) pairs covering a contiguous range."""
         pieces = sorted(pieces, key=lambda it: it[0][0])
         breaks = [pieces[0][0][0]]
-        coefs = []
-        for (lo, hi), c in pieces:
+        for (lo, hi), _ in pieces:
             if abs(lo - breaks[-1]) > 1e-12 * max(1.0, abs(lo)):
                 raise ValueError("pieces must tile the domain without gaps")
             breaks.append(hi)
-            coefs.append(_shift_poly(np.atleast_1d(np.asarray(c, float)), lo))
-        return cls(breaks, coefs)
+        glob = cls(breaks, [c for _, c in pieces]).coefs
+        lo = np.array([lo for (lo, _), _ in pieces], dtype=float)
+        return cls(breaks, _compose_affine(glob, lo, np.ones_like(lo)))
 
     # -- basic queries --------------------------------------------------------
 
@@ -327,7 +400,10 @@ class Weight:
 
     @property
     def npieces(self) -> int:
-        return len(self.coefs)
+        return self.coefs.shape[0]
+
+    def _widths(self) -> np.ndarray:
+        return self.breaks[1:] - self.breaks[:-1]
 
     def piece_index(self, x):
         idx = np.searchsorted(self.breaks, x, side="left") - 1
@@ -335,29 +411,19 @@ class Weight:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xa = np.atleast_1d(x)
-        idx = np.atleast_1d(self.piece_index(xa))
-        out = np.empty_like(xa)
-        for k in range(self.npieces):
-            sel = idx == k
-            if np.any(sel):
-                out[sel] = P.polyval(xa[sel] - self.breaks[k], self.coefs[k])
-        return float(out[0]) if scalar else out
+        xa = np.ravel(x)
+        idx = self.piece_index(xa)
+        out = _horner_rows(self.coefs[idx], (xa - self.breaks[idx])[:, None])[:, 0]
+        return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
     # -- exact extrema --------------------------------------------------------
 
     def _extrema(self):
-        lo = math.inf
-        hi = -math.inf
-        for k, c in enumerate(self.coefs):
-            w = self.breaks[k + 1] - self.breaks[k]
-            xs = [0.0, w]
-            xs += _real_roots_in(P.polyder(c), w, 1e-14 * w)
-            vals = P.polyval(np.asarray(xs), c)
-            lo = min(lo, float(np.min(vals)))
-            hi = max(hi, float(np.max(vals)))
-        return lo, hi
+        C = self.coefs
+        w = self._widths()
+        crit, _ = _real_roots_rows(C[:, 1:] * np.arange(1, C.shape[1]), w, 1e-14 * w)
+        vals = _horner_rows(C, np.column_stack([np.zeros_like(w), w, crit]))
+        return float(np.min(vals)), float(np.max(vals))
 
     def min_value(self) -> float:
         return self._memoized("extrema", self._extrema)[0]
@@ -377,12 +443,9 @@ class Weight:
 
     def affine(self, scale: float, offset: float = 0.0) -> "Weight":
         """scale * w + offset as a new Weight."""
-        coefs = []
-        for c in self.coefs:
-            ck = scale * c
-            ck[0] += offset
-            coefs.append(ck)
-        return Weight(self.breaks, coefs)
+        C = scale * self.coefs
+        C[:, 0] += offset
+        return Weight(self.breaks, C)
 
     def restrict(self, lo: float, hi: float) -> "Weight":
         """The same function on the subinterval [lo, hi]."""
@@ -390,42 +453,32 @@ class Weight:
         span = dom.length()
         if lo < dom.a - 1e-12 * span or hi > dom.b + 1e-12 * span or not lo < hi:
             raise ValueError("restriction range outside the weight domain")
-        breaks = [lo]
-        coefs = []
-        for k in range(self.npieces):
-            plo, phi = self.breaks[k], self.breaks[k + 1]
-            s = max(plo, lo)
-            e = min(phi, hi)
-            if e - s <= 1e-14 * span:
-                continue
-            coefs.append(_shift_poly(self.coefs[k], s - plo))
-            breaks.append(e)
+        plo = self.breaks[:-1]
+        s = np.maximum(plo, lo)
+        e = np.minimum(self.breaks[1:], hi)
+        keep = e - s > 1e-14 * span
+        shift = (s - plo)[keep]
+        breaks = np.concatenate([[lo], e[keep]])
         breaks[0], breaks[-1] = lo, hi
-        return Weight(breaks, coefs)
+        return Weight(breaks, _compose_affine(self.coefs[keep], shift, np.ones_like(shift)))
 
     def _signed_part(self, want_positive: bool) -> "Weight":
-        breaks = [self.breaks[0]]
-        coefs = []
-        for k, c in enumerate(self.coefs):
-            w = self.breaks[k + 1] - self.breaks[k]
-            cuts = [0.0] + _real_roots_in(c, w, 1e-12 * w) + [w]
-            for j in range(len(cuts) - 1):
-                mid = 0.5 * (cuts[j] + cuts[j + 1])
-                val = P.polyval(mid, c)
-                if want_positive:
-                    keep = val > 0.0
-                else:
-                    keep = val < 0.0
-                if keep:
-                    sub = _shift_poly(c, cuts[j])
-                    if not want_positive:
-                        sub = -sub
-                else:
-                    sub = np.zeros(1)
-                coefs.append(sub)
-                breaks.append(self.breaks[k] + cuts[j + 1])
+        # each piece is cut at its interior roots; segment j of piece k runs
+        # from cuts[k, j] to cuts[k, j + 1] and keeps the piece, shifted to
+        # its left end, where the piece has the wanted sign at its midpoint
+        w = self._widths()
+        roots, count = _real_roots_rows(self.coefs, w, 1e-12 * w)
+        cuts = np.column_stack([np.zeros_like(w), roots, w])
+        k, j = np.nonzero(np.arange(cuts.shape[1] - 1) <= count[:, None])
+        left, right = cuts[k, j], cuts[k, j + 1]
+        C = self.coefs[k]
+        val = _horner_rows(C, 0.5 * (left + right)[:, None])[:, 0]
+        keep = val > 0.0 if want_positive else val < 0.0
+        sub = _compose_affine(C, left, np.ones_like(left))
+        sub = np.where(keep[:, None], sub if want_positive else -sub, 0.0)
+        breaks = np.concatenate([self.breaks[:1], self.breaks[k] + right])
         breaks[-1] = self.breaks[-1]
-        return Weight(breaks, coefs)
+        return Weight(breaks, sub)
 
     def pos_part(self) -> "Weight":
         """max(w, 0), with pieces split exactly at interior sign changes."""
@@ -436,15 +489,18 @@ class Weight:
         return self._memoized("neg", lambda: self._signed_part(False))
 
     def antiderivative(self) -> "Weight":
-        """The continuous antiderivative F with F = 0 at the left endpoint."""
-        run = 0.0
-        coefs = []
-        for k, c in enumerate(self.coefs):
-            F = P.polyint(c)
-            F[0] = run
-            run = float(P.polyval(self.breaks[k + 1] - self.breaks[k], F))
-            coefs.append(F)
-        return Weight(self.breaks, coefs)
+        """The continuous antiderivative F with F = 0 at the left endpoint.
+
+        F's constant on piece k is the running sum over the earlier pieces
+        of (F_j(width_j) - F_j(0)), accumulated left to right.
+        """
+        C = self.coefs
+        w = self._widths()
+        F = np.zeros((C.shape[0], C.shape[1] + 1))
+        F[:, 1:] = C / np.arange(1, C.shape[1] + 1)
+        rise = _horner_rows(F[:, 1:], w[:, None])[:, 0] * w
+        F[1:, 0] = np.cumsum(rise)[:-1]
+        return Weight(self.breaks, F)
 
     def integral(self, lo: float | None = None, hi: float | None = None) -> float:
         F = self.antiderivative()
@@ -514,6 +570,9 @@ class Problem:
     allow_sign_changing_c: bool = False
 
     def __post_init__(self):
+        for name in ("p", "q"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"invalid exponent: {name} must be finite, got {getattr(self, name)}")
         if self.p <= 1.0:
             raise ValueError(f"invalid exponent: p must be > 1, got {self.p}")
         if not 0.0 < self.q < self.p - 1.0:
@@ -592,63 +651,8 @@ def integrate(f, lo: float, hi: float, n: int = 256) -> float:
     return float(np.sum(half[:, None] * _WG10[None, :] * fv))
 
 
-def _cumulative_grid(dom_lo: float, dom_hi: float, weight: Weight, grid: Grid | None) -> np.ndarray:
-    if grid is not None:
-        return grid.nodes
-    base = Grid.uniform(Interval(dom_lo, dom_hi), DEFAULT_N)
-    inner = [b for b in weight.breaks if dom_lo < b < dom_hi]
-    return base.with_points(inner).nodes
-
-
-def cumulative_negative_left(m: Weight, eps: float, upto: float, grid: Grid | None = None) -> GridFunction:
-    """The running integral y -> int_a^y (m^- + eps) as a grid function on [a, upto].
-
-    Nodal values are exact (piecewise-polynomial antiderivative); only the
-    interpolation between nodes is approximate.
-    """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    dom = m.domain
-    if not dom.contains(upto, 1e-12 * dom.length()):
-        raise ValueError(f"upto={upto} outside the weight domain {dom}")
-    F = m.neg_part().affine(1.0, eps).antiderivative()
-    nodes = _cumulative_grid(dom.a, upto, m, grid)
-    return GridFunction(Grid(nodes), F(nodes))
-
-
-def cumulative_negative_right(m: Weight, eps: float, from_: float, grid: Grid | None = None) -> GridFunction:
-    """The tail integral z -> int_z^b (m^- + eps) on [from_, b]; nonincreasing."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    dom = m.domain
-    if not dom.contains(from_, 1e-12 * dom.length()):
-        raise ValueError(f"from_={from_} outside the weight domain {dom}")
-    F = m.neg_part().affine(1.0, eps).antiderivative()
-    total = float(F(dom.b))
-    nodes = _cumulative_grid(from_, dom.b, m, grid)
-    return GridFunction(Grid(nodes), total - F(nodes))
-
-
 # ---------------------------------------------------------------------------
 # exact weak-form assembly
-
-def _horner_rows(coefs: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Evaluate each row of ascending coefficients at all xi; (S, len(xi))."""
-    out = np.zeros((coefs.shape[0], xi.size))
-    for j in range(coefs.shape[1] - 1, -1, -1):
-        out *= xi[None, :]
-        out += coefs[:, j:j + 1]
-    return out
-
-
-def _mul_linear(coefs: np.ndarray, a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
-    """Rowwise product of polynomials with the per-row linear a0 + a1*xi."""
-    S, D = coefs.shape
-    out = np.zeros((S, D + 1))
-    out[:, :D] += coefs * a0[:, None]
-    out[:, 1:] += coefs * a1[:, None]
-    return out
-
 
 class AssemblyPlan:
     """Precomputed tables for integrals of weight * u^r * hat over one grid.
@@ -656,11 +660,13 @@ class AssemblyPlan:
     The grid cells are cut at every weight breakpoint.  On each subcell the
     weight piece is re-expressed in the local coordinate xi in [0, 1] and
     multiplied by the two hat restrictions once, at construction time: the
-    coefficient tables "L" and "R" of weight * hat.  The re-expression is one
-    Horner composition batched over all subcells; it performs, subcell by
-    subcell, the same floating-point operations in the same order as
-    evaluating the piece's `numpy.polynomial.Polynomial` at the affine
-    polynomial, so the tables are identical to the per-piece construction.
+    coefficient tables "L" and "R" of weight * hat.  The weight's padded
+    `Weight.coefs` array is read as given, one row per subcell, and the
+    re-expression is one Horner composition batched over all subcells
+    (`_compose_affine`); it performs, subcell by subcell, the same
+    floating-point operations in the same order as evaluating the piece's
+    `numpy.polynomial.Polynomial` at the affine polynomial, so the tables are
+    identical to the per-piece construction.
     Also built once: both tables evaluated at the 20 Gauss nodes
     (`at_gauss`), and the two hats at those nodes, so a call evaluates no
     polynomial and needs only the nodal values of u.
@@ -711,19 +717,8 @@ class AssemblyPlan:
         self.at_gauss: dict[str, dict[str, np.ndarray]] = {}
         mids = 0.5 * (self.sub_lo + self.sub_hi)
         for key, wgt in weights.items():
-            D = max(len(c) for c in wgt.coefs)
-            C = np.zeros((wgt.npieces, D))
-            for k, c in enumerate(wgt.coefs):
-                C[k, : c.size] = c
             piece = np.asarray(wgt.piece_index(mids))
-            C = C[piece]
-            shift = self.sub_lo - wgt.breaks[piece]
-            # Horner in the affine argument shift + wsub*xi, all subcells at once
-            WB = np.zeros((self.sub_lo.size, D))
-            WB[:, 0] = C[:, D - 1]
-            for j in range(D - 2, -1, -1):
-                WB = _mul_linear(WB[:, : D - 1], shift, self.wsub)
-                WB[:, 0] += C[:, j]
+            WB = _compose_affine(wgt.coefs[piece], self.sub_lo - wgt.breaks[piece], self.wsub)
             tab = {
                 "L": _mul_linear(WB, phiL_lo, dL),
                 "R": _mul_linear(WB, 1.0 - phiL_lo, -dL),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bvp import solve_g
-from .conditions import _side_masses, c_pq, default_eps, gamma, tau_interval
+from .conditions import _mass_integrals, _side_masses, c_pq, default_eps, gamma, tau_interval
 from .core_types import (
     EpsTooLargeError,
     GlueError,
@@ -83,12 +83,6 @@ def _power_params(prob: Problem, tau: float, variant: str):
     else:
         raise ValueError(f"unknown power variant: {variant!r}")
     return k, sigma
-
-
-def _mass_integrals(m: Weight, eps: float):
-    """Antiderivative pair (F, G) of the eps-inflated negative part."""
-    F = m.neg_part().affine(1.0, eps).antiderivative()
-    return F, F.antiderivative()
 
 
 def build_u1_power(

@@ -129,6 +129,36 @@ class TestConfigParsing:
         assert main(["check", cfg]) == 64
         assert "tile" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, names, what",
+        [
+            (dict(m={"pieces": [
+                {"from": 0.0, "to": 0.25, "poly": [-0.5]},
+                {"from": 0.25, "to": 0.75, "poly": [1.0, 0.0, math.nan]},
+                {"from": 0.75, "to": 1.0, "poly": [-0.5]},
+            ]}), "'m'", "finite"),
+            (dict(m={"pieces": [
+                {"from": 0.0, "to": 0.25, "poly": [-0.5]},
+                {"from": 0.25, "to": 0.75, "poly": [1.0, math.nan]},
+                {"from": 0.75, "to": 1.0, "poly": [-0.5]},
+            ]}), "'m'", "finite"),
+            (dict(m={"preset": "step", "inside": 1.0, "outside": -math.inf}), "'m'", "finite"),
+            (dict(p=math.inf), "p must be finite", "finite"),
+            (dict(m={"pieces": [
+                {"from": 0.0, "to": 0.25, "poly": [-0.5]},
+                {"from": 0.25, "to": 0.75, "poly": []},
+                {"from": 0.75, "to": 1.0, "poly": [-0.5]},
+            ]}), "'m'", "at least one coefficient"),
+        ],
+        ids=["nan-quadratic-piece", "nan-linear-piece", "infinite-step-outside", "infinite-p",
+             "empty-piece"],
+    )
+    def test_non_finite_data_is_usage_error(self, tmp_path, capsys, overrides, names, what):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["certify", cfg, "--out", str(tmp_path / "o")]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and names in err and what in err
+
     def test_negative_c_needs_flag(self, tmp_path):
         c_spec = {"preset": "constant", "value": -0.2}
         cfg = write_config(tmp_path, c=c_spec)

@@ -5,18 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
+from numpy.polynomial import polynomial as P
 from scipy.integrate import quad
 
 from plap1d import core_types
+from plap1d.conditions import _mass_integrals
 from plap1d.core_types import (
+    DEFAULT_N,
     AssemblyPlan,
     Grid,
     GridFunction,
     Interval,
     Problem,
     Weight,
-    cumulative_negative_left,
-    cumulative_negative_right,
     integrate,
     p_conjugate,
     phi_p,
@@ -190,78 +191,318 @@ def test_weight_memoizes_extrema_and_parts(monkeypatch):
     assert m.pos_part() is m.pos_part()
     first = m.min_value()
     calls = []
-    roots = core_types._real_roots_in
+    roots = core_types._real_roots_rows
 
     def counting(*args, **kwargs):
         calls.append(1)
         return roots(*args, **kwargs)
 
-    monkeypatch.setattr(core_types, "_real_roots_in", counting)
+    monkeypatch.setattr(core_types, "_real_roots_rows", counting)
     assert m.min_value() == first
     m.max_value(), m.sup_norm()
     assert calls == []
 
 
 # ---------------------------------------------------------------------------
-# cumulative negative-part integrals
+# batched weight operations against per-piece numpy.polynomial references
+#
+# The references below are the per-piece loops the batched Weight replaced:
+# one numpy.polynomial call per piece on unpadded coefficient vectors.  Every
+# operation must agree with them bit for bit.
+
+def _ref_shift(c, s):
+    c = np.asarray(c, dtype=float)
+    if s == 0.0:
+        return c.copy()
+    out = Polynomial(c)(Polynomial([s, 1.0])).coef
+    return np.concatenate([out, np.zeros(max(len(c) - len(out), 0))])
+
+
+def _ref_roots(c, width, tol_edge):
+    c = np.asarray(c, dtype=float)
+    amax = np.max(np.abs(c)) if c.size else 0.0
+    if amax == 0.0:
+        return []
+    c = c / amax
+    last = c.size - 1
+    while last > 0 and abs(c[last]) <= 1e-14:
+        last -= 1
+    c = c[: last + 1]
+    if c.size <= 1:
+        return []
+    real = []
+    for z in P.polyroots(c):
+        if abs(z.imag) <= 1e-9 * max(1.0, abs(z)):
+            r = float(z.real)
+            if tol_edge < r < width - tol_edge:
+                real.append(r)
+    real.sort()
+    merged = []
+    for r in real:
+        if not merged or r - merged[-1] > tol_edge:
+            merged.append(r)
+    return merged
+
+
+def _ref_call(breaks, coefs, x):
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    idx = np.clip(np.searchsorted(breaks, x, side="left") - 1, 0, len(coefs) - 1)
+    out = np.empty_like(x)
+    for k, c in enumerate(coefs):
+        sel = idx == k
+        if np.any(sel):
+            out[sel] = P.polyval(x[sel] - breaks[k], c)
+    return out
+
+
+def _ref_extrema(breaks, coefs):
+    lo, hi = math.inf, -math.inf
+    for k, c in enumerate(coefs):
+        w = breaks[k + 1] - breaks[k]
+        xs = [0.0, w] + _ref_roots(P.polyder(c), w, 1e-14 * w)
+        vals = P.polyval(np.asarray(xs), c)
+        lo = min(lo, float(np.min(vals)))
+        hi = max(hi, float(np.max(vals)))
+    return lo, hi
+
+
+def _ref_signed_part(breaks, coefs, want_positive):
+    out_breaks, out = [breaks[0]], []
+    for k, c in enumerate(coefs):
+        w = breaks[k + 1] - breaks[k]
+        cuts = [0.0] + _ref_roots(c, w, 1e-12 * w) + [w]
+        for j in range(len(cuts) - 1):
+            val = P.polyval(0.5 * (cuts[j] + cuts[j + 1]), c)
+            if (val > 0.0) if want_positive else (val < 0.0):
+                sub = _ref_shift(c, cuts[j])
+                out.append(sub if want_positive else -sub)
+            else:
+                out.append(np.zeros(1))
+            out_breaks.append(breaks[k] + cuts[j + 1])
+    out_breaks[-1] = breaks[-1]
+    return out_breaks, out
+
+
+def _ref_antiderivative(breaks, coefs):
+    run, out = 0.0, []
+    for k, c in enumerate(coefs):
+        F = P.polyint(c)
+        F[0] = run
+        run = float(P.polyval(breaks[k + 1] - breaks[k], F))
+        out.append(F)
+    return out
+
+
+def _ref_integral(breaks, coefs, lo, hi):
+    F = _ref_antiderivative(breaks, coefs)
+    return float(_ref_call(breaks, F, hi)[0] - _ref_call(breaks, F, lo)[0])
+
+
+def _ref_restrict(breaks, coefs, lo, hi):
+    span = breaks[-1] - breaks[0]
+    out_breaks, out = [lo], []
+    for k, c in enumerate(coefs):
+        s, e = max(breaks[k], lo), min(breaks[k + 1], hi)
+        if e - s <= 1e-14 * span:
+            continue
+        out.append(_ref_shift(c, s - breaks[k]))
+        out_breaks.append(e)
+    out_breaks[0], out_breaks[-1] = lo, hi
+    return out_breaks, out
+
+
+def _ref_from_global_pieces(pieces):
+    pieces = sorted(pieces, key=lambda it: it[0][0])
+    breaks, out = [pieces[0][0][0]], []
+    for (lo, hi), c in pieces:
+        breaks.append(hi)
+        out.append(_ref_shift(np.atleast_1d(np.asarray(c, float)), lo))
+    return breaks, out
+
+
+def _padded(rows, width):
+    out = np.zeros((len(rows), width))
+    for k, r in enumerate(rows):
+        r = np.asarray(r, dtype=float)
+        assert not np.any(r[width:]), "nonzero coefficient beyond the stored width"
+        out[k, : min(r.size, width)] = r[:width]
+    return out
+
+
+def _assert_same_weight(w, breaks, coefs):
+    assert np.array_equal(w.breaks, np.asarray(breaks, dtype=float))
+    width = max(w.coefs.shape[1], max(len(c) for c in coefs))
+    assert np.array_equal(_padded(w.coefs, width), _padded(coefs, width))
+
+
+def _assert_matches_per_piece_references(breaks, coefs):
+    breaks = np.asarray(breaks, dtype=float)
+    w = Weight(breaks, coefs)
+    a, b = breaks[0], breaks[-1]
+    xs = np.concatenate([breaks, 0.5 * (breaks[:-1] + breaks[1:]),
+                         np.linspace(a - 0.1, b + 0.1, 203)])
+    assert np.array_equal(w(xs), _ref_call(breaks, coefs, xs))
+    assert w(xs[1]) == _ref_call(breaks, coefs, xs[1])[0]
+    lo, hi = _ref_extrema(breaks, coefs)
+    assert w.min_value() == lo and w.max_value() == hi
+    _assert_same_weight(w.pos_part(), *_ref_signed_part(breaks, coefs, True))
+    _assert_same_weight(w.neg_part(), *_ref_signed_part(breaks, coefs, False))
+    _assert_same_weight(w.antiderivative(), breaks, _ref_antiderivative(breaks, coefs))
+    assert w.integral() == _ref_integral(breaks, coefs, a, b)
+    for r0, r1 in ((0.1, 0.8), (0.0, 1.0), (0.5, 1.0)):
+        rlo, rhi = a + r0 * (b - a), a + r1 * (b - a)
+        assert w.integral(rlo, rhi) == _ref_integral(breaks, coefs, rlo, rhi)
+        _assert_same_weight(w.restrict(rlo, rhi), *_ref_restrict(breaks, coefs, rlo, rhi))
+    pieces = [((breaks[k], breaks[k + 1]), c) for k, c in enumerate(coefs)]
+    _assert_same_weight(Weight.from_global_pieces(pieces), *_ref_from_global_pieces(pieces))
+
+
+def _reference_case(name):
+    if name == "step":
+        return [0.0, 0.25, 0.75, 1.0], [[-0.3], [1.0], [-0.3]]
+    # the shifted variant changes sign, so its parts split pieces at roots
+    shift = -0.6 * math.pi**2 if name == "sin-power-shifted" else 0.0
+    m = sin_power_weight(UNIT, 0.5).affine(math.pi**2, shift)
+    return m.breaks, list(m.coefs)
+
+
+@pytest.mark.parametrize("name", ["sin-power", "sin-power-shifted", "step"])
+def test_weight_operations_match_per_piece_references(name):
+    breaks, coefs = _reference_case(name)
+    if name == "sin-power-shifted":
+        assert Weight(breaks, coefs).pos_part().npieces > len(coefs)
+    _assert_matches_per_piece_references(breaks, coefs)
+
+
+@st.composite
+def _piece_lists(draw):
+    k = draw(st.integers(1, 25))
+    widths = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+    breaks = np.concatenate([[draw(st.floats(-1.0, 1.0))], np.cumsum(widths)])
+    breaks[1:] += breaks[0]
+    # tiny values exercise the trimming of negligible leading coefficients
+    coef = st.one_of(st.just(0.0), st.floats(-10.0, 10.0), st.sampled_from([1e-15, -3e-12]))
+    coefs = []
+    for w in np.diff(breaks):
+        if draw(st.booleans()):
+            coefs.append(draw(st.lists(coef, min_size=1, max_size=7)))
+        else:
+            # roots placed in and around the piece, repeated roots included
+            roots = draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.5, 1.0, 1.2]), max_size=6))
+            scale = draw(st.floats(-5.0, 5.0))
+            coefs.append(list(P.polyfromroots(np.asarray(roots) * w) * scale))
+    return breaks, coefs
+
+
+@given(_piece_lists())
+@settings(max_examples=60, deadline=None)
+def test_weight_operations_match_per_piece_references_on_drawn_weights(data):
+    breaks, coefs = data
+    if not np.all(np.diff(breaks) > 0):
+        return
+    _assert_matches_per_piece_references(breaks, coefs)
+
+
+def test_weight_operations_call_no_per_piece_polynomial_routine(monkeypatch):
+    m = sin_power_weight(UNIT, 1.5).affine(1.0, -0.2)
+    pieces = [((m.breaks[k], m.breaks[k + 1]), m.coefs[k]) for k in range(m.npieces)]
+    assert m.npieces == 128
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-piece numpy.polynomial call")
+
+    for name in ("polyval", "polyroots", "polyint", "polyder"):
+        monkeypatch.setattr(P, name, forbidden)
+    monkeypatch.setattr(Polynomial, "__call__", forbidden)
+    m(np.linspace(0.0, 1.0, 101))
+    m(0.3)
+    assert m.min_value() < 0.0 < m.max_value() and m.sup_norm() > 0.0
+    for part in (m.pos_part(), m.neg_part()):
+        assert part.npieces > m.npieces
+        part.antiderivative().antiderivative()(0.5)
+    m.antiderivative()
+    m.integral()
+    m.integral(0.2, 0.7)
+    m.restrict(0.1, 0.9).sup_norm()
+    m.affine(2.0, 1.0).min_value()
+    Weight.from_global_pieces(pieces).max_value()
+
+
+def test_weight_rejects_non_finite_data():
+    with pytest.raises(ValueError, match="finite"):
+        Weight([0.0, 0.5, 1.0], [[1.0], [0.0, math.nan]])
+    with pytest.raises(ValueError, match="finite"):
+        Weight([0.0, 1.0], [[-math.inf]])
+    with pytest.raises(ValueError, match="finite"):
+        Weight([0.0, math.inf], [[1.0]])
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        Weight([0.0, 0.5, 1.0], [[1.0], []])
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        Weight([0.0, 0.5, 1.0], [[], []])
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        Weight([0.0, 1.0], np.zeros((1, 0)))
+
+
+def test_weight_pads_coefficients_into_one_read_only_array():
+    w = Weight([0.0, 0.5, 1.0], [[1.0], [2.0, 3.0, 0.0]])
+    assert np.array_equal(w.coefs, [[1.0, 0.0], [2.0, 3.0]])
+    assert w.npieces == 2
+    with pytest.raises(ValueError):
+        w.coefs[0, 0] = 5.0
+
+
+# ---------------------------------------------------------------------------
+# negative-mass antiderivatives: F(y) = int_a^y (m^- + eps), G = int F
 
 def test_cumulative_left_nonneg_weight_is_zero():
     w = step_weight(UNIT, Interval(0.25, 0.75), 1.0, 0.0)
-    M = cumulative_negative_left(w, 0.0, 1.0)
-    assert M.sup_norm() == 0.0
+    F, G = _mass_integrals(w, 0.0)
+    assert F.is_zero() and G.is_zero()
 
 
 def test_cumulative_left_constant_negative():
-    w = Weight.constant(-1.0, UNIT)
-    M = cumulative_negative_left(w, 0.0, 1.0)
-    np.testing.assert_allclose(M.values, M.grid.nodes, atol=1e-15)
+    F, _ = _mass_integrals(Weight.constant(-1.0, UNIT), 0.0)
+    xs = np.linspace(0.0, 1.0, 33)
+    np.testing.assert_allclose(F(xs), xs, atol=1e-15)
 
 
 def test_cumulative_left_piecewise():
     w = Weight.from_global_pieces([((0.0, 0.5), [-2.0]), ((0.5, 1.0), [0.0])])
-    M = cumulative_negative_left(w, 0.0, 1.0)
-    assert M(1.0) == pytest.approx(1.0, abs=1e-14)
-    assert M(0.25) == pytest.approx(0.5, abs=1e-14)
+    F, _ = _mass_integrals(w, 0.0)
+    assert F(1.0) == pytest.approx(1.0, abs=1e-14)
+    assert F(0.25) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_cumulative_right_mirror():
-    w = Weight.constant(-1.0, UNIT)
-    M = cumulative_negative_right(w, 0.0, 0.0)
-    np.testing.assert_allclose(M.values, 1.0 - M.grid.nodes, atol=1e-15)
+    # the tail int_z^b (m^- + eps) is F(b) - F(z)
+    F, _ = _mass_integrals(Weight.constant(-1.0, UNIT), 0.0)
+    zs = np.linspace(0.0, 1.0, 33)
+    np.testing.assert_allclose(F(1.0) - F(zs), 1.0 - zs, atol=1e-15)
 
 
 def test_cumulative_symmetric_reflection():
     w = step_weight(UNIT, Interval(0.4, 0.6), 1.0, -2.0)
-    Ml = cumulative_negative_left(w, 0.0, 1.0)
-    Mr = cumulative_negative_right(w, 0.0, 0.0)
+    F, _ = _mass_integrals(w, 0.0)
     for t in (0.1, 0.37, 0.5, 0.85):
-        assert Mr(t) == pytest.approx(Ml(1.0 - t), abs=1e-13)
+        assert F(1.0) - F(t) == pytest.approx(F(1.0 - t), abs=1e-13)
 
 
 def test_cumulative_eps_shift():
     w = step_weight(UNIT, Interval(0.25, 0.75), 1.0, -0.5)
-    M0 = cumulative_negative_left(w, 0.0, 1.0)
-    M1 = cumulative_negative_left(w, 0.01, 1.0)
+    F0, G0 = _mass_integrals(w, 0.0)
+    F1, G1 = _mass_integrals(w, 0.01)
     ys = np.linspace(0.0, 1.0, 41)
-    np.testing.assert_allclose(M1(ys) - M0(ys), 0.01 * ys, atol=1e-14)
-
-
-def test_cumulative_range_errors():
-    w = Weight.constant(-1.0, UNIT)
-    with pytest.raises(ValueError):
-        cumulative_negative_left(w, 0.0, 1.5)
-    with pytest.raises(ValueError):
-        cumulative_negative_right(w, 0.0, -0.5)
-    with pytest.raises(ValueError):
-        cumulative_negative_left(w, -0.1, 1.0)
+    np.testing.assert_allclose(F1(ys) - F0(ys), 0.01 * ys, atol=1e-14)
+    np.testing.assert_allclose(G1(ys) - G0(ys), 0.005 * ys**2, atol=1e-14)
 
 
 def test_cumulative_monotone():
     w = Weight.from_global_pieces([((0.0, 0.6), [0.2, -1.5]), ((0.6, 1.0), [1.0])])
-    M = cumulative_negative_left(w, 1e-3, 1.0)
-    assert np.all(np.diff(M.values) > 0)
-    Mr = cumulative_negative_right(w, 0.0, 0.0)
-    assert np.all(np.diff(Mr.values) <= 1e-15)
+    F, _ = _mass_integrals(w, 1e-3)
+    xs = Grid.uniform(UNIT, 64).with_points(w.breaks[1:-1]).nodes
+    assert np.all(np.diff(F(xs)) > 0)
+    F0, _ = _mass_integrals(w, 0.0)
+    assert np.all(np.diff(F0(1.0) - F0(xs)) <= 1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +516,11 @@ def test_integrate_constants_and_linear():
 
 
 def test_integrate_of_cumulative():
-    M = cumulative_negative_left(Weight.constant(-1.0, UNIT), 0.0, 1.0)
+    F, G = _mass_integrals(Weight.constant(-1.0, UNIT), 0.0)
+    g = Grid.uniform(UNIT, DEFAULT_N)
+    M = GridFunction(g, F(g.nodes))
     assert integrate(M, 0.0, 1.0) == pytest.approx(0.5, rel=1e-12)
+    assert G(1.0) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_integrate_additive():
@@ -309,7 +553,8 @@ def test_problem_accepts_valid():
     assert prob.window.length() == 0.5
 
 
-@pytest.mark.parametrize("bad", [dict(p=1.0), dict(q=0.0), dict(q=1.5), dict(q=2.0)])
+@pytest.mark.parametrize("bad", [dict(p=1.0), dict(q=0.0), dict(q=1.5), dict(q=2.0),
+                                 dict(p=math.inf), dict(p=math.nan), dict(q=math.nan)])
 def test_problem_rejects_exponents(bad):
     with pytest.raises(ValueError):
         _toy_problem(**bad)
