@@ -17,8 +17,6 @@ from .core_types import (
     TauTooLargeError,
     Problem,
     Weight,
-    integrate,
-    p_conjugate,
     phi_p,
     sin_power_weight,
     step_weight,
@@ -37,7 +35,6 @@ from .conditions import (
     check_thm2_i,
     check_thm2_ii,
     default_eps,
-    feasible_tau,
     gamma,
     m_script,
     tau_interval,
@@ -60,12 +57,10 @@ from .subsuper import (
     rescale_certificate,
 )
 from .verify import (
-    PositivityReport,
     WeakFormReport,
     check_weak_subsolution,
     check_weak_supersolution,
     default_certificate_tol,
-    positivity_profile,
     solution_residual,
     weak_form_values,
 )

@@ -155,11 +155,24 @@ def problem_from_config(cfg: dict):
         )
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc))
-    n = int(cfg.get("n", DEFAULT_N))
-    if n < 4:
-        raise UsageError(f"config field 'n' must be at least 4, got {n}")
-    tol = float(cfg.get("tol", 1e-8))
-    return prob, n, tol
+    n = _config_number(cfg, "n", DEFAULT_N)
+    if not (math.isfinite(n) and n == int(n) and n >= 4):
+        raise UsageError(
+            f"config field 'n' must be an integer of at least 4, got {cfg['n']!r}"
+        )
+    tol = _config_number(cfg, "tol", 1e-8)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise UsageError(
+            f"config field 'tol' must be finite and positive, got {cfg['tol']!r}"
+        )
+    return prob, int(n), tol
+
+
+def _config_number(cfg: dict, key: str, default: float) -> float:
+    try:
+        return float(cfg.get(key, default))
+    except (TypeError, ValueError):
+        raise UsageError(f"config field '{key}' must be a number, got {cfg[key]!r}")
 
 
 def load_config(path: str) -> dict:
@@ -430,6 +443,8 @@ def cmd_sweep(args) -> int:
             raise UsageError(f"range '{name}' given twice")
         names.append(name)
         ranges[name] = values
+    if args.jobs < 0:
+        raise UsageError(f"--jobs must be at least 0, got {args.jobs}")
     factory = ConfigFactory(cfg)
     # validate the paths once up front so typos fail fast
     factory(**{name: ranges[name][0] for name in names})

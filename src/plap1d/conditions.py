@@ -359,30 +359,3 @@ def default_eps(m: Weight) -> float:
     """Starting eps for the inflation schedule, 1e-3 * (1 + total |m| mass)."""
     total = m.pos_part().integral() + m.neg_part().integral()
     return 1e-3 * (1.0 + total)
-
-
-def feasible_tau(
-    which: str,
-    prob: Problem,
-    eig: EigenPair,
-    eps: float | None = None,
-    max_halvings: int = 20,
-) -> tuple[TauInterval, float]:
-    """tau_interval with the halving eps schedule, plus a concrete tau pick.
-
-    tau is the geometric mean of the interval, centered in its log-range.
-    """
-    if eps is None:
-        eps = default_eps(prob.m)
-    last = None
-    for _ in range(max_halvings + 1):
-        try:
-            ti = tau_interval(which, prob, eig, eps)
-        except EpsTooLargeError as exc:
-            last = exc
-            eps *= 0.5
-            continue
-        return ti, math.sqrt(ti.lo * ti.hi)
-    raise EpsTooLargeError(
-        f"no feasible tau range for {which} after {max_halvings} halvings: {last}"
-    )

@@ -34,9 +34,7 @@ __all__ = [
     "Weight",
     "Problem",
     "AssemblyPlan",
-    "p_conjugate",
     "phi_p",
-    "integrate",
     "step_weight",
     "sin_power_weight",
     "CertificateError",
@@ -92,13 +90,6 @@ class SolverError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # scalar helpers
-
-def p_conjugate(p: float) -> float:
-    """Conjugate exponent p' with 1/p + 1/p' = 1. Requires p > 1."""
-    if p <= 1.0:
-        raise ValueError(f"invalid exponent: p must be > 1, got {p}")
-    return p / (p - 1.0)
-
 
 def phi_p(t, p: float):
     """Odd power |t|^(p-2) t, applied elementwise. phi_p(0) = 0 for every p > 1."""
@@ -300,9 +291,6 @@ class GridFunction:
 
     def slopes(self) -> np.ndarray:
         return np.diff(self.values) / self.grid.h
-
-    def resample(self, grid: Grid) -> "GridFunction":
-        return GridFunction(grid, self(grid.nodes))
 
     def scaled(self, s: float) -> "GridFunction":
         return GridFunction(self.grid, s * self.values)
@@ -616,39 +604,6 @@ class Problem:
 _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(20)
 _XI = 0.5 * (_GAUSS_NODES + 1.0)
 _WG = 0.5 * _GAUSS_WEIGHTS
-
-_XI10, _WG10 = leggauss(10)
-
-
-def integrate(f, lo: float, hi: float, n: int = 256) -> float:
-    """Integral of f over [lo, hi].
-
-    Exact for Weight arguments (antiderivative evaluation) and for
-    GridFunction arguments (trapezoid on their own cells).  A plain callable
-    is integrated by composite 10-point Gauss on n cells.
-    """
-    if not lo <= hi:
-        raise ValueError(f"integration range needs lo <= hi, got [{lo}, {hi}]")
-    if lo == hi:
-        return 0.0
-    if isinstance(f, Weight):
-        if not (f.domain.contains(lo, 1e-12) and f.domain.contains(hi, 1e-12)):
-            raise ValueError("integration range outside the weight domain")
-        return f.integral(lo, hi)
-    if isinstance(f, GridFunction):
-        nodes = f.grid.nodes
-        if lo < nodes[0] - 1e-12 or hi > nodes[-1] + 1e-12:
-            raise ValueError("integration range outside the grid")
-        inner = nodes[(nodes > lo) & (nodes < hi)]
-        pts = np.concatenate([[lo], inner, [hi]])
-        vals = f(pts)
-        return float(np.sum(0.5 * (vals[:-1] + vals[1:]) * np.diff(pts)))
-    edges = np.linspace(lo, hi, n + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    xs = mids[:, None] + half[:, None] * _XI10[None, :]
-    fv = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
-    return float(np.sum(half[:, None] * _WG10[None, :] * fv))
 
 
 # ---------------------------------------------------------------------------

@@ -54,8 +54,8 @@ def _rk4_full(K, KH, hsub, pm1, ipm1, nsub, out, wmid):
     """Integrate to the right endpoint, storing u at every nsub-th substep
     and w at the substep sitting at each ambient cell's midpoint.
 
-    Returns (jcross, u_pre, w_pre) of the substep whose step crossed zero
-    first, or jcross = -1 when u stays positive.
+    Returns (jcross, u_pre, u_post), u at both ends of the substep whose step
+    crossed zero first, or jcross = -1 when u stays positive.
     """
     u = 0.0
     w = 1.0
@@ -63,10 +63,9 @@ def _rk4_full(K, KH, hsub, pm1, ipm1, nsub, out, wmid):
     out[0] = 0.0
     jcross = -1
     u_pre = 0.0
-    w_pre = 1.0
+    u_post = 0.0
     for j in range(len(KH)):
         up = u
-        wp = w
         k1u = abs(w) ** ipm1 * (1.0 if w >= 0 else -1.0)
         k1w = K[j] * abs(u) ** pm1 * (1.0 if u >= 0 else -1.0)
         au = u + 0.5 * hsub * k1u
@@ -90,8 +89,8 @@ def _rk4_full(K, KH, hsub, pm1, ipm1, nsub, out, wmid):
         if jcross < 0 and u <= 0.0:
             jcross = j
             u_pre = up
-            w_pre = wp
-    return jcross, u_pre, w_pre
+            u_post = u
+    return jcross, u_pre, u_post
 
 
 def _stage_tables(c: Weight, m: Weight, I: Interval, n: int, nsub: int):
@@ -104,8 +103,8 @@ def _stage_tables(c: Weight, m: Weight, I: Interval, n: int, nsub: int):
 
 
 def _shooter(p: float, c: Weight, m: Weight, I: Interval, n: int):
-    """(xs, hsub, pm1, ipm1, shot) for shots on (p, c, m, I, n); shot(lam)
-    returns (out, wmid, (jcross, u_pre, w_pre), K, KH) of one _rk4_full."""
+    """(xs, hsub, ipm1, shot) for shots on (p, c, m, I, n); shot(lam) returns
+    (out, wmid, (jcross, u_pre, u_post)) of one _rk4_full."""
     if p <= 1.0:
         raise ValueError(f"invalid exponent: p must be > 1, got {p}")
     nsub = 8 if (p < 1.2 or p > 6.0) else 4
@@ -121,32 +120,9 @@ def _shooter(p: float, c: Weight, m: Weight, I: Interval, n: int):
         out = np.empty(n + 1)
         wmid = np.empty(n)
         cross = _rk4_full(K, KH, hsub, pm1, ipm1, nsub, out, wmid)
-        return out, wmid, cross, K, KH
+        return out, wmid, cross
 
-    return xs, hsub, pm1, ipm1, shot
-
-
-def _partial_step(u0, w0, K0, Kh, K1, hsub, t, pm1, ipm1):
-    # one RK4 step of size t*hsub with the stage coefficient interpolated
-    # linearly on the half-grid; only used to localize a zero inside a substep
-    def phi(v, e):
-        return abs(v) ** e * (1.0 if v >= 0 else -1.0)
-
-    def K(s):
-        if s <= 0.5:
-            return K0 + 2.0 * s * (Kh - K0)
-        return Kh + (2.0 * s - 1.0) * (K1 - Kh)
-
-    h = t * hsub
-    k1u = phi(w0, ipm1)
-    k1w = K(0.0) * phi(u0, pm1)
-    k2u = phi(w0 + 0.5 * h * k1w, ipm1)
-    k2w = K(0.5 * t) * phi(u0 + 0.5 * h * k1u, pm1)
-    k3u = phi(w0 + 0.5 * h * k2w, ipm1)
-    k3w = K(0.5 * t) * phi(u0 + 0.5 * h * k2u, pm1)
-    k4u = phi(w0 + h * k3w, ipm1)
-    k4w = K(t) * phi(u0 + h * k3u, pm1)
-    return u0 + h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+    return xs, hsub, ipm1, shot
 
 
 def shoot(
@@ -164,13 +140,15 @@ def shoot(
     endpoint of I, in plain Python on floats (no JIT; see the module
     docstring).  Returns the trajectory sampled on the ambient grid and the
     location of the first zero of u past the start, None if u stays positive.
-    A trajectory that reaches the right endpoint still positive but below
-    truncation-error size relative to its peak is counted as hitting zero
-    there; without this, a zero sitting exactly on the endpoint would be
+    The zero is the secant root of u in the substep where u first drops to
+    zero or below, so it is within O(hsub^2) of the computed trajectory's
+    zero.  A trajectory that reaches the right endpoint still positive but
+    below truncation-error size relative to its peak is counted as hitting
+    zero there; without this, a zero sitting exactly on the endpoint would be
     reported or dropped depending on the sign of the discretization error.
     """
-    xs, hsub, pm1, ipm1, shot = _shooter(p, c, m, I, n)
-    out, _, (jcross, u_pre, w_pre), K, KH = shot(lam)
+    xs, hsub, _, shot = _shooter(p, c, m, I, n)
+    out, _, (jcross, u_pre, u_post) = shot(lam)
     grid = Grid(np.linspace(I.a, I.b, n + 1))
     traj = GridFunction(grid, out)
     if jcross < 0:
@@ -178,16 +156,7 @@ def shoot(
         if top > 0.0 and out[-1] <= 1e-7 * top:
             return traj, float(I.b)
         return traj, None
-    j = jcross
-    lo_t, hi_t = 0.0, 1.0
-    for _ in range(40):
-        mid = 0.5 * (lo_t + hi_t)
-        if _partial_step(u_pre, w_pre, K[j], KH[j], K[j + 1], hsub, mid, pm1, ipm1) > 0.0:
-            lo_t = mid
-        else:
-            hi_t = mid
-    x0 = xs[j] + 0.5 * (lo_t + hi_t) * hsub
-    return traj, float(x0)
+    return traj, float(xs[jcross] + hsub * u_pre / (u_pre - u_post))
 
 
 def normalize_sup(phi: GridFunction) -> GridFunction:
@@ -230,12 +199,12 @@ def principal_eigenvalue(
     trajectory already crosses zero (possible only for c negative somewhere,
     where no positive principal eigenvalue need exist).
     """
-    _, _, _, ipm1, shot = _shooter(p, c, m, I, n)
+    _, _, ipm1, shot = _shooter(p, c, m, I, n)
     m_win = m.restrict(I.a, I.b)
     if m_win.pos_part().sup_norm() == 0.0:
         raise NoEigenvalueError("m has no positive part on the window")
     c_win = c.restrict(I.a, I.b)
-    out, w_lo, (jcross, _, _), _, _ = shot(0.0)
+    out, w_lo, (jcross, _, _) = shot(0.0)
     if jcross >= 0:
         raise EigenError(
             "trajectory at lambda = 0 already crosses zero; "
@@ -263,7 +232,7 @@ def principal_eigenvalue(
         lam = min(max(lam, lo + gap), hi - gap)
         if lam <= lo or lam >= hi:
             break
-        out, wmid, (jcross, _, _), _, _ = shot(lam)
+        out, wmid, (jcross, _, _) = shot(lam)
         if jcross >= 0:
             hi, f_hi = lam, out[-1]
             if side > 0:

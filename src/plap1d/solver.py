@@ -389,13 +389,14 @@ def sweep(
 
     factory(**params) must build the Problem for one cell; failures are
     recorded in the row and the sweep continues.  jobs > 1 distributes cells
-    over processes, so factory must be picklable.
+    over at most one process per cell, so factory must be picklable.
     """
     names = list(ranges)
     cells = [
         (factory, dict(zip(names, combo)), grid_n, policy, tol)
         for combo in itertools.product(*(list(ranges[k]) for k in names))
     ]
+    jobs = min(jobs, len(cells))
     if jobs > 1:
         with Pool(jobs) as pool:
             return pool.map(_sweep_cell, cells)

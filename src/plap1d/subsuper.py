@@ -66,23 +66,35 @@ def _reach_grid(lo: float, hi: float, m: Weight, n: int) -> Grid:
     return g.with_points(inner) if inner else g
 
 
-def _power_params(prob: Problem, tau: float, variant: str):
+def _profile_params(theorem: str, prob: Problem, tau: float):
+    """(k, sigma) of the theorem's outer profile at tau.
+
+    The profile is f^k; sigma scales f: the running mass integral for the
+    power profiles (thm1_*), the amplitude of sinh/expm1 (thm2_*), the slope
+    of the linear profile (cor).
+    """
     p, q = prob.p, prob.q
     d = p - 1.0 - q
-    if variant == "A":
+    if theorem == "thm1_i":
         if p < 2.0 or q <= p - 2.0:
             raise ValueError("variant A needs p >= 2 and q in (p-2, p-1)")
         k = 1.0 / d
         gam = gamma(prob.domain, prob.window)
-        sigma = tau * gam ** (p - 2.0) / ((p - 1.0) * k ** (p - 1.0))
-    elif variant == "B":
+        return k, tau * gam ** (p - 2.0) / ((p - 1.0) * k ** (p - 1.0))
+    if theorem == "thm1_ii":
         if p > 2.0:
             raise ValueError("variant B needs p in (1, 2]")
         k = (p - 1.0) / d
-        sigma = (1.0 / k) * (tau / (p - 1.0)) ** (1.0 / (p - 1.0))
-    else:
+        return k, (1.0 / k) * (tau / (p - 1.0)) ** (1.0 / (p - 1.0))
+    scale = c_pq(p, q) if theorem == "cor" else prob.c_plus.sup_norm()
+    return p / d, (tau * prob.m.neg_part().sup_norm() / scale) ** (1.0 / p)
+
+
+def _power_params(prob: Problem, tau: float, variant: str):
+    """_profile_params of the power variant: A is thm1_i, B is thm1_ii."""
+    if variant not in ("A", "B"):
         raise ValueError(f"unknown power variant: {variant!r}")
-    return k, sigma
+    return _profile_params("thm1_i" if variant == "A" else "thm1_ii", prob, tau)
 
 
 def build_u1_power(
@@ -126,15 +138,13 @@ def build_u3_power(
     return GridFunction(grid, vals)
 
 
-def _hyperbolic_setup(prob: Problem, tau: float):
-    p, q = prob.p, prob.q
+def _hyperbolic_setup(prob: Problem, theorem: str, tau: float):
     cn = prob.c_plus.sup_norm()
     if cn == 0.0:
         raise ValueError("hyperbolic profiles need c not identically zero")
-    C = c_pq(p, q)
-    rate = (cn / C) ** (1.0 / p)
-    amp = (tau * prob.m.neg_part().sup_norm() / cn) ** (1.0 / p)
-    k = p / (p - 1.0 - q)
+    C = c_pq(prob.p, prob.q)
+    rate = (cn / C) ** (1.0 / prob.p)
+    k, amp = _profile_params(theorem, prob, tau)
     return cn, C, rate, amp, k
 
 
@@ -158,7 +168,7 @@ def build_u1_sinh(prob: Problem, tau: float, n: int = 256) -> GridFunction:
     """Left sinh profile f^k on [a, x1], for p >= 2 with nontrivial c."""
     if prob.p < 2.0:
         raise ValueError("sinh profile needs p >= 2")
-    cn, C, rate, amp, k = _hyperbolic_setup(prob, tau)
+    cn, C, rate, amp, k = _hyperbolic_setup(prob, "thm2_i", tau)
     a = prob.domain.a
     grid = _reach_grid(a, prob.window.b, prob.m, n)
     f = amp * np.sinh(rate * (grid.nodes - a))
@@ -172,7 +182,7 @@ def build_u3_sinh(prob: Problem, tau: float, n: int = 256) -> GridFunction:
     """Right sinh profile, reflected: f(b - x)^k on [x0, b]."""
     if prob.p < 2.0:
         raise ValueError("sinh profile needs p >= 2")
-    cn, C, rate, amp, k = _hyperbolic_setup(prob, tau)
+    cn, C, rate, amp, k = _hyperbolic_setup(prob, "thm2_i", tau)
     b = prob.domain.b
     grid = _reach_grid(prob.window.a, b, prob.m, n)
     f = amp * np.sinh(rate * (b - grid.nodes))
@@ -184,7 +194,7 @@ def build_u3_sinh(prob: Problem, tau: float, n: int = 256) -> GridFunction:
 
 def build_u1_exp(prob: Problem, tau: float, n: int = 256) -> GridFunction:
     """Left exp profile sigma(e^{rate (x-a)} - 1)^... raised to k; any p > 1."""
-    cn, C, rate, amp, k = _hyperbolic_setup(prob, tau)
+    cn, C, rate, amp, k = _hyperbolic_setup(prob, "thm2_ii", tau)
     a = prob.domain.a
     grid = _reach_grid(a, prob.window.b, prob.m, n)
     f = amp * np.expm1(rate * (grid.nodes - a))
@@ -193,7 +203,7 @@ def build_u1_exp(prob: Problem, tau: float, n: int = 256) -> GridFunction:
 
 def build_u3_exp(prob: Problem, tau: float, n: int = 256) -> GridFunction:
     """Right exp profile, reflected."""
-    cn, C, rate, amp, k = _hyperbolic_setup(prob, tau)
+    cn, C, rate, amp, k = _hyperbolic_setup(prob, "thm2_ii", tau)
     b = prob.domain.b
     grid = _reach_grid(prob.window.a, b, prob.m, n)
     f = amp * np.expm1(rate * (b - grid.nodes))
@@ -204,9 +214,7 @@ def build_u1_linear(prob: Problem, tau: float, n: int = 256) -> GridFunction:
     """Left linear profile for the c-free case: the vanishing-c limit of sinh."""
     if prob.c_plus.sup_norm() > 0.0:
         raise ValueError("linear profile is for c identically zero")
-    p, q = prob.p, prob.q
-    slope = (tau * prob.m.neg_part().sup_norm() / c_pq(p, q)) ** (1.0 / p)
-    k = p / (p - 1.0 - q)
+    k, slope = _profile_params("cor", prob, tau)
     a = prob.domain.a
     grid = _reach_grid(a, prob.window.b, prob.m, n)
     f = slope * (grid.nodes - a)
@@ -217,9 +225,7 @@ def build_u3_linear(prob: Problem, tau: float, n: int = 256) -> GridFunction:
     """Right linear profile, reflected."""
     if prob.c_plus.sup_norm() > 0.0:
         raise ValueError("linear profile is for c identically zero")
-    p, q = prob.p, prob.q
-    slope = (tau * prob.m.neg_part().sup_norm() / c_pq(p, q)) ** (1.0 / p)
-    k = p / (p - 1.0 - q)
+    k, slope = _profile_params("cor", prob, tau)
     b = prob.domain.b
     grid = _reach_grid(prob.window.a, b, prob.m, n)
     f = slope * (b - grid.nodes)
@@ -382,19 +388,6 @@ def _tau_effective(theorem, prob, tau, eps):
     return tau * max(Ma, Mb) ** (prob.p - 2.0)
 
 
-def _construction_params(theorem, prob, tau):
-    if theorem == "thm1_i":
-        return _power_params(prob, tau, "A")
-    if theorem == "thm1_ii":
-        return _power_params(prob, tau, "B")
-    p, q = prob.p, prob.q
-    k = p / (p - 1.0 - q)
-    mminus = prob.m.neg_part().sup_norm()
-    if theorem == "cor":
-        return k, (tau * mminus / c_pq(p, q)) ** (1.0 / p)
-    return k, (tau * mminus / prob.c_plus.sup_norm()) ** (1.0 / p)
-
-
 def build_subsolution(
     prob: Problem, theorem: str, grid: Grid, eig: EigenPair
 ) -> Certificate:
@@ -443,7 +436,7 @@ def build_subsolution(
                 last_error = exc
                 continue
             tau_eff = _tau_effective(theorem, prob, tau, eps)
-            k, sigma = _construction_params(theorem, prob, tau)
+            k, sigma = _profile_params(theorem, prob, tau)
             s = tau_eff ** (-1.0 / (prob.p - 1.0 - prob.q))
             return Certificate(
                 kind="subsolution",

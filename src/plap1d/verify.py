@@ -1,4 +1,4 @@
-"""Independent verification of weak inequalities, residuals, and positivity.
+"""Independent verification of weak inequalities and residuals.
 
 Everything here recomputes its integrals from the Weight objects with plain
 composite Gauss quadrature, on purpose sharing nothing with the assembly code
@@ -41,23 +41,6 @@ class WeakFormReport:
     tol: float
     values: np.ndarray = field(repr=False)
     note: str = ""
-
-
-@dataclass
-class PositivityReport:
-    min_interior: float
-    argmin_x: float
-    left_ratio: float
-    right_ratio: float
-    dead_core_runs: list
-
-    @property
-    def has_dead_core(self) -> bool:
-        return len(self.dead_core_runs) > 0
-
-    @property
-    def positive(self) -> bool:
-        return self.min_interior > 0.0
 
 
 def weak_form_values(v: GridFunction, prob: Problem) -> np.ndarray:
@@ -171,38 +154,3 @@ def check_weak_supersolution(w: GridFunction, prob: Problem, tol: float | None =
 def solution_residual(u: GridFunction, prob: Problem) -> float:
     """sup over interior hats of |A_i| / ∫φ_i, the equality version."""
     return float(np.max(np.abs(weak_form_values(u, prob))))
-
-
-def positivity_profile(u: GridFunction, dead_tol: float = 1e-12) -> PositivityReport:
-    """Interior minimum, boundary growth ratios, and dead-core runs of u.
-
-    The boundary ratios u(x)/dist(x, boundary) at the first and last interior
-    nodes pick up Hopf-type linear growth away from the endpoints; a near-zero
-    ratio is the signature of a solution flattening into the boundary.
-    """
-    nodes = u.grid.nodes
-    vals = u.values
-    inner = vals[1:-1]
-    k = int(np.argmin(inner))
-    left_ratio = float(vals[1] / (nodes[1] - nodes[0]))
-    right_ratio = float(vals[-2] / (nodes[-1] - nodes[-2]))
-
-    runs = []
-    start = None
-    for i in range(1, nodes.size - 1):
-        if vals[i] < dead_tol:
-            if start is None:
-                start = i
-        elif start is not None:
-            runs.append((float(nodes[start]), float(nodes[i - 1])))
-            start = None
-    if start is not None:
-        runs.append((float(nodes[start]), float(nodes[-2])))
-
-    return PositivityReport(
-        min_interior=float(inner[k]),
-        argmin_x=float(nodes[k + 1]),
-        left_ratio=left_ratio,
-        right_ratio=right_ratio,
-        dead_core_runs=runs,
-    )

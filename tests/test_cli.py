@@ -149,9 +149,18 @@ class TestConfigParsing:
                 {"from": 0.25, "to": 0.75, "poly": []},
                 {"from": 0.75, "to": 1.0, "poly": [-0.5]},
             ]}), "'m'", "at least one coefficient"),
+            (dict(n=math.inf), "'n'", "integer"),
+            (dict(n=math.nan), "'n'", "integer"),
+            (dict(n="abc"), "'n'", "number"),
+            (dict(n=12.5), "'n'", "integer"),
+            (dict(tol=math.inf), "'tol'", "positive"),
+            (dict(tol=0), "'tol'", "positive"),
+            (dict(tol=-1), "'tol'", "positive"),
+            (dict(tol=math.nan), "'tol'", "positive"),
         ],
         ids=["nan-quadratic-piece", "nan-linear-piece", "infinite-step-outside", "infinite-p",
-             "empty-piece"],
+             "empty-piece", "infinite-n", "nan-n", "string-n", "fractional-n",
+             "infinite-tol", "zero-tol", "negative-tol", "nan-tol"],
     )
     def test_non_finite_data_is_usage_error(self, tmp_path, capsys, overrides, names, what):
         cfg = write_config(tmp_path, **overrides)
@@ -342,6 +351,39 @@ class TestSweep:
         assert row["status"] == "error"
         assert row["error"].startswith("CertificateError: residual")
         assert float(row["residual"]) > 1e-9
+
+    def test_pool_has_at_most_one_worker_per_cell(self, tmp_path, monkeypatch):
+        import plap1d.solver
+
+        sizes = []
+
+        class FakePool:
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return [fn(cell) for cell in cells]
+
+        monkeypatch.setattr(plap1d.solver, "Pool", FakePool)
+        cfg = write_config(tmp_path, n=64)
+        out = tmp_path / "out"
+        code = main(["sweep", cfg, "m.outside=-0.4:-0.5:2",
+                     "--jobs", "5000", "--out", str(out)])
+        assert code == 0
+        assert sizes == [2]
+        report = json.loads((out / "sweep.json").read_text())
+        assert report["jobs"] == 5000 and report["cells"] == 2
+
+    def test_negative_jobs_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["sweep", cfg, "p=2:3:2", "--jobs", "-1", "--out", str(tmp_path / "o")]) == 64
+        assert "--jobs" in capsys.readouterr().err
 
     def test_unknown_sweep_path_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -22,7 +22,6 @@ from plap1d import (
     check_thm2_i,
     check_thm2_ii,
     default_eps,
-    feasible_tau,
     gamma,
     m_script,
     principal_eigenvalue,
@@ -336,11 +335,6 @@ class TestTauInterval:
             with pytest.raises(EpsTooLargeError):
                 tau_interval("cor", prob, eig, eps)
 
-    def test_feasible_tau_gives_up_when_condition_fails(self):
-        prob = step_problem(2.0, 0.5, 1.0)
-        with pytest.raises(EpsTooLargeError, match="halvings"):
-            feasible_tau("cor", prob, fake_eig(FOUR_PI_SQ))
-
     def test_shrinking_eps_nests_power_range(self):
         prob = step_problem(2.0, 0.5, 0.1)
         eig = fake_eig(FOUR_PI_SQ)
@@ -370,14 +364,6 @@ class TestTauInterval:
         prob = step_problem(2.0, 0.5, 0.1)
         with pytest.raises(ValueError, match="not identically zero"):
             tau_interval("thm2_i", prob, fake_eig(1.0), 1e-3)
-
-    def test_feasible_tau_returns_log_midpoint(self):
-        prob = step_problem(2.0, 0.5, 0.5)
-        ti, tau = feasible_tau("cor", prob, fake_eig(FOUR_PI_SQ))
-        assert tau == pytest.approx(math.sqrt(ti.lo * ti.hi), rel=1e-12)
-        assert ti.lo <= tau <= ti.hi
-        # schedule start: 1e-3 * (1 + total |m| mass), feasible at once here
-        assert ti.eps == pytest.approx(default_eps(prob.m), rel=1e-12)
 
     def test_default_eps_scales_with_mass(self):
         m = step_weight(UNIT, WINDOW, 1.0, -0.5)

@@ -18,8 +18,6 @@ from plap1d.core_types import (
     Interval,
     Problem,
     Weight,
-    integrate,
-    p_conjugate,
     phi_p,
     sin_power_weight,
     step_weight,
@@ -31,28 +29,10 @@ UNIT = Interval(0.0, 1.0)
 # ---------------------------------------------------------------------------
 # scalars
 
-def test_p_conjugate_values():
-    assert p_conjugate(2.0) == 2.0
-    assert p_conjugate(3.0) == 1.5
-    assert np.isclose(p_conjugate(4.0 / 3.0), 4.0, rtol=1e-14)
-
-
-@pytest.mark.parametrize("p", [1.0, 0.5, -2.0])
-def test_p_conjugate_rejects_bad_exponent(p):
-    with pytest.raises(ValueError):
-        p_conjugate(p)
-
-
 def test_phi_p_odd_and_zero():
     assert phi_p(0.0, 1.5) == 0.0
     assert phi_p(-2.0, 3.0) == -4.0
     np.testing.assert_allclose(phi_p(np.array([2.0, -2.0]), 2.5), [2.0 ** 1.5, -(2.0 ** 1.5)])
-
-
-@given(st.floats(1.01, 20.0))
-def test_p_conjugate_identity(p):
-    pp = p_conjugate(p)
-    assert abs(1.0 / p + 1.0 / pp - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -506,33 +486,13 @@ def test_cumulative_monotone():
 
 
 # ---------------------------------------------------------------------------
-# integrate
-
-def test_integrate_constants_and_linear():
-    assert integrate(Weight.constant(1.0, UNIT), 0.0, 1.0) == pytest.approx(1.0, abs=1e-15)
-    w = Weight.from_global_pieces([((0.0, 1.0), [0.0, 1.0])])
-    assert integrate(w, 0.0, 1.0) == pytest.approx(0.5, abs=1e-15)
-    assert integrate(lambda x: np.asarray(x) ** 2, 0.0, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
-
+# integrals of the cumulative mass
 
 def test_integrate_of_cumulative():
     F, G = _mass_integrals(Weight.constant(-1.0, UNIT), 0.0)
     g = Grid.uniform(UNIT, DEFAULT_N)
-    M = GridFunction(g, F(g.nodes))
-    assert integrate(M, 0.0, 1.0) == pytest.approx(0.5, rel=1e-12)
+    assert np.trapezoid(F(g.nodes), g.nodes) == pytest.approx(0.5, rel=1e-12)
     assert G(1.0) == pytest.approx(0.5, rel=1e-15)
-
-
-def test_integrate_additive():
-    w = Weight.from_global_pieces([((0.0, 0.3), [1.0, 1.0]), ((0.3, 1.0), [-0.5, 0.0, 2.0])])
-    whole = integrate(w, 0.0, 1.0)
-    parts = integrate(w, 0.0, 0.44) + integrate(w, 0.44, 1.0)
-    assert abs(whole - parts) <= 1e-12 * max(1.0, abs(whole))
-
-
-def test_integrate_rejects_reversed_range():
-    with pytest.raises(ValueError):
-        integrate(Weight.constant(1.0, UNIT), 0.7, 0.3)
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,10 @@ class TestShoot:
         _, zero = shoot(np.pi**2, 2.0, ZERO, ONE, UNIT)
         assert zero == pytest.approx(1.0, abs=1e-4)
 
-    def test_first_zero_at_half(self):
-        _, zero = shoot(4.0 * np.pi**2, 2.0, ZERO, ONE, UNIT)
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_first_zero_at_half(self, p):
+        # lambda1 of the half interval: the first zero of the shot is at 1/2
+        _, zero = shoot(2.0**p * lambda1_constant(p, 1.0), p, ZERO, ONE, UNIT)
         assert zero == pytest.approx(0.5, abs=1e-4)
 
     def test_subcritical_lambda_stays_positive(self):

@@ -24,10 +24,12 @@ from plap1d import (
     build_u1_sinh,
     build_u3_power,
     c_pq,
+    default_eps,
     enforce_ordering,
     glue,
     rescale_certificate,
     step_weight,
+    tau_interval,
     window_eigenpair,
 )
 from plap1d.subsuper import _power_params
@@ -260,6 +262,16 @@ class TestBuildSubsolution:
         for key in ("theorem", "tau", "tau_effective", "eps", "k", "sigma",
                     "junction_lo", "junction_hi", "rescale", "lambda1"):
             assert key in cert.construction
+
+    def test_schedule_starts_at_default_eps_and_log_midpoint(self):
+        # feasible at the first eps, and the geometric-mean tau glues
+        prob = step_problem(2.0, 0.5, 0.5)
+        grid = Grid.uniform(UNIT, 512)
+        eig = window_eigenpair(prob, grid)
+        cert = build_subsolution(prob, "cor", grid, eig)
+        assert cert.construction["eps"] == default_eps(prob.m)
+        ti = tau_interval("cor", prob, eig, default_eps(prob.m))
+        assert cert.construction["tau"] == pytest.approx(math.sqrt(ti.lo * ti.hi), rel=1e-12)
 
     def test_infeasible_weight_raises(self):
         prob = step_problem(2.0, 0.5, 1.0)

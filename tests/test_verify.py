@@ -17,7 +17,6 @@ from plap1d.verify import (
     check_weak_subsolution,
     check_weak_supersolution,
     default_certificate_tol,
-    positivity_profile,
     solution_residual,
     weak_form_values,
 )
@@ -150,33 +149,6 @@ class TestSolutionResidual:
         prob = unit_problem(2.0, 0.5, Weight.constant(1.0, UNIT))
         assert check_weak_subsolution(u, prob).passed
         assert solution_residual(u, prob) > 1e-3
-
-
-class TestPositivityProfile:
-    def test_sine_has_no_dead_core(self):
-        g = Grid.uniform(UNIT, 256)
-        rep = positivity_profile(GridFunction(g, np.sin(np.pi * g.nodes)))
-        assert rep.positive
-        assert not rep.has_dead_core
-        assert rep.left_ratio == pytest.approx(np.pi, rel=1e-3)
-        assert rep.right_ratio == pytest.approx(np.pi, rel=1e-3)
-
-    def test_middle_plateau_is_reported(self):
-        g = Grid.uniform(UNIT, 90)
-        x = g.nodes
-        vals = np.where(x < 1.0 / 3.0, np.sin(3 * np.pi * x), 0.0)
-        vals = np.where(x > 2.0 / 3.0, np.sin(3 * np.pi * (x - 2.0 / 3.0)), vals)
-        rep = positivity_profile(GridFunction(g, np.abs(vals)))
-        assert rep.has_dead_core
-        lo, hi = rep.dead_core_runs[0]
-        assert lo == pytest.approx(1.0 / 3.0, abs=0.02)
-        assert hi == pytest.approx(2.0 / 3.0, abs=0.02)
-
-    def test_min_and_argmin(self):
-        g = Grid.uniform(UNIT, 100)
-        vals = 1.0 - 0.9 * np.abs(g.nodes - 0.37) / 0.63
-        rep = positivity_profile(GridFunction(g, vals))
-        assert rep.min_interior == pytest.approx(np.min(vals[1:-1]))
 
 
 class TestProperties:
