@@ -40,7 +40,6 @@ from .conditions import (
     tau_interval,
 )
 from .subsuper import (
-    SUBSOLUTION_THEOREMS,
     Certificate,
     build_subsolution,
     build_supersolution,
@@ -54,7 +53,6 @@ from .subsuper import (
     build_u3_sinh,
     enforce_ordering,
     glue,
-    rescale_certificate,
 )
 from .verify import (
     WeakFormReport,

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .conditions import check_all
+from .conditions import CONDITION_NAMES, check_all
 from .core_types import (
     DEFAULT_N,
     CertificateError,
@@ -241,7 +241,11 @@ def write_csv(path: str, u: GridFunction) -> None:
             fh.write(f"{x:.17g},{v:.17g}\n")
 
 
-def read_csv(path: str) -> GridFunction:
+def read_csv(path: str, domain: Interval) -> GridFunction:
+    """Grid function from an 'x,u' CSV whose x increase strictly across domain.
+
+    The weak form is tested on interior hats, so at least three rows.
+    """
     try:
         with open(path) as fh:
             rows = list(csv.reader(fh))
@@ -250,10 +254,19 @@ def read_csv(path: str) -> GridFunction:
     if not rows or rows[0] != ["x", "u"]:
         raise UsageError(f"{path}: expected header 'x,u'")
     try:
-        data = np.array([[float(a), float(b)] for a, b in rows[1:]])
+        data = np.array([[float(a), float(b)] for a, b in rows[1:]]).reshape(-1, 2)
+        u = GridFunction(Grid(data[:, 0]), data[:, 1])
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}")
-    return GridFunction(Grid(data[:, 0]), data[:, 1])
+    if u.grid.n < 2:
+        raise UsageError(f"{path}: needs an interior node, so at least three rows")
+    tol = 1e-12 * domain.length()
+    if abs(u.grid.nodes[0] - domain.a) > tol or abs(u.grid.nodes[-1] - domain.b) > tol:
+        raise UsageError(
+            f"{path}: x runs from {u.grid.nodes[0]:g} to {u.grid.nodes[-1]:g}, "
+            f"not across the domain [{domain.a:g}, {domain.b:g}]"
+        )
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +386,15 @@ def cmd_verify(args) -> int:
     report = _base_report("verify", args)
     ok = True
     if args.sub:
-        rep = check_weak_subsolution(read_csv(args.sub), prob)
+        rep = check_weak_subsolution(read_csv(args.sub, prob.domain), prob)
         report["sub"] = _weak_dict(rep)
         ok = ok and rep.passed
     if args.super:
-        rep = check_weak_supersolution(read_csv(args.super), prob)
+        rep = check_weak_supersolution(read_csv(args.super, prob.domain), prob)
         report["super"] = _weak_dict(rep)
         ok = ok and rep.passed
     if args.u:
-        u = read_csv(args.u)
+        u = read_csv(args.u, prob.domain)
         res = solution_residual(u, prob)
         u_ok = res <= tol and float(np.min(u.values[1:-1])) > 0.0
         report["u"] = {"residual": res, "tol": tol, "passed": u_ok}
@@ -418,17 +431,17 @@ def _set_config_path(cfg: dict, path: str, value: float) -> None:
 
 
 class ConfigFactory:
-    """Builds the Problem for one sweep cell by overriding config fields."""
+    """(Problem, grid cells, solver tol) of one sweep cell, from the config
+    with the cell's fields overridden."""
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
 
-    def __call__(self, **params) -> Problem:
+    def __call__(self, **params):
         cfg = copy.deepcopy(self.cfg)
         for path, value in params.items():
             _set_config_path(cfg, path, value)
-        prob, _, _ = problem_from_config(cfg)
-        return prob
+        return problem_from_config(cfg)
 
 
 def cmd_sweep(args) -> int:
@@ -448,13 +461,11 @@ def cmd_sweep(args) -> int:
     factory = ConfigFactory(cfg)
     # validate the paths once up front so typos fail fast
     factory(**{name: ranges[name][0] for name in names})
-    prob0, n, tol = problem_from_config(cfg)
-    del prob0
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
-    rows = sweep(factory, ranges, grid_n=n, policy=args.policy, tol=tol, jobs=jobs)
+    rows = sweep(factory, ranges, policy=args.policy, jobs=jobs)
 
     cond_cols = []
-    for cn in ("thm1_i", "thm1_ii", "thm2_i", "thm2_ii", "cor"):
+    for cn in CONDITION_NAMES:
         cond_cols += [f"{cn}_holds", f"{cn}_margin"]
     columns = names + [
         "status", "lambda1", *cond_cols, "theorem", "residual", "min_interior",

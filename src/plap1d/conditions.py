@@ -123,7 +123,23 @@ def _c_sup(prob: Problem) -> float:
     return prob.c_plus.sup_norm()
 
 
-def _two_part_report(name, parts, applicable, reason, lam1, gam, aux):
+def _report(name, prob, eig, lhs, rhs, holds, reason, aux):
+    # reason is empty exactly when the condition applies
+    return ConditionReport(
+        name=name,
+        holds=bool(not reason and holds),
+        lhs=lhs,
+        rhs=rhs,
+        margin=rhs - lhs,
+        applicable=not reason,
+        reason=reason,
+        lambda1=eig.lambda1,
+        gamma=gamma(prob.domain, prob.window),
+        auxiliary=aux,
+    )
+
+
+def _two_part_report(name, prob, eig, parts, reason, aux):
     # parts: (label, lhs, rhs, strict); the binding part (smallest normalized
     # margin, ties to the strict one) provides the headline lhs/rhs
     def norm_margin(part):
@@ -133,23 +149,16 @@ def _two_part_report(name, parts, applicable, reason, lam1, gam, aux):
     for label, lhs, rhs, strict in parts:
         aux[f"{label}_lhs"] = lhs
         aux[f"{label}_rhs"] = rhs
-    binding = min(parts, key=norm_margin)
-    _, lhs, rhs, strict = binding
-    all_hold = all(
-        (l < r) if s else (l <= r) for _, l, r, s in parts
-    )
-    return ConditionReport(
-        name=name,
-        holds=bool(applicable and all_hold),
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
-        applicable=applicable,
-        reason=reason,
-        lambda1=lam1,
-        gamma=gam,
-        auxiliary=aux,
-    )
+    _, lhs, rhs, _ = min(parts, key=norm_margin)
+    all_hold = all((l < r) if s else (l <= r) for _, l, r, s in parts)
+    return _report(name, prob, eig, lhs, rhs, all_hold, reason, aux)
+
+
+def _inverse_lambda_report(name, prob, eig, lhs, reason, aux):
+    # the one-inequality conditions lhs <= 1/lambda1; lhs is NaN where it
+    # cannot be evaluated
+    rhs = 1.0 / eig.lambda1
+    return _report(name, prob, eig, lhs, rhs, lhs <= rhs, reason, aux)
 
 
 def check_thm1_i(prob: Problem, eig: EigenPair) -> ConditionReport:
@@ -158,138 +167,79 @@ def check_thm1_i(prob: Problem, eig: EigenPair) -> ConditionReport:
     lam1 = eig.lambda1
     gam = gamma(prob.domain, prob.window)
     applicable = p >= 2.0 and (p - 2.0) < q
-    reason = "" if applicable else "requires p >= 2 and q in (p-2, p-1)"
     d = p - 1.0 - q
     M2 = m_script(2.0, prob.m, prob.domain, prob.window.a, prob.window.b)
     i1_lhs = gam ** (p - 2.0) * M2
     i1_rhs = (p - 1.0) / (d ** (p - 1.0) * lam1)
     i2_lhs = gam**p * _c_sup(prob)
     i2_rhs = (2.0 - p + q) * (p - 1.0) / d**p
-    aux = {"M_2": M2}
     return _two_part_report(
         "thm1_i",
+        prob,
+        eig,
         [("i1", i1_lhs, i1_rhs, True), ("i2", i2_lhs, i2_rhs, False)],
-        applicable,
-        reason,
-        lam1,
-        gam,
-        aux,
+        "" if applicable else "requires p >= 2 and q in (p-2, p-1)",
+        {"M_2": M2},
     )
 
 
 def check_thm1_ii(prob: Problem, eig: EigenPair) -> ConditionReport:
     """Power-profile condition for 1 < p <= 2: parts (i3), (i4)."""
     p, q = prob.p, prob.q
-    lam1 = eig.lambda1
     gam = gamma(prob.domain, prob.window)
-    applicable = 1.0 < p <= 2.0
-    reason = "" if applicable else "requires p <= 2"
     d = p - 1.0 - q
     Mp = m_script(p, prob.m, prob.domain, prob.window.a, prob.window.b)
-    i3_lhs = Mp
-    i3_rhs = (p - 1.0) ** p / (d ** (p - 1.0) * lam1)
+    i3_rhs = (p - 1.0) ** p / (d ** (p - 1.0) * eig.lambda1)
     i4_lhs = gam**p * _c_sup(prob)
     i4_rhs = ((p - 1.0) / d) ** p * q
-    aux = {"M_p": Mp}
     return _two_part_report(
         "thm1_ii",
-        [("i3", i3_lhs, i3_rhs, True), ("i4", i4_lhs, i4_rhs, False)],
-        applicable,
-        reason,
-        lam1,
-        gam,
-        aux,
+        prob,
+        eig,
+        [("i3", Mp, i3_rhs, True), ("i4", i4_lhs, i4_rhs, False)],
+        "" if 1.0 < p <= 2.0 else "requires p <= 2",
+        {"M_p": Mp},
     )
 
 
-def _hyperbolic_report(name, prob, eig, profile, applicable_extra, reason_extra):
+def _hyperbolic_report(name, prob, eig, profile, reason):
     p = prob.p
-    lam1 = eig.lambda1
-    gam = gamma(prob.domain, prob.window)
     cn = _c_sup(prob)
     C = c_pq(p, prob.q)
     aux = {"C_pq": C}
     if cn == 0.0:
-        return ConditionReport(
-            name=name,
-            holds=False,
-            lhs=math.nan,
-            rhs=1.0 / lam1,
-            margin=math.nan,
-            applicable=False,
-            reason="c vanishes; use the c-free condition",
-            lambda1=lam1,
-            gamma=gam,
-            auxiliary=aux,
+        return _inverse_lambda_report(
+            name, prob, eig, math.nan, "c vanishes; use the c-free condition", aux
         )
-    applicable = applicable_extra
-    reason = reason_extra if not applicable else ""
     lt = (cn / C) ** (1.0 / p)
     mminus = prob.m.neg_part().sup_norm()
-    lhs = (mminus / cn) * profile(lt * gam) ** p
-    rhs = 1.0 / lam1
+    lhs = (mminus / cn) * profile(lt * gamma(prob.domain, prob.window)) ** p
     aux.update({"lambda_tilde": lt, "m_minus_sup": mminus, "c_sup": cn})
-    return ConditionReport(
-        name=name,
-        holds=bool(applicable and lhs <= rhs),
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
-        applicable=applicable,
-        reason=reason,
-        lambda1=lam1,
-        gamma=gam,
-        auxiliary=aux,
-    )
+    return _inverse_lambda_report(name, prob, eig, lhs, reason, aux)
 
 
 def check_thm2_i(prob: Problem, eig: EigenPair) -> ConditionReport:
     """sinh-profile condition, p >= 2 with c not identically zero."""
-    return _hyperbolic_report(
-        "thm2_i", prob, eig, math.sinh, prob.p >= 2.0, "requires p >= 2"
-    )
+    reason = "" if prob.p >= 2.0 else "requires p >= 2"
+    return _hyperbolic_report("thm2_i", prob, eig, math.sinh, reason)
 
 
 def check_thm2_ii(prob: Problem, eig: EigenPair) -> ConditionReport:
     """exp-profile condition, any p > 1 with c not identically zero."""
-    return _hyperbolic_report("thm2_ii", prob, eig, math.expm1, True, "")
+    return _hyperbolic_report("thm2_ii", prob, eig, math.expm1, "")
 
 
 def check_cor(prob: Problem, eig: EigenPair) -> ConditionReport:
     """c-free condition: ||m^-|| gamma^p / C_pq <= 1/lambda1."""
-    p = prob.p
-    lam1 = eig.lambda1
-    gam = gamma(prob.domain, prob.window)
-    C = c_pq(p, prob.q)
-    aux = {"C_pq": C}
+    C = c_pq(prob.p, prob.q)
     if _c_sup(prob) > 0.0:
-        return ConditionReport(
-            name="cor",
-            holds=False,
-            lhs=math.nan,
-            rhs=1.0 / lam1,
-            margin=math.nan,
-            applicable=False,
-            reason="requires c identically zero",
-            lambda1=lam1,
-            gamma=gam,
-            auxiliary=aux,
+        return _inverse_lambda_report(
+            "cor", prob, eig, math.nan, "requires c identically zero", {"C_pq": C}
         )
     mminus = prob.m.neg_part().sup_norm()
-    lhs = mminus * gam**p / C
-    rhs = 1.0 / lam1
-    aux["m_minus_sup"] = mminus
-    return ConditionReport(
-        name="cor",
-        holds=bool(lhs <= rhs),
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
-        applicable=True,
-        reason="",
-        lambda1=lam1,
-        gamma=gam,
-        auxiliary=aux,
+    lhs = mminus * gamma(prob.domain, prob.window) ** prob.p / C
+    return _inverse_lambda_report(
+        "cor", prob, eig, lhs, "", {"C_pq": C, "m_minus_sup": mminus}
     )
 
 

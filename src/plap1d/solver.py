@@ -354,11 +354,11 @@ def _solve_from(prob, grid, eig, conditions, policy, tol) -> SolutionReport:
 
 
 def _sweep_cell(args):
-    factory, params, grid_n, policy, tol = args
+    factory, params, policy = args
     row = dict(params)
     try:
-        prob = factory(**params)
-        grid = prob.default_grid(grid_n) if grid_n else prob.default_grid()
+        prob, grid_n, tol = factory(**params)
+        grid = prob.default_grid(grid_n)
         eig = window_eigenpair(prob, grid)
         conditions = check_all(prob, eig)
         row["lambda1"] = float(eig.lambda1)
@@ -377,23 +377,17 @@ def _sweep_cell(args):
     return row
 
 
-def sweep(
-    factory,
-    ranges: dict,
-    grid_n: int | None = None,
-    policy: str = "auto",
-    tol: float = 1e-8,
-    jobs: int = 1,
-) -> list[dict]:
+def sweep(factory, ranges: dict, policy: str = "auto", jobs: int = 1) -> list[dict]:
     """Run solve_full over the cartesian product of the parameter ranges.
 
-    factory(**params) must build the Problem for one cell; failures are
-    recorded in the row and the sweep continues.  jobs > 1 distributes cells
-    over at most one process per cell, so factory must be picklable.
+    factory(**params) must return (Problem, grid cells, solver tol) for one
+    cell; failures are recorded in the row and the sweep continues.
+    jobs > 1 distributes cells over at most one process per cell, so factory
+    must be picklable.
     """
     names = list(ranges)
     cells = [
-        (factory, dict(zip(names, combo)), grid_n, policy, tol)
+        (factory, dict(zip(names, combo)), policy)
         for combo in itertools.product(*(list(ranges[k]) for k in names))
     ]
     jobs = min(jobs, len(cells))

@@ -2,11 +2,12 @@
 
 A subsolution certificate is assembled from up to three pieces: a rising
 profile on the left reach [a, x1], the normalized principal eigenfunction on
-the window, and a falling profile on the right reach [x0, b].  The pieces are
-glued at sign changes of their difference, where the one-sided derivative
-ordering makes the kink admissible for the weak inequality, and the glued
-function is rescaled so it certifies the original weight rather than the
-inflated one the profiles are built against.
+the window, and a falling profile on the right reach [x0, b].  Each outer
+profile is f^k, with f one formula per theorem (`_profile`).  The pieces
+are glued where their difference changes sign strictly on a segment where
+both are linear, which makes every kink convex, as the weak inequality
+needs.  The glued function is rescaled so it certifies the original weight
+rather than the inflated one the profiles are built against.
 """
 
 from __future__ import annotations
@@ -17,7 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bvp import solve_g
-from .conditions import _mass_integrals, _side_masses, c_pq, default_eps, gamma, tau_interval
+from .conditions import (
+    CONDITION_NAMES,
+    _mass_integrals,
+    _side_masses,
+    c_pq,
+    default_eps,
+    gamma,
+    tau_interval,
+)
 from .core_types import (
     EpsTooLargeError,
     GlueError,
@@ -30,8 +39,6 @@ from .core_types import (
     Weight,
 )
 from .eigen import EigenPair
-
-SUBSOLUTION_THEOREMS = ("thm1_i", "thm1_ii", "thm2_i", "thm2_ii", "cor")
 
 _EDGE_TOL = 1e-12
 
@@ -66,12 +73,23 @@ def _reach_grid(lo: float, hi: float, m: Weight, n: int) -> Grid:
     return g.with_points(inner) if inner else g
 
 
+# theorem -> (profile shape, power variant); the shape names the builder pair
+_SHAPES = {
+    "thm1_i": ("power", "A"),
+    "thm1_ii": ("power", "B"),
+    "thm2_i": ("sinh", None),
+    "thm2_ii": ("exp", None),
+    "cor": ("linear", None),
+}
+
+
 def _profile_params(theorem: str, prob: Problem, tau: float):
     """(k, sigma) of the theorem's outer profile at tau.
 
     The profile is f^k; sigma scales f: the running mass integral for the
     power profiles (thm1_*), the amplitude of sinh/expm1 (thm2_*), the slope
-    of the linear profile (cor).
+    of the linear profile (cor).  Raises ValueError where the theorem's
+    profile does not apply to prob.
     """
     p, q = prob.p, prob.q
     d = p - 1.0 - q
@@ -86,150 +104,125 @@ def _profile_params(theorem: str, prob: Problem, tau: float):
             raise ValueError("variant B needs p in (1, 2]")
         k = (p - 1.0) / d
         return k, (1.0 / k) * (tau / (p - 1.0)) ** (1.0 / (p - 1.0))
-    scale = c_pq(p, q) if theorem == "cor" else prob.c_plus.sup_norm()
+    if theorem not in _SHAPES:
+        raise ValueError(f"unknown theorem or power variant: {theorem!r}")
+    if theorem == "thm2_i" and p < 2.0:
+        raise ValueError("sinh profile needs p >= 2")
+    cn = prob.c_plus.sup_norm()
+    if theorem == "cor" and cn > 0.0:
+        raise ValueError("linear profile is for c identically zero")
+    if theorem != "cor" and cn == 0.0:
+        raise ValueError("hyperbolic profiles need c not identically zero")
+    scale = c_pq(p, q) if theorem == "cor" else cn
     return p / d, (tau * prob.m.neg_part().sup_norm() / scale) ** (1.0 / p)
 
 
-def _power_params(prob: Problem, tau: float, variant: str):
-    """_profile_params of the power variant: A is thm1_i, B is thm1_ii."""
-    if variant not in ("A", "B"):
-        raise ValueError(f"unknown power variant: {variant!r}")
-    return _profile_params("thm1_i" if variant == "A" else "thm1_ii", prob, tau)
+def _profile(theorem: str, side: str, prob: Problem, tau: float, eps: float, n: int):
+    """The theorem's outer profile f^k on the left reach [a, x1] or the right
+    reach [x0, b], side "left" or "right".
+
+    f is a function of the distance d from the reach's outer end: sigma
+    times the eps-inflated negative mass between that end and x (power),
+    sigma sinh or sigma expm1 at rate (||c|| / C_pq)^{1/p} (thm2_i, thm2_ii),
+    or sigma d (cor).  Nodal values are exact; the mass comes from the
+    polynomial antiderivatives of `_mass_integrals`.
+    """
+    k, sigma = _profile_params(theorem, prob, tau)
+    p, q = prob.p, prob.q
+    a, b = prob.domain.a, prob.domain.b
+    left = side == "left"
+    if left:
+        grid = _reach_grid(a, prob.window.b, prob.m, n)
+        d = grid.nodes - a
+    else:
+        grid = _reach_grid(prob.window.a, b, prob.m, n)
+        d = b - grid.nodes
+    shape = _SHAPES[theorem][0]
+    if shape == "power":
+        F, G = _mass_integrals(prob.m, eps)
+        if left:
+            f = sigma * (G(grid.nodes) - G(a))
+        else:
+            f = sigma * (float(F(b)) * d - (float(G(b)) - G(grid.nodes)))
+    elif shape == "linear":
+        f = sigma * d
+    else:
+        cn = prob.c_plus.sup_norm()
+        C = c_pq(p, q)
+        rate = (cn / C) ** (1.0 / p)
+        if shape == "exp":
+            f = sigma * np.expm1(rate * d)
+        else:
+            f = sigma * np.sinh(rate * d)
+            # cosh^2 - sinh^2 = 1 in disguise; a failure here is an arithmetic bug
+            fprime = sigma * rate * np.cosh(rate * d)
+            target = (tau * prob.m.neg_part().sup_norm()) ** (2.0 / p)
+            resid = (C ** (1.0 / p) * fprime) ** 2 - (cn ** (1.0 / p) * f) ** 2 - target
+            assert np.max(np.abs(resid)) <= 1e-10 * max(1.0, target), (
+                "sinh profile identity failed"
+            )
+    vals = np.maximum(f, 0.0) ** k
+    vals[0 if left else -1] = 0.0
+    if vals.max() > 1.0 + _EDGE_TOL:
+        raise TauTooLargeError(
+            f"{side} {shape} profile exceeds 1 (max {vals.max():.6g}) at tau={tau:g}"
+        )
+    return GridFunction(grid, vals)
+
+
+_VARIANTS = {"A": "thm1_i", "B": "thm1_ii"}
 
 
 def build_u1_power(
     prob: Problem, tau: float, eps: float, variant: str, n: int = 256
 ) -> GridFunction:
-    """Left power profile (sigma * int_a^x M^-_eps)^k on [a, x1].
-
-    Nodal values are exact: the running integral of the inflated negative
-    mass is evaluated through its polynomial antiderivative.
-    """
-    k, sigma = _power_params(prob, tau, variant)
-    a = prob.domain.a
-    grid = _reach_grid(a, prob.window.b, prob.m, n)
-    _, G = _mass_integrals(prob.m, eps)
-    inner = sigma * (G(grid.nodes) - G(a))
-    vals = np.maximum(inner, 0.0) ** k
-    vals[0] = 0.0
-    if vals.max() > 1.0 + _EDGE_TOL:
-        raise TauTooLargeError(
-            f"left power profile exceeds 1 (max {vals.max():.6g}) at tau={tau:g}"
-        )
-    return GridFunction(grid, vals)
+    """Left power profile (sigma * int_a^x M^-_eps)^k on [a, x1]; variant A or B."""
+    return _profile(_VARIANTS.get(variant, variant), "left", prob, tau, eps, n)
 
 
 def build_u3_power(
     prob: Problem, tau: float, eps: float, variant: str, n: int = 256
 ) -> GridFunction:
     """Right power profile (sigma * int_x^b M^-_eps)^k on [x0, b]."""
-    k, sigma = _power_params(prob, tau, variant)
-    b = prob.domain.b
-    grid = _reach_grid(prob.window.a, b, prob.m, n)
-    F, G = _mass_integrals(prob.m, eps)
-    total = float(F(b))
-    tail = total * (b - grid.nodes) - (float(G(b)) - G(grid.nodes))
-    vals = np.maximum(sigma * tail, 0.0) ** k
-    vals[-1] = 0.0
-    if vals.max() > 1.0 + _EDGE_TOL:
-        raise TauTooLargeError(
-            f"right power profile exceeds 1 (max {vals.max():.6g}) at tau={tau:g}"
-        )
-    return GridFunction(grid, vals)
-
-
-def _hyperbolic_setup(prob: Problem, theorem: str, tau: float):
-    cn = prob.c_plus.sup_norm()
-    if cn == 0.0:
-        raise ValueError("hyperbolic profiles need c not identically zero")
-    C = c_pq(prob.p, prob.q)
-    rate = (cn / C) ** (1.0 / prob.p)
-    k, amp = _profile_params(theorem, prob, tau)
-    return cn, C, rate, amp, k
-
-
-def _profile_piece(grid, f, k, tau, label):
-    if f.max() > 1.0 + _EDGE_TOL:
-        raise TauTooLargeError(
-            f"{label} profile exceeds 1 (max {f.max():.6g}) at tau={tau:g}"
-        )
-    return GridFunction(grid, np.maximum(f, 0.0) ** k)
-
-
-def _check_sinh_identity(f, fprime, cn, C, tau, mminus, p):
-    # cosh^2 - sinh^2 = 1 in disguise; a failure here is an arithmetic bug
-    target = (tau * mminus) ** (2.0 / p)
-    resid = (C ** (1.0 / p) * fprime) ** 2 - (cn ** (1.0 / p) * f) ** 2 - target
-    scale = max(1.0, target)
-    assert np.max(np.abs(resid)) <= 1e-10 * scale, "sinh profile identity failed"
+    return _profile(_VARIANTS.get(variant, variant), "right", prob, tau, eps, n)
 
 
 def build_u1_sinh(prob: Problem, tau: float, n: int = 256) -> GridFunction:
     """Left sinh profile f^k on [a, x1], for p >= 2 with nontrivial c."""
-    if prob.p < 2.0:
-        raise ValueError("sinh profile needs p >= 2")
-    cn, C, rate, amp, k = _hyperbolic_setup(prob, "thm2_i", tau)
-    a = prob.domain.a
-    grid = _reach_grid(a, prob.window.b, prob.m, n)
-    f = amp * np.sinh(rate * (grid.nodes - a))
-    fprime = amp * rate * np.cosh(rate * (grid.nodes - a))
-    mminus = prob.m.neg_part().sup_norm()
-    _check_sinh_identity(f, fprime, cn, C, tau, mminus, prob.p)
-    return _profile_piece(grid, f, k, tau, "left sinh")
+    return _profile("thm2_i", "left", prob, tau, 0.0, n)
 
 
 def build_u3_sinh(prob: Problem, tau: float, n: int = 256) -> GridFunction:
     """Right sinh profile, reflected: f(b - x)^k on [x0, b]."""
-    if prob.p < 2.0:
-        raise ValueError("sinh profile needs p >= 2")
-    cn, C, rate, amp, k = _hyperbolic_setup(prob, "thm2_i", tau)
-    b = prob.domain.b
-    grid = _reach_grid(prob.window.a, b, prob.m, n)
-    f = amp * np.sinh(rate * (b - grid.nodes))
-    fprime = amp * rate * np.cosh(rate * (b - grid.nodes))
-    mminus = prob.m.neg_part().sup_norm()
-    _check_sinh_identity(f, fprime, cn, C, tau, mminus, prob.p)
-    return _profile_piece(grid, f, k, tau, "right sinh")
+    return _profile("thm2_i", "right", prob, tau, 0.0, n)
 
 
 def build_u1_exp(prob: Problem, tau: float, n: int = 256) -> GridFunction:
-    """Left exp profile sigma(e^{rate (x-a)} - 1)^... raised to k; any p > 1."""
-    cn, C, rate, amp, k = _hyperbolic_setup(prob, "thm2_ii", tau)
-    a = prob.domain.a
-    grid = _reach_grid(a, prob.window.b, prob.m, n)
-    f = amp * np.expm1(rate * (grid.nodes - a))
-    return _profile_piece(grid, f, k, tau, "left exp")
+    """Left exp profile (sigma expm1(rate (x - a)))^k on [a, x1]; any p > 1."""
+    return _profile("thm2_ii", "left", prob, tau, 0.0, n)
 
 
 def build_u3_exp(prob: Problem, tau: float, n: int = 256) -> GridFunction:
     """Right exp profile, reflected."""
-    cn, C, rate, amp, k = _hyperbolic_setup(prob, "thm2_ii", tau)
-    b = prob.domain.b
-    grid = _reach_grid(prob.window.a, b, prob.m, n)
-    f = amp * np.expm1(rate * (b - grid.nodes))
-    return _profile_piece(grid, f, k, tau, "right exp")
+    return _profile("thm2_ii", "right", prob, tau, 0.0, n)
 
 
 def build_u1_linear(prob: Problem, tau: float, n: int = 256) -> GridFunction:
     """Left linear profile for the c-free case: the vanishing-c limit of sinh."""
-    if prob.c_plus.sup_norm() > 0.0:
-        raise ValueError("linear profile is for c identically zero")
-    k, slope = _profile_params("cor", prob, tau)
-    a = prob.domain.a
-    grid = _reach_grid(a, prob.window.b, prob.m, n)
-    f = slope * (grid.nodes - a)
-    return _profile_piece(grid, f, k, tau, "left linear")
+    return _profile("cor", "left", prob, tau, 0.0, n)
 
 
 def build_u3_linear(prob: Problem, tau: float, n: int = 256) -> GridFunction:
     """Right linear profile, reflected."""
-    if prob.c_plus.sup_norm() > 0.0:
-        raise ValueError("linear profile is for c identically zero")
-    k, slope = _profile_params("cor", prob, tau)
-    b = prob.domain.b
-    grid = _reach_grid(prob.window.a, b, prob.m, n)
-    f = slope * (b - grid.nodes)
-    return _profile_piece(grid, f, k, tau, "right linear")
+    return _profile("cor", "right", prob, tau, 0.0, n)
+
+
+def _outer_piece(piece: str, theorem: str, prob: Problem, tau: float, eps: float, n: int):
+    # through the module-level builder name, so a wrapper installed on this
+    # module sees the call
+    shape, variant = _SHAPES[theorem]
+    build = globals()[f"build_{piece}_{shape}"]
+    return build(prob, tau, eps, variant, n) if variant else build(prob, tau, n)
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +232,6 @@ def build_u3_linear(prob: Problem, tau: float, n: int = 256) -> GridFunction:
 def _union_nodes(g1: Grid, g2: Grid, lo: float, hi: float) -> np.ndarray:
     X = np.union1d(g1.nodes, g2.nodes)
     return X[(X >= lo) & (X <= hi)]
-
-
-def _local_cell(grid: Grid, x: float) -> float:
-    j = int(np.clip(np.searchsorted(grid.nodes, x) - 1, 0, grid.n - 1))
-    return float(grid.h[j])
 
 
 def _bisect_crossing(f, lo, hi, pos_at_lo, iters=80):
@@ -260,46 +248,40 @@ def _bisect_crossing(f, lo, hi, pos_at_lo, iters=80):
 
 
 def _junction(side, u_out, u2, xm):
-    """Crossing of u_out - u2 nearest the peak with an admissible kink.
+    """Where the glued function leaves u_out for u2, between a window edge and xm.
 
-    side "left": scan [x0, xm] right-to-left, need u_out' <= u2' there.
-    side "right": scan [xm, x1] left-to-right, need u_out' >= u2' there.
+    Both pieces are linear on every segment of their union grid.  The
+    junction is the root of D = u_out - u2 on the segment nearest the peak
+    xm where D changes sign strictly: from > 0 to < 0 on the left, from < 0
+    to > 0 on the right.  D is monotone on that segment, so u_out' < u2' at
+    a left junction and u_out' > u2' at a right one, and the kink is convex,
+    as the weak subsolution inequality needs.
     """
     I = u2.grid.interval
-    lo, hi = (I.a, xm) if side == "left" else (xm, I.b)
-    X = _union_nodes(u_out.grid, u2.grid, lo, hi)
-    D = u_out(X) - u2(X)
+    left = side == "left"
+    X = _union_nodes(u_out.grid, u2.grid, *((I.a, xm) if left else (xm, I.b)))
+    U = u_out(X)
+    D = U - u2(X)
     scale = max(u_out.sup_norm(), u2.sup_norm(), 1e-300)
     if np.max(np.abs(D)) <= 1e-12 * scale:
-        # profiles coincide on the whole overlap; derivative ordering is an
+        # the pieces coincide on the whole overlap; derivative ordering is an
         # equality, so the junction closest to the boundary works
-        return float(X[0]) if side == "left" else float(X[-1])
-
-    diff = lambda x: float(u_out(x) - u2(x))
-    if side == "left":
-        cand = [i for i in range(len(X) - 1) if D[i] >= 0.0 > D[i + 1]]
-        order = reversed(cand)
+        return float(X[0]) if left else float(X[-1])
+    if not U.any():
+        # no negative mass on the reach, so the outer piece vanishes and D =
+        # -u2 leaves 0 at the window edge: a kink 0 <= u2', also convex
+        i = 0 if left else len(X) - 2
     else:
-        cand = [i for i in range(len(X) - 1) if D[i] < 0.0 <= D[i + 1]]
-        order = iter(cand)
-
-    for i in order:
-        x = _bisect_crossing(diff, float(X[i]), float(X[i + 1]), side == "left")
-        delta = 0.25 * min(_local_cell(u_out.grid, x), _local_cell(u2.grid, x))
-        if side == "left":
-            s_out = (u_out(x) - u_out(x - delta)) / delta
-            s_in = (u2(x + delta) - u2(x)) / delta
-            admissible = s_out <= s_in + 1e-6 * max(1.0, abs(s_out), abs(s_in))
+        if left:
+            cand = np.flatnonzero((D[:-1] > 0.0) & (D[1:] < 0.0))
         else:
-            s_in = (u2(x) - u2(x - delta)) / delta
-            s_out = (u_out(x + delta) - u_out(x)) / delta
-            admissible = s_out >= s_in - 1e-6 * max(1.0, abs(s_out), abs(s_in))
-        if admissible:
-            return float(np.clip(x, I.a, I.b))
-    raise GlueError(
-        f"no {side} junction with admissible derivative ordering; "
-        "a different tau or a smaller eps may help"
-    )
+            cand = np.flatnonzero((D[:-1] < 0.0) & (D[1:] > 0.0))
+        if cand.size == 0:
+            raise GlueError(f"the {side} profile never crosses the eigenfunction")
+        i = int(cand[-1] if left else cand[0])
+    diff = lambda x: float(u_out(x) - u2(x))
+    x = _bisect_crossing(diff, float(X[i]), float(X[i + 1]), left)
+    return float(np.clip(x, I.a, I.b))
 
 
 def glue(
@@ -347,38 +329,7 @@ def glue(
 
 
 # ---------------------------------------------------------------------------
-# rescaling and orchestration
-
-
-def rescale_certificate(
-    u: GridFunction, tau_effective: float, prob: Problem
-) -> GridFunction:
-    """Scale a subsolution for weight tau_effective*m down to one for m.
-
-    The factor tau_effective^{-1/(p-1-q)} balances the degree-(p-1) left side
-    against the degree-q right side exactly, so no inequality slack is spent.
-    """
-    if tau_effective <= 0.0:
-        raise ValueError("tau_effective must be positive")
-    s = tau_effective ** (-1.0 / (prob.p - 1.0 - prob.q))
-    return u.scaled(s)
-
-
-_LEFT_BUILDERS = {
-    "thm1_i": lambda prob, tau, eps, n: build_u1_power(prob, tau, eps, "A", n),
-    "thm1_ii": lambda prob, tau, eps, n: build_u1_power(prob, tau, eps, "B", n),
-    "thm2_i": lambda prob, tau, eps, n: build_u1_sinh(prob, tau, n),
-    "thm2_ii": lambda prob, tau, eps, n: build_u1_exp(prob, tau, n),
-    "cor": lambda prob, tau, eps, n: build_u1_linear(prob, tau, n),
-}
-
-_RIGHT_BUILDERS = {
-    "thm1_i": lambda prob, tau, eps, n: build_u3_power(prob, tau, eps, "A", n),
-    "thm1_ii": lambda prob, tau, eps, n: build_u3_power(prob, tau, eps, "B", n),
-    "thm2_i": lambda prob, tau, eps, n: build_u3_sinh(prob, tau, n),
-    "thm2_ii": lambda prob, tau, eps, n: build_u3_exp(prob, tau, n),
-    "cor": lambda prob, tau, eps, n: build_u3_linear(prob, tau, n),
-}
+# orchestration
 
 
 def _tau_effective(theorem, prob, tau, eps):
@@ -394,69 +345,57 @@ def build_subsolution(
     """Assemble, glue, and rescale the subsolution the chosen theorem proves.
 
     eig is the principal eigenpair on the window, as `window_eigenpair`
-    computes it for grid; its eigenfunction is the middle piece.  Walks the
-    eps halving schedule; within each feasible tau range tries the geometric
-    mean first and then both near-endpoints, since the endpoints maximize
-    one-sided slack when the mid choice fails to glue.
+    computes it for grid; its eigenfunction is the middle piece.  Each step
+    of the eps halving schedule tries one tau, the geometric mean of the
+    feasible range clamped into it.  tau <= hi already keeps each profile
+    at or below 1, its value at the far end of its reach, and the junctions
+    are admissible by construction (`_junction`), so in practice a step
+    fails, and eps is halved, only when the range is empty
+    (EpsTooLargeError).  The glued function certifies the weight
+    tau_effective * m; scaling it by tau_effective^{-1/(p-1-q)} balances
+    the degree-(p-1) left side against the degree-q right side exactly and
+    moves it to m without spending any slack.
     """
-    if theorem not in SUBSOLUTION_THEOREMS:
+    if theorem not in CONDITION_NAMES:
         raise ValueError(f"unknown theorem name: {theorem!r}")
     span = prob.domain.length()
     x0, x1 = prob.window.a, prob.window.b
     has_left = x0 - prob.domain.a > _EDGE_TOL * span
     has_right = prob.domain.b - x1 > _EDGE_TOL * span
-
-    n_total = grid.n
-    u2 = eig.phi
-
-    n_left = max(32, round(n_total * (x1 - prob.domain.a) / span))
-    n_right = max(32, round(n_total * (prob.domain.b - x0) / span))
+    n_left = max(32, round(grid.n * (x1 - prob.domain.a) / span))
+    n_right = max(32, round(grid.n * (prob.domain.b - x0) / span))
 
     eps = default_eps(prob.m)
-    last_error: Exception | None = None
     for _ in range(21):
         try:
             ti = tau_interval(theorem, prob, eig, eps)
-        except EpsTooLargeError as exc:
+            tau = min(max(math.sqrt(ti.lo * ti.hi), ti.lo), ti.hi)
+            u1 = _outer_piece("u1", theorem, prob, tau, eps, n_left) if has_left else None
+            u3 = _outer_piece("u3", theorem, prob, tau, eps, n_right) if has_right else None
+            raw, x_lo, x_hi = glue(u1, eig.phi, u3)
+        except (EpsTooLargeError, TauTooLargeError, GlueError) as exc:
             last_error = exc
             eps *= 0.5
             continue
-        taus = [math.sqrt(ti.lo * ti.hi), ti.lo * 1.0001, ti.hi * 0.9999]
-        for tau in taus:
-            tau = min(max(tau, ti.lo), ti.hi)
-            try:
-                u1 = _LEFT_BUILDERS[theorem](prob, tau, eps, n_left) if has_left else None
-                u3 = (
-                    _RIGHT_BUILDERS[theorem](prob, tau, eps, n_right)
-                    if has_right
-                    else None
-                )
-                raw, x_lo, x_hi = glue(u1, u2, u3)
-            except (TauTooLargeError, GlueError) as exc:
-                last_error = exc
-                continue
-            tau_eff = _tau_effective(theorem, prob, tau, eps)
-            k, sigma = _profile_params(theorem, prob, tau)
-            s = tau_eff ** (-1.0 / (prob.p - 1.0 - prob.q))
-            return Certificate(
-                kind="subsolution",
-                u=rescale_certificate(raw, tau_eff, prob),
-                construction={
-                    "theorem": theorem,
-                    "tau": tau,
-                    "tau_effective": tau_eff,
-                    "eps": eps,
-                    "k": k,
-                    "sigma": sigma,
-                    "junction_lo": x_lo,
-                    "junction_hi": x_hi,
-                    "rescale": s,
-                    "lambda1": float(eig.lambda1),
-                },
-            )
-        eps *= 0.5
-    if last_error is None:
-        last_error = GlueError("subsolution construction failed before any attempt")
+        tau_eff = _tau_effective(theorem, prob, tau, eps)
+        k, sigma = _profile_params(theorem, prob, tau)
+        s = tau_eff ** (-1.0 / (prob.p - 1.0 - prob.q))
+        return Certificate(
+            kind="subsolution",
+            u=raw.scaled(s),
+            construction={
+                "theorem": theorem,
+                "tau": tau,
+                "tau_effective": tau_eff,
+                "eps": eps,
+                "k": k,
+                "sigma": sigma,
+                "junction_lo": x_lo,
+                "junction_hi": x_hi,
+                "rescale": s,
+                "lambda1": float(eig.lambda1),
+            },
+        )
     raise last_error
 
 

@@ -26,7 +26,6 @@ from plap1d import (
     check_thm2_ii,
     enforce_ordering,
     principal_eigenvalue,
-    rescale_certificate,
     sin_power_weight,
     solve_between,
     solve_full,
@@ -237,7 +236,7 @@ def test_criterion_8_homogeneity():
     grid = scaled.default_grid(1024)
     cert = build_subsolution(scaled, "cor", grid, window_eigenpair(scaled, grid))
     assert check_weak_subsolution(cert.u, scaled).passed
-    back = rescale_certificate(cert.u, tau, prob)
+    back = cert.u.scaled(tau ** (-1.0 / (prob.p - 1.0 - prob.q)))
     back_rep = check_weak_subsolution(back, prob)
     ok = worst <= 1e-8 and back_rep.passed
     _report(

@@ -222,6 +222,25 @@ class TestCertifyVerify:
         bad.write_text("t,v\n0,0\n1,0\n")
         assert main(["verify", cfg, "--sub", str(bad)]) == 64
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x,u\n",
+            "x,u\n0.5,1\n",
+            "x,u\n0,0\n1,0\n",
+            "x,u\n0,0\n0.6,1\n0.4,1\n1,0\n",
+            "x,u\n0,0\n0.5,1\n0.9,0\n",
+        ],
+        ids=["no-rows", "one-row", "no-interior-node", "x-not-increasing", "x-short-of-domain"],
+    )
+    @pytest.mark.parametrize("flag", ["--sub", "--super", "--u"])
+    def test_verify_rejects_malformed_grid_function(self, tmp_path, capsys, text, flag):
+        cfg = write_config(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        assert main(["verify", cfg, flag, str(bad), "--out", str(tmp_path / "o")]) == 64
+        assert "bad.csv" in capsys.readouterr().err
+
     def test_verify_needs_an_input(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["verify", cfg]) == 64
@@ -397,6 +416,31 @@ class TestSweep:
     def test_sweep_needs_a_range(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["sweep", cfg, "--out", str(tmp_path / "o")]) == 64
+
+    def test_swept_n_sets_each_cells_grid(self, tmp_path):
+        # at p = 2.5 the window eigenvalue moves with the grid
+        cfg = write_config(tmp_path, p=2.5, q=1.0)
+        out = tmp_path / "out"
+        assert main(["sweep", cfg, "n=64:1024:2", "--jobs", "1", "--out", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+        assert [r["status"] for r in rows] == ["ok", "ok"]
+        assert rows[0]["lambda1"] != rows[1]["lambda1"]
+        assert float(rows[0]["min_interior"]) > 4.0 * float(rows[1]["min_interior"])
+
+    def test_swept_tol_is_enforced_per_row(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["sweep", cfg, "tol=1e-3:1e-12:2", "--jobs", "1", "--out", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        loose, tight = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+        assert loose["status"] == "ok"
+        assert 1e-8 < float(loose["residual"]) <= 1e-3
+        assert tight["status"] == "error"
+        assert tight["error"].startswith("CertificateError: residual")
+        assert float(tight["residual"]) > 1e-12
 
     def test_two_parameter_grid(self, tmp_path):
         cfg = write_config(tmp_path, n=128)

@@ -1,0 +1,60 @@
+"""Smoke test of the research scripts under scripts/.
+
+Each script runs in its own interpreter with src/ on the path, at a small
+size, and writes its outputs into the test's tmp dir.  This catches a script
+that imports a name the package no longer has.
+"""
+
+import csv
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_script(name, *args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", name), *args],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_profile_gallery(tmp_path):
+    out = tmp_path / "gallery"
+    proc = run_script("profile_gallery.py", "--n", "256", "--out-dir", str(out), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "FAIL" not in proc.stdout
+    names = sorted(os.listdir(out))
+    assert names and all(n.startswith("profile_") and n.endswith(".csv") for n in names)
+    assert all(len(csv_rows(out / n)) > 256 for n in names)
+
+
+def test_threshold_scan(tmp_path):
+    out = tmp_path / "thresholds.csv"
+    proc = run_script(
+        "threshold_scan.py", "--num", "5", "--n", "256", "--out", str(out), cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(csv_rows(out)) == 1 + 5
+
+
+def test_refinement_study(tmp_path):
+    out = tmp_path / "refinement.csv"
+    proc = run_script(
+        "refinement_study.py", "--levels", "64", "128", "--tol", "1e-8", "--out", str(out),
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [r[0] for r in csv_rows(out)[1:]] == ["64", "128"]

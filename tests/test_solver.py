@@ -314,16 +314,16 @@ class TestSolveFull:
 
 
 def mu_step_factory(mu):
-    return step_problem(2.0, 0.5, mu)
+    return step_problem(2.0, 0.5, mu), 128, 1e-8
 
 
 def pq_factory(p, q):
-    return step_problem(p, q, 0.1, csup=0.2)
+    return step_problem(p, q, 0.1, csup=0.2), 96, 1e-8
 
 
 class TestSweep:
     def test_single_cell_matches_solve_full(self):
-        rows = sweep(mu_step_factory, {"mu": [0.4]}, grid_n=128)
+        rows = sweep(mu_step_factory, {"mu": [0.4]})
         rep = solve_full(step_problem(2.0, 0.5, 0.4), grid=step_problem(2.0, 0.5, 0.4).default_grid(128))
         assert len(rows) == 1
         row = rows[0]
@@ -333,7 +333,7 @@ class TestSweep:
         assert row["min_interior"] == pytest.approx(rep.min_interior, rel=1e-9)
 
     def test_failing_cell_records_conditions_and_continues(self):
-        rows = sweep(mu_step_factory, {"mu": [0.45, 0.62]}, grid_n=128)
+        rows = sweep(mu_step_factory, {"mu": [0.45, 0.62]})
         ok, bad = rows
         assert ok["status"] == "ok" and ok["cor_holds"]
         assert bad["status"] == "error"
@@ -342,13 +342,13 @@ class TestSweep:
         assert bad["cor_margin"] < 0.0 < ok["cor_margin"]
 
     def test_factory_failure_is_one_bad_row(self):
-        rows = sweep(pq_factory, {"p": [2.0], "q": [0.5, 2.5]}, grid_n=128)
+        rows = sweep(pq_factory, {"p": [2.0], "q": [0.5, 2.5]})
         assert rows[0]["status"] == "ok"
         assert rows[1]["status"] == "error"
         assert "q" in rows[1]["error"]
 
     def test_grid_of_cells_in_product_order(self):
-        rows = sweep(pq_factory, {"p": [2.0, 2.5], "q": [0.4, 0.8]}, grid_n=96)
+        rows = sweep(pq_factory, {"p": [2.0, 2.5], "q": [0.4, 0.8]})
         assert [(r["p"], r["q"]) for r in rows] == [
             (2.0, 0.4), (2.0, 0.8), (2.5, 0.4), (2.5, 0.8)
         ]
@@ -356,8 +356,8 @@ class TestSweep:
 
     def test_parallel_matches_serial(self):
         ranges = {"mu": [0.3, 0.5]}
-        serial = sweep(mu_step_factory, ranges, grid_n=96)
-        parallel = sweep(mu_step_factory, ranges, grid_n=96, jobs=2)
+        serial = sweep(mu_step_factory, ranges)
+        parallel = sweep(mu_step_factory, ranges, jobs=2)
         for a, b in zip(serial, parallel):
             assert set(a) == set(b)
             for key in a:

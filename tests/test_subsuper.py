@@ -22,17 +22,19 @@ from plap1d import (
     build_u1_linear,
     build_u1_power,
     build_u1_sinh,
+    build_u3_exp,
+    build_u3_linear,
     build_u3_power,
+    build_u3_sinh,
     c_pq,
     default_eps,
     enforce_ordering,
     glue,
-    rescale_certificate,
     step_weight,
     tau_interval,
     window_eigenpair,
 )
-from plap1d.subsuper import _power_params
+from plap1d.subsuper import _profile_params
 from plap1d.verify import check_weak_subsolution, check_weak_supersolution
 
 UNIT = Interval(0.0, 1.0)
@@ -53,7 +55,7 @@ def subsolution(prob, theorem, grid):
 class TestPowerPieces:
     def test_variant_a_p2_parameters(self):
         prob = step_problem(2.0, 0.5, 0.1)
-        k, sigma = _power_params(prob, 6.0, "A")
+        k, sigma = _profile_params("thm1_i", prob, 6.0)
         assert k == 2.0
         assert sigma == pytest.approx(3.0, rel=1e-12)
 
@@ -62,7 +64,7 @@ class TestPowerPieces:
         prob = step_problem(2.5, 1.0, 0.0)
         tau, eps = 5.0, 1e-3
         u1 = build_u1_power(prob, tau, eps, "A", n=64)
-        k, sigma = _power_params(prob, tau, "A")
+        k, sigma = _profile_params("thm1_i", prob, tau)
         x = u1.grid.nodes
         expected = (sigma * eps * x**2 / 2.0) ** k
         assert np.allclose(u1.values, expected, rtol=1e-12, atol=1e-300)
@@ -198,22 +200,14 @@ class TestGlue:
 
 
 class TestRescale:
-    def test_identity_at_one(self):
-        u = triangle(UNIT, 16)
-        prob = step_problem(2.0, 0.5, 0.1)
-        out = rescale_certificate(u, 1.0, prob)
-        assert np.array_equal(out.values, u.values)
-
     def test_reference_factor(self):
-        # p=2, q=1/2: exponent 1/(p-1-q) = 2, so tau=4 scales by 1/16
-        u = triangle(UNIT, 16)
-        prob = step_problem(2.0, 0.5, 0.1)
-        out = rescale_certificate(u, 4.0, prob)
-        assert np.allclose(out.values, u.values / 16.0, rtol=1e-15)
-
-    def test_rejects_nonpositive_tau(self):
-        with pytest.raises(ValueError):
-            rescale_certificate(triangle(UNIT, 8), 0.0, step_problem(2.0, 0.5, 0.1))
+        # p=2, q=1/2: exponent 1/(p-1-q) = 2, so the glued function, whose
+        # peak is the eigenfunction's 1, is scaled by tau_effective^-2
+        prob = step_problem(2.0, 0.5, 0.5)
+        cert = subsolution(prob, "cor", Grid.uniform(UNIT, 512))
+        s = cert.construction["rescale"]
+        assert s == pytest.approx(cert.construction["tau_effective"] ** -2.0, rel=1e-15)
+        assert cert.u.values.max() == pytest.approx(s, rel=1e-12)
 
     def test_rescaled_certificate_still_verifies(self):
         # a subsolution for m is one for (tau m)/tau; rescaling moves it to
@@ -225,9 +219,75 @@ class TestRescale:
         prob_small = Problem(
             p=2.0, q=0.5, domain=UNIT, m=m_small, c=prob.c, window=WIN
         )
-        moved = rescale_certificate(cert.u, tau, prob)
+        moved = cert.u.scaled(tau ** (-1.0 / (prob.p - 1.0 - prob.q)))
         rep = check_weak_subsolution(moved, prob_small)
         assert rep.passed
+
+
+# one problem per theorem, each inside its theorem's range
+FAMILIES = [
+    ("thm1_i", 2.5, 1.0, 0.2, 0.1),
+    ("thm1_ii", 1.75, 0.5, 0.1, 0.1),
+    ("thm2_i", 2.5, 1.0, 0.5, 0.5),
+    ("thm2_ii", 1.6, 0.3, 0.5, 0.2),
+    ("cor", 2.0, 0.5, 0.0, 0.5),
+]
+
+
+def outer_pieces(theorem, prob, tau, eps, n):
+    """(u1, u3) of the theorem through the public builders."""
+    if theorem in ("thm1_i", "thm1_ii"):
+        variant = "A" if theorem == "thm1_i" else "B"
+        return (
+            build_u1_power(prob, tau, eps, variant, n),
+            build_u3_power(prob, tau, eps, variant, n),
+        )
+    left, right = {
+        "thm2_i": (build_u1_sinh, build_u3_sinh),
+        "thm2_ii": (build_u1_exp, build_u3_exp),
+        "cor": (build_u1_linear, build_u3_linear),
+    }[theorem]
+    return left(prob, tau, n), right(prob, tau, n)
+
+
+@pytest.mark.parametrize("theorem, p, q, csup, mu", FAMILIES)
+def test_right_profile_mirrors_left_on_symmetric_window(theorem, p, q, csup, mu):
+    prob = step_problem(p, q, mu, csup=csup)
+    grid = Grid.uniform(UNIT, 256)
+    eps = default_eps(prob.m)
+    ti = tau_interval(theorem, prob, window_eigenpair(prob, grid), eps)
+    u1, u3 = outer_pieces(theorem, prob, math.sqrt(ti.lo * ti.hi), eps, 96)
+    assert u1.values.max() > 1e-6
+    assert np.allclose(u3.grid.nodes, 1.0 - u1.grid.nodes[::-1], rtol=0.0, atol=1e-15)
+    assert np.allclose(u3.values, u1.values[::-1], rtol=1e-10, atol=0.0)
+
+
+def concave_kinks(u, lo, hi):
+    """Nodes in [lo, hi] where the slope of the grid function u drops."""
+    nodes = u.grid.nodes
+    s = np.diff(u.values) / np.diff(nodes)
+    left, right = s[:-1], s[1:]
+    tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(left), np.abs(right)))
+    x = nodes[1:-1]
+    return x[(x >= lo) & (x <= hi) & (left > right + tol)]
+
+
+@pytest.mark.parametrize(
+    "theorem, p, q, csup, mu, window",
+    [(*family, WIN) for family in FAMILIES]
+    + [("cor", 2.0, 0.5, 0.0, 0.0, Interval(0.2, 0.65))],
+)
+def test_junction_kinks_are_convex(theorem, p, q, csup, mu, window):
+    # the weak subsolution inequality needs u'(x-) <= u'(x+) at each kink.
+    # The outer profiles are convex, so the certificate is convex from each
+    # domain end up to and including its junction.  mu = 0 leaves the outer
+    # profiles zero, glued at the window edges.
+    prob = step_problem(p, q, mu, csup=csup, window=window)
+    cert = subsolution(prob, theorem, Grid.uniform(UNIT, 512))
+    lo, hi = cert.construction["junction_lo"], cert.construction["junction_hi"]
+    assert lo in cert.u.grid.nodes and hi in cert.u.grid.nodes
+    assert concave_kinks(cert.u, UNIT.a, lo).size == 0
+    assert concave_kinks(cert.u, hi, UNIT.b).size == 0
 
 
 class TestBuildSubsolution:
@@ -243,16 +303,7 @@ class TestBuildSubsolution:
         assert cert.u.values.max() == pytest.approx(s, rel=1e-12)
         assert check_weak_subsolution(cert.u, prob).passed
 
-    @pytest.mark.parametrize(
-        "theorem, p, q, csup, mu",
-        [
-            ("thm1_i", 2.5, 1.0, 0.2, 0.1),
-            ("thm1_ii", 1.75, 0.5, 0.1, 0.1),
-            ("thm2_i", 2.5, 1.0, 0.5, 0.5),
-            ("thm2_ii", 1.6, 0.3, 0.5, 0.2),
-            ("cor", 2.0, 0.5, 0.0, 0.5),
-        ],
-    )
+    @pytest.mark.parametrize("theorem, p, q, csup, mu", FAMILIES)
     def test_families_verify_on_their_own_grid(self, theorem, p, q, csup, mu):
         prob = step_problem(p, q, mu, csup=csup)
         cert = subsolution(prob, theorem, Grid.uniform(UNIT, 1024))
@@ -381,7 +432,7 @@ class TestExponentIdentities:
         if not 0.0 < q < p - 1.0:
             return
         prob = step_problem(p, q, 0.1)
-        k, _ = _power_params(prob, 1.0, "A")
+        k, _ = _profile_params("thm1_i", prob, 1.0)
         l = (k - 1.0) * (p - 1.0)
         assert l - 1.0 + p == pytest.approx(k * (p - 1.0), rel=1e-10)
         assert l + p - 2.0 == pytest.approx(k * q, rel=1e-10)
