@@ -9,7 +9,11 @@ and compares exit codes, stdout, stderr and every file each call wrote to its
 --out directory.  Certify and solve get the workload's --policy, if any.
 
 It prints one line per call and a summary, and exits 1 if any call's
-outputs differ, 0 if every output is byte-identical.
+outputs differ, 0 if every output is byte-identical.  Under each call that
+differs it prints how far its numbers moved: the largest relative difference
+|a - b| / max(|a|, |b|) over the float fields the two JSON reports share (with
+the file and field where it occurs), and over the `u` column of each CSV
+that both calls wrote with the same number of rows.
 
 Usage (from the repository root)::
 
@@ -20,6 +24,8 @@ from __future__ import annotations
 
 import argparse
 import ast
+import csv
+import io
 import json
 import os
 import subprocess
@@ -82,6 +88,59 @@ def run(root: str, work: str, command: str, name: str, policy: str | None, seed:
     return proc.returncode, strip(proc.stdout), strip(proc.stderr), files
 
 
+def json_floats(obj, path=""):
+    """(path, value) of every float leaf of a parsed JSON value."""
+    if isinstance(obj, dict):
+        for key, val in obj.items():
+            yield from json_floats(val, f"{path}/{key}")
+    elif isinstance(obj, list):
+        for i, val in enumerate(obj):
+            yield from json_floats(val, f"{path}/{i}")
+    elif isinstance(obj, float):
+        yield path, obj
+
+
+def rel_diff(x: float, y: float) -> float:
+    return 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
+
+
+def csv_u(data: bytes) -> list[float] | None:
+    """The u column of a CSV, or None when it has none."""
+    rows = list(csv.reader(io.StringIO(data.decode())))
+    if not rows or "u" not in rows[0]:
+        return None
+    col = rows[0].index("u")
+    return [float(row[col]) for row in rows[1:]]
+
+
+def moved(a: dict, b: dict) -> list[str]:
+    """Largest relative differences between two calls' output files."""
+    parts = []
+    worst, where, reports = 0.0, "", False
+    for fname in sorted(set(a) & set(b)):
+        if a[fname] == b[fname]:
+            continue
+        if fname.endswith(".json"):
+            reports = True
+            x = dict(json_floats(json.loads(a[fname])))
+            y = dict(json_floats(json.loads(b[fname])))
+            for path in sorted(x.keys() & y.keys()):
+                d = rel_diff(x[path], y[path])
+                if d > worst:
+                    worst, where = d, f" at {fname} {path}"
+        elif fname.endswith(".csv"):
+            x, y = csv_u(a[fname]), csv_u(b[fname])
+            if x is None or y is None:
+                continue
+            if len(x) != len(y):
+                parts.append(f"{fname} u: {len(x)}/{len(y)} rows")
+            else:
+                parts.append(f"{fname} u {max(map(rel_diff, x, y), default=0.0):.3g}")
+    if reports:
+        parts.insert(0, f"report {worst:.3g}{where}")
+    return parts
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", help="root of the reference checkout")
@@ -114,6 +173,10 @@ def main() -> int:
                         found.append(fname)
                 status = "differs in " + ", ".join(found) if found else "identical"
                 print(f"{command:8s} {name:40s} exit {a[0]}/{b[0]}  {status}", flush=True)
+                if found:
+                    parts = moved(a[3], b[3])
+                    if parts:
+                        print(f"{'':8s} largest relative difference: {', '.join(parts)}", flush=True)
                 diffs += bool(found)
     print(f"{diffs} of {len(todo) * len(COMMANDS)} calls differ")
     return 1 if diffs else 0

@@ -235,10 +235,9 @@ def write_report(report: dict, out_dir: str, name: str) -> None:
 
 
 def write_csv(path: str, u: GridFunction) -> None:
+    rows = zip(u.grid.nodes.tolist(), u.values.tolist())
     with open(path, "w") as fh:
-        fh.write("x,u\n")
-        for x, v in zip(u.grid.nodes, u.values):
-            fh.write(f"{x:.17g},{v:.17g}\n")
+        fh.write("x,u\n" + "".join(f"{x:.17g},{v:.17g}\n" for x, v in rows))
 
 
 def read_csv(path: str, domain: Interval) -> GridFunction:

@@ -8,8 +8,10 @@ endpoint.  Only whether a shot crosses zero moves the bracket; its end value
 u(x1; lambda) picks the next probe by regula falsi.  With m >= 0 on I the
 first-zero position moves monotonically with lambda (the Pruefer angle at x1
 grows with lambda), so the bracket is correct and u(x1; lambda) changes sign
-continuously where the crossing flips.  The bracket orientation is asserted at
-lambda = 0.
+continuously where the crossing flips.  The low end starts at lambda = 0
+without a shot: for c >= 0 on I, w' = c phi_p(u) >= 0 keeps w >= 1 there, so
+u rises to the right endpoint.  A c that is negative somewhere on I is
+rejected before any shot.
 
 The RK4 shots are plain Python loops on Python floats; there is no JIT.  Each
 shot computes its stage coefficients c - lambda*m with numpy and hands them to
@@ -56,40 +58,48 @@ def _rk4_full(K, KH, hsub, pm1, ipm1, nsub, out, wmid):
 
     Returns (jcross, u_pre, u_post), u at both ends of the substep whose step
     crossed zero first, or jcross = -1 when u stays positive.
+
+    The loops run over half cells and their substeps, so no step tests its
+    index.  Signed powers take the branch on the sign instead of multiplying
+    by it, which gives the same doubles because no argument is ever -0.0: u
+    and w start at +0.0 and 1.0, and a sum is -0.0 only if both terms are.
     """
     u = 0.0
     w = 1.0
     half = nsub // 2
+    h2 = 0.5 * hsub
+    h6 = hsub / 6.0
     out[0] = 0.0
     jcross = -1
     u_pre = 0.0
     u_post = 0.0
-    for j in range(len(KH)):
-        up = u
-        k1u = abs(w) ** ipm1 * (1.0 if w >= 0 else -1.0)
-        k1w = K[j] * abs(u) ** pm1 * (1.0 if u >= 0 else -1.0)
-        au = u + 0.5 * hsub * k1u
-        aw = w + 0.5 * hsub * k1w
-        k2u = abs(aw) ** ipm1 * (1.0 if aw >= 0 else -1.0)
-        k2w = KH[j] * abs(au) ** pm1 * (1.0 if au >= 0 else -1.0)
-        au = u + 0.5 * hsub * k2u
-        aw = w + 0.5 * hsub * k2w
-        k3u = abs(aw) ** ipm1 * (1.0 if aw >= 0 else -1.0)
-        k3w = KH[j] * abs(au) ** pm1 * (1.0 if au >= 0 else -1.0)
-        au = u + hsub * k3u
-        aw = w + hsub * k3w
-        k4u = abs(aw) ** ipm1 * (1.0 if aw >= 0 else -1.0)
-        k4w = K[j + 1] * abs(au) ** pm1 * (1.0 if au >= 0 else -1.0)
-        u += hsub / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        w += hsub / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        if (j + 1) % nsub == 0:
-            out[(j + 1) // nsub] = u
-        elif (j + 1) % nsub == half:
-            wmid[(j + 1) // nsub] = w
-        if jcross < 0 and u <= 0.0:
-            jcross = j
-            u_pre = up
-            u_post = u
+    for k in range(2 * len(wmid)):
+        for j in range(k * half, (k + 1) * half):
+            up = u
+            k1u = w**ipm1 if w >= 0 else -((-w) ** ipm1)
+            k1w = K[j] * (u**pm1 if u >= 0 else -((-u) ** pm1))
+            au = u + h2 * k1u
+            aw = w + h2 * k1w
+            k2u = aw**ipm1 if aw >= 0 else -((-aw) ** ipm1)
+            k2w = KH[j] * (au**pm1 if au >= 0 else -((-au) ** pm1))
+            au = u + h2 * k2u
+            aw = w + h2 * k2w
+            k3u = aw**ipm1 if aw >= 0 else -((-aw) ** ipm1)
+            k3w = KH[j] * (au**pm1 if au >= 0 else -((-au) ** pm1))
+            au = u + hsub * k3u
+            aw = w + hsub * k3w
+            k4u = aw**ipm1 if aw >= 0 else -((-aw) ** ipm1)
+            k4w = K[j + 1] * (au**pm1 if au >= 0 else -((-au) ** pm1))
+            u += h6 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+            w += h6 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+            if u <= 0.0 and jcross < 0:
+                jcross = j
+                u_pre = up
+                u_post = u
+        if k & 1:
+            out[(k + 1) >> 1] = u
+        else:
+            wmid[k >> 1] = w
     return jcross, u_pre, u_post
 
 
@@ -182,7 +192,9 @@ def principal_eigenvalue(
     closed form, and returns its midpoint once its width is below
     tol * max(1, lambda).  Each probe is Illinois regula falsi on the ends'
     u(x1), a midpoint when the high end crossed twice (u(x1) >= 0), and at
-    least tol/4 * max(1, lambda) inside the bracket.
+    least tol/4 * max(1, lo, hi) inside the bracket (hi once it is finite).
+    The low end starts at lambda = 0, unshot; its regula falsi partner is
+    u(x1; 0) = |I| of c = 0, and it is shot only if no probe stayed positive.
 
     The eigenfunction is rebuilt from the shot at the no-zero end of the final
     bracket with each cell slope set to the inverse p-flux of w at the cell
@@ -195,19 +207,18 @@ def principal_eigenvalue(
     has finite width) is removed by subtracting a linear ramp.
 
     Raises NoEigenvalueError when m has no positive mass on I, BracketError
-    when the bracket cap is exceeded, and EigenError when the lambda = 0
-    trajectory already crosses zero (possible only for c negative somewhere,
-    where no positive principal eigenvalue need exist).
+    when the bracket cap is exceeded, and EigenError, before any shot, when
+    c is negative somewhere on I (beyond rounding of 1e-12 of its sup norm),
+    where no positive principal eigenvalue need exist.
     """
     _, _, ipm1, shot = _shooter(p, c, m, I, n)
     m_win = m.restrict(I.a, I.b)
     if m_win.pos_part().sup_norm() == 0.0:
         raise NoEigenvalueError("m has no positive part on the window")
     c_win = c.restrict(I.a, I.b)
-    out, w_lo, (jcross, _, _) = shot(0.0)
-    if jcross >= 0:
+    if c_win.min_value() < -1e-12 * max(1.0, c_win.sup_norm()):
         raise EigenError(
-            "trajectory at lambda = 0 already crosses zero; "
+            "c is negative on the window; "
             "no positive principal eigenvalue for this c"
         )
     # the first probe is the constant-coefficient closed form, exact when c
@@ -217,10 +228,11 @@ def principal_eigenvalue(
     cbar = max(c_win.integral() / I.length(), 0.0)
     seed = max(1.0, ((p - 1.0) * (pi_p / I.length()) ** p + cbar) / mbar)
     # f_lo > 0 always; f_hi < 0 unless hi crossed zero twice.  side is the
-    # end the last probe moved, for the Illinois halving.
-    lo, f_lo, hi, f_hi, side = 0.0, out[-1], np.inf, 0.0, 0
+    # end the last probe moved, for the Illinois halving.  w_lo stays None
+    # until a probe stays positive.
+    lo, f_lo, hi, f_hi, side, w_lo = 0.0, I.length(), np.inf, 0.0, 0, None
     while hi - lo > tol * max(1.0, lo):
-        gap = 0.25 * tol * max(1.0, lo)
+        gap = 0.25 * tol * max(1.0, lo if hi == np.inf else hi)
         if hi == np.inf:
             if lo >= seed * 2.0**79:
                 raise BracketError("bracket expansion exceeded its cap")
@@ -243,6 +255,8 @@ def principal_eigenvalue(
             if side < 0:
                 f_hi *= 0.5
             side = -1
+    if w_lo is None:
+        _, w_lo, _ = shot(lo)
     hcell = (I.b - I.a) / n
     slopes = np.abs(w_lo) ** ipm1 * np.sign(w_lo)
     vals = np.concatenate(([0.0], np.cumsum(slopes * hcell)))

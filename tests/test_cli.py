@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from plap1d.cli import main
+from plap1d.cli import main, write_csv
+from plap1d.core_types import Grid, GridFunction
 
 BASE = {
     "p": 2.0,
@@ -257,6 +258,23 @@ class TestCertifyVerify:
         assert main([
             "verify", cfg, "--sub", str(tampered), "--out", str(tmp_path / "v"),
         ]) == 2
+
+
+class TestWriteCsv:
+    def test_bytes_match_per_row_numpy_formatting(self, tmp_path):
+        # the reference writes one row at a time from numpy scalars
+        nodes = np.array([0.0, 1.0 / 3.0, 0.5, 0.7, 1.0 - 2.0**-53, 1.0])
+        values = np.array([-0.0, 5e-324, 1e300, -1.0 / 3.0, 0.1, 0.0])
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w") as fh:
+            fh.write("x,u\n")
+            for x, v in zip(nodes, values):
+                fh.write(f"{x:.17g},{v:.17g}\n")
+        out = tmp_path / "out.csv"
+        write_csv(str(out), GridFunction(Grid(nodes), values))
+        assert out.read_bytes() == ref.read_bytes()
+        assert b"\n0,-0\n" in out.read_bytes()
+        assert b",4.9406564584124654e-324\n" in out.read_bytes()
 
 
 class TestSolve:

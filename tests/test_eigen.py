@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from plap1d import eigen
 from plap1d.core_types import (
+    EigenError,
     Grid,
     GridFunction,
     Interval,
@@ -157,6 +158,47 @@ class TestEigenBracket:
         assert len(shots) <= 8
 
     @pytest.mark.parametrize("c", [0.0, 0.7])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
+    def test_step_weight_closes_from_the_seed(self, p, c, monkeypatch):
+        # the closed-form seed crosses; the bracket-scale margin then puts the
+        # next probe far enough below it to land the low end
+        shots = count_shots(monkeypatch)
+        principal_eigenvalue(p, Weight.constant(c, UNIT), STEP, WINDOW, n=512)
+        assert len(shots) <= 3
+
+    # lambda1 < 1, where the bracket margin is tol/4 as before: the probes and
+    # lambda1 are those of the solver that shot lambda = 0 first
+    @pytest.mark.parametrize(
+        "mass, lam1",
+        [
+            (1e2, 0.09869604276594537),
+            (1e6, 9.868428898273658e-06),
+            (1e9, 9.521111951284712e-09),
+        ],
+    )
+    def test_small_lambda1_unchanged(self, mass, lam1):
+        pair = principal_eigenvalue(2.0, ZERO, Weight.constant(mass, UNIT), UNIT, n=256)
+        assert pair.lambda1 == pytest.approx(lam1, rel=1e-12)
+
+    def test_tiny_lambda1_loses_positivity(self):
+        with pytest.raises(EigenError, match="lost interior positivity"):
+            principal_eigenvalue(2.0, ZERO, Weight.constant(1e10, UNIT), UNIT, n=256)
+
+    @pytest.mark.parametrize("c", [-0.5, -50.0])
+    def test_negative_c_rejected_before_any_shot(self, c, monkeypatch):
+        shots = count_shots(monkeypatch)
+        # negative on the window only
+        cw = step_weight(UNIT, WINDOW, c, 1.0)
+        with pytest.raises(EigenError, match="c is negative"):
+            principal_eigenvalue(2.0, cw, STEP, WINDOW, n=512)
+        assert shots == []
+
+    def test_negative_c_outside_the_window_is_ignored(self):
+        cw = step_weight(UNIT, WINDOW, 0.0, -1.0)
+        pair = principal_eigenvalue(2.0, cw, STEP, WINDOW, n=512)
+        assert pair.lambda1 == pytest.approx(lambda1_constant(2.0, 0.5), rel=1e-6)
+
+    @pytest.mark.parametrize("c", [0.0, 0.7])
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_bracket_invariant(self, p, c):
         cw = Weight.constant(c, UNIT)
@@ -181,6 +223,77 @@ class TestEigenBracket:
         assert any(crossed and end >= 0.0 for crossed, end in ends)
         assert len(shots) < 31
         assert_bracket_invariant(pair, p, ZERO, TWO_BUMPS, UNIT, 512)
+
+
+def rk4_full_reference(K, KH, hsub, pm1, ipm1, nsub, out, wmid):
+    # the single-loop kernel with index tests and multiplied signs, kept as
+    # the reference that eigen._rk4_full must reproduce bit for bit
+    u = 0.0
+    w = 1.0
+    half = nsub // 2
+    out[0] = 0.0
+    jcross = -1
+    u_pre = 0.0
+    u_post = 0.0
+    for j in range(len(KH)):
+        up = u
+        k1u = abs(w) ** ipm1 * (1.0 if w >= 0 else -1.0)
+        k1w = K[j] * abs(u) ** pm1 * (1.0 if u >= 0 else -1.0)
+        au = u + 0.5 * hsub * k1u
+        aw = w + 0.5 * hsub * k1w
+        k2u = abs(aw) ** ipm1 * (1.0 if aw >= 0 else -1.0)
+        k2w = KH[j] * abs(au) ** pm1 * (1.0 if au >= 0 else -1.0)
+        au = u + 0.5 * hsub * k2u
+        aw = w + 0.5 * hsub * k2w
+        k3u = abs(aw) ** ipm1 * (1.0 if aw >= 0 else -1.0)
+        k3w = KH[j] * abs(au) ** pm1 * (1.0 if au >= 0 else -1.0)
+        au = u + hsub * k3u
+        aw = w + hsub * k3w
+        k4u = abs(aw) ** ipm1 * (1.0 if aw >= 0 else -1.0)
+        k4w = K[j + 1] * abs(au) ** pm1 * (1.0 if au >= 0 else -1.0)
+        u += hsub / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        w += hsub / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        if (j + 1) % nsub == 0:
+            out[(j + 1) // nsub] = u
+        elif (j + 1) % nsub == half:
+            wmid[(j + 1) // nsub] = w
+        if jcross < 0 and u <= 0.0:
+            jcross = j
+            u_pre = up
+            u_post = u
+    return jcross, u_pre, u_post
+
+
+class TestKernel:
+    # (weight, multiple of lambda1, crosses, u(1) >= 0): below lambda1, above
+    # it, and above it with TWO_BUMPS, where the shot crosses and comes back
+    CASES = [
+        (ONE, 0.5, False, True),
+        (ONE, 1.5, True, False),
+        (TWO_BUMPS, 2.0, True, True),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)), ids=["below", "above", "crossed-twice"])
+    @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 7.0])
+    def test_matches_reference_bit_for_bit(self, p, case):
+        m, factor, crosses, end_nonneg = self.CASES[case]
+        # at n = 100, hsub/6 and hsub*(1/6) are different doubles
+        n = 100
+        c = Weight.constant(0.3, UNIT)
+        lam = factor * principal_eigenvalue(p, c, m, UNIT, n=n).lambda1
+        # nsub = 8 for p = 1.1 and p = 7, 4 otherwise, as in eigen._shooter
+        nsub = 8 if (p < 1.2 or p > 6.0) else 4
+        _, stages = eigen._stage_tables(c, m, UNIT, n, nsub)
+        K, KH = stages(lam)
+        args = (K, KH, 1.0 / (n * nsub), p - 1.0, 1.0 / (p - 1.0), nsub)
+        out, wmid = np.empty(n + 1), np.empty(n)
+        ref_out, ref_wmid = np.empty(n + 1), np.empty(n)
+        cross = eigen._rk4_full(*args, out, wmid)
+        ref_cross = rk4_full_reference(*args, ref_out, ref_wmid)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(wmid, ref_wmid)
+        assert np.array_equal(cross, ref_cross)
+        assert (cross[0] >= 0, out[-1] >= 0.0) == (crosses, end_nonneg)
 
 
 class TestNormalizeSup:

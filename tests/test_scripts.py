@@ -58,3 +58,24 @@ def test_refinement_study(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert [r[0] for r in csv_rows(out)[1:]] == ["64", "128"]
+
+
+def test_compare_cli_measures_how_far_outputs_moved():
+    sys.path.insert(0, os.path.join(ROOT, "scripts"))
+    try:
+        import compare_cli
+    finally:
+        sys.path.pop(0)
+    base = {
+        "eigen.json": b'{"lambda1": 10.0, "n": 4, "note": "a", "conditions": [{"mu": 2.0}]}',
+        "phi.csv": b"x,u\n0,0\n0.5,1\n1,0\n",
+        "same.csv": b"x,u\n0,0\n1,0\n",
+    }
+    change = {
+        "eigen.json": b'{"lambda1": 10.5, "n": 5, "note": "b", "conditions": [{"mu": 2.0}]}',
+        "phi.csv": b"x,u\n0,0\n0.5,0.75\n1,0\n",
+        "same.csv": b"x,u\n0,0\n1,0\n",
+    }
+    parts = compare_cli.moved(base, change)
+    # ints and strings are not floats; unchanged files are skipped
+    assert parts == ["report 0.0476 at eigen.json /lambda1", "phi.csv u 0.25"]
