@@ -4,9 +4,13 @@ The configs are those the three benchmark workloads of perfbench/workloads.py
 draw at the given seeds (read from the first checkout, never changed), each
 distinct config once, plus the BASE config of tests/test_cli.py.  On every
 config the script runs CLI check, eigen, certify and solve in both checkouts,
-each call in a fresh interpreter with that checkout's src/ first on the path,
-and compares exit codes, stdout, stderr and every file each call wrote to its
---out directory.  Certify and solve get the workload's --policy, if any.
+then verify on the sub.csv, super.csv and u.csv that checkout's solve call
+wrote.  Certify and solve get the workload's --policy, if any.  Once per run
+it also calls sweep --jobs 1 on the BASE config over two values of q, and
+--help of the program and of each of the six subcommands, so the parser is
+compared too.  Each call runs in a fresh interpreter with that checkout's
+src/ first on the path, and the script compares exit codes, stdout, stderr
+and every file the call wrote to its --out directory.
 
 It prints one line per call and a summary, and exits 1 if any call's
 outputs differ, 0 if every output is byte-identical.  Under each call that
@@ -32,7 +36,8 @@ import subprocess
 import sys
 import tempfile
 
-COMMANDS = ("check", "eigen", "certify", "solve")
+COMMANDS = ("check", "eigen", "certify", "solve", "verify")
+SUBCOMMANDS = ("check", "eigen", "certify", "solve", "verify", "sweep")
 
 CHILD = "import sys; sys.path.insert(0, sys.argv[1]); from plap1d.cli import main; sys.exit(main(sys.argv[2:]))"
 
@@ -66,23 +71,41 @@ def cases(root: str, seeds: list[int]) -> list[tuple[str, dict, str | None, int]
     return out
 
 
-def run(root: str, work: str, command: str, name: str, policy: str | None, seed: int):
+def calls(todo) -> list[tuple[str, str, list[str], str | None]]:
+    """(command, label, argv, --out directory) of every CLI call to compare."""
+    out = []
+    for name, _, policy, seed in todo:
+        for command in COMMANDS:
+            out_dir = f"out-{command}-{name}"
+            argv = [command, f"{name}.json", "--out", out_dir, "--seed", str(seed)]
+            if policy and command in ("certify", "solve"):
+                argv += ["--policy", policy]
+            if command == "verify":
+                for flag, fname in (("--sub", "sub.csv"), ("--super", "super.csv"), ("--u", "u.csv")):
+                    argv += [flag, os.path.join(f"out-solve-{name}", fname)]
+            out.append((command, name, argv, out_dir))
+    base = todo[0][0]
+    argv = ["sweep", f"{base}.json", "q=0.4:0.6:2", "--jobs", "1", "--out", "out-sweep"]
+    out.append(("sweep", base, argv, "out-sweep"))
+    out.append(("help", "plap1d", ["--help"], None))
+    out.extend(("help", command, [command, "--help"], None) for command in SUBCOMMANDS)
+    return out
+
+
+def run(root: str, work: str, argv: list[str], out_dir: str | None):
     """One CLI call in a fresh interpreter; (exit code, stdout, stderr, {file: bytes})."""
-    out_dir = f"out-{command}-{name}"
-    argv = [command, f"{name}.json", "--out", out_dir, "--seed", str(seed)]
-    if policy and command in ("certify", "solve"):
-        argv += ["--policy", policy]
     src = os.path.join(os.path.abspath(root), "src")
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, src, *argv], cwd=work, capture_output=True
     )
     files = {}
-    full = os.path.join(work, out_dir)
-    for dirpath, _, names in os.walk(full):
-        for fname in names:
-            path = os.path.join(dirpath, fname)
-            with open(path, "rb") as fh:
-                files[os.path.relpath(path, full)] = fh.read()
+    if out_dir:
+        full = os.path.join(work, out_dir)
+        for dirpath, _, names in os.walk(full):
+            for fname in names:
+                path = os.path.join(dirpath, fname)
+                with open(path, "rb") as fh:
+                    files[os.path.relpath(path, full)] = fh.read()
     # warnings name the source file; the checkout's location is not an output
     strip = lambda b: b.replace(src.encode(), b"<src>")
     return proc.returncode, strip(proc.stdout), strip(proc.stderr), files
@@ -149,7 +172,9 @@ def main() -> int:
     args = ap.parse_args()
 
     todo = cases(args.base, args.seeds)
-    print(f"{len(todo)} configs x {len(COMMANDS)} commands", flush=True)
+    planned = calls(todo)
+    print(f"{len(todo)} configs x {len(COMMANDS)} commands, 1 sweep, "
+          f"{len(SUBCOMMANDS) + 1} help texts", flush=True)
     diffs = 0
     with tempfile.TemporaryDirectory() as tmp:
         works = {}
@@ -159,26 +184,25 @@ def main() -> int:
             for name, cfg, _, _ in todo:
                 with open(os.path.join(works[label], f"{name}.json"), "w") as fh:
                     json.dump(cfg, fh)
-        for name, _, policy, seed in todo:
-            for command in COMMANDS:
-                a = run(args.base, works["base"], command, name, policy, seed)
-                b = run(args.change, works["change"], command, name, policy, seed)
-                found = [
-                    what
-                    for what, x, y in (("exit code", a[0], b[0]), ("stdout", a[1], b[1]), ("stderr", a[2], b[2]))
-                    if x != y
-                ]
-                for fname in sorted(set(a[3]) | set(b[3])):
-                    if a[3].get(fname) != b[3].get(fname):
-                        found.append(fname)
-                status = "differs in " + ", ".join(found) if found else "identical"
-                print(f"{command:8s} {name:40s} exit {a[0]}/{b[0]}  {status}", flush=True)
-                if found:
-                    parts = moved(a[3], b[3])
-                    if parts:
-                        print(f"{'':8s} largest relative difference: {', '.join(parts)}", flush=True)
-                diffs += bool(found)
-    print(f"{diffs} of {len(todo) * len(COMMANDS)} calls differ")
+        for command, name, argv, out_dir in planned:
+            a = run(args.base, works["base"], argv, out_dir)
+            b = run(args.change, works["change"], argv, out_dir)
+            found = [
+                what
+                for what, x, y in (("exit code", a[0], b[0]), ("stdout", a[1], b[1]), ("stderr", a[2], b[2]))
+                if x != y
+            ]
+            for fname in sorted(set(a[3]) | set(b[3])):
+                if a[3].get(fname) != b[3].get(fname):
+                    found.append(fname)
+            status = "differs in " + ", ".join(found) if found else "identical"
+            print(f"{command:8s} {name:40s} exit {a[0]}/{b[0]}  {status}", flush=True)
+            if found:
+                parts = moved(a[3], b[3])
+                if parts:
+                    print(f"{'':8s} largest relative difference: {', '.join(parts)}", flush=True)
+            diffs += bool(found)
+    print(f"{diffs} of {len(planned)} calls differ")
     return 1 if diffs else 0
 
 

@@ -21,7 +21,7 @@ from .core_types import (
     sin_power_weight,
     step_weight,
 )
-from .bvp import residual_g, solve_g
+from .bvp import solve_g
 from .eigen import EigenPair, normalize_sup, principal_eigenvalue, shoot, window_eigenpair
 from .conditions import (
     CONDITION_NAMES,
@@ -65,7 +65,6 @@ from .verify import (
 from .solver import (
     SolutionReport,
     certify,
-    energy,
     solve_between,
     solve_full,
     sweep,

@@ -24,30 +24,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core_types import AssemblyPlan, Grid, GridFunction, Interval, Weight, phi_p
+from .core_types import AssemblyPlan, Grid, GridFunction, Weight, phi_p
 
 
-def _load(grid: Grid, g: Weight) -> np.ndarray:
-    plan = AssemblyPlan(grid, {"g": g})
-    return plan.load_vector("g", np.ones(grid.n + 1), 0.0)
-
-
-def residual_g(v: GridFunction, p: float, g: Weight) -> np.ndarray:
-    """Hat-normalized weak residuals of v for the companion problem.
-
-    Entry i is the weak form of -(phi_p(v'))' - g tested against the i-th
-    interior hat, divided by the hat's integral.  Boundary entries are zero.
-    """
-    load = _load(v.grid, g)
-    flux = phi_p(v.slopes(), p)
-    out = np.zeros(v.grid.n + 1)
-    out[1:-1] = (flux[:-1] - flux[1:] - load[1:-1]) / v.grid.hat_masses()[1:-1]
-    return out
-
-
-def solve_g(
-    p: float, g: Weight, domain: Interval, grid: Grid | None = None
-) -> GridFunction:
+def solve_g(p: float, g: Weight, grid: Grid) -> GridFunction:
     """Solve -(phi_p(v'))' = g, v = 0 at both ends, by flux integration.
 
     There is no zero-order term: the supersolution needs none for c >= 0
@@ -59,9 +39,9 @@ def solve_g(
     p : float
         Gradient exponent, p > 1.
     g : Weight
-        Right-hand side, g >= 0, covering `domain`.
-    grid : Grid, optional
-        Defaults to the uniform grid with 2048 cells.
+        Right-hand side, g >= 0, covering the grid's interval.
+    grid : Grid
+        The grid v lives on.
 
     Returns
     -------
@@ -74,10 +54,9 @@ def solve_g(
         raise ValueError(f"invalid exponent: p must be > 1, got {p}")
     if g.min_value() < 0:
         raise ValueError("right-hand side g must be nonnegative")
-    if grid is None:
-        grid = Grid.uniform(domain)
     h = grid.h
-    running = np.concatenate(([0.0], np.cumsum(_load(grid, g)[1:-1])))
+    load = AssemblyPlan(grid, {"g": g}).load_vector("g", np.ones(grid.n + 1), 0.0)
+    running = np.concatenate(([0.0], np.cumsum(load[1:-1])))
 
     def slopes(f0: float) -> np.ndarray:
         # phi_p^{-1} is phi_{p'} with the conjugate exponent p' = p/(p-1)

@@ -9,6 +9,13 @@ failed verification, impossible certificate, uncertified solution) or solve
 stalled above its tolerance, 1 internal error, 64 malformed config or command
 line.  All floats in reports are rendered with 17 significant digits, so
 identical inputs give byte-identical reports.
+
+The config field allow_sign_changing_c admits a c that is negative
+somewhere, and reaches only part of the pipeline.  The conditions and the
+window eigenvalue use c's positive part c+, and the supersolution ignores c
+altogether, so neither accounts for where c < 0.  Only the independent
+weak-form check decides whether the certificates hold; with c = -0.1 on the
+step weight the supersolution fails it near x = 0.5, and the run exits 2.
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
+import json
 import math
 import os
 import sys
@@ -54,9 +63,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_CONFIG_KEYS = {
-    "p", "q", "domain", "window", "m", "c", "n", "tol", "allow_sign_changing_c",
-}
+_REQUIRED_KEYS = ("p", "q", "domain", "window", "m", "c")
+_CONFIG_KEYS = {*_REQUIRED_KEYS, "n", "tol", "allow_sign_changing_c"}
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +74,6 @@ def _interval(cfg, key):
     try:
         a, b = cfg[key]
         return Interval(float(a), float(b))
-    except KeyError:
-        raise UsageError(f"config field '{key}' is required")
     except (TypeError, ValueError) as exc:
         raise UsageError(f"config field '{key}' must be [a, b]: {exc}")
 
@@ -133,14 +139,11 @@ def problem_from_config(cfg: dict):
     unknown = set(cfg) - _CONFIG_KEYS
     if unknown:
         raise UsageError(f"unknown config fields: {', '.join(sorted(unknown))}")
-    for key in ("p", "q"):
+    for key in _REQUIRED_KEYS:
         if key not in cfg:
             raise UsageError(f"config field '{key}' is required")
     domain = _interval(cfg, "domain")
     window = _interval(cfg, "window")
-    for key in ("m", "c"):
-        if key not in cfg:
-            raise UsageError(f"config field '{key}' is required")
     m = weight_from_spec(cfg["m"], domain, window, "m")
     c = weight_from_spec(cfg["c"], domain, window, "c")
     try:
@@ -176,8 +179,6 @@ def _config_number(cfg: dict, key: str, default: float) -> float:
 
 
 def load_config(path: str) -> dict:
-    import json
-
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -221,17 +222,30 @@ def render_json(obj, indent: int = 0) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
-    import json
-
     return json.dumps(str(obj))
 
 
-def write_report(report: dict, out_dir: str, name: str) -> None:
+def write_report(report: dict, out_dir: str) -> None:
+    """Write the report to <command>.json in out_dir and echo it to stdout."""
     text = render_json(report) + "\n"
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, name), "w") as fh:
+    with open(os.path.join(out_dir, f"{report['command']}.json"), "w") as fh:
         fh.write(text)
     sys.stdout.write(text)
+
+
+def _csv_cell(v) -> str:
+    """One sweep.csv cell: empty for a missing value or NaN, a comma-bearing
+    string quoted with its double quotes turned into single ones."""
+    if v is None:
+        return ""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return "" if math.isnan(v) else format(float(v), ".17g")
+    if isinstance(v, str) and "," in v:
+        return '"' + v.replace('"', "'") + '"'
+    return str(v)
 
 
 def write_csv(path: str, u: GridFunction) -> None:
@@ -271,47 +285,39 @@ def read_csv(path: str, domain: Interval) -> GridFunction:
 # ---------------------------------------------------------------------------
 # report pieces
 
-def _condition_dicts(conditions):
-    out = []
-    for rep in conditions:
-        out.append(
-            {
-                "name": rep.name,
-                "applicable": rep.applicable,
-                "holds": rep.holds,
-                "lhs": rep.lhs,
-                "rhs": rep.rhs,
-                "margin": rep.margin,
-                "reason": rep.reason,
-                "auxiliary": dict(rep.auxiliary),
-            }
-        )
-    return out
+_CONDITION_FIELDS = (
+    "name", "applicable", "holds", "lhs", "rhs", "margin", "reason", "auxiliary",
+)
+_WEAK_FIELDS = ("kind", "passed", "worst_value", "worst_x", "tol", "note")
 
 
-def _weak_dict(rep):
-    if rep is None:
-        return None
-    return {
-        "kind": rep.kind,
-        "passed": rep.passed,
-        "worst_value": rep.worst_value,
-        "worst_x": rep.worst_x,
-        "tol": rep.tol,
-        "note": rep.note,
-    }
+def _fields(obj, names):
+    return None if obj is None else {name: getattr(obj, name) for name in names}
 
 
 def _certificate_dict(cert):
     return {
         "kind": cert.kind,
-        "construction": dict(cert.construction),
-        "verified": _weak_dict(cert.verified),
+        "construction": cert.construction,
+        "verified": _fields(cert.verified, _WEAK_FIELDS),
     }
 
 
-def _base_report(command: str, args) -> dict:
-    return {"schema": 1, "command": command, "seed": args.seed}
+def _base_report(args) -> dict:
+    return {"schema": 1, "command": args.subcommand, "seed": args.seed}
+
+
+def _write_certified(args, theorem, conditions, sub, sup, **extra) -> None:
+    """The certify/solve report and the two certificate CSVs."""
+    report = _base_report(args)
+    report["theorem"] = theorem
+    report.update(extra)
+    report["conditions"] = [_fields(rep, _CONDITION_FIELDS) for rep in conditions]
+    report["sub"] = _certificate_dict(sub)
+    report["super"] = _certificate_dict(sup)
+    write_report(report, args.out)
+    write_csv(os.path.join(args.out, "sub.csv"), sub.u)
+    write_csv(os.path.join(args.out, "super.csv"), sup.u)
 
 
 # ---------------------------------------------------------------------------
@@ -321,22 +327,22 @@ def cmd_check(args) -> int:
     prob, n, _ = problem_from_config(load_config(args.config))
     eig = window_eigenpair(prob, prob.default_grid(n))
     conditions = check_all(prob, eig)
-    report = _base_report("check", args)
+    report = _base_report(args)
     report["lambda1"] = float(eig.lambda1)
-    report["conditions"] = _condition_dicts(conditions)
+    report["conditions"] = [_fields(rep, _CONDITION_FIELDS) for rep in conditions]
     report["any_holds"] = any(rep.holds for rep in conditions)
-    write_report(report, args.out, "check.json")
+    write_report(report, args.out)
     return 0 if report["any_holds"] else 2
 
 
 def cmd_eigen(args) -> int:
     prob, n, _ = problem_from_config(load_config(args.config))
     eig = window_eigenpair(prob, prob.default_grid(n))
-    report = _base_report("eigen", args)
+    report = _base_report(args)
     report["lambda1"] = float(eig.lambda1)
     report["rayleigh"] = float(eig.rayleigh)
     report["window"] = [prob.window.a, prob.window.b]
-    write_report(report, args.out, "eigen.json")
+    write_report(report, args.out)
     write_csv(os.path.join(args.out, "phi.csv"), eig.phi)
     return 0
 
@@ -346,34 +352,21 @@ def cmd_certify(args) -> int:
     grid = prob.default_grid(n)
     eig = window_eigenpair(prob, grid)
     conditions = check_all(prob, eig)
-    theorem = select_theorem(prob, conditions, args.policy)
+    theorem = select_theorem(conditions, args.policy)
     sub, sup = certify(prob, theorem, grid, eig)
-    report = _base_report("certify", args)
-    report["theorem"] = theorem
-    report["conditions"] = _condition_dicts(conditions)
-    report["sub"] = _certificate_dict(sub)
-    report["super"] = _certificate_dict(sup)
-    write_report(report, args.out, "certify.json")
-    write_csv(os.path.join(args.out, "sub.csv"), sub.u)
-    write_csv(os.path.join(args.out, "super.csv"), sup.u)
+    _write_certified(args, theorem, conditions, sub, sup)
     return 0 if sub.verified.passed and sup.verified.passed else 2
 
 
 def cmd_solve(args) -> int:
     prob, n, tol = problem_from_config(load_config(args.config))
     rep = solve_full(prob, grid=prob.default_grid(n), policy=args.policy, tol=tol)
-    report = _base_report("solve", args)
-    report["theorem"] = rep.certificates["sub"].construction["theorem"]
-    report["residual"] = rep.residual
-    report["min_interior"] = rep.min_interior
-    report["ordering_ok"] = rep.ordering_ok
-    report["conditions"] = _condition_dicts(rep.conditions)
-    report["sub"] = _certificate_dict(rep.certificates["sub"])
-    report["super"] = _certificate_dict(rep.certificates["super"])
-    write_report(report, args.out, "solve.json")
+    sub, sup = rep.certificates["sub"], rep.certificates["super"]
+    _write_certified(
+        args, sub.construction["theorem"], rep.conditions, sub, sup,
+        residual=rep.residual, min_interior=rep.min_interior, ordering_ok=rep.ordering_ok,
+    )
     write_csv(os.path.join(args.out, "u.csv"), rep.u)
-    write_csv(os.path.join(args.out, "sub.csv"), rep.certificates["sub"].u)
-    write_csv(os.path.join(args.out, "super.csv"), rep.certificates["super"].u)
     rep.require_certified(tol)
     return 0
 
@@ -382,16 +375,13 @@ def cmd_verify(args) -> int:
     prob, _, tol = problem_from_config(load_config(args.config))
     if not (args.sub or args.super or args.u):
         raise UsageError("verify needs at least one of --sub, --super, --u")
-    report = _base_report("verify", args)
+    report = _base_report(args)
     ok = True
-    if args.sub:
-        rep = check_weak_subsolution(read_csv(args.sub, prob.domain), prob)
-        report["sub"] = _weak_dict(rep)
-        ok = ok and rep.passed
-    if args.super:
-        rep = check_weak_supersolution(read_csv(args.super, prob.domain), prob)
-        report["super"] = _weak_dict(rep)
-        ok = ok and rep.passed
+    for key, check in (("sub", check_weak_subsolution), ("super", check_weak_supersolution)):
+        if getattr(args, key):
+            rep = check(read_csv(getattr(args, key), prob.domain), prob)
+            report[key] = _fields(rep, _WEAK_FIELDS)
+            ok = ok and rep.passed
     if args.u:
         u = read_csv(args.u, prob.domain)
         res = solution_residual(u, prob)
@@ -399,7 +389,7 @@ def cmd_verify(args) -> int:
         report["u"] = {"residual": res, "tol": tol, "passed": u_ok}
         ok = ok and u_ok
     report["passed"] = ok
-    write_report(report, args.out, "verify.json")
+    write_report(report, args.out)
     return 0 if ok else 2
 
 
@@ -429,122 +419,89 @@ def _set_config_path(cfg: dict, path: str, value: float) -> None:
     node[keys[-1]] = value
 
 
-class ConfigFactory:
+def _cell_problem(cfg: dict, /, **params):
     """(Problem, grid cells, solver tol) of one sweep cell, from the config
     with the cell's fields overridden."""
-
-    def __init__(self, cfg: dict):
-        self.cfg = cfg
-
-    def __call__(self, **params):
-        cfg = copy.deepcopy(self.cfg)
-        for path, value in params.items():
-            _set_config_path(cfg, path, value)
-        return problem_from_config(cfg)
+    cfg = copy.deepcopy(cfg)
+    for path, value in params.items():
+        _set_config_path(cfg, path, value)
+    return problem_from_config(cfg)
 
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if not args.ranges:
         raise UsageError("sweep needs at least one NAME=start:stop:count range")
-    names = []
     ranges = {}
     for text in args.ranges:
         name, values = _parse_range(text)
         if name in ranges:
             raise UsageError(f"range '{name}' given twice")
-        names.append(name)
         ranges[name] = values
     if args.jobs < 0:
         raise UsageError(f"--jobs must be at least 0, got {args.jobs}")
-    factory = ConfigFactory(cfg)
+    factory = functools.partial(_cell_problem, cfg)
     # validate the paths once up front so typos fail fast
-    factory(**{name: ranges[name][0] for name in names})
+    factory(**{name: values[0] for name, values in ranges.items()})
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     rows = sweep(factory, ranges, policy=args.policy, jobs=jobs)
 
-    cond_cols = []
-    for cn in CONDITION_NAMES:
-        cond_cols += [f"{cn}_holds", f"{cn}_margin"]
-    columns = names + [
-        "status", "lambda1", *cond_cols, "theorem", "residual", "min_interior",
-        "error",
+    columns = [
+        *ranges, "status", "lambda1",
+        *(f"{cn}_{what}" for cn in CONDITION_NAMES for what in ("holds", "margin")),
+        "theorem", "residual", "min_interior", "error",
     ]
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "sweep.csv")
-    with open(path, "w") as fh:
+    with open(os.path.join(args.out, "sweep.csv"), "w") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            cells = []
-            for col in columns:
-                v = row.get(col)
-                if v is None:
-                    cells.append("")
-                elif isinstance(v, (bool, np.bool_)):
-                    cells.append("true" if v else "false")
-                elif isinstance(v, (float, np.floating)):
-                    cells.append("" if math.isnan(v) else format(float(v), ".17g"))
-                elif isinstance(v, str):
-                    cells.append('"' + v.replace('"', "'") + '"' if "," in v else v)
-                else:
-                    cells.append(str(v))
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join(_csv_cell(row.get(col)) for col in columns) + "\n")
 
-    n_ok = sum(1 for row in rows if row["status"] == "ok")
-    report = _base_report("sweep", args)
+    report = _base_report(args)
     report["jobs"] = jobs
-    report["ranges"] = {name: ranges[name] for name in names}
+    report["ranges"] = ranges
     report["cells"] = len(rows)
-    report["ok"] = n_ok
+    report["ok"] = sum(1 for row in rows if row["status"] == "ok")
     report["csv"] = "sweep.csv"
-    write_report(report, args.out, "sweep.json")
+    write_report(report, args.out)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # wiring
 
+_POLICY = ("--policy", {"default": "auto"})
+
+# name, help, handler, arguments after the common config/--out/--seed
+_SUBCOMMANDS = (
+    ("check", "evaluate every sufficient condition", cmd_check, ()),
+    ("eigen", "principal eigenvalue on the window", cmd_eigen, ()),
+    ("certify", "build and verify both certificates", cmd_certify, (_POLICY,)),
+    ("solve", "certify, then solve between the certificates", cmd_solve, (_POLICY,)),
+    ("verify", "re-check saved grid functions", cmd_verify, (
+        ("--sub", {"help": "subsolution CSV"}),
+        ("--super", {"help": "supersolution CSV"}),
+        ("--u", {"help": "solution CSV"}),
+    )),
+    ("sweep", "solve over a parameter grid, emit a CSV atlas", cmd_sweep, (
+        ("ranges", {"nargs": "*", "help": "NAME=start:stop:count"}),
+        _POLICY,
+        ("--jobs", {"type": int, "default": 0, "help": "worker count (default: cores)"}),
+    )),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="plap1d", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(sp):
+    for name, help_text, func, arguments in _SUBCOMMANDS:
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("config", help="JSON problem config")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
-
-    sp = sub.add_parser("check", help="evaluate every sufficient condition")
-    common(sp)
-    sp.set_defaults(func=cmd_check)
-
-    sp = sub.add_parser("eigen", help="principal eigenvalue on the window")
-    common(sp)
-    sp.set_defaults(func=cmd_eigen)
-
-    sp = sub.add_parser("certify", help="build and verify both certificates")
-    common(sp)
-    sp.add_argument("--policy", default="auto")
-    sp.set_defaults(func=cmd_certify)
-
-    sp = sub.add_parser("solve", help="certify, then solve between the certificates")
-    common(sp)
-    sp.add_argument("--policy", default="auto")
-    sp.set_defaults(func=cmd_solve)
-
-    sp = sub.add_parser("verify", help="re-check saved grid functions")
-    common(sp)
-    sp.add_argument("--sub", help="subsolution CSV")
-    sp.add_argument("--super", dest="super", help="supersolution CSV")
-    sp.add_argument("--u", help="solution CSV")
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("sweep", help="solve over a parameter grid, emit a CSV atlas")
-    common(sp)
-    sp.add_argument("ranges", nargs="*", help="NAME=start:stop:count")
-    sp.add_argument("--policy", default="auto")
-    sp.add_argument("--jobs", type=int, default=0, help="worker count (default: cores)")
-    sp.set_defaults(func=cmd_sweep)
-
+        for flag, kwargs in arguments:
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(func=func)
     return parser
 
 

@@ -36,8 +36,6 @@ class ConditionReport:
     margin: float
     applicable: bool
     reason: str
-    lambda1: float
-    gamma: float
     auxiliary: dict = field(default_factory=dict)
 
 
@@ -45,7 +43,6 @@ class ConditionReport:
 class TauInterval:
     lo: float
     hi: float
-    eps: float
 
     def __post_init__(self):
         if not 0.0 < self.lo <= self.hi:
@@ -123,7 +120,7 @@ def _c_sup(prob: Problem) -> float:
     return prob.c_plus.sup_norm()
 
 
-def _report(name, prob, eig, lhs, rhs, holds, reason, aux):
+def _report(name, lhs, rhs, holds, reason, aux):
     # reason is empty exactly when the condition applies
     return ConditionReport(
         name=name,
@@ -133,13 +130,11 @@ def _report(name, prob, eig, lhs, rhs, holds, reason, aux):
         margin=rhs - lhs,
         applicable=not reason,
         reason=reason,
-        lambda1=eig.lambda1,
-        gamma=gamma(prob.domain, prob.window),
         auxiliary=aux,
     )
 
 
-def _two_part_report(name, prob, eig, parts, reason, aux):
+def _two_part_report(name, parts, reason, aux):
     # parts: (label, lhs, rhs, strict); the binding part (smallest normalized
     # margin, ties to the strict one) provides the headline lhs/rhs
     def norm_margin(part):
@@ -151,14 +146,14 @@ def _two_part_report(name, prob, eig, parts, reason, aux):
         aux[f"{label}_rhs"] = rhs
     _, lhs, rhs, _ = min(parts, key=norm_margin)
     all_hold = all((l < r) if s else (l <= r) for _, l, r, s in parts)
-    return _report(name, prob, eig, lhs, rhs, all_hold, reason, aux)
+    return _report(name, lhs, rhs, all_hold, reason, aux)
 
 
-def _inverse_lambda_report(name, prob, eig, lhs, reason, aux):
+def _inverse_lambda_report(name, eig, lhs, reason, aux):
     # the one-inequality conditions lhs <= 1/lambda1; lhs is NaN where it
     # cannot be evaluated
     rhs = 1.0 / eig.lambda1
-    return _report(name, prob, eig, lhs, rhs, lhs <= rhs, reason, aux)
+    return _report(name, lhs, rhs, lhs <= rhs, reason, aux)
 
 
 def check_thm1_i(prob: Problem, eig: EigenPair) -> ConditionReport:
@@ -175,8 +170,6 @@ def check_thm1_i(prob: Problem, eig: EigenPair) -> ConditionReport:
     i2_rhs = (2.0 - p + q) * (p - 1.0) / d**p
     return _two_part_report(
         "thm1_i",
-        prob,
-        eig,
         [("i1", i1_lhs, i1_rhs, True), ("i2", i2_lhs, i2_rhs, False)],
         "" if applicable else "requires p >= 2 and q in (p-2, p-1)",
         {"M_2": M2},
@@ -184,7 +177,14 @@ def check_thm1_i(prob: Problem, eig: EigenPair) -> ConditionReport:
 
 
 def check_thm1_ii(prob: Problem, eig: EigenPair) -> ConditionReport:
-    """Power-profile condition for 1 < p <= 2: parts (i3), (i4)."""
+    """Power-profile condition for 1 < p <= 2: parts (i3), (i4).
+
+    (i3) bounds the max over the two sides of M^{2-p} (int M)^{p-1}, one
+    side at a time, while `tau_interval` needs a tau for both sides at once.
+    Where one side has the larger edge mass and the other the larger
+    integral, this condition can hold and the construction still fail
+    (CHANGES.md FOUND: thm1_ii condition and construction disagree).
+    """
     p, q = prob.p, prob.q
     gam = gamma(prob.domain, prob.window)
     d = p - 1.0 - q
@@ -194,8 +194,6 @@ def check_thm1_ii(prob: Problem, eig: EigenPair) -> ConditionReport:
     i4_rhs = ((p - 1.0) / d) ** p * q
     return _two_part_report(
         "thm1_ii",
-        prob,
-        eig,
         [("i3", Mp, i3_rhs, True), ("i4", i4_lhs, i4_rhs, False)],
         "" if 1.0 < p <= 2.0 else "requires p <= 2",
         {"M_p": Mp},
@@ -209,13 +207,13 @@ def _hyperbolic_report(name, prob, eig, profile, reason):
     aux = {"C_pq": C}
     if cn == 0.0:
         return _inverse_lambda_report(
-            name, prob, eig, math.nan, "c vanishes; use the c-free condition", aux
+            name, eig, math.nan, "c vanishes; use the c-free condition", aux
         )
     lt = (cn / C) ** (1.0 / p)
     mminus = prob.m.neg_part().sup_norm()
     lhs = (mminus / cn) * profile(lt * gamma(prob.domain, prob.window)) ** p
     aux.update({"lambda_tilde": lt, "m_minus_sup": mminus, "c_sup": cn})
-    return _inverse_lambda_report(name, prob, eig, lhs, reason, aux)
+    return _inverse_lambda_report(name, eig, lhs, reason, aux)
 
 
 def check_thm2_i(prob: Problem, eig: EigenPair) -> ConditionReport:
@@ -234,12 +232,12 @@ def check_cor(prob: Problem, eig: EigenPair) -> ConditionReport:
     C = c_pq(prob.p, prob.q)
     if _c_sup(prob) > 0.0:
         return _inverse_lambda_report(
-            "cor", prob, eig, math.nan, "requires c identically zero", {"C_pq": C}
+            "cor", eig, math.nan, "requires c identically zero", {"C_pq": C}
         )
     mminus = prob.m.neg_part().sup_norm()
     lhs = mminus * gamma(prob.domain, prob.window) ** prob.p / C
     return _inverse_lambda_report(
-        "cor", prob, eig, lhs, "", {"C_pq": C, "m_minus_sup": mminus}
+        "cor", eig, lhs, "", {"C_pq": C, "m_minus_sup": mminus}
     )
 
 
@@ -262,6 +260,11 @@ def tau_interval(which: str, prob: Problem, eig: EigenPair, eps: float) -> TauIn
     Empty range raises EpsTooLargeError; the caller is expected to shrink eps
     and retry.  The upper end is capped at TAU_CAP_FACTOR times max(lambda1,
     lo) so a problem with no negative mass still gets a finite range.
+
+    For thm1_ii one tau serves both sides, so the range needs
+    max(M)^{2-p} max(int M)^{p-1}, which exceeds the max over the sides that
+    `check_thm1_ii` bounds when the sides disagree on which is larger; the
+    range can then be empty at every eps although the condition holds.
     """
     if which not in CONDITION_NAMES:
         raise ValueError(f"unknown condition name: {which!r}")
@@ -302,7 +305,7 @@ def tau_interval(which: str, prob: Problem, eig: EigenPair, eps: float) -> TauIn
             f"feasible tau range for {which} empty at eps={eps:g}: "
             f"lo={lo:g} > hi={hi:g}"
         )
-    return TauInterval(lo=lo, hi=hi, eps=eps)
+    return TauInterval(lo=lo, hi=hi)
 
 
 def default_eps(m: Weight) -> float:

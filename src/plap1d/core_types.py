@@ -283,9 +283,6 @@ class GridFunction:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def min_value(self) -> float:
-        return float(np.min(self.values))
-
     def interior_min(self) -> float:
         return float(np.min(self.values[1:-1]))
 
@@ -367,19 +364,6 @@ class Weight:
     def constant(cls, value: float, domain: Interval) -> "Weight":
         return cls([domain.a, domain.b], [[float(value)]])
 
-    @classmethod
-    def from_global_pieces(cls, pieces) -> "Weight":
-        """Build from ((lo, hi), coeffs-in-x) pairs covering a contiguous range."""
-        pieces = sorted(pieces, key=lambda it: it[0][0])
-        breaks = [pieces[0][0][0]]
-        for (lo, hi), _ in pieces:
-            if abs(lo - breaks[-1]) > 1e-12 * max(1.0, abs(lo)):
-                raise ValueError("pieces must tile the domain without gaps")
-            breaks.append(hi)
-        glob = cls(breaks, [c for _, c in pieces]).coefs
-        lo = np.array([lo for (lo, _), _ in pieces], dtype=float)
-        return cls(breaks, _compose_affine(glob, lo, np.ones_like(lo)))
-
     # -- basic queries --------------------------------------------------------
 
     @property
@@ -415,9 +399,6 @@ class Weight:
 
     def min_value(self) -> float:
         return self._memoized("extrema", self._extrema)[0]
-
-    def max_value(self) -> float:
-        return self._memoized("extrema", self._extrema)[1]
 
     def sup_norm(self) -> float:
         """Essential sup of |w|, from per-piece polynomial extrema."""
@@ -546,7 +527,11 @@ class Problem:
     p and q are the gradient and reaction exponents, m the sign-changing
     weight, c the zero-order coefficient, window the subinterval where m is
     nonnegative and not identically zero.  c may change sign only when
-    allow_sign_changing_c is set; conditions then use its positive part.
+    allow_sign_changing_c is set, and the flag reaches only so far: the
+    conditions and the window eigenvalue use c's positive part `c_plus`, the
+    supersolution ignores c, and only the independent weak-form check sees
+    where c < 0 (with c = -0.1 on the step weight the supersolution fails it
+    at x = 0.5).
     """
 
     p: float
@@ -643,17 +628,10 @@ class AssemblyPlan:
         nodes = grid.nodes
         a, b = nodes[0], nodes[-1]
         span = b - a
-        extra = []
         for w in weights.values():
             if not (w.domain.contains(a, 1e-12 * span) and w.domain.contains(b, 1e-12 * span)):
                 raise ValueError("assembly weights must cover the grid interval")
-            for br in w.breaks:
-                if a < br < b:
-                    j = np.searchsorted(nodes, br)
-                    near = min(br - nodes[j - 1], nodes[j] - br) if 0 < j <= grid.n else 0.0
-                    if near > 1e-13 * span:
-                        extra.append(br)
-        pts = np.unique(np.concatenate([nodes, extra])) if extra else nodes
+        pts = grid.with_points(np.concatenate([w.breaks for w in weights.values()])).nodes
         self.sub_lo = pts[:-1]
         self.sub_hi = pts[1:]
         self.wsub = self.sub_hi - self.sub_lo

@@ -39,6 +39,10 @@ from .core_types import (
     Weight,
 )
 
+# relative width of the final eigenvalue bracket
+_TOL = 1e-8
+
+
 @dataclass
 class EigenPair:
     """Principal eigenvalue with its sup-normalized eigenfunction on I.
@@ -182,7 +186,6 @@ def principal_eigenvalue(
     c: Weight,
     m: Weight,
     I: Interval,
-    tol: float = 1e-8,
     n: int = DEFAULT_N,
 ) -> EigenPair:
     """Positive principal eigenvalue and eigenfunction on the window I.
@@ -190,9 +193,9 @@ def principal_eigenvalue(
     Keeps a bracket whose low end's shot stays positive and whose high end's
     shot crosses zero, grown geometrically from the constant-coefficient
     closed form, and returns its midpoint once its width is below
-    tol * max(1, lambda).  Each probe is Illinois regula falsi on the ends'
+    _TOL * max(1, lambda).  Each probe is Illinois regula falsi on the ends'
     u(x1), a midpoint when the high end crossed twice (u(x1) >= 0), and at
-    least tol/4 * max(1, lo, hi) inside the bracket (hi once it is finite).
+    least _TOL/4 * max(1, lo, hi) inside the bracket (hi once it is finite).
     The low end starts at lambda = 0, unshot; its regula falsi partner is
     u(x1; 0) = |I| of c = 0, and it is shot only if no probe stayed positive.
 
@@ -231,8 +234,8 @@ def principal_eigenvalue(
     # end the last probe moved, for the Illinois halving.  w_lo stays None
     # until a probe stays positive.
     lo, f_lo, hi, f_hi, side, w_lo = 0.0, I.length(), np.inf, 0.0, 0, None
-    while hi - lo > tol * max(1.0, lo):
-        gap = 0.25 * tol * max(1.0, lo if hi == np.inf else hi)
+    while hi - lo > _TOL * max(1.0, lo):
+        gap = 0.25 * _TOL * max(1.0, lo if hi == np.inf else hi)
         if hi == np.inf:
             if lo >= seed * 2.0**79:
                 raise BracketError("bracket expansion exceeded its cap")

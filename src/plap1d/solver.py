@@ -74,14 +74,6 @@ class SolutionReport:
             raise CertificateError(f"min_interior {self.min_interior:.3e} is not positive")
 
 
-def energy(u: GridFunction, prob: Problem, plan: AssemblyPlan | None = None) -> float:
-    """(1/p) int (|u'|^p + c u^p) - (1/(q+1)) int m u^{q+1}, u clipped at 0."""
-    if plan is None:
-        plan = _plan(u.grid, prob)
-    vals = np.maximum(u.values, 0.0)
-    return _energy_and_grad(vals, u.grid, plan, prob.p, prob.q)[0]
-
-
 def _plan(grid: Grid, prob: Problem) -> AssemblyPlan:
     """Assembly plan for the energy: m, and c unless c vanishes."""
     weights = {"m": prob.m} if prob.c.is_zero() else {"m": prob.m, "c": prob.c}
@@ -221,7 +213,7 @@ def solve_between(
     prob: Problem,
     sub: Certificate,
     sup: Certificate,
-    grid: Grid | None = None,
+    grid: Grid,
     tol: float = 1e-8,
 ) -> GridFunction:
     """Minimize the energy over the box [sub, sup] resampled to the grid.
@@ -236,8 +228,6 @@ def solve_between(
     residual first grows.  Raises SolverError when the iteration stalls
     above tol.
     """
-    if grid is None:
-        grid = prob.default_grid()
     lo = np.maximum(sub.u(grid.nodes), 0.0)
     hi = sup.u(grid.nodes)
     if np.any(lo > hi):
@@ -266,22 +256,22 @@ def solve_between(
     return GridFunction(grid, vals)
 
 
-_AUTO_ORDER = ("thm2_i", "thm2_ii", "thm1_i", "thm1_ii")
+_AUTO_ORDER = ("cor", "thm2_i", "thm2_ii", "thm1_i", "thm1_ii")
 
 
-def select_theorem(prob: Problem, conditions, policy: str = "auto") -> str:
+def select_theorem(conditions, policy: str = "auto") -> str:
     """Name of the condition the pipeline will certify with.
 
-    policy "auto" uses the c-free condition when c vanishes and otherwise
-    walks the profile conditions from most specific to most general, taking
-    the first that holds; a named policy insists on that one condition.
-    Raises CertificateError, with every margin in the message, when nothing
-    holds.
+    policy "auto" takes the first condition that holds in _AUTO_ORDER: the
+    c-free condition, then the profile conditions from most specific to most
+    general.  cor holds only where c vanishes and the thm2 conditions only
+    where it does not, so one order serves every c.  A named policy insists
+    on that one condition.  Raises CertificateError, with every margin in
+    the message, when nothing holds.
     """
     by_name = {rep.name: rep for rep in conditions}
     if policy == "auto":
-        order = ("cor",) if prob.c_plus.sup_norm() == 0.0 else _AUTO_ORDER
-        chosen = next((name for name in order if by_name[name].holds), None)
+        chosen = next((name for name in _AUTO_ORDER if by_name[name].holds), None)
     elif policy in by_name:
         chosen = policy if by_name[policy].holds else None
     else:
@@ -328,7 +318,7 @@ def solve_full(
 
 
 def _solve_from(prob, grid, eig, conditions, policy, tol) -> SolutionReport:
-    chosen = select_theorem(prob, conditions, policy)
+    chosen = select_theorem(conditions, policy)
     sub, sup = certify(prob, chosen, grid, eig)
     for cert in (sub, sup):
         rep = cert.verified

@@ -399,7 +399,7 @@ def build_subsolution(
     raise last_error
 
 
-def build_supersolution(prob: Problem, grid: Grid | None = None) -> Certificate:
+def build_supersolution(prob: Problem, grid: Grid) -> Certificate:
     """k(v+1) with v the companion solution of -(phi_p(v'))' = m^+.
 
     The smallest admissible k is (1+||v||)^{q/(p-1-q)}; the resulting w stays
@@ -425,9 +425,7 @@ def build_supersolution(prob: Problem, grid: Grid | None = None) -> Certificate:
         raise NoSupersolutionError(
             "m has no positive part, so no positive solution exists"
         )
-    if grid is None:
-        grid = prob.default_grid()
-    v = solve_g(prob.p, mplus, prob.domain, grid=grid)
+    v = solve_g(prob.p, mplus, grid)
     if float(np.min(v.values)) < -1e-10 * max(1.0, v.sup_norm()):
         raise NoSupersolutionError(
             "companion solution is not nonnegative"

@@ -36,7 +36,6 @@ class WeakFormReport:
     kind: str
     passed: bool
     worst_value: float
-    worst_index: int
     worst_x: float
     tol: float
     values: np.ndarray = field(repr=False)
@@ -107,7 +106,6 @@ def _report(kind, values, nodes, tol, worst_pick, note=""):
         kind=kind,
         passed=passed and not note,
         worst_value=worst,
-        worst_index=idx + 1,
         worst_x=float(nodes[idx + 1]),
         tol=tol,
         values=values,

@@ -112,7 +112,7 @@ def test_criterion_3_bvp_oracle():
     worst = 0.0
     for p in (1.5, 2.0, 3.0, 4.0):
         pc = p / (p - 1.0)
-        v = solve_g(p, ONE, UNIT, grid=grid)
+        v = solve_g(p, ONE, grid)
         exact = (0.5**pc - np.abs(0.5 - grid.nodes) ** pc) / pc
         worst = max(worst, float(np.max(np.abs(v.values - exact))))
     ok = worst <= 1e-4

@@ -80,7 +80,7 @@ def test_gridfunction_interp():
 # weights
 
 def test_weight_eval_left_convention():
-    w = Weight.from_global_pieces([((0.0, 0.5), [1.0]), ((0.5, 1.0), [2.0])])
+    w = Weight([0.0, 0.5, 1.0], [[1.0], [2.0]])
     assert w(0.25) == 1.0
     assert w(0.5) == 1.0  # breakpoint takes the left piece
     assert w(0.75) == 2.0
@@ -89,7 +89,7 @@ def test_weight_eval_left_convention():
 
 def test_weight_parts_of_linear():
     # w(x) = x - 0.3 changes sign inside the single piece
-    w = Weight.from_global_pieces([((0.0, 1.0), [-0.3, 1.0])])
+    w = Weight([0.0, 1.0], [[-0.3, 1.0]])
     pos, neg = w.pos_part(), w.neg_part()
     xs = np.linspace(0.0, 1.0, 211)
     np.testing.assert_allclose(pos(xs) - neg(xs), w(xs), atol=1e-14)
@@ -100,17 +100,17 @@ def test_weight_parts_of_linear():
 
 def test_weight_parts_quadratic_two_roots():
     # (x-0.2)(x-0.7) = 0.14 - 0.9 x + x^2
-    w = Weight.from_global_pieces([((0.0, 1.0), [0.14, -0.9, 1.0])])
+    w = Weight([0.0, 1.0], [[0.14, -0.9, 1.0]])
     neg = w.neg_part()
     assert neg(0.45) == pytest.approx(-w(0.45), rel=1e-13)
     assert neg(0.1) == 0.0 and neg(0.9) == 0.0
     assert w.min_value() == pytest.approx(w(0.45), rel=1e-13)
-    assert w.max_value() == pytest.approx(0.24, rel=1e-13)  # attained at x=1
+    assert -(w.affine(-1.0).min_value()) == pytest.approx(0.24, rel=1e-13)  # max, at x=1
 
 
 def test_weight_supnorm_interior_extremum():
     # x(1-x) has its max 0.25 at an interior critical point
-    w = Weight.from_global_pieces([((0.0, 1.0), [0.0, 1.0, -1.0])])
+    w = Weight([0.0, 1.0], [[0.0, 1.0, -1.0]])
     assert w.sup_norm() == pytest.approx(0.25, abs=1e-15)
 
 
@@ -123,7 +123,7 @@ def test_step_weight_shape():
 
 
 def test_weight_antiderivative_and_integral():
-    w = Weight.from_global_pieces([((0.0, 0.5), [0.0, 2.0]), ((0.5, 1.0), [1.0])])
+    w = Weight([0.0, 0.5, 1.0], [[0.0, 2.0], [1.0]])
     F = w.antiderivative()
     assert F(0.0) == 0.0
     assert F(0.5) == pytest.approx(0.25, abs=1e-15)
@@ -132,7 +132,7 @@ def test_weight_antiderivative_and_integral():
 
 
 def test_weight_restrict():
-    w = Weight.from_global_pieces([((0.0, 0.5), [0.0, 2.0]), ((0.5, 1.0), [1.0])])
+    w = Weight([0.0, 0.5, 1.0], [[0.0, 2.0], [1.0]])
     r = w.restrict(0.2, 0.8)
     xs = np.linspace(0.2, 0.8, 67)
     np.testing.assert_allclose(r(xs), w(xs), atol=1e-14)
@@ -158,7 +158,7 @@ def test_sin_power_weight_accuracy():
 )
 @settings(max_examples=60, deadline=None)
 def test_weight_parts_reconstruction(coefs, brk):
-    w = Weight.from_global_pieces([((0.0, brk), coefs), ((brk, 1.0), coefs[::-1])])
+    w = Weight([0.0, brk, 1.0], [coefs, coefs[::-1]])
     xs = np.linspace(0.0, 1.0, 97)
     np.testing.assert_allclose(
         w.pos_part()(xs) - w.neg_part()(xs), w(xs), atol=1e-10 * max(1.0, w.sup_norm())
@@ -179,7 +179,7 @@ def test_weight_memoizes_extrema_and_parts(monkeypatch):
 
     monkeypatch.setattr(core_types, "_real_roots_rows", counting)
     assert m.min_value() == first
-    m.max_value(), m.sup_norm()
+    m.sup_norm()
     assert calls == []
 
 
@@ -291,15 +291,6 @@ def _ref_restrict(breaks, coefs, lo, hi):
     return out_breaks, out
 
 
-def _ref_from_global_pieces(pieces):
-    pieces = sorted(pieces, key=lambda it: it[0][0])
-    breaks, out = [pieces[0][0][0]], []
-    for (lo, hi), c in pieces:
-        breaks.append(hi)
-        out.append(_ref_shift(np.atleast_1d(np.asarray(c, float)), lo))
-    return breaks, out
-
-
 def _padded(rows, width):
     out = np.zeros((len(rows), width))
     for k, r in enumerate(rows):
@@ -324,7 +315,7 @@ def _assert_matches_per_piece_references(breaks, coefs):
     assert np.array_equal(w(xs), _ref_call(breaks, coefs, xs))
     assert w(xs[1]) == _ref_call(breaks, coefs, xs[1])[0]
     lo, hi = _ref_extrema(breaks, coefs)
-    assert w.min_value() == lo and w.max_value() == hi
+    assert w.min_value() == lo and -(w.affine(-1.0).min_value()) == hi
     _assert_same_weight(w.pos_part(), *_ref_signed_part(breaks, coefs, True))
     _assert_same_weight(w.neg_part(), *_ref_signed_part(breaks, coefs, False))
     _assert_same_weight(w.antiderivative(), breaks, _ref_antiderivative(breaks, coefs))
@@ -333,8 +324,6 @@ def _assert_matches_per_piece_references(breaks, coefs):
         rlo, rhi = a + r0 * (b - a), a + r1 * (b - a)
         assert w.integral(rlo, rhi) == _ref_integral(breaks, coefs, rlo, rhi)
         _assert_same_weight(w.restrict(rlo, rhi), *_ref_restrict(breaks, coefs, rlo, rhi))
-    pieces = [((breaks[k], breaks[k + 1]), c) for k, c in enumerate(coefs)]
-    _assert_same_weight(Weight.from_global_pieces(pieces), *_ref_from_global_pieces(pieces))
 
 
 def _reference_case(name):
@@ -385,7 +374,6 @@ def test_weight_operations_match_per_piece_references_on_drawn_weights(data):
 
 def test_weight_operations_call_no_per_piece_polynomial_routine(monkeypatch):
     m = sin_power_weight(UNIT, 1.5).affine(1.0, -0.2)
-    pieces = [((m.breaks[k], m.breaks[k + 1]), m.coefs[k]) for k in range(m.npieces)]
     assert m.npieces == 128
 
     def forbidden(*args, **kwargs):
@@ -396,7 +384,7 @@ def test_weight_operations_call_no_per_piece_polynomial_routine(monkeypatch):
     monkeypatch.setattr(Polynomial, "__call__", forbidden)
     m(np.linspace(0.0, 1.0, 101))
     m(0.3)
-    assert m.min_value() < 0.0 < m.max_value() and m.sup_norm() > 0.0
+    assert m.min_value() < 0.0 < -(m.affine(-1.0).min_value()) and m.sup_norm() > 0.0
     for part in (m.pos_part(), m.neg_part()):
         assert part.npieces > m.npieces
         part.antiderivative().antiderivative()(0.5)
@@ -405,7 +393,6 @@ def test_weight_operations_call_no_per_piece_polynomial_routine(monkeypatch):
     m.integral(0.2, 0.7)
     m.restrict(0.1, 0.9).sup_norm()
     m.affine(2.0, 1.0).min_value()
-    Weight.from_global_pieces(pieces).max_value()
 
 
 def test_weight_rejects_non_finite_data():
@@ -447,7 +434,7 @@ def test_cumulative_left_constant_negative():
 
 
 def test_cumulative_left_piecewise():
-    w = Weight.from_global_pieces([((0.0, 0.5), [-2.0]), ((0.5, 1.0), [0.0])])
+    w = Weight([0.0, 0.5, 1.0], [[-2.0], [0.0]])
     F, _ = _mass_integrals(w, 0.0)
     assert F(1.0) == pytest.approx(1.0, abs=1e-14)
     assert F(0.25) == pytest.approx(0.5, abs=1e-14)
@@ -477,7 +464,7 @@ def test_cumulative_eps_shift():
 
 
 def test_cumulative_monotone():
-    w = Weight.from_global_pieces([((0.0, 0.6), [0.2, -1.5]), ((0.6, 1.0), [1.0])])
+    w = Weight([0.0, 0.6, 1.0], [[0.2, -1.5], [1.0]])
     F, _ = _mass_integrals(w, 1e-3)
     xs = Grid.uniform(UNIT, 64).with_points(w.breaks[1:-1]).nodes
     assert np.all(np.diff(F(xs)) > 0)
@@ -557,7 +544,8 @@ def _hat(nodes, i):
 
 
 def test_load_vector_matches_quad():
-    w = Weight.from_global_pieces([((0.0, 0.4), [1.0, -2.0]), ((0.4, 1.0), [0.3, 0.0, 2.0])])
+    # 0.3 + 2 x^2 on the second piece, in the local coordinate x - 0.4
+    w = Weight([0.0, 0.4, 1.0], [[1.0, -2.0], [0.62, 1.6, 2.0]])
     g = Grid.uniform(UNIT, 13)
     u = np.abs(np.sin(3.0 * g.nodes))
     u[0] = u[-1] = 0.0
@@ -616,7 +604,7 @@ def test_load_vector_zero_power_gives_hat_masses():
 
 def test_mass_tridiag_row_sums():
     # sum_j M_ij equals the load vector at the same power (partition of unity)
-    w = Weight.from_global_pieces([((0.0, 0.5), [1.0, 1.0]), ((0.5, 1.0), [2.0])])
+    w = Weight([0.0, 0.5, 1.0], [[1.0, 1.0], [2.0]])
     g = Grid.uniform(UNIT, 16)
     u = 0.2 + g.nodes ** 2
     plan = AssemblyPlan(g, {"w": w})
@@ -713,6 +701,35 @@ def test_assembly_tables_match_per_subcell_polynomial_composition(name):
     scale = float(np.max(np.abs(diag)))
     np.testing.assert_allclose(got_diag, diag, rtol=1e-13, atol=1e-15 * scale)
     np.testing.assert_allclose(got_off, off, rtol=1e-13, atol=1e-15 * scale)
+
+
+def _ref_subcell_points(grid, weights):
+    # the break insertion AssemblyPlan carried itself before it used
+    # Grid.with_points: every interior break farther than 1e-13 * span from
+    # the nodes around it
+    nodes = grid.nodes
+    a, b = nodes[0], nodes[-1]
+    extra = []
+    for w in weights:
+        for br in w.breaks:
+            if a < br < b:
+                j = np.searchsorted(nodes, br)
+                if min(br - nodes[j - 1], nodes[j] - br) > 1e-13 * (b - a):
+                    extra.append(br)
+    return np.unique(np.concatenate([nodes, extra])) if extra else nodes
+
+
+@pytest.mark.parametrize("name", ["sin-power", "step", "random"])
+def test_assembly_subcells_cut_the_grid_at_weight_breaks(name):
+    g = Grid.uniform(UNIT, 512).with_points([0.3, 0.77])
+    # 0.5 is a node: the first break is within 1e-13 of it, the second is not
+    near = Weight([0.0, 0.5 + 5e-14, 0.5 + 3e-13, 1.0], [[1.0], [2.0], [3.0]])
+    weights = {"w": _named_weight(name), "near": near}
+    plan = AssemblyPlan(g, weights)
+    pts = _ref_subcell_points(g, weights.values())
+    assert 0.5 + 3e-13 in pts and 0.5 + 5e-14 not in pts
+    assert np.array_equal(plan.sub_lo, pts[:-1])
+    assert np.array_equal(plan.sub_hi, pts[1:])
 
 
 @pytest.mark.parametrize("name", ["sin-power", "step", "random"])

@@ -13,7 +13,6 @@ from plap1d import (
     SolutionReport,
     SolverError,
     Weight,
-    energy,
     sin_power_weight,
     solution_residual,
     solve_between,
@@ -23,7 +22,7 @@ from plap1d import (
 )
 import plap1d.solver
 from plap1d.core_types import AssemblyPlan
-from plap1d.solver import _energy_and_grad
+from plap1d.solver import _energy_and_grad, _plan
 
 UNIT = Interval(0.0, 1.0)
 WIN = Interval(0.25, 0.75)
@@ -48,6 +47,11 @@ def box_certificates(grid, lo_vals, hi_vals):
     sub = Certificate(kind="subsolution", u=GridFunction(grid, lo_vals), construction={})
     sup = Certificate(kind="supersolution", u=GridFunction(grid, hi_vals), construction={})
     return sub, sup
+
+
+def energy(u, prob):
+    """The solver's energy of u: (1/p) int (|u'|^p + c u^p) - (1/(q+1)) int m u^{q+1}."""
+    return _energy_and_grad(u.values, u.grid, _plan(u.grid, prob), prob.p, prob.q)[0]
 
 
 class TestEnergy:
@@ -76,6 +80,7 @@ class TestEnergy:
         assert grad_part == pytest.approx(1.0 / 6.0, abs=h**2)
 
     def test_negative_values_are_clipped(self):
+        # the assembly clips u at 0, so a constant negative u has no energy
         prob = step_problem(2.0, 0.5, 0.3)
         g = prob.default_grid(32)
         u = GridFunction(g, np.full(g.n + 1, -1.0))
