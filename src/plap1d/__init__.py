@@ -22,7 +22,7 @@ from .core_types import (
     step_weight,
 )
 from .bvp import solve_g
-from .eigen import EigenPair, normalize_sup, principal_eigenvalue, shoot, window_eigenpair
+from .eigen import EigenPair, principal_eigenvalue, shoot, window_eigenpair
 from .conditions import (
     CONDITION_NAMES,
     ConditionReport,

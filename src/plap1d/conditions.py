@@ -41,8 +41,12 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class TauInterval:
+    """Feasible [lo, hi] for tau; the profiles certify the weight
+    tau * scale * m, with scale = M_eps^{p-2} for thm1_ii and 1 otherwise."""
+
     lo: float
     hi: float
+    scale: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.lo <= self.hi:
@@ -93,20 +97,13 @@ def _side_masses(m: Weight, eps: float, x0: float, x1: float):
     return Ma, Ia, Mb, Ib
 
 
-def m_script(p: float, m: Weight, domain: Interval, x0: float, x1: float) -> float:
+def m_script(p: float, prob: Problem) -> float:
     """max over the two sides of M^-(edge)^{2-p} (int M^-)^{p-1}, at eps = 0.
 
-    The window is passed as two scalars so degenerate windows (x0 = x1) are
-    representable.  A side with no negative mass contributes 0, reading
-    0^{2-p} * 0^{p-1} as the limit value 0.
+    A side with no negative mass contributes 0, reading 0^{2-p} * 0^{p-1} as
+    the limit value 0.
     """
-    tol = 1e-12 * domain.length()
-    md = m.domain
-    if abs(md.a - domain.a) > tol or abs(md.b - domain.b) > tol:
-        raise ValueError("weight domain does not match the given domain")
-    if not (domain.a - tol <= x0 <= x1 <= domain.b + tol):
-        raise ValueError("window edges must satisfy a <= x0 <= x1 <= b")
-    Ma, Ia, Mb, Ib = _side_masses(m, 0.0, x0, x1)
+    Ma, Ia, Mb, Ib = _side_masses(prob.m, 0.0, prob.window.a, prob.window.b)
 
     def side(mass, integral):
         if mass <= 0.0 or integral <= 0.0:
@@ -163,7 +160,7 @@ def check_thm1_i(prob: Problem, eig: EigenPair) -> ConditionReport:
     gam = gamma(prob.domain, prob.window)
     applicable = p >= 2.0 and (p - 2.0) < q
     d = p - 1.0 - q
-    M2 = m_script(2.0, prob.m, prob.domain, prob.window.a, prob.window.b)
+    M2 = m_script(2.0, prob)
     i1_lhs = gam ** (p - 2.0) * M2
     i1_rhs = (p - 1.0) / (d ** (p - 1.0) * lam1)
     i2_lhs = gam**p * _c_sup(prob)
@@ -188,7 +185,7 @@ def check_thm1_ii(prob: Problem, eig: EigenPair) -> ConditionReport:
     p, q = prob.p, prob.q
     gam = gamma(prob.domain, prob.window)
     d = p - 1.0 - q
-    Mp = m_script(p, prob.m, prob.domain, prob.window.a, prob.window.b)
+    Mp = m_script(p, prob)
     i3_rhs = (p - 1.0) ** p / (d ** (p - 1.0) * eig.lambda1)
     i4_lhs = gam**p * _c_sup(prob)
     i4_rhs = ((p - 1.0) / d) ** p * q
@@ -241,17 +238,10 @@ def check_cor(prob: Problem, eig: EigenPair) -> ConditionReport:
     )
 
 
-CHECKERS = {
-    "thm1_i": check_thm1_i,
-    "thm1_ii": check_thm1_ii,
-    "thm2_i": check_thm2_i,
-    "thm2_ii": check_thm2_ii,
-    "cor": check_cor,
-}
-
-
 def check_all(prob: Problem, eig: EigenPair) -> list[ConditionReport]:
-    return [CHECKERS[name](prob, eig) for name in CONDITION_NAMES]
+    """Every condition's report, in CONDITION_NAMES order."""
+    checks = (check_thm1_i, check_thm1_ii, check_thm2_i, check_thm2_ii, check_cor)
+    return [check(prob, eig) for check in checks]
 
 
 def tau_interval(which: str, prob: Problem, eig: EigenPair, eps: float) -> TauInterval:
@@ -275,6 +265,7 @@ def tau_interval(which: str, prob: Problem, eig: EigenPair, eps: float) -> TauIn
     gam = gamma(prob.domain, prob.window)
     d = p - 1.0 - q
     x0, x1 = prob.window.a, prob.window.b
+    scale = 1.0
 
     if which == "thm1_i":
         _, Ia, _, Ib = _side_masses(prob.m, eps, x0, x1)
@@ -285,6 +276,7 @@ def tau_interval(which: str, prob: Problem, eig: EigenPair, eps: float) -> TauIn
         Ma, Ia, Mb, Ib = _side_masses(prob.m, eps, x0, x1)
         M_eps = max(Ma, Mb)
         lo = lam1 * M_eps ** (2.0 - p)
+        scale = M_eps ** (p - 2.0)
         hi = (p - 1.0) ** p / (d ** (p - 1.0) * max(Ia, Ib) ** (p - 1.0))
     else:
         mminus_eff = max(prob.m.neg_part().sup_norm(), eps)
@@ -305,7 +297,7 @@ def tau_interval(which: str, prob: Problem, eig: EigenPair, eps: float) -> TauIn
             f"feasible tau range for {which} empty at eps={eps:g}: "
             f"lo={lo:g} > hi={hi:g}"
         )
-    return TauInterval(lo=lo, hi=hi)
+    return TauInterval(lo=lo, hi=hi, scale=scale)
 
 
 def default_eps(m: Weight) -> float:

@@ -173,14 +173,6 @@ def shoot(
     return traj, float(xs[jcross] + hsub * u_pre / (u_pre - u_post))
 
 
-def normalize_sup(phi: GridFunction) -> GridFunction:
-    """Divide by the max value; the attaining node becomes exactly 1."""
-    top = float(np.max(phi.values))
-    if top <= 0.0:
-        raise ValueError("invalid certificate: function has nonpositive maximum")
-    return GridFunction(phi.grid, phi.values / top)
-
-
 def principal_eigenvalue(
     p: float,
     c: Weight,
@@ -192,12 +184,14 @@ def principal_eigenvalue(
 
     Keeps a bracket whose low end's shot stays positive and whose high end's
     shot crosses zero, grown geometrically from the constant-coefficient
-    closed form, and returns its midpoint once its width is below
-    _TOL * max(1, lambda).  Each probe is Illinois regula falsi on the ends'
-    u(x1), a midpoint when the high end crossed twice (u(x1) >= 0), and at
-    least _TOL/4 * max(1, lo, hi) inside the bracket (hi once it is finite).
-    The low end starts at lambda = 0, unshot; its regula falsi partner is
-    u(x1; 0) = |I| of c = 0, and it is shot only if no probe stayed positive.
+    closed form, and returns its midpoint once its width is at most
+    _TOL * lo.  Each probe is Illinois regula falsi on the ends' u(x1), a
+    midpoint when the high end crossed twice (u(x1) >= 0), and at least
+    _TOL/4 * lo inside the bracket (_TOL/4 * hi once hi is finite).  Every
+    scale is relative, so m -> s m maps the probes to lambda / s for any
+    size of lambda1.  The low end starts at lambda = 0, unshot; its regula
+    falsi partner is u(x1; 0) = |I| of c = 0, and it is shot only if no
+    probe stayed positive.
 
     The eigenfunction is rebuilt from the shot at the no-zero end of the final
     bracket with each cell slope set to the inverse p-flux of w at the cell
@@ -229,13 +223,13 @@ def principal_eigenvalue(
     pi_p = 2.0 * np.pi / (p * np.sin(np.pi / p))
     mbar = max(m_win.integral() / I.length(), 1e-12)
     cbar = max(c_win.integral() / I.length(), 0.0)
-    seed = max(1.0, ((p - 1.0) * (pi_p / I.length()) ** p + cbar) / mbar)
+    seed = ((p - 1.0) * (pi_p / I.length()) ** p + cbar) / mbar
     # f_lo > 0 always; f_hi < 0 unless hi crossed zero twice.  side is the
     # end the last probe moved, for the Illinois halving.  w_lo stays None
     # until a probe stays positive.
     lo, f_lo, hi, f_hi, side, w_lo = 0.0, I.length(), np.inf, 0.0, 0, None
-    while hi - lo > _TOL * max(1.0, lo):
-        gap = 0.25 * _TOL * max(1.0, lo if hi == np.inf else hi)
+    while hi - lo > _TOL * lo:
+        gap = 0.25 * _TOL * (lo if hi == np.inf else hi)
         if hi == np.inf:
             if lo >= seed * 2.0**79:
                 raise BracketError("bracket expansion exceeded its cap")
@@ -269,7 +263,7 @@ def principal_eigenvalue(
     if np.min(vals[1:-1]) <= 0.0:
         raise EigenError("eigenfunction lost interior positivity; refine the grid")
     grid = Grid(np.linspace(I.a, I.b, n + 1))
-    phi = normalize_sup(GridFunction(grid, vals))
+    phi = GridFunction(grid, vals / np.max(vals))
     lam1 = 0.5 * (lo + hi)
     plan = AssemblyPlan(grid, {"c": c_win, "m": m_win})
     s = phi.slopes()

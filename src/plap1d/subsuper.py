@@ -21,7 +21,6 @@ from .bvp import solve_g
 from .conditions import (
     CONDITION_NAMES,
     _mass_integrals,
-    _side_masses,
     c_pq,
     default_eps,
     gamma,
@@ -36,7 +35,6 @@ from .core_types import (
     NoSupersolutionError,
     Problem,
     TauTooLargeError,
-    Weight,
 )
 from .eigen import EigenPair
 
@@ -64,13 +62,6 @@ class Certificate:
 
 # ---------------------------------------------------------------------------
 # profile pieces
-
-
-def _reach_grid(lo: float, hi: float, m: Weight, n: int) -> Grid:
-    """Uniform n-cell grid on [lo, hi] with the weight's kinks as extra nodes."""
-    g = Grid.uniform(Interval(lo, hi), max(int(n), 16))
-    inner = [b for b in m.breaks[1:-1] if lo < b < hi]
-    return g.with_points(inner) if inner else g
 
 
 # theorem -> (profile shape, power variant); the shape names the builder pair
@@ -131,12 +122,10 @@ def _profile(theorem: str, side: str, prob: Problem, tau: float, eps: float, n: 
     p, q = prob.p, prob.q
     a, b = prob.domain.a, prob.domain.b
     left = side == "left"
-    if left:
-        grid = _reach_grid(a, prob.window.b, prob.m, n)
-        d = grid.nodes - a
-    else:
-        grid = _reach_grid(prob.window.a, b, prob.m, n)
-        d = b - grid.nodes
+    # a uniform grid on the reach with the weight's kinks as extra nodes
+    reach = Interval(a, prob.window.b) if left else Interval(prob.window.a, b)
+    grid = Grid.uniform(reach, max(int(n), 16)).with_points(prob.m.breaks[1:-1])
+    d = grid.nodes - a if left else b - grid.nodes
     shape = _SHAPES[theorem][0]
     if shape == "power":
         F, G = _mass_integrals(prob.m, eps)
@@ -229,11 +218,6 @@ def _outer_piece(piece: str, theorem: str, prob: Problem, tau: float, eps: float
 # gluing
 
 
-def _union_nodes(g1: Grid, g2: Grid, lo: float, hi: float) -> np.ndarray:
-    X = np.union1d(g1.nodes, g2.nodes)
-    return X[(X >= lo) & (X <= hi)]
-
-
 def _bisect_crossing(f, lo, hi, pos_at_lo, iters=80):
     # f is continuous with sign change across [lo, hi]
     for _ in range(iters):
@@ -259,7 +243,9 @@ def _junction(side, u_out, u2, xm):
     """
     I = u2.grid.interval
     left = side == "left"
-    X = _union_nodes(u_out.grid, u2.grid, *((I.a, xm) if left else (xm, I.b)))
+    lo, hi = (I.a, xm) if left else (xm, I.b)
+    X = np.union1d(u_out.grid.nodes, u2.grid.nodes)
+    X = X[(X >= lo) & (X <= hi)]
     U = u_out(X)
     D = U - u2(X)
     scale = max(u_out.sup_norm(), u2.sup_norm(), 1e-300)
@@ -306,37 +292,25 @@ def glue(
     span = right_end - left_end
     pad = 1e-13 * span
 
-    parts_x = []
-    parts_v = []
+    # each piece keeps its own nodes on its side of the junctions, with their
+    # stored values; only the junctions themselves are interpolated
+    keep = (u2.grid.nodes > x_lo + pad) & (u2.grid.nodes < x_hi - pad)
+    nodes = [[x_lo], u2.grid.nodes[keep], [x_hi]]
+    vals = [[float(u2(x_lo))], u2.values[keep], [float(u2(x_hi))]]
     if u1 is not None:
-        xs = u1.grid.nodes[u1.grid.nodes < x_lo - pad]
-        parts_x.append(xs)
-        parts_v.append(u1(xs))
-    mid = u2.grid.nodes[(u2.grid.nodes > x_lo + pad) & (u2.grid.nodes < x_hi - pad)]
-    parts_x.extend([[x_lo], mid])
-    parts_v.extend([[float(u2(x_lo))], u2(mid)])
-    parts_x.append([x_hi])
-    parts_v.append([float(u2(x_hi))])
+        keep = u1.grid.nodes < x_lo - pad
+        nodes.insert(0, u1.grid.nodes[keep])
+        vals.insert(0, u1.values[keep])
     if u3 is not None:
-        xs = u3.grid.nodes[u3.grid.nodes > x_hi + pad]
-        parts_x.append(xs)
-        parts_v.append(u3(xs))
-
-    nodes = np.concatenate([np.atleast_1d(np.asarray(x, float)) for x in parts_x])
-    vals = np.concatenate([np.atleast_1d(np.asarray(v, float)) for v in parts_v])
-    glued = GridFunction(Grid(nodes), vals)
+        keep = u3.grid.nodes > x_hi + pad
+        nodes.append(u3.grid.nodes[keep])
+        vals.append(u3.values[keep])
+    glued = GridFunction(Grid(np.concatenate(nodes)), np.concatenate(vals))
     return glued, float(x_lo), float(x_hi)
 
 
 # ---------------------------------------------------------------------------
 # orchestration
-
-
-def _tau_effective(theorem, prob, tau, eps):
-    if theorem != "thm1_ii":
-        return tau
-    Ma, _, Mb, _ = _side_masses(prob.m, eps, prob.window.a, prob.window.b)
-    return tau * max(Ma, Mb) ** (prob.p - 2.0)
 
 
 def build_subsolution(
@@ -352,9 +326,10 @@ def build_subsolution(
     are admissible by construction (`_junction`), so in practice a step
     fails, and eps is halved, only when the range is empty
     (EpsTooLargeError).  The glued function certifies the weight
-    tau_effective * m; scaling it by tau_effective^{-1/(p-1-q)} balances
-    the degree-(p-1) left side against the degree-q right side exactly and
-    moves it to m without spending any slack.
+    tau_effective * m, with tau_effective = tau * `TauInterval.scale`;
+    scaling it by tau_effective^{-1/(p-1-q)} balances the degree-(p-1) left
+    side against the degree-q right side exactly and moves it to m without
+    spending any slack.
     """
     if theorem not in CONDITION_NAMES:
         raise ValueError(f"unknown theorem name: {theorem!r}")
@@ -377,7 +352,7 @@ def build_subsolution(
             last_error = exc
             eps *= 0.5
             continue
-        tau_eff = _tau_effective(theorem, prob, tau, eps)
+        tau_eff = tau * ti.scale
         k, sigma = _profile_params(theorem, prob, tau)
         s = tau_eff ** (-1.0 / (prob.p - 1.0 - prob.q))
         return Certificate(

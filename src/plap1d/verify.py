@@ -95,7 +95,8 @@ def weak_form_values(v: GridFunction, prob: Problem) -> np.ndarray:
     return A[1:-1] / hbar
 
 
-def _report(kind, values, nodes, tol, worst_pick, note=""):
+def _report(kind, values, nodes, worst_pick, note):
+    tol = default_certificate_tol(nodes.size - 1)
     idx = int(worst_pick(values))
     worst = float(values[idx])
     if kind == "subsolution":
@@ -113,14 +114,13 @@ def _report(kind, values, nodes, tol, worst_pick, note=""):
     )
 
 
-def check_weak_subsolution(v: GridFunction, prob: Problem, tol: float | None = None) -> WeakFormReport:
-    """Does v satisfy A_i ≤ tol·∫φ_i at every interior hat?
+def check_weak_subsolution(v: GridFunction, prob: Problem) -> WeakFormReport:
+    """Does v satisfy A_i ≤ tol·∫φ_i at every interior hat, with tol the
+    `default_certificate_tol` of v's grid?
 
     Nonnegativity and vanishing boundary values are part of the claim and are
     reported as failures rather than raised.
     """
-    if tol is None:
-        tol = default_certificate_tol(v.grid.nodes.size - 1)
     scale = max(1.0, float(np.max(np.abs(v.values))))
     note = ""
     if max(abs(float(v.values[0])), abs(float(v.values[-1]))) > 1e-10 * scale:
@@ -128,17 +128,16 @@ def check_weak_subsolution(v: GridFunction, prob: Problem, tol: float | None = N
     elif float(np.min(v.values)) < -1e-10 * scale:
         note = "subsolution must be nonnegative"
     values = weak_form_values(v, prob)
-    return _report("subsolution", values, v.grid.nodes, tol, np.argmax, note)
+    return _report("subsolution", values, v.grid.nodes, np.argmax, note)
 
 
-def check_weak_supersolution(w: GridFunction, prob: Problem, tol: float | None = None) -> WeakFormReport:
-    """Does w satisfy A_i ≥ −tol·∫φ_i at every interior hat?
+def check_weak_supersolution(w: GridFunction, prob: Problem) -> WeakFormReport:
+    """Does w satisfy A_i ≥ −tol·∫φ_i at every interior hat, with tol as in
+    `check_weak_subsolution`?
 
     w ≡ 0 technically passes the inequality but pins any ordered interval to
     the zero function, so a w with no positive part is rejected outright.
     """
-    if tol is None:
-        tol = default_certificate_tol(w.grid.nodes.size - 1)
     scale = max(1.0, float(np.max(np.abs(w.values))))
     note = ""
     if float(np.min(w.values)) < -1e-10 * scale:
@@ -146,7 +145,7 @@ def check_weak_supersolution(w: GridFunction, prob: Problem, tol: float | None =
     elif float(np.max(w.values)) <= 0.0:
         note = "trivial certificate: w has no positive part"
     values = weak_form_values(w, prob)
-    return _report("supersolution", values, w.grid.nodes, tol, np.argmin, note)
+    return _report("supersolution", values, w.grid.nodes, np.argmin, note)
 
 
 def solution_residual(u: GridFunction, prob: Problem) -> float:

@@ -28,6 +28,7 @@ from plap1d import (
     step_weight,
     tau_interval,
 )
+from plap1d.conditions import _side_masses
 
 UNIT = Interval(0.0, 1.0)
 WINDOW = Interval(0.25, 0.75)
@@ -61,35 +62,35 @@ class TestGamma:
 class TestMScript:
     def test_nonnegative_weight_gives_zero(self):
         m = Weight.constant(1.0, UNIT)
-        assert m_script(2.0, m, UNIT, 0.25, 0.75) == 0.0
+        prob = Problem(p=2.0, q=0.5, domain=UNIT, m=m, c=Weight.constant(0.0, UNIT), window=WINDOW)
+        assert m_script(2.0, prob) == 0.0
 
-    def test_all_negative_degenerate_window_p2(self):
-        m = Weight.constant(-1.0, UNIT)
-        assert m_script(2.0, m, UNIT, 1.0, 1.0) == pytest.approx(0.5, rel=1e-12)
-
-    def test_all_negative_degenerate_window_p15(self):
-        m = Weight.constant(-1.0, UNIT)
-        got = m_script(1.5, m, UNIT, 1.0, 1.0)
-        assert got == pytest.approx(math.sqrt(0.5), rel=1e-12)
+    # m = -1 left of the window (1/2, 1): M_a(1) = 1/2 and int_0^1 M_a = 3/8;
+    # the right side has no negative mass and contributes 0
+    @pytest.mark.parametrize("p, expected", [(2.0, 0.375), (1.5, math.sqrt(0.5 * 0.375))])
+    def test_window_at_the_right_end(self, p, expected):
+        prob = step_problem(p, 0.25, 1.0, window=Interval(0.5, 1.0))
+        assert m_script(p, prob) == pytest.approx(expected, rel=1e-12)
 
     def test_step_weight_oracle(self):
         mu = 0.3
-        m = step_weight(UNIT, WINDOW, 1.0, -mu)
         # each side: mass mu/4 at the far window edge, running integral 5mu/32
         expected = (mu / 4.0) ** 0.5 * (5.0 * mu / 32.0) ** 0.5
-        assert m_script(1.5, m, UNIT, 0.25, 0.75) == pytest.approx(
+        assert m_script(1.5, step_problem(1.5, 0.25, mu)) == pytest.approx(
             expected, rel=1e-12
         )
 
+    # m_script reads the domain, window and weight from a Problem, which
+    # refuses a weight on another domain and a window outside the domain
     def test_domain_mismatch_rejected(self):
         m = Weight.constant(-1.0, UNIT)
-        with pytest.raises(ValueError):
-            m_script(2.0, m, Interval(0.0, 2.0), 0.5, 1.0)
+        with pytest.raises(ValueError, match="weight m must cover exactly the domain"):
+            Problem(p=2.0, q=0.5, domain=Interval(0.0, 2.0), m=m,
+                    c=Weight.constant(0.0, Interval(0.0, 2.0)), window=Interval(0.5, 1.0))
 
     def test_window_outside_domain_rejected(self):
-        m = Weight.constant(-1.0, UNIT)
-        with pytest.raises(ValueError):
-            m_script(2.0, m, UNIT, 0.5, 1.5)
+        with pytest.raises(ValueError, match="window must sit inside the domain"):
+            step_problem(2.0, 0.5, 1.0, window=Interval(0.5, 1.5))
 
 
 class TestCpq:
@@ -358,6 +359,23 @@ class TestTauInterval:
         assert ti.hi == pytest.approx(
             0.75**1.75 / (0.25**0.75 * run_int**0.75), rel=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "theorem, p, csup",
+        [("thm1_i", 2.5, 0.0), ("thm1_ii", 1.75, 0.0), ("thm2_i", 2.5, 0.5),
+         ("thm2_ii", 1.75, 0.5), ("cor", 1.75, 0.0)],
+    )
+    def test_scale_is_the_thm1_ii_edge_mass_power(self, theorem, p, csup):
+        # an off-centre window, so the two sides' edge masses differ
+        window, eps = Interval(0.2, 0.6), 1e-3
+        prob = step_problem(p, 0.25, 0.1, csup=csup, window=window)
+        ti = tau_interval(theorem, prob, fake_eig(1.0), eps)
+        if theorem == "thm1_ii":
+            Ma, _, Mb, _ = _side_masses(prob.m, eps, window.a, window.b)
+            assert Ma != Mb
+            assert ti.scale == max(Ma, Mb) ** (p - 2.0)
+        else:
+            assert ti.scale == 1.0
 
     def test_hyperbolic_ranges_need_c(self):
         prob = step_problem(2.0, 0.5, 0.1)

@@ -6,14 +6,12 @@ from hypothesis import strategies as st
 from plap1d import eigen
 from plap1d.core_types import (
     EigenError,
-    Grid,
-    GridFunction,
     Interval,
     NoEigenvalueError,
     Weight,
     step_weight,
 )
-from plap1d.eigen import normalize_sup, principal_eigenvalue, shoot
+from plap1d.eigen import principal_eigenvalue, shoot
 
 UNIT = Interval(0.0, 1.0)
 ONE = Weight.constant(1.0, UNIT)
@@ -166,23 +164,28 @@ class TestEigenBracket:
         principal_eigenvalue(p, Weight.constant(c, UNIT), STEP, WINDOW, n=512)
         assert len(shots) <= 3
 
-    # lambda1 < 1, where the bracket margin is tol/4 as before: the probes and
-    # lambda1 are those of the solver that shot lambda = 0 first
-    @pytest.mark.parametrize(
-        "mass, lam1",
-        [
-            (1e2, 0.09869604276594537),
-            (1e6, 9.868428898273658e-06),
-            (1e9, 9.521111951284712e-09),
-        ],
-    )
-    def test_small_lambda1_unchanged(self, mass, lam1):
-        pair = principal_eigenvalue(2.0, ZERO, Weight.constant(mass, UNIT), UNIT, n=256)
-        assert pair.lambda1 == pytest.approx(lam1, rel=1e-12)
+    # lambda1 far below 1: the bracket's width, stopping rule and margin are
+    # all relative to lambda, so the closed-form seed closes it as for order 1
+    @pytest.mark.parametrize("n", [256, 1024])
+    @pytest.mark.parametrize("mass", [1e2, 1e6, 1e9, 1e10])
+    def test_small_lambda1_closes_from_the_seed(self, mass, n, monkeypatch):
+        shots = count_shots(monkeypatch)
+        pair = principal_eigenvalue(2.0, ZERO, Weight.constant(mass, UNIT), UNIT, n=n)
+        assert pair.lambda1 == pytest.approx(np.pi**2 / mass, rel=1e-8)
+        assert len(shots) <= 3
 
-    def test_tiny_lambda1_loses_positivity(self):
-        with pytest.raises(EigenError, match="lost interior positivity"):
-            principal_eigenvalue(2.0, ZERO, Weight.constant(1e10, UNIT), UNIT, n=256)
+    def test_scaled_weight_scales_lambda1_and_its_shots(self, monkeypatch):
+        # m -> s m maps every probe to lambda / s
+        shots = count_shots(monkeypatch)
+        runs = []
+        for s in (1.0, 1e6, 1e9):
+            start = len(shots)
+            pair = principal_eigenvalue(2.0, ZERO, STEP.affine(s), WINDOW, n=512)
+            runs.append((pair.lambda1 * s, len(shots) - start))
+        (ref, ref_shots), *scaled = runs
+        for lam_s, count in scaled:
+            assert lam_s == pytest.approx(ref, rel=1e-12)
+            assert count == ref_shots
 
     @pytest.mark.parametrize("c", [-0.5, -50.0])
     def test_negative_c_rejected_before_any_shot(self, c, monkeypatch):
@@ -294,22 +297,3 @@ class TestKernel:
         assert np.array_equal(wmid, ref_wmid)
         assert np.array_equal(cross, ref_cross)
         assert (cross[0] >= 0, out[-1] >= 0.0) == (crosses, end_nonneg)
-
-
-class TestNormalizeSup:
-    def test_constant_two(self):
-        g = Grid.uniform(UNIT, 16)
-        out = normalize_sup(GridFunction(g, np.full(17, 2.0)))
-        assert np.all(out.values == 1.0)
-
-    def test_already_normalized_sine(self):
-        g = Grid.uniform(UNIT, 64)
-        vals = np.sin(np.pi * g.nodes)
-        out = normalize_sup(GridFunction(g, vals.copy()))
-        assert np.array_equal(out.values, vals / np.max(vals))
-        assert np.max(out.values) == 1.0
-
-    def test_nonpositive_rejected(self):
-        g = Grid.uniform(UNIT, 8)
-        with pytest.raises(ValueError):
-            normalize_sup(GridFunction(g, -np.ones(9)))

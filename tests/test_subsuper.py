@@ -262,6 +262,47 @@ def test_right_profile_mirrors_left_on_symmetric_window(theorem, p, q, csup, mu)
     assert np.allclose(u3.values, u1.values[::-1], rtol=1e-10, atol=0.0)
 
 
+def glue_reference(u1, u2, u3, x_lo, x_hi):
+    """The part-list assembly at the given junctions, which re-interpolated
+    every kept node on its own piece; `glue` must match it bit for bit."""
+    I = u2.grid.interval
+    left_end = u1.grid.nodes[0] if u1 is not None else I.a
+    right_end = u3.grid.nodes[-1] if u3 is not None else I.b
+    pad = 1e-13 * (right_end - left_end)
+    parts_x, parts_v = [], []
+    if u1 is not None:
+        xs = u1.grid.nodes[u1.grid.nodes < x_lo - pad]
+        parts_x.append(xs)
+        parts_v.append(u1(xs))
+    mid = u2.grid.nodes[(u2.grid.nodes > x_lo + pad) & (u2.grid.nodes < x_hi - pad)]
+    parts_x.extend([[x_lo], mid, [x_hi]])
+    parts_v.extend([[float(u2(x_lo))], u2(mid), [float(u2(x_hi))]])
+    if u3 is not None:
+        xs = u3.grid.nodes[u3.grid.nodes > x_hi + pad]
+        parts_x.append(xs)
+        parts_v.append(u3(xs))
+    nodes = np.concatenate([np.atleast_1d(np.asarray(x, float)) for x in parts_x])
+    vals = np.concatenate([np.atleast_1d(np.asarray(v, float)) for v in parts_v])
+    return nodes, vals
+
+
+@pytest.mark.parametrize("theorem, p, q, csup, mu", FAMILIES)
+@pytest.mark.parametrize("sides", ["both", "left", "right"])
+def test_glue_matches_part_list_reference(theorem, p, q, csup, mu, sides):
+    prob = step_problem(p, q, mu, csup=csup)
+    grid = Grid.uniform(UNIT, 512)
+    eig = window_eigenpair(prob, grid)
+    eps = default_eps(prob.m)
+    ti = tau_interval(theorem, prob, eig, eps)
+    u1, u3 = outer_pieces(theorem, prob, math.sqrt(ti.lo * ti.hi), eps, 384)
+    u1 = None if sides == "right" else u1
+    u3 = None if sides == "left" else u3
+    glued, x_lo, x_hi = glue(u1, eig.phi, u3)
+    nodes, vals = glue_reference(u1, eig.phi, u3, x_lo, x_hi)
+    assert np.array_equal(glued.grid.nodes, nodes)
+    assert np.array_equal(glued.values, vals)
+
+
 def concave_kinks(u, lo, hi):
     """Nodes in [lo, hi] where the slope of the grid function u drops."""
     nodes = u.grid.nodes
@@ -351,8 +392,8 @@ class TestBuildSupersolution:
         cert = build_supersolution(prob, Grid.uniform(UNIT, 1024))
         assert cert.construction["k"] == pytest.approx(9.0 / 8.0, rel=1e-8)
         assert cert.construction["v_sup"] == pytest.approx(1.0 / 8.0, rel=1e-8)
-        rep = check_weak_supersolution(cert.u, prob, tol=1e-6)
-        assert rep.passed
+        rep = check_weak_supersolution(cert.u, prob)
+        assert rep.worst_value >= -1e-6 and not rep.note
 
     @pytest.mark.parametrize("p", [1.5, 1.77, 1.78, 1.998])
     def test_step_weight_companion_matches_closed_form(self, p):
