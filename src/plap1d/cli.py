@@ -10,6 +10,10 @@ stalled above its tolerance, 1 internal error, 64 malformed config or command
 line.  All floats in reports are rendered with 17 significant digits, so
 identical inputs give byte-identical reports.
 
+scipy is loaded only by the Newton solve behind `solve` and `sweep`, and
+multiprocessing only by `sweep --jobs` above 1; the other subcommands load
+neither.
+
 The config field allow_sign_changing_c admits a c that is negative
 somewhere, and reaches only part of the pipeline.  The conditions and the
 window eigenvalue use c's positive part c+, and the supersolution ignores c
@@ -491,7 +495,10 @@ _SUBCOMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; every parse_args
+    call gets a fresh namespace with the defaults."""
     parser = _Parser(prog="plap1d", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, help_text, func, arguments in _SUBCOMMANDS:

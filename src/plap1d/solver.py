@@ -14,6 +14,9 @@ For p < 2 the model's diffusion weight is the Kacanov weight |s|^{p-2} =
 phi_p(s)/s, the secant slope of phi_p, instead of Newton's (p-1)|s|^{p-2},
 which understates it where the slope s passes through zero at the solution's
 apex and makes the iteration crawl or diverge (see `_projected_newton`).
+
+scipy is loaded only by the Newton solve (CLI `solve` and `sweep`), and
+multiprocessing only by `sweep` with more than one job.
 """
 
 from __future__ import annotations
@@ -21,10 +24,8 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .conditions import check_all
 from .core_types import (
@@ -139,6 +140,10 @@ def _projected_newton(vals, lo, hi, grid, plan, p, q, tol, hbar, atol):
     1.5 < p < 2 and diverges below.  The discrete problem and the stopping
     rule do not depend on the weight.
     """
+    # imported here, not at module level, so that only a solve pays for it;
+    # outside the try below, so that a missing scipy is not a stalled step
+    from scipy.linalg import solve_banded
+
     n = grid.n
     floor = 1e-10 * (np.max(vals) + 1.0) / grid.interval.length()
     e, g = _energy_and_grad(vals, grid, plan, p, q)
@@ -382,6 +387,8 @@ def sweep(factory, ranges: dict, policy: str = "auto", jobs: int = 1) -> list[di
     ]
     jobs = min(jobs, len(cells))
     if jobs > 1:
+        from multiprocessing import Pool
+
         with Pool(jobs) as pool:
             return pool.map(_sweep_cell, cells)
     return [_sweep_cell(cell) for cell in cells]

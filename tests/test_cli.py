@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from plap1d.cli import _csv_cell, main, write_csv
+from plap1d.cli import _csv_cell, build_parser, main, write_csv
 from plap1d.core_types import Grid, GridFunction
 
 BASE = {
@@ -451,7 +451,7 @@ class TestSweep:
         assert float(row["residual"]) > 1e-9
 
     def test_pool_has_at_most_one_worker_per_cell(self, tmp_path, monkeypatch):
-        import plap1d.solver
+        import multiprocessing
 
         sizes = []
 
@@ -468,7 +468,8 @@ class TestSweep:
             def map(self, fn, cells):
                 return [fn(cell) for cell in cells]
 
-        monkeypatch.setattr(plap1d.solver, "Pool", FakePool)
+        # sweep imports Pool from multiprocessing when it needs one
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         cfg = write_config(tmp_path, n=64)
         out = tmp_path / "out"
         code = main(["sweep", cfg, "m.outside=-0.4:-0.5:2",
@@ -542,3 +543,21 @@ class TestCli:
 
     def test_no_arguments_is_usage_error(self):
         assert main([]) == 64
+
+    def test_cached_parser_gives_each_call_its_own_namespace(self):
+        assert build_parser() is build_parser()
+        assert main(["frobnicate", "x.json"]) == 64
+        first = build_parser().parse_args(
+            ["sweep", "c.json", "p=2:3:2", "--jobs", "1", "--seed", "7"]
+        )
+        second = build_parser().parse_args(["sweep", "c.json"])
+        assert first is not second
+        assert (first.jobs, first.seed, first.ranges) == (1, 7, ["p=2:3:2"])
+        assert (second.jobs, second.seed, second.ranges, second.out) == (0, 0, [], ".")
+
+    def test_help_after_the_parser_is_cached(self, capsys):
+        build_parser()
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--help"])
+        assert exc.value.code == 0
+        assert "--jobs JOBS" in capsys.readouterr().out
