@@ -78,7 +78,7 @@ def _interval(cfg, key):
     try:
         a, b = cfg[key]
         return Interval(float(a), float(b))
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise UsageError(f"config field '{key}' must be [a, b]: {exc}")
 
 
@@ -88,13 +88,17 @@ def weight_from_spec(spec, domain: Interval, window: Interval, field: str) -> We
     Pieces are {"from", "to", "poly"} with poly the ascending coefficients in
     the local coordinate x - from; presets are constant {value}, step
     {inside, outside} over the window, and sin-power {exponent, amplitude,
-    npieces}.
+    npieces}.  A missing key or an ill-typed value anywhere in the spec is
+    a usage error that names the field.
     """
     if not isinstance(spec, dict):
         raise UsageError(f"config field '{field}' must be an object")
-    if "preset" in spec:
-        preset = spec["preset"]
-        try:
+    if "preset" not in spec and "pieces" not in spec:
+        raise UsageError(f"'{field}' needs either 'preset' or 'pieces'")
+    where = f"preset '{spec['preset']}'" if "preset" in spec else "piece"
+    try:
+        if "preset" in spec:
+            preset = spec["preset"]
             if preset == "constant":
                 return Weight.constant(float(spec["value"]), domain)
             if preset == "step":
@@ -109,31 +113,23 @@ def weight_from_spec(spec, domain: Interval, window: Interval, field: str) -> We
                 )
                 amp = float(spec.get("amplitude", 1.0))
                 return w if amp == 1.0 else w.affine(amp, 0.0)
-        except KeyError as exc:
-            raise UsageError(f"'{field}' preset '{preset}' is missing {exc}")
-        except ValueError as exc:
-            raise UsageError(f"'{field}' preset '{preset}': {exc}")
-        raise UsageError(f"'{field}' has unknown preset '{preset}'")
-    if "pieces" in spec:
+            raise UsageError(f"'{field}' has unknown preset '{preset}'")
         pieces = sorted(spec["pieces"], key=lambda pc: float(pc["from"]))
         if not pieces:
             raise UsageError(f"'{field}' has an empty piece list")
         breaks = [float(pieces[0]["from"])]
         coefs = []
         for pc in pieces:
-            try:
-                lo, hi, poly = float(pc["from"]), float(pc["to"]), pc["poly"]
-            except KeyError as exc:
-                raise UsageError(f"'{field}' piece is missing {exc}")
+            lo, hi, poly = float(pc["from"]), float(pc["to"]), pc["poly"]
             if abs(lo - breaks[-1]) > 1e-12 * domain.length():
                 raise UsageError(f"'{field}' pieces do not tile the domain")
             breaks.append(hi)
             coefs.append([float(a) for a in poly])
-        try:
-            return Weight(breaks, coefs)
-        except ValueError as exc:
-            raise UsageError(f"'{field}': {exc}")
-    raise UsageError(f"'{field}' needs either 'preset' or 'pieces'")
+        return Weight(breaks, coefs)
+    except KeyError as exc:
+        raise UsageError(f"'{field}' {where} is missing {exc}")
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise UsageError(f"'{field}' {where}: {exc}")
 
 
 def problem_from_config(cfg: dict):
@@ -150,6 +146,11 @@ def problem_from_config(cfg: dict):
     window = _interval(cfg, "window")
     m = weight_from_spec(cfg["m"], domain, window, "m")
     c = weight_from_spec(cfg["c"], domain, window, "c")
+    flag = cfg.get("allow_sign_changing_c", False)
+    if not isinstance(flag, bool):
+        raise UsageError(
+            f"config field 'allow_sign_changing_c' must be true or false, got {flag!r}"
+        )
     try:
         prob = Problem(
             p=float(cfg["p"]),
@@ -158,9 +159,9 @@ def problem_from_config(cfg: dict):
             m=m,
             c=c,
             window=window,
-            allow_sign_changing_c=bool(cfg.get("allow_sign_changing_c", False)),
+            allow_sign_changing_c=flag,
         )
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise UsageError(str(exc))
     n = _config_number(cfg, "n", DEFAULT_N)
     if not (math.isfinite(n) and n == int(n) and n >= 4):
@@ -178,7 +179,7 @@ def problem_from_config(cfg: dict):
 def _config_number(cfg: dict, key: str, default: float) -> float:
     try:
         return float(cfg.get(key, default))
-    except (TypeError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         raise UsageError(f"config field '{key}' must be a number, got {cfg[key]!r}")
 
 
@@ -327,9 +328,15 @@ def _write_certified(args, theorem, conditions, sub, sup, **extra) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_check(args) -> int:
+def _eigen_setup(args):
+    """(Problem, grid, window eigenpair) of the config on the command line."""
     prob, n, _ = problem_from_config(load_config(args.config))
-    eig = window_eigenpair(prob, prob.default_grid(n))
+    grid = prob.default_grid(n)
+    return prob, grid, window_eigenpair(prob, grid)
+
+
+def cmd_check(args) -> int:
+    prob, _, eig = _eigen_setup(args)
     conditions = check_all(prob, eig)
     report = _base_report(args)
     report["lambda1"] = float(eig.lambda1)
@@ -340,8 +347,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_eigen(args) -> int:
-    prob, n, _ = problem_from_config(load_config(args.config))
-    eig = window_eigenpair(prob, prob.default_grid(n))
+    prob, _, eig = _eigen_setup(args)
     report = _base_report(args)
     report["lambda1"] = float(eig.lambda1)
     report["rayleigh"] = float(eig.rayleigh)
@@ -352,9 +358,7 @@ def cmd_eigen(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    prob, n, _ = problem_from_config(load_config(args.config))
-    grid = prob.default_grid(n)
-    eig = window_eigenpair(prob, grid)
+    prob, grid, eig = _eigen_setup(args)
     conditions = check_all(prob, eig)
     theorem = select_theorem(conditions, args.policy)
     sub, sup = certify(prob, theorem, grid, eig)

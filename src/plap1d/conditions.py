@@ -113,10 +113,6 @@ def m_script(p: float, prob: Problem) -> float:
     return max(side(Ma, Ia), side(Mb, Ib))
 
 
-def _c_sup(prob: Problem) -> float:
-    return prob.c_plus.sup_norm()
-
-
 def _report(name, lhs, rhs, holds, reason, aux):
     # reason is empty exactly when the condition applies
     return ConditionReport(
@@ -163,7 +159,7 @@ def check_thm1_i(prob: Problem, eig: EigenPair) -> ConditionReport:
     M2 = m_script(2.0, prob)
     i1_lhs = gam ** (p - 2.0) * M2
     i1_rhs = (p - 1.0) / (d ** (p - 1.0) * lam1)
-    i2_lhs = gam**p * _c_sup(prob)
+    i2_lhs = gam**p * prob.c_plus.sup_norm()
     i2_rhs = (2.0 - p + q) * (p - 1.0) / d**p
     return _two_part_report(
         "thm1_i",
@@ -187,7 +183,7 @@ def check_thm1_ii(prob: Problem, eig: EigenPair) -> ConditionReport:
     d = p - 1.0 - q
     Mp = m_script(p, prob)
     i3_rhs = (p - 1.0) ** p / (d ** (p - 1.0) * eig.lambda1)
-    i4_lhs = gam**p * _c_sup(prob)
+    i4_lhs = gam**p * prob.c_plus.sup_norm()
     i4_rhs = ((p - 1.0) / d) ** p * q
     return _two_part_report(
         "thm1_ii",
@@ -199,7 +195,7 @@ def check_thm1_ii(prob: Problem, eig: EigenPair) -> ConditionReport:
 
 def _hyperbolic_report(name, prob, eig, profile, reason):
     p = prob.p
-    cn = _c_sup(prob)
+    cn = prob.c_plus.sup_norm()
     C = c_pq(p, prob.q)
     aux = {"C_pq": C}
     if cn == 0.0:
@@ -227,7 +223,7 @@ def check_thm2_ii(prob: Problem, eig: EigenPair) -> ConditionReport:
 def check_cor(prob: Problem, eig: EigenPair) -> ConditionReport:
     """c-free condition: ||m^-|| gamma^p / C_pq <= 1/lambda1."""
     C = c_pq(prob.p, prob.q)
-    if _c_sup(prob) > 0.0:
+    if prob.c_plus.sup_norm() > 0.0:
         return _inverse_lambda_report(
             "cor", eig, math.nan, "requires c identically zero", {"C_pq": C}
         )
@@ -284,7 +280,7 @@ def tau_interval(which: str, prob: Problem, eig: EigenPair, eps: float) -> TauIn
         if which == "cor":
             hi = c_pq(p, q) / (mminus_eff * gam**p)
         else:
-            cn = _c_sup(prob)
+            cn = prob.c_plus.sup_norm()
             if cn == 0.0:
                 raise ValueError(f"{which} needs c not identically zero")
             lt = (cn / c_pq(p, q)) ** (1.0 / p)

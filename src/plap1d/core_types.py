@@ -242,19 +242,13 @@ class Grid:
         Points closer than 1e-13 * span to an existing node are dropped so
         cells stay nonempty.
         """
+        nodes = self.nodes
         pts = np.atleast_1d(np.asarray(points, dtype=float))
-        span = self.nodes[-1] - self.nodes[0]
-        keep = []
-        for x in pts:
-            if x <= self.nodes[0] or x >= self.nodes[-1]:
-                continue
-            j = np.searchsorted(self.nodes, x)
-            near = min(abs(x - self.nodes[j - 1]), abs(self.nodes[j] - x))
-            if near > 1e-13 * span:
-                keep.append(x)
-        if not keep:
-            return Grid(self.nodes.copy())
-        return Grid(np.unique(np.concatenate([self.nodes, keep])))
+        pts = pts[(pts > nodes[0]) & (pts < nodes[-1])]
+        j = np.searchsorted(nodes, pts)
+        near = np.minimum(pts - nodes[j - 1], nodes[j] - pts)
+        keep = pts[near > 1e-13 * (nodes[-1] - nodes[0])]
+        return Grid(np.unique(np.concatenate([nodes, keep])))
 
     def hat_masses(self) -> np.ndarray:
         """Integral of each nodal hat function, boundary hats included."""

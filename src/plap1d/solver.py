@@ -13,7 +13,7 @@ multiplier has the right sign.
 For p < 2 the model's diffusion weight is the Kacanov weight |s|^{p-2} =
 phi_p(s)/s, the secant slope of phi_p, instead of Newton's (p-1)|s|^{p-2},
 which understates it where the slope s passes through zero at the solution's
-apex and makes the iteration crawl or diverge (see `_projected_newton`).
+apex and makes the iteration crawl or diverge (see `solve_between`).
 
 scipy is loaded only by the Newton solve (CLI `solve` and `sweep`), and
 multiprocessing only by `sweep` with more than one job.
@@ -22,7 +22,6 @@ multiprocessing only by `sweep` with more than one job.
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,8 +45,6 @@ from .subsuper import (
     enforce_ordering,
 )
 from .verify import check_weak_subsolution, check_weak_supersolution, solution_residual
-
-log = logging.getLogger(__name__)
 
 _ARMIJO = 1e-4
 _MAX_NEWTON = 600
@@ -128,8 +125,24 @@ def _kkt_residual(g, vals, lo, hi, hbar, atol):
     return r / hbar[1:-1]
 
 
-def _projected_newton(vals, lo, hi, grid, plan, p, q, tol, hbar, atol):
-    """Iterate from vals; return the last iterate and its residual.
+def solve_between(
+    prob: Problem,
+    sub: Certificate,
+    sup: Certificate,
+    grid: Grid,
+    tol: float = 1e-8,
+) -> GridFunction:
+    """Minimize the energy over the box [sub, sup] resampled to the grid.
+
+    Projected Newton starts from the box midpoint.  Returns the minimizer
+    once the projected-gradient residual is below tol at every interior
+    node, meaning the weak equation holds where no bound is active and
+    pinned nodes satisfy complementarity.  A node that the clipped step
+    pins to a bound leaves the Newton system, but it rejoins as soon as its
+    gradient points into the box; such releases cascade along a stretch of
+    bound-hugging nodes, carried by steps that lower the energy while the
+    residual first grows.  Raises SolverError when the iteration stalls
+    above tol.
 
     The model's diffusion weight on a cell of slope s is
     max(p - 1, 1) * |s|^(p-2) / h, with |s| floored: Newton's weight for
@@ -140,10 +153,25 @@ def _projected_newton(vals, lo, hi, grid, plan, p, q, tol, hbar, atol):
     1.5 < p < 2 and diverges below.  The discrete problem and the stopping
     rule do not depend on the weight.
     """
+    lo = np.maximum(sub.u(grid.nodes), 0.0)
+    hi = sup.u(grid.nodes)
+    if np.any(lo > hi):
+        raise SolverError("certificates are not ordered on the working grid")
+    scale = float(np.max(hi))
+    if float(np.max(hi - lo)) <= 1e-14 * max(scale, 1.0):
+        return GridFunction(grid, lo.copy())
+
     # imported here, not at module level, so that only a solve pays for it;
     # outside the try below, so that a missing scipy is not a stalled step
     from scipy.linalg import solve_banded
 
+    plan = _plan(grid, prob)
+    hbar = grid.hat_masses()
+    p, q = prob.p, prob.q
+    atol = 1e-14 * max(scale, 1.0)
+
+    vals = 0.5 * (lo + hi)
+    vals[0] = vals[-1] = 0.0
     n = grid.n
     floor = 1e-10 * (np.max(vals) + 1.0) / grid.interval.length()
     e, g = _energy_and_grad(vals, grid, plan, p, q)
@@ -211,49 +239,10 @@ def _projected_newton(vals, lo, hi, grid, plan, p, q, tol, hbar, atol):
             t *= 0.5
         if not improved:
             break
-    return vals, float(np.max(rnorm))
-
-
-def solve_between(
-    prob: Problem,
-    sub: Certificate,
-    sup: Certificate,
-    grid: Grid,
-    tol: float = 1e-8,
-) -> GridFunction:
-    """Minimize the energy over the box [sub, sup] resampled to the grid.
-
-    Projected Newton starts from the box midpoint.  Returns the minimizer
-    once the projected-gradient residual is below tol at every interior
-    node, meaning the weak equation holds where no bound is active and
-    pinned nodes satisfy complementarity.  A node that the clipped step
-    pins to a bound leaves the Newton system, but it rejoins as soon as its
-    gradient points into the box; such releases cascade along a stretch of
-    bound-hugging nodes, carried by steps that lower the energy while the
-    residual first grows.  Raises SolverError when the iteration stalls
-    above tol.
-    """
-    lo = np.maximum(sub.u(grid.nodes), 0.0)
-    hi = sup.u(grid.nodes)
-    if np.any(lo > hi):
-        raise SolverError("certificates are not ordered on the working grid")
-    scale = float(np.max(hi))
-    if float(np.max(hi - lo)) <= 1e-14 * max(scale, 1.0):
-        return GridFunction(grid, lo.copy())
-
-    plan = _plan(grid, prob)
-    hbar = grid.hat_masses()
-    p, q = prob.p, prob.q
-    atol = 1e-14 * max(scale, 1.0)
-
-    vals = 0.5 * (lo + hi)
-    vals[0] = vals[-1] = 0.0
-    vals, res = _projected_newton(vals, lo, hi, grid, plan, p, q, tol, hbar, atol)
-    active = (vals[1:-1] <= lo[1:-1] + atol) | (vals[1:-1] >= hi[1:-1] - atol)
-    n_active = int(np.sum(active))
-    if n_active:
-        log.info("solve_between: %d interior nodes sit on a bound", n_active)
+    res = float(np.max(rnorm))
     if res > tol:
+        active = (vals[1:-1] <= lo[1:-1] + atol) | (vals[1:-1] >= hi[1:-1] - atol)
+        n_active = int(np.sum(active))
         raise SolverError(
             f"residual stagnation: projected-gradient residual {res:.3e} above "
             f"tol {tol:.1e} ({n_active} active nodes)"

@@ -218,19 +218,6 @@ def _outer_piece(piece: str, theorem: str, prob: Problem, tau: float, eps: float
 # gluing
 
 
-def _bisect_crossing(f, lo, hi, pos_at_lo, iters=80):
-    # f is continuous with sign change across [lo, hi]
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if (f(mid) >= 0.0) == pos_at_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _junction(side, u_out, u2, xm):
     """Where the glued function leaves u_out for u2, between a window edge and xm.
 
@@ -265,8 +252,7 @@ def _junction(side, u_out, u2, xm):
         if cand.size == 0:
             raise GlueError(f"the {side} profile never crosses the eigenfunction")
         i = int(cand[-1] if left else cand[0])
-    diff = lambda x: float(u_out(x) - u2(x))
-    x = _bisect_crossing(diff, float(X[i]), float(X[i + 1]), left)
+    x = X[i] + (X[i + 1] - X[i]) * (D[i] / (D[i] - D[i + 1]))
     return float(np.clip(x, I.a, I.b))
 
 

@@ -199,6 +199,48 @@ class TestConfigParsing:
                             allow_sign_changing_c=True)
         assert main(["check", cfg2, "--out", str(tmp_path / "o2")]) == 0
 
+    @pytest.mark.parametrize("flag", ["false", 1, None])
+    def test_sign_changing_c_flag_must_be_boolean(self, tmp_path, capsys, flag):
+        cfg = write_config(tmp_path, c={"preset": "constant", "value": -0.2},
+                           allow_sign_changing_c=flag)
+        assert main(["check", cfg, "--out", str(tmp_path / "o")]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and "'allow_sign_changing_c'" in err
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            {"pieces": [{"to": 1.0, "poly": [1.0]}]},
+            {"pieces": {"from": 0.0, "to": 1.0, "poly": [1.0]}},
+            {"pieces": [{"from": 0.0, "to": 1.0, "poly": 1.0}]},
+            {"pieces": [{"from": "zero", "to": 1.0, "poly": [1.0]}]},
+            {"preset": "constant", "value": None},
+        ],
+        ids=["piece-without-from", "pieces-as-object", "poly-as-number",
+             "from-as-word", "null-preset-value"],
+    )
+    def test_malformed_weight_spec_is_usage_error(self, tmp_path, capsys, m):
+        cfg = write_config(tmp_path, m=m)
+        assert main(["check", cfg, "--out", str(tmp_path / "o")]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and "'m'" in err
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [('"p": 2.0', '"p": BIG'), ('"domain": [0.0, 1.0]', '"domain": [0.0, BIG]'),
+         ('"value": 0.0', '"value": BIG'), ('"n": 256', '"n": BIG')],
+        ids=["p", "domain", "c-value", "n"],
+    )
+    def test_integer_too_large_for_a_float_is_usage_error(self, tmp_path, capsys, old, new):
+        # JSON integers have no size limit, and float() of a 401-digit one
+        # raises OverflowError
+        text = json.dumps(BASE)
+        assert old in text
+        path = tmp_path / "big.json"
+        path.write_text(text.replace(old, new.replace("BIG", "1" + "0" * 400)))
+        assert main(["check", str(path), "--out", str(tmp_path / "o")]) == 64
+        assert capsys.readouterr().err.startswith("usage error")
+
 
 class TestEigen:
     def test_eigen_report_and_csv(self, tmp_path):

@@ -34,7 +34,7 @@ from plap1d import (
     tau_interval,
     window_eigenpair,
 )
-from plap1d.subsuper import _profile_params
+from plap1d.subsuper import _junction, _profile_params
 from plap1d.verify import check_weak_subsolution, check_weak_supersolution
 
 UNIT = Interval(0.0, 1.0)
@@ -329,6 +329,52 @@ def test_junction_kinks_are_convex(theorem, p, q, csup, mu, window):
     assert lo in cert.u.grid.nodes and hi in cert.u.grid.nodes
     assert concave_kinks(cert.u, UNIT.a, lo).size == 0
     assert concave_kinks(cert.u, hi, UNIT.b).size == 0
+
+
+def bisected_junction(side, u_out, u2, xm, iters=80):
+    """The crossing segment `_junction` picks, and the root of u_out - u2 on
+    it by the 80-step bisection `_junction` made before it took the root of
+    the linear difference in closed form."""
+    I = u2.grid.interval
+    left = side == "left"
+    X = np.union1d(u_out.grid.nodes, u2.grid.nodes)
+    X = X[(X >= I.a) & (X <= xm)] if left else X[(X >= xm) & (X <= I.b)]
+    D = u_out(X) - u2(X)
+    if left:
+        i = np.flatnonzero((D[:-1] > 0.0) & (D[1:] < 0.0))[-1]
+    else:
+        i = np.flatnonzero((D[:-1] < 0.0) & (D[1:] > 0.0))[0]
+    lo, hi = float(X[i]), float(X[i + 1])
+    a, b = lo, hi
+    for _ in range(iters):
+        mid = 0.5 * (a + b)
+        if mid in (a, b):
+            break
+        if (float(u_out(mid) - u2(mid)) >= 0.0) == left:
+            a = mid
+        else:
+            b = mid
+    return lo, hi, 0.5 * (a + b)
+
+
+@pytest.mark.parametrize("theorem, p, q, csup, mu", FAMILIES)
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_junction_is_the_root_on_the_crossing_segment(theorem, p, q, csup, mu, side):
+    prob = step_problem(p, q, mu, csup=csup)
+    grid = Grid.uniform(UNIT, 512)
+    eig = window_eigenpair(prob, grid)
+    eps = default_eps(prob.m)
+    ti = tau_interval(theorem, prob, eig, eps)
+    u1, u3 = outer_pieces(theorem, prob, math.sqrt(ti.lo * ti.hi), eps, 384)
+    u_out = u1 if side == "left" else u3
+    u2 = eig.phi
+    xm = float(u2.grid.nodes[np.argmax(u2.values)])
+    x = _junction(side, u_out, u2, xm)
+    lo, hi, ref = bisected_junction(side, u_out, u2, xm)
+    assert lo <= x <= hi
+    scale = max(u_out.sup_norm(), u2.sup_norm())
+    assert abs(float(u_out(x) - u2(x))) <= 1e-13 * scale
+    assert abs(x - ref) <= 1e-15 * UNIT.length()
 
 
 class TestBuildSubsolution:
