@@ -16,8 +16,11 @@ It prints one line per call and a summary, and exits 1 if any call's
 outputs differ, 0 if every output is byte-identical.  Under each call that
 differs it prints how far its numbers moved: the largest relative difference
 |a - b| / max(|a|, |b|) over the float fields the two JSON reports share (with
-the file and field where it occurs), and over the `u` column of each CSV
-that both calls wrote with the same number of rows.
+the file and field where it occurs), and, for each numeric column that
+differs in a CSV both calls wrote, that per-entry difference next to
+max|a - b| / max|a|, the move relative to the base column's sup norm.  An
+entry near zero dominates the first; the second says how far the grid
+function moved as a whole.
 
 Usage (from the repository root)::
 
@@ -31,6 +34,7 @@ import ast
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -127,13 +131,25 @@ def rel_diff(x: float, y: float) -> float:
     return 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
 
 
-def csv_u(data: bytes) -> list[float] | None:
-    """The u column of a CSV, or None when it has none."""
+def sup_diff(x, y) -> float:
+    """max|x - y| / max|x|, the move relative to the base column's sup norm."""
+    top = max(map(abs, x), default=0.0)
+    worst = max((abs(a - b) for a, b in zip(x, y)), default=0.0)
+    return worst / top if top else (0.0 if worst == 0.0 else math.inf)
+
+
+def csv_columns(data: bytes) -> dict[str, list[float | None]]:
+    """The numeric columns of a CSV by header, with None for an empty cell
+    (a NaN in sweep.csv); a column with a cell that is neither a number nor
+    empty (a sweep status) is left out."""
     rows = list(csv.reader(io.StringIO(data.decode())))
-    if not rows or "u" not in rows[0]:
-        return None
-    col = rows[0].index("u")
-    return [float(row[col]) for row in rows[1:]]
+    out = {}
+    for i, name in enumerate(rows[0] if rows else []):
+        try:
+            out[name] = [float(row[i]) if row[i] else None for row in rows[1:]]
+        except (IndexError, ValueError):
+            continue
+    return out
 
 
 def moved(a: dict, b: dict) -> list[str]:
@@ -152,13 +168,20 @@ def moved(a: dict, b: dict) -> list[str]:
                 if d > worst:
                     worst, where = d, f" at {fname} {path}"
         elif fname.endswith(".csv"):
-            x, y = csv_u(a[fname]), csv_u(b[fname])
-            if x is None or y is None:
-                continue
-            if len(x) != len(y):
-                parts.append(f"{fname} u: {len(x)}/{len(y)} rows")
-            else:
-                parts.append(f"{fname} u {max(map(rel_diff, x, y), default=0.0):.3g}")
+            x, y = csv_columns(a[fname]), csv_columns(b[fname])
+            for col in [col for col in x if col in y]:
+                if len(x[col]) != len(y[col]):
+                    parts.append(f"{fname} {col}: {len(x[col])}/{len(y[col])} rows")
+                    continue
+                # over the rows where both calls wrote a number
+                both = [(u, v) for u, v in zip(x[col], y[col]) if u is not None and v is not None]
+                if all(u == v for u, v in both):
+                    continue
+                xs, ys = zip(*both)
+                parts.append(
+                    f"{fname} {col} {max(map(rel_diff, xs, ys)):.3g} per entry, "
+                    f"{sup_diff(xs, ys):.3g} of sup"
+                )
     if reports:
         parts.insert(0, f"report {worst:.3g}{where}")
     return parts

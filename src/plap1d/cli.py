@@ -69,6 +69,9 @@ class _Parser(argparse.ArgumentParser):
 
 _REQUIRED_KEYS = ("p", "q", "domain", "window", "m", "c")
 _CONFIG_KEYS = {*_REQUIRED_KEYS, "n", "tol", "allow_sign_changing_c"}
+# sin_power_weight fits one cubic per piece in a Python loop, about 0.15 s
+# for the largest allowed count
+_MAX_NPIECES = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +91,9 @@ def weight_from_spec(spec, domain: Interval, window: Interval, field: str) -> We
     Pieces are {"from", "to", "poly"} with poly the ascending coefficients in
     the local coordinate x - from; presets are constant {value}, step
     {inside, outside} over the window, and sin-power {exponent, amplitude,
-    npieces}.  A missing key or an ill-typed value anywhere in the spec is
-    a usage error that names the field.
+    npieces}, with npieces an integer from 1 to 4096 (default 128).  A
+    missing key or an ill-typed value anywhere in the spec is a usage error
+    that names the field.
     """
     if not isinstance(spec, dict):
         raise UsageError(f"config field '{field}' must be an object")
@@ -106,10 +110,15 @@ def weight_from_spec(spec, domain: Interval, window: Interval, field: str) -> We
                     domain, window, float(spec["inside"]), float(spec["outside"])
                 )
             if preset == "sin-power":
+                npieces = spec.get("npieces", 128)
+                if (isinstance(npieces, bool) or not isinstance(npieces, (int, float))
+                        or not 1 <= npieces <= _MAX_NPIECES or npieces != int(npieces)):
+                    raise UsageError(
+                        f"'{field}' {where}: 'npieces' must be an integer from 1 "
+                        f"to {_MAX_NPIECES}, got {spec['npieces']!r}"
+                    )
                 w = sin_power_weight(
-                    domain,
-                    float(spec["exponent"]),
-                    npieces=int(spec.get("npieces", 128)),
+                    domain, float(spec["exponent"]), npieces=int(npieces)
                 )
                 amp = float(spec.get("amplitude", 1.0))
                 return w if amp == 1.0 else w.affine(amp, 0.0)
@@ -153,8 +162,8 @@ def problem_from_config(cfg: dict):
         )
     try:
         prob = Problem(
-            p=float(cfg["p"]),
-            q=float(cfg["q"]),
+            p=_config_number(cfg, "p"),
+            q=_config_number(cfg, "q"),
             domain=domain,
             m=m,
             c=c,
@@ -176,7 +185,7 @@ def problem_from_config(cfg: dict):
     return prob, int(n), tol
 
 
-def _config_number(cfg: dict, key: str, default: float) -> float:
+def _config_number(cfg: dict, key: str, default: float | None = None) -> float:
     try:
         return float(cfg.get(key, default))
     except (OverflowError, TypeError, ValueError):

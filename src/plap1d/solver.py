@@ -4,11 +4,14 @@ With a sign-changing weight the reaction is not monotone in u, so the
 classical monotone iteration between sub- and supersolution is not justified;
 what is justified is minimizing the problem's energy over the order interval,
 whose interior critical points satisfy the discrete weak equation.  The
-minimizer is found by projected Newton from the box midpoint: a tridiagonal
-model on the free nodes, clipped into the box and backtracked until it lowers
-the energy or the residual.  Convergence is judged by the projected-gradient
-residual, so a node pinned at a bound counts as converged only when its
-multiplier has the right sign.
+minimizer is found by projected Newton from the box midpoint on the free
+nodes: the step solves a tridiagonal system with the energy's own reaction
+Jacobian by banded Cholesky, is clipped into the box and is backtracked
+until it lowers the energy or the residual.  Where that system is not
+positive definite, a model with the reaction lumped onto the diagonal and
+clipped at zero, positive definite by construction, takes the step instead.
+Convergence is judged by the projected-gradient residual, so a node pinned
+at a bound counts as converged only when its multiplier has the right sign.
 
 For p < 2 the model's diffusion weight is the Kacanov weight |s|^{p-2} =
 phi_p(s)/s, the secant slope of phi_p, instead of Newton's (p-1)|s|^{p-2},
@@ -98,14 +101,6 @@ def _energy_and_grad(vals, grid, plan, p, q):
     return e, g
 
 
-def _lumped_mass(plan, key, vals, r):
-    """Row sums of plan.mass_tridiag(key, vals, r)."""
-    diag, off = plan.mass_tridiag(key, vals, r)
-    diag[:-1] += off
-    diag[1:] += off
-    return diag
-
-
 def _kkt_residual(g, vals, lo, hi, hbar, atol):
     """Normalized projected-gradient residual at the interior nodes.
 
@@ -152,6 +147,20 @@ def solve_between(
     multiplies the error by (2-p)/(p-1), which converges only linearly for
     1.5 < p < 2 and diverges below.  The discrete problem and the stopping
     rule do not depend on the weight.
+
+    The reaction enters with its consistent Jacobian, the second derivative
+    of the reaction energy: -q M_m(u^(q-1)) plus (p - 1) M_c(u^(p-2)) when c
+    is present, with M_w(v) the tridiagonal matrix int w v hat_i hat_j.
+    Frozen nodes (the boundary and the cleanly pinned ones) keep an
+    identity row, a zero right-hand side and no coupling, so the system
+    stays symmetric, and banded Cholesky solves it.  Inside the window
+    m > 0, so the reaction's curvature is negative; where it outweighs the
+    diffusion (at p = 8, at the first step from the box midpoint) Cholesky
+    fails, and the step comes from the same matrices with the reaction
+    lumped onto the diagonal and clipped at zero: a diagonally dominant
+    M-matrix, so positive definite, and its step is a descent direction.
+    That model alone converges only linearly, since it drops the reaction
+    wherever m > 0.
     """
     lo = np.maximum(sub.u(grid.nodes), 0.0)
     hi = sup.u(grid.nodes)
@@ -162,8 +171,8 @@ def solve_between(
         return GridFunction(grid, lo.copy())
 
     # imported here, not at module level, so that only a solve pays for it;
-    # outside the try below, so that a missing scipy is not a stalled step
-    from scipy.linalg import solve_banded
+    # outside the loop below, so that a missing scipy is not a stalled step
+    from scipy.linalg import LinAlgError, solveh_banded
 
     plan = _plan(grid, prob)
     hbar = grid.hat_masses()
@@ -190,30 +199,37 @@ def solve_between(
         diag = np.zeros(n + 1)
         diag[:-1] += w
         diag[1:] += w
-        # the reaction Jacobian is mass-lumped (row sums onto the diagonal)
-        # and its diagonal contribution clipped at zero: near small values
-        # u^(q-1) blows up, and both the consistent couplings and the
-        # negative curvature of the sublinear reaction would make the system
-        # indefinite, steering Newton into the saddle below instead of the
-        # solution above; the clipped M-matrix model keeps every step a
-        # positive descent direction and costs only the local rate
-        react = -q * _lumped_mass(plan, "m", vals, q - 1.0)
+        # the reaction's own second derivative, couplings included
+        rdiag, roff = plan.mass_tridiag("m", vals, q - 1.0)
+        rdiag, roff = -q * rdiag, -q * roff
         if "c" in plan.tables:
-            react += (p - 1.0) * _lumped_mass(plan, "c", vals, p - 2.0)
-        diag = diag + np.maximum(react, 0.0)
-        # freeze the boundary and the cleanly pinned nodes
+            cdiag, coff = plan.mass_tridiag("c", vals, p - 2.0)
+            rdiag += (p - 1.0) * cdiag
+            roff += (p - 1.0) * coff
+        # freeze the boundary and the cleanly pinned nodes: identity rows,
+        # zero right-hand side, and no coupling into or out of them
         frozen = np.zeros(n + 1, dtype=bool)
         frozen[0] = frozen[-1] = True
         frozen[1:-1] = ~inactive
+        coupled = ~(frozen[:-1] | frozen[1:])
         rhs = np.where(frozen, 0.0, -g)
-        ab = np.zeros((3, n + 1))
-        ab[0, 1:] = np.where(frozen[:-1], 0.0, -w)  # off[j] sits in row j
-        ab[1] = np.where(frozen, 1.0, diag)
-        ab[2, :-1] = np.where(frozen[1:], 0.0, -w)  # and in row j + 1
+        ab = np.zeros((2, n + 1))  # upper form: off[j] sits in column j + 1
+        ab[0, 1:] = np.where(coupled, roff - w, 0.0)
+        ab[1] = np.where(frozen, 1.0, diag + rdiag)
         try:
-            delta = solve_banded((1, 1), ab, rhs)
-        except Exception:
-            break
+            delta = solveh_banded(ab, rhs, check_finite=False)
+        except LinAlgError:
+            # indefinite: an uphill step could head for the saddle below
+            # the solution; the lumped reaction clipped at zero leaves a
+            # positive definite M-matrix, whose step always descends
+            rdiag[:-1] += roff
+            rdiag[1:] += roff
+            ab[0, 1:] = np.where(coupled, -w, 0.0)
+            ab[1] = np.where(frozen, 1.0, diag + np.maximum(rdiag, 0.0))
+            try:
+                delta = solveh_banded(ab, rhs, check_finite=False)
+            except LinAlgError:
+                break
         if not np.all(np.isfinite(delta)):
             break
         # a step is good if it shrinks the l2 size of the projected gradient

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from plap1d.cli import _csv_cell, build_parser, main, write_csv
-from plap1d.core_types import Grid, GridFunction
+from plap1d.cli import _csv_cell, build_parser, main, weight_from_spec, write_csv
+from plap1d.core_types import Grid, GridFunction, Interval
 
 BASE = {
     "p": 2.0,
@@ -225,13 +225,30 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith("usage error") and "'m'" in err
 
+    @pytest.mark.parametrize("npieces", [3.5, 0, 4097, math.inf, "12", True, None])
+    def test_npieces_must_be_a_bounded_integer(self, tmp_path, capsys, npieces):
+        m = {**MANUFACTURED["m"], "npieces": npieces}
+        cfg = write_config(tmp_path, m=m, window=MANUFACTURED["window"])
+        assert main(["check", cfg, "--out", str(tmp_path / "o")]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and "'m'" in err and "'npieces'" in err
+
+    def test_npieces_bounds_are_inclusive(self):
+        unit = Interval(0.0, 1.0)
+        for npieces in (1, 4096, 4096.0):
+            spec = {"preset": "sin-power", "exponent": 0.5, "npieces": npieces}
+            assert weight_from_spec(spec, unit, unit, "m").npieces == int(npieces)
+
     @pytest.mark.parametrize(
-        "old, new",
-        [('"p": 2.0', '"p": BIG'), ('"domain": [0.0, 1.0]', '"domain": [0.0, BIG]'),
-         ('"value": 0.0', '"value": BIG'), ('"n": 256', '"n": BIG')],
-        ids=["p", "domain", "c-value", "n"],
+        "old, new, name",
+        [('"p": 2.0', '"p": BIG', "'p'"), ('"q": 0.5', '"q": BIG', "'q'"),
+         ('"domain": [0.0, 1.0]', '"domain": [0.0, BIG]', "'domain'"),
+         ('"value": 0.0', '"value": BIG', "'c'"), ('"n": 256', '"n": BIG', "'n'")],
+        ids=["p", "q", "domain", "c-value", "n"],
     )
-    def test_integer_too_large_for_a_float_is_usage_error(self, tmp_path, capsys, old, new):
+    def test_integer_too_large_for_a_float_is_usage_error(
+        self, tmp_path, capsys, old, new, name
+    ):
         # JSON integers have no size limit, and float() of a 401-digit one
         # raises OverflowError
         text = json.dumps(BASE)
@@ -239,7 +256,8 @@ class TestConfigParsing:
         path = tmp_path / "big.json"
         path.write_text(text.replace(old, new.replace("BIG", "1" + "0" * 400)))
         assert main(["check", str(path), "--out", str(tmp_path / "o")]) == 64
-        assert capsys.readouterr().err.startswith("usage error")
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and name in err
 
 
 class TestEigen:

@@ -69,13 +69,21 @@ def test_compare_cli_measures_how_far_outputs_moved():
     base = {
         "eigen.json": b'{"lambda1": 10.0, "n": 4, "note": "a", "conditions": [{"mu": 2.0}]}',
         "phi.csv": b"x,u\n0,0\n0.5,1\n1,0\n",
+        "tail.csv": b"x,u,status\n0,1,ok\n1,0.001,ok\n2,,error\n",
         "same.csv": b"x,u\n0,0\n1,0\n",
     }
     change = {
         "eigen.json": b'{"lambda1": 10.5, "n": 5, "note": "b", "conditions": [{"mu": 2.0}]}',
         "phi.csv": b"x,u\n0,0\n0.5,0.75\n1,0\n",
+        "tail.csv": b"x,u,status\n0,1,ok\n1,0.002,error\n2,,error\n",
         "same.csv": b"x,u\n0,0\n1,0\n",
     }
     parts = compare_cli.moved(base, change)
-    # ints and strings are not floats; unchanged files are skipped
-    assert parts == ["report 0.0476 at eigen.json /lambda1", "phi.csv u 0.25"]
+    # ints and strings are not floats; unchanged files and columns, and
+    # empty cells, are skipped; an entry near zero dominates the per-entry
+    # difference only
+    assert parts == [
+        "report 0.0476 at eigen.json /lambda1",
+        "phi.csv u 0.25 per entry, 0.25 of sup",
+        "tail.csv u 0.5 per entry, 0.001 of sup",
+    ]

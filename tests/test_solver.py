@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from plap1d import (
     CertificateError,
@@ -183,7 +184,8 @@ class TestSolveBetween:
         sin_vals = np.sin(np.pi * g.nodes)
         sub, sup = box_certificates(g, 0.5 * sin_vals, sin_vals + 0.5)
         solve_between(prob, sub, sup, g, tol=1e-9)
-        assert 0 < len(calls) <= 150
+        # the lumped, clipped reaction Jacobian took 30; the consistent one 4
+        assert 0 < len(calls) <= 10
 
     @pytest.mark.parametrize("p, n", [(1.4, 1024), (1.6, 2048), (1.8, 2048)])
     def test_sublinear_p_needs_few_energy_evaluations(self, monkeypatch, p, n):
@@ -200,6 +202,34 @@ class TestSolveBetween:
         tol = 1e-8
         rep = solve_full(prob, grid=prob.default_grid(n), tol=tol)
         rep.require_certified(tol)
+        assert 0 < len(calls) <= 100
+
+    @pytest.mark.parametrize("n", [512, 2048])
+    def test_p8_certifies_through_the_clipped_fallback(self, monkeypatch, n):
+        # from the box midpoint the consistent Newton matrix is indefinite at
+        # the first step, so the clipped lumped model must take it; with the
+        # clipped model alone the solve stalled after 22 evaluations
+        calls = []
+        indefinite = []
+        solveh_banded = scipy.linalg.solveh_banded
+
+        def counted(*args):
+            calls.append(None)
+            return _energy_and_grad(*args)
+
+        def watched(*args, **kwargs):
+            try:
+                return solveh_banded(*args, **kwargs)
+            except scipy.linalg.LinAlgError:
+                indefinite.append(None)
+                raise
+
+        monkeypatch.setattr(plap1d.solver, "_energy_and_grad", counted)
+        monkeypatch.setattr(scipy.linalg, "solveh_banded", watched)
+        prob = step_problem(8.0, 3.5, 0.001)
+        tol = 1e-8
+        solve_full(prob, grid=prob.default_grid(n), tol=tol).require_certified(tol)
+        assert indefinite
         assert 0 < len(calls) <= 100
 
     @pytest.mark.parametrize("csup, passes", [(0.0, 1), (0.5, 2)])
