@@ -7,8 +7,10 @@ functions where applicable) to --out, and echoes the report to stdout.
 Exit codes: 0 success, 2 condition-not-satisfied (no sufficient condition,
 failed verification, impossible certificate, uncertified solution) or solve
 stalled above its tolerance, 1 internal error, 64 malformed config or command
-line.  All floats in reports are rendered with 17 significant digits, so
-identical inputs give byte-identical reports.
+line, such as a config key that is not read or a config number that is not a
+finite JSON number (a boolean or a string is not).  All floats in reports are
+rendered with 17 significant digits, so identical inputs give byte-identical
+reports.
 
 scipy is loaded only by the Newton solve behind `solve` and `sweep`, and
 multiprocessing only by `sweep --jobs` above 1; the other subcommands load
@@ -69,6 +71,9 @@ class _Parser(argparse.ArgumentParser):
 
 _REQUIRED_KEYS = ("p", "q", "domain", "window", "m", "c")
 _CONFIG_KEYS = {*_REQUIRED_KEYS, "n", "tol", "allow_sign_changing_c"}
+# the keys each weight preset reads, besides "preset"
+_PRESET_KEYS = {"constant": {"value"}, "step": {"inside", "outside"},
+                "sin-power": {"exponent", "amplitude", "npieces"}}
 # sin_power_weight fits one cubic per piece in a Python loop, about 0.15 s
 # for the largest allowed count
 _MAX_NPIECES = 4096
@@ -77,12 +82,36 @@ _MAX_NPIECES = 4096
 # ---------------------------------------------------------------------------
 # config parsing
 
+def _number(value, field: str, what: str = "a finite number", ok=lambda x: True) -> float:
+    """float(value) for a JSON int or float that is finite and passes ok;
+    anything else, a bool or a string included, is a UsageError naming field."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max and ok(float(value))):
+        raise UsageError(f"{field} must be {what}, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, field: str, what: str, count: int | None = None) -> list[float]:
+    """A JSON list of finite numbers, of count entries if count is given."""
+    if not isinstance(value, list) or count not in (None, len(value)):
+        raise UsageError(f"{field} must be {what}, got {value!r}")
+    return [_number(x, f"{field}[{i}]") for i, x in enumerate(value)]
+
+
+def _known_fields(obj, allowed: set, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise UsageError(f"{where} must be an object")
+    unknown = set(obj) - allowed
+    if unknown:
+        raise UsageError(f"{where} has unknown fields: {', '.join(sorted(unknown))}")
+
+
 def _interval(cfg, key):
+    field = f"config field '{key}'"
     try:
-        a, b = cfg[key]
-        return Interval(float(a), float(b))
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise UsageError(f"config field '{key}' must be [a, b]: {exc}")
+        return Interval(*_numbers(cfg[key], field, "[a, b]", 2))
+    except ValueError as exc:
+        raise UsageError(f"{field} must be [a, b]: {exc}")
 
 
 def weight_from_spec(spec, domain: Interval, window: Interval, field: str) -> Weight:
@@ -92,104 +121,72 @@ def weight_from_spec(spec, domain: Interval, window: Interval, field: str) -> We
     the local coordinate x - from; presets are constant {value}, step
     {inside, outside} over the window, and sin-power {exponent, amplitude,
     npieces}, with npieces an integer from 1 to 4096 (default 128).  A
-    missing key or an ill-typed value anywhere in the spec is a usage error
-    that names the field.
+    missing key, a key the preset or piece does not read, or an ill-typed
+    value anywhere in the spec is a usage error that names the field.
     """
-    if not isinstance(spec, dict):
-        raise UsageError(f"config field '{field}' must be an object")
-    if "preset" not in spec and "pieces" not in spec:
-        raise UsageError(f"'{field}' needs either 'preset' or 'pieces'")
-    where = f"preset '{spec['preset']}'" if "preset" in spec else "piece"
+    if not isinstance(spec, dict) or ("preset" in spec) == ("pieces" in spec):
+        raise UsageError(f"config field '{field}' must be an object with 'preset' or 'pieces'")
+    where = f"'{field}' preset {spec['preset']!r}" if "preset" in spec else f"'{field}' pieces"
     try:
-        if "preset" in spec:
-            preset = spec["preset"]
-            if preset == "constant":
-                return Weight.constant(float(spec["value"]), domain)
-            if preset == "step":
-                return step_weight(
-                    domain, window, float(spec["inside"]), float(spec["outside"])
-                )
-            if preset == "sin-power":
-                npieces = spec.get("npieces", 128)
-                if (isinstance(npieces, bool) or not isinstance(npieces, (int, float))
-                        or not 1 <= npieces <= _MAX_NPIECES or npieces != int(npieces)):
-                    raise UsageError(
-                        f"'{field}' {where}: 'npieces' must be an integer from 1 "
-                        f"to {_MAX_NPIECES}, got {spec['npieces']!r}"
-                    )
-                w = sin_power_weight(
-                    domain, float(spec["exponent"]), npieces=int(npieces)
-                )
-                amp = float(spec.get("amplitude", 1.0))
-                return w if amp == 1.0 else w.affine(amp, 0.0)
-            raise UsageError(f"'{field}' has unknown preset '{preset}'")
-        pieces = sorted(spec["pieces"], key=lambda pc: float(pc["from"]))
-        if not pieces:
-            raise UsageError(f"'{field}' has an empty piece list")
-        breaks = [float(pieces[0]["from"])]
-        coefs = []
-        for pc in pieces:
-            lo, hi, poly = float(pc["from"]), float(pc["to"]), pc["poly"]
-            if abs(lo - breaks[-1]) > 1e-12 * domain.length():
+        if "pieces" in spec:
+            pieces = spec["pieces"]
+            if not isinstance(pieces, list) or not pieces:
+                raise UsageError(f"{where} must be a non-empty list, got {pieces!r}")
+            rows = []
+            for i, pc in enumerate(pieces):
+                _known_fields(pc, {"from", "to", "poly"}, f"'{field}' piece {i}")
+                at = f"'{field}' piece {i} field"
+                lo, hi = _number(pc["from"], f"{at} 'from'"), _number(pc["to"], f"{at} 'to'")
+                rows.append((lo, hi, _numbers(pc["poly"], f"{at} 'poly'", "a list of numbers")))
+            rows.sort(key=lambda row: row[0])
+            if any(abs(b[0] - a[1]) > 1e-12 * domain.length() for a, b in zip(rows, rows[1:])):
                 raise UsageError(f"'{field}' pieces do not tile the domain")
-            breaks.append(hi)
-            coefs.append([float(a) for a in poly])
-        return Weight(breaks, coefs)
+            return Weight([rows[0][0], *(hi for _, hi, _ in rows)], [poly for *_, poly in rows])
+        preset = spec["preset"]
+        if not isinstance(preset, str) or preset not in _PRESET_KEYS:
+            raise UsageError(f"'{field}' has unknown preset {preset!r}")
+        _known_fields(spec, {"preset", *_PRESET_KEYS[preset]}, where)
+        spec = {"amplitude": 1.0, "npieces": 128, **spec}
+        def num(key, *check):
+            return _number(spec[key], f"{where} field '{key}'", *check)
+        if preset == "constant":
+            return Weight.constant(num("value"), domain)
+        if preset == "step":
+            return step_weight(domain, window, num("inside"), num("outside"))
+        npieces = num("npieces", f"an integer from 1 to {_MAX_NPIECES}",
+                      lambda x: x == int(x) and 1 <= x <= _MAX_NPIECES)
+        w = sin_power_weight(domain, num("exponent"), npieces=int(npieces))
+        amp = num("amplitude")
+        return w if amp == 1.0 else w.affine(amp, 0.0)
     except KeyError as exc:
-        raise UsageError(f"'{field}' {where} is missing {exc}")
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise UsageError(f"'{field}' {where}: {exc}")
+        raise UsageError(f"{where} is missing {exc}")
+    except ValueError as exc:
+        raise UsageError(f"{where}: {exc}")
 
 
 def problem_from_config(cfg: dict):
     """(Problem, grid cells, solver tol) from a parsed config dict."""
-    if not isinstance(cfg, dict):
-        raise UsageError("config must be a JSON object")
-    unknown = set(cfg) - _CONFIG_KEYS
-    if unknown:
-        raise UsageError(f"unknown config fields: {', '.join(sorted(unknown))}")
+    _known_fields(cfg, _CONFIG_KEYS, "config")
     for key in _REQUIRED_KEYS:
         if key not in cfg:
             raise UsageError(f"config field '{key}' is required")
-    domain = _interval(cfg, "domain")
-    window = _interval(cfg, "window")
+    domain, window = (_interval(cfg, key) for key in ("domain", "window"))
     m = weight_from_spec(cfg["m"], domain, window, "m")
     c = weight_from_spec(cfg["c"], domain, window, "c")
     flag = cfg.get("allow_sign_changing_c", False)
     if not isinstance(flag, bool):
-        raise UsageError(
-            f"config field 'allow_sign_changing_c' must be true or false, got {flag!r}"
-        )
+        raise UsageError("config field 'allow_sign_changing_c' must be true or false, "
+                         f"got {flag!r}")
+    cfg = {"n": DEFAULT_N, "tol": 1e-8, **cfg}
+    def num(key, *check):
+        return _number(cfg[key], f"config field '{key}'", *check)
     try:
-        prob = Problem(
-            p=_config_number(cfg, "p"),
-            q=_config_number(cfg, "q"),
-            domain=domain,
-            m=m,
-            c=c,
-            window=window,
-            allow_sign_changing_c=flag,
-        )
-    except (OverflowError, TypeError, ValueError) as exc:
+        prob = Problem(p=num("p"), q=num("q"), domain=domain, m=m, c=c, window=window,
+                       allow_sign_changing_c=flag)
+    except ValueError as exc:
         raise UsageError(str(exc))
-    n = _config_number(cfg, "n", DEFAULT_N)
-    if not (math.isfinite(n) and n == int(n) and n >= 4):
-        raise UsageError(
-            f"config field 'n' must be an integer of at least 4, got {cfg['n']!r}"
-        )
-    tol = _config_number(cfg, "tol", 1e-8)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise UsageError(
-            f"config field 'tol' must be finite and positive, got {cfg['tol']!r}"
-        )
-    return prob, int(n), tol
-
-
-def _config_number(cfg: dict, key: str, default: float | None = None) -> float:
-    try:
-        return float(cfg.get(key, default))
-    except (OverflowError, TypeError, ValueError):
-        raise UsageError(f"config field '{key}' must be a number, got {cfg[key]!r}")
+    n = num("n", "an integer of at least 4", lambda x: x == int(x) and x >= 4)
+    return prob, int(n), num("tol", "a positive number", lambda x: x > 0.0)
 
 
 def load_config(path: str) -> dict:
@@ -503,7 +500,7 @@ _SUBCOMMANDS = (
     ("sweep", "solve over a parameter grid, emit a CSV atlas", cmd_sweep, (
         ("ranges", {"nargs": "*", "help": "NAME=start:stop:count"}),
         _POLICY,
-        ("--jobs", {"type": int, "default": 0, "help": "worker count (default: cores)"}),
+        ("--jobs", {"type": int, "default": 0, "help": "worker count (default and cap: cores)"}),
     )),
 )
 

@@ -25,6 +25,7 @@ multiprocessing only by `sweep` with more than one job.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -382,15 +383,15 @@ def sweep(factory, ranges: dict, policy: str = "auto", jobs: int = 1) -> list[di
 
     factory(**params) must return (Problem, grid cells, solver tol) for one
     cell; failures are recorded in the row and the sweep continues.
-    jobs > 1 distributes cells over at most one process per cell, so factory
-    must be picklable.
+    jobs > 1 distributes cells over at most one process per cell and per
+    core, so factory must be picklable.
     """
     names = list(ranges)
     cells = [
         (factory, dict(zip(names, combo)), policy)
         for combo in itertools.product(*(list(ranges[k]) for k in names))
     ]
-    jobs = min(jobs, len(cells))
+    jobs = min(jobs, len(cells), os.cpu_count() or 1)
     if jobs > 1:
         from multiprocessing import Pool
 

@@ -44,6 +44,31 @@ def window_edge_weight(left, right):
 EDGE_WINDOW = {"p": 1.5, "q": 0.25, "window": [0.05, 0.15], "n": 256}
 
 
+def bad_leaf_cases():
+    """(overrides, names, what, id) that set one numeric leaf of BASE, or of
+    the sin-power weight of MANUFACTURED, to a value that is not a number."""
+    sin_power = {"window": MANUFACTURED["window"], "m": MANUFACTURED["m"]}
+    for label, value in (("true", True), ("numeric-string", "2"), ("null", None),
+                         ("list", [1]), ("object", {})):
+        leaves = [(key, {key: value}, f"config field '{key}'")
+                  for key in ("p", "q", "n", "tol")]
+        for key in ("domain", "window"):
+            for i in (0, 1):
+                ends = list(BASE[key])
+                ends[i] = value
+                leaves.append((f"{key}{i}", {key: ends}, f"config field '{key}'[{i}]"))
+        for base, key, leaf in (
+            (BASE, "m", "inside"), (BASE, "m", "outside"), (BASE, "c", "value"),
+            (sin_power, "m", "exponent"), (sin_power, "m", "amplitude"),
+            (sin_power, "m", "npieces"),
+        ):
+            spec = {**base[key], leaf: value}
+            names = f"'{key}' preset '{spec['preset']}' field '{leaf}'"
+            leaves.append((f"{key}-{leaf}", {**base, key: spec}, names))
+        for leaf, overrides, names in leaves:
+            yield overrides, names, f"got {value!r}", f"{label}-{leaf}"
+
+
 def write_config(tmp_path, name="cfg.json", **overrides):
     cfg = {**BASE, **overrides}
     path = tmp_path / name
@@ -158,7 +183,7 @@ class TestConfigParsing:
                 {"from": 0.75, "to": 1.0, "poly": [-0.5]},
             ]}), "'m'", "finite"),
             (dict(m={"preset": "step", "inside": 1.0, "outside": -math.inf}), "'m'", "finite"),
-            (dict(p=math.inf), "p must be finite", "finite"),
+            (dict(p=math.inf), "'p' must be a finite number", "finite"),
             (dict(m={"pieces": [
                 {"from": 0.0, "to": 0.25, "poly": [-0.5]},
                 {"from": 0.25, "to": 0.75, "poly": []},
@@ -166,16 +191,19 @@ class TestConfigParsing:
             ]}), "'m'", "at least one coefficient"),
             (dict(n=math.inf), "'n'", "integer"),
             (dict(n=math.nan), "'n'", "integer"),
-            (dict(n="abc"), "'n'", "number"),
+            (dict(n="abc"), "'n'", "integer"),
             (dict(n=12.5), "'n'", "integer"),
             (dict(tol=math.inf), "'tol'", "positive"),
             (dict(tol=0), "'tol'", "positive"),
             (dict(tol=-1), "'tol'", "positive"),
             (dict(tol=math.nan), "'tol'", "positive"),
+            (dict(domain=[0, math.inf]), "'domain'", "finite"),
+            *(case[:3] for case in bad_leaf_cases()),
         ],
         ids=["nan-quadratic-piece", "nan-linear-piece", "infinite-step-outside", "infinite-p",
              "empty-piece", "infinite-n", "nan-n", "string-n", "fractional-n",
-             "infinite-tol", "zero-tol", "negative-tol", "nan-tol"],
+             "infinite-tol", "zero-tol", "negative-tol", "nan-tol", "infinite-domain-end",
+             *(case[3] for case in bad_leaf_cases())],
     )
     def test_non_finite_data_is_usage_error(self, tmp_path, capsys, overrides, names, what):
         cfg = write_config(tmp_path, **overrides)
@@ -208,22 +236,28 @@ class TestConfigParsing:
         assert err.startswith("usage error") and "'allow_sign_changing_c'" in err
 
     @pytest.mark.parametrize(
-        "m",
+        "m, name",
         [
-            {"pieces": [{"to": 1.0, "poly": [1.0]}]},
-            {"pieces": {"from": 0.0, "to": 1.0, "poly": [1.0]}},
-            {"pieces": [{"from": 0.0, "to": 1.0, "poly": 1.0}]},
-            {"pieces": [{"from": "zero", "to": 1.0, "poly": [1.0]}]},
-            {"preset": "constant", "value": None},
+            ({"pieces": [{"to": 1.0, "poly": [1.0]}]}, "'from'"),
+            ({"pieces": {"from": 0.0, "to": 1.0, "poly": [1.0]}}, "list"),
+            ({"pieces": [{"from": 0.0, "to": 1.0, "poly": 1.0}]}, "'poly'"),
+            ({"pieces": [{"from": "zero", "to": 1.0, "poly": [1.0]}]}, "'from'"),
+            ({"preset": "constant", "value": None}, "'value'"),
+            ({"preset": "sin-power", "exponent": 0.5, "amplitud": 9.87}, "amplitud"),
+            ({"preset": "step", "inside": 1.0, "outside": -0.5, "amplitude": 3}, "amplitude"),
+            ({"pieces": [{"from": 0.0, "to": 1.0, "poly": [1.0], "degree": 0}]}, "degree"),
+            ({"preset": "constant", "value": 1.0,
+              "pieces": [{"from": 0.0, "to": 1.0, "poly": [1.0]}]}, "'pieces'"),
         ],
         ids=["piece-without-from", "pieces-as-object", "poly-as-number",
-             "from-as-word", "null-preset-value"],
+             "from-as-word", "null-preset-value", "misspelled-amplitude",
+             "step-with-amplitude", "piece-with-degree", "preset-and-pieces"],
     )
-    def test_malformed_weight_spec_is_usage_error(self, tmp_path, capsys, m):
+    def test_malformed_weight_spec_is_usage_error(self, tmp_path, capsys, m, name):
         cfg = write_config(tmp_path, m=m)
         assert main(["check", cfg, "--out", str(tmp_path / "o")]) == 64
         err = capsys.readouterr().err
-        assert err.startswith("usage error") and "'m'" in err
+        assert err.startswith("usage error") and "'m'" in err and name in err
 
     @pytest.mark.parametrize("npieces", [3.5, 0, 4097, math.inf, "12", True, None])
     def test_npieces_must_be_a_bounded_integer(self, tmp_path, capsys, npieces):
@@ -512,6 +546,7 @@ class TestSweep:
 
     def test_pool_has_at_most_one_worker_per_cell(self, tmp_path, monkeypatch):
         import multiprocessing
+        import os
 
         sizes = []
 
@@ -531,13 +566,16 @@ class TestSweep:
         # sweep imports Pool from multiprocessing when it needs one
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         cfg = write_config(tmp_path, n=64)
-        out = tmp_path / "out"
-        code = main(["sweep", cfg, "m.outside=-0.4:-0.5:2",
-                     "--jobs", "5000", "--out", str(out)])
-        assert code == 0
-        assert sizes == [2]
-        report = json.loads((out / "sweep.json").read_text())
-        assert report["jobs"] == 5000 and report["cells"] == 2
+        # fewer cells than cores, then more: the pool is capped at both
+        for cores, cells in ((4, 2), (2, 3)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            out = tmp_path / f"out{cells}"
+            code = main(["sweep", cfg, f"m.outside=-0.4:-0.5:{cells}",
+                         "--jobs", "5000", "--out", str(out)])
+            assert code == 0
+            assert sizes.pop() == 2 and not sizes
+            report = json.loads((out / "sweep.json").read_text())
+            assert report["jobs"] == 5000 and report["cells"] == cells
 
     def test_negative_jobs_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
