@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .core_types import EpsTooLargeError, Interval, Problem, Weight
 from .eigen import EigenPair
 
@@ -142,29 +144,94 @@ def _two_part_report(name, parts, reason, aux):
     return _report(name, lhs, rhs, all_hold, reason, aux)
 
 
-def _inverse_lambda_report(name, eig, lhs, reason, aux):
-    # the one-inequality conditions lhs <= 1/lambda1; lhs is NaN where it
-    # cannot be evaluated
-    rhs = 1.0 / eig.lambda1
-    return _report(name, lhs, rhs, lhs <= rhs, reason, aux)
+_NO_C = "c vanishes; use the c-free condition"
+_HAS_C = "requires c identically zero"
+
+
+def applicability(which: str, prob: Problem) -> str:
+    """Why the named condition does not apply to prob, or "" where it does:
+    the text the reports print and `outer_profile` raises."""
+    if which not in CONDITION_NAMES:
+        raise ValueError(f"unknown condition name {which!r}, not a theorem of {CONDITION_NAMES}")
+    p, q = prob.p, prob.q
+    has_c = prob.c_plus.sup_norm() > 0.0
+    if which == "thm1_i" and not (p >= 2.0 and q > p - 2.0):
+        return "requires p >= 2 and q in (p-2, p-1)"
+    if which == "thm1_ii" and p > 2.0:
+        return "requires p <= 2"
+    if which in ("thm2_i", "thm2_ii") and not has_c:
+        return _NO_C
+    if which == "thm2_i" and p < 2.0:
+        return "requires p >= 2"
+    if which == "cor" and has_c:
+        return _HAS_C
+    return ""
+
+
+@dataclass(frozen=True)
+class OuterProfile:
+    """One theorem's outer profile f^k, f = sigma(tau) g(d), sigma = (A tau)^e.
+
+    d is the distance from the reach's outer end.  g is the eps-inflated
+    negative mass between that end and x for thm1_* (shape "power", built in
+    `subsuper._profile`), d for cor, sinh(rate d) for thm2_i and
+    expm1(rate d) for thm2_ii.  f peaks at the reach's far end, so a tau is
+    admissible while sigma(tau) g_end <= 1, the rule of `tau_interval`.
+    """
+
+    shape: str
+    k: float
+    A: float
+    e: float
+    rate: float = 0.0
+
+    def sigma(self, tau: float) -> float:
+        return (self.A * tau) ** self.e
+
+    def g(self, d):
+        hyperbolic = {"sinh": np.sinh, "exp": np.expm1}.get(self.shape)
+        return d if hyperbolic is None else hyperbolic(self.rate * d)
+
+
+def outer_profile(which: str, prob: Problem, eps: float = 0.0, check: bool = True) -> OuterProfile:
+    """The constants of the named theorem's outer profile; for cor and
+    thm2_* A floors ||m^-|| at eps, so a weight with no negative part still
+    has a finite tau range.  Raises ValueError naming the `applicability`
+    reason where the theorem does not apply to prob, unless check is False."""
+    reason = applicability(which, prob) if check else ""
+    if reason:
+        raise ValueError(f"{which}: {reason}")
+    p, q = prob.p, prob.q
+    d = p - 1.0 - q
+    if which == "thm1_i":
+        A = gamma(prob.domain, prob.window) ** (p - 2.0) * d ** (p - 1.0) / (p - 1.0)
+        return OuterProfile("power", 1.0 / d, A, 1.0)
+    if which == "thm1_ii":
+        A = d ** (p - 1.0) / (p - 1.0) ** p
+        return OuterProfile("power", (p - 1.0) / d, A, 1.0 / (p - 1.0))
+    mminus = max(prob.m.neg_part().sup_norm(), eps)
+    C = c_pq(p, q)
+    if which == "cor":
+        return OuterProfile("linear", p / d, mminus / C, 1.0 / p)
+    cn = prob.c_plus.sup_norm()
+    shape = "sinh" if which == "thm2_i" else "exp"
+    return OuterProfile(shape, p / d, mminus / cn, 1.0 / p, (cn / C) ** (1.0 / p))
 
 
 def check_thm1_i(prob: Problem, eig: EigenPair) -> ConditionReport:
     """Power-profile condition for p >= 2, q in (p-2, p-1): parts (i1), (i2)."""
     p, q = prob.p, prob.q
-    lam1 = eig.lambda1
     gam = gamma(prob.domain, prob.window)
-    applicable = p >= 2.0 and (p - 2.0) < q
     d = p - 1.0 - q
     M2 = m_script(2.0, prob)
     i1_lhs = gam ** (p - 2.0) * M2
-    i1_rhs = (p - 1.0) / (d ** (p - 1.0) * lam1)
+    i1_rhs = (p - 1.0) / (d ** (p - 1.0) * eig.lambda1)
     i2_lhs = gam**p * prob.c_plus.sup_norm()
     i2_rhs = (2.0 - p + q) * (p - 1.0) / d**p
     return _two_part_report(
         "thm1_i",
         [("i1", i1_lhs, i1_rhs, True), ("i2", i2_lhs, i2_rhs, False)],
-        "" if applicable else "requires p >= 2 and q in (p-2, p-1)",
+        applicability("thm1_i", prob),
         {"M_2": M2},
     )
 
@@ -188,50 +255,43 @@ def check_thm1_ii(prob: Problem, eig: EigenPair) -> ConditionReport:
     return _two_part_report(
         "thm1_ii",
         [("i3", Mp, i3_rhs, True), ("i4", i4_lhs, i4_rhs, False)],
-        "" if 1.0 < p <= 2.0 else "requires p <= 2",
+        applicability("thm1_ii", prob),
         {"M_p": Mp},
     )
 
 
-def _hyperbolic_report(name, prob, eig, profile, reason):
-    p = prob.p
-    cn = prob.c_plus.sup_norm()
-    C = c_pq(p, prob.q)
-    aux = {"C_pq": C}
-    if cn == 0.0:
-        return _inverse_lambda_report(
-            name, eig, math.nan, "c vanishes; use the c-free condition", aux
-        )
-    lt = (cn / C) ** (1.0 / p)
-    mminus = prob.m.neg_part().sup_norm()
-    lhs = (mminus / cn) * profile(lt * gamma(prob.domain, prob.window)) ** p
-    aux.update({"lambda_tilde": lt, "m_minus_sup": mminus, "c_sup": cn})
-    return _inverse_lambda_report(name, eig, lhs, reason, aux)
+def _profile_report(name: str, prob: Problem, eig: EigenPair) -> ConditionReport:
+    """cor, thm2_i, thm2_ii: A g(gamma)^p <= 1/lambda1, with the constants of
+    the theorem's outer profile at eps = 0."""
+    reason = applicability(name, prob)
+    aux = {"C_pq": c_pq(prob.p, prob.q)}
+    lhs = math.nan
+    # a profile of the other c family has no left side
+    if reason not in (_NO_C, _HAS_C):
+        prof = outer_profile(name, prob, check=False)
+        lhs = prof.A * float(prof.g(gamma(prob.domain, prob.window))) ** prob.p
+        mminus = prob.m.neg_part().sup_norm()
+        if prof.rate:
+            aux.update(lambda_tilde=prof.rate, m_minus_sup=mminus, c_sup=prob.c_plus.sup_norm())
+        else:
+            aux["m_minus_sup"] = mminus
+    rhs = 1.0 / eig.lambda1
+    return _report(name, lhs, rhs, lhs <= rhs, reason, aux)
 
 
 def check_thm2_i(prob: Problem, eig: EigenPair) -> ConditionReport:
     """sinh-profile condition, p >= 2 with c not identically zero."""
-    reason = "" if prob.p >= 2.0 else "requires p >= 2"
-    return _hyperbolic_report("thm2_i", prob, eig, math.sinh, reason)
+    return _profile_report("thm2_i", prob, eig)
 
 
 def check_thm2_ii(prob: Problem, eig: EigenPair) -> ConditionReport:
     """exp-profile condition, any p > 1 with c not identically zero."""
-    return _hyperbolic_report("thm2_ii", prob, eig, math.expm1, "")
+    return _profile_report("thm2_ii", prob, eig)
 
 
 def check_cor(prob: Problem, eig: EigenPair) -> ConditionReport:
     """c-free condition: ||m^-|| gamma^p / C_pq <= 1/lambda1."""
-    C = c_pq(prob.p, prob.q)
-    if prob.c_plus.sup_norm() > 0.0:
-        return _inverse_lambda_report(
-            "cor", eig, math.nan, "requires c identically zero", {"C_pq": C}
-        )
-    mminus = prob.m.neg_part().sup_norm()
-    lhs = mminus * gamma(prob.domain, prob.window) ** prob.p / C
-    return _inverse_lambda_report(
-        "cor", eig, lhs, "", {"C_pq": C, "m_minus_sup": mminus}
-    )
+    return _profile_report("cor", prob, eig)
 
 
 def check_all(prob: Problem, eig: EigenPair) -> list[ConditionReport]:
@@ -243,50 +303,33 @@ def check_all(prob: Problem, eig: EigenPair) -> list[ConditionReport]:
 def tau_interval(which: str, prob: Problem, eig: EigenPair, eps: float) -> TauInterval:
     """The tau range the chosen proof admits at negative-mass inflation eps.
 
-    Empty range raises EpsTooLargeError; the caller is expected to shrink eps
-    and retry.  The upper end is capped at TAU_CAP_FACTOR times max(lambda1,
-    lo) so a problem with no negative mass still gets a finite range.
-
-    For thm1_ii one tau serves both sides, so the range needs
-    max(M)^{2-p} max(int M)^{p-1}, which exceeds the max over the sides that
-    `check_thm1_ii` bounds when the sides disagree on which is larger; the
-    range can then be empty at every eps although the condition holds.
+    The upper end has one rule, sigma(hi) g_end = 1, with sigma and g from
+    `outer_profile(which, prob, eps)`, so the tallest outer piece the
+    builders accept peaks at exactly 1.  g_end is max(Ia, Ib), the larger
+    side's integrated eps-inflated mass, for thm1_* (one tau serves both
+    sides; see `check_thm1_ii`) and g(gamma) otherwise.  The upper end is
+    capped at TAU_CAP_FACTOR times max(lambda1, lo) so a problem with no
+    negative mass still gets a finite range.  A condition that does not
+    apply raises ValueError naming its `applicability` reason; an empty
+    range raises EpsTooLargeError, and the caller is expected to shrink eps
+    and retry.
     """
-    if which not in CONDITION_NAMES:
-        raise ValueError(f"unknown condition name: {which!r}")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    p, q = prob.p, prob.q
+    prof = outer_profile(which, prob, eps)
     lam1 = eig.lambda1
-    gam = gamma(prob.domain, prob.window)
-    d = p - 1.0 - q
-    x0, x1 = prob.window.a, prob.window.b
-    scale = 1.0
-
-    if which == "thm1_i":
-        _, Ia, _, Ib = _side_masses(prob.m, eps, x0, x1)
-        lo = lam1
-        denom = gam ** (p - 2.0) * (d ** (p - 1.0) / (p - 1.0)) * max(Ia, Ib)
-        hi = math.inf if denom == 0.0 else 1.0 / denom
-    elif which == "thm1_ii":
-        Ma, Ia, Mb, Ib = _side_masses(prob.m, eps, x0, x1)
-        M_eps = max(Ma, Mb)
-        lo = lam1 * M_eps ** (2.0 - p)
-        scale = M_eps ** (p - 2.0)
-        hi = (p - 1.0) ** p / (d ** (p - 1.0) * max(Ia, Ib) ** (p - 1.0))
+    lo, scale = lam1, 1.0
+    if prof.shape == "power":
+        Ma, Ia, Mb, Ib = _side_masses(prob.m, eps, prob.window.a, prob.window.b)
+        g_end = max(Ia, Ib)
+        if which == "thm1_ii":
+            M_eps = max(Ma, Mb)
+            lo = lam1 * M_eps ** (2.0 - prob.p)
+            scale = M_eps ** (prob.p - 2.0)
     else:
-        mminus_eff = max(prob.m.neg_part().sup_norm(), eps)
-        lo = lam1
-        if which == "cor":
-            hi = c_pq(p, q) / (mminus_eff * gam**p)
-        else:
-            cn = prob.c_plus.sup_norm()
-            if cn == 0.0:
-                raise ValueError(f"{which} needs c not identically zero")
-            lt = (cn / c_pq(p, q)) ** (1.0 / p)
-            grow = math.sinh(lt * gam) if which == "thm2_i" else math.expm1(lt * gam)
-            hi = cn / (mminus_eff * grow**p)
-
+        g_end = float(prof.g(gamma(prob.domain, prob.window)))
+    denom = prof.A * g_end ** (1.0 / prof.e)
+    hi = math.inf if denom == 0.0 else 1.0 / denom
     hi = min(hi, TAU_CAP_FACTOR * max(lam1, lo))
     if not lo <= hi:
         raise EpsTooLargeError(

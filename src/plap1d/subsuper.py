@@ -19,11 +19,9 @@ import numpy as np
 
 from .bvp import solve_g
 from .conditions import (
-    CONDITION_NAMES,
     _mass_integrals,
-    c_pq,
     default_eps,
-    gamma,
+    outer_profile,
     tau_interval,
 )
 from .core_types import (
@@ -64,97 +62,45 @@ class Certificate:
 # profile pieces
 
 
-# theorem -> (profile shape, power variant); the shape names the builder pair
-_SHAPES = {
-    "thm1_i": ("power", "A"),
-    "thm1_ii": ("power", "B"),
-    "thm2_i": ("sinh", None),
-    "thm2_ii": ("exp", None),
-    "cor": ("linear", None),
-}
-
-
 def _profile_params(theorem: str, prob: Problem, tau: float):
-    """(k, sigma) of the theorem's outer profile at tau.
-
-    The profile is f^k; sigma scales f: the running mass integral for the
-    power profiles (thm1_*), the amplitude of sinh/expm1 (thm2_*), the slope
-    of the linear profile (cor).  Raises ValueError where the theorem's
-    profile does not apply to prob.
-    """
-    p, q = prob.p, prob.q
-    d = p - 1.0 - q
-    if theorem == "thm1_i":
-        if p < 2.0 or q <= p - 2.0:
-            raise ValueError("variant A needs p >= 2 and q in (p-2, p-1)")
-        k = 1.0 / d
-        gam = gamma(prob.domain, prob.window)
-        return k, tau * gam ** (p - 2.0) / ((p - 1.0) * k ** (p - 1.0))
-    if theorem == "thm1_ii":
-        if p > 2.0:
-            raise ValueError("variant B needs p in (1, 2]")
-        k = (p - 1.0) / d
-        return k, (1.0 / k) * (tau / (p - 1.0)) ** (1.0 / (p - 1.0))
-    if theorem not in _SHAPES:
-        raise ValueError(f"unknown theorem or power variant: {theorem!r}")
-    if theorem == "thm2_i" and p < 2.0:
-        raise ValueError("sinh profile needs p >= 2")
-    cn = prob.c_plus.sup_norm()
-    if theorem == "cor" and cn > 0.0:
-        raise ValueError("linear profile is for c identically zero")
-    if theorem != "cor" and cn == 0.0:
-        raise ValueError("hyperbolic profiles need c not identically zero")
-    scale = c_pq(p, q) if theorem == "cor" else cn
-    return p / d, (tau * prob.m.neg_part().sup_norm() / scale) ** (1.0 / p)
+    """(k, sigma(tau)) of the theorem's outer profile, from the constants
+    (k, A, e), sigma(tau) = (A tau)^e, of `conditions.outer_profile`, which
+    also raises the ValueError of a theorem that does not apply."""
+    prof = outer_profile(theorem, prob)
+    return prof.k, prof.sigma(tau)
 
 
 def _profile(theorem: str, side: str, prob: Problem, tau: float, eps: float, n: int):
     """The theorem's outer profile f^k on the left reach [a, x1] or the right
     reach [x0, b], side "left" or "right".
 
-    f is a function of the distance d from the reach's outer end: sigma
-    times the eps-inflated negative mass between that end and x (power),
-    sigma sinh or sigma expm1 at rate (||c|| / C_pq)^{1/p} (thm2_i, thm2_ii),
-    or sigma d (cor).  Nodal values are exact; the mass comes from the
-    polynomial antiderivatives of `_mass_integrals`.
+    f = sigma g(d) at the distance d from the reach's outer end, with k,
+    sigma and g from `conditions.outer_profile`; for thm1_* g is the exact
+    eps-inflated negative mass from that end to x (`_mass_integrals`).  A
+    tau above `tau_interval`'s upper end lifts f^k above 1 and raises
+    TauTooLargeError.
     """
-    k, sigma = _profile_params(theorem, prob, tau)
-    p, q = prob.p, prob.q
+    prof = outer_profile(theorem, prob)
+    sigma = prof.sigma(tau)
     a, b = prob.domain.a, prob.domain.b
     left = side == "left"
     # a uniform grid on the reach with the weight's kinks as extra nodes
     reach = Interval(a, prob.window.b) if left else Interval(prob.window.a, b)
     grid = Grid.uniform(reach, max(int(n), 16)).with_points(prob.m.breaks[1:-1])
     d = grid.nodes - a if left else b - grid.nodes
-    shape = _SHAPES[theorem][0]
-    if shape == "power":
+    if prof.shape == "power":
         F, G = _mass_integrals(prob.m, eps)
         if left:
             f = sigma * (G(grid.nodes) - G(a))
         else:
             f = sigma * (float(F(b)) * d - (float(G(b)) - G(grid.nodes)))
-    elif shape == "linear":
-        f = sigma * d
     else:
-        cn = prob.c_plus.sup_norm()
-        C = c_pq(p, q)
-        rate = (cn / C) ** (1.0 / p)
-        if shape == "exp":
-            f = sigma * np.expm1(rate * d)
-        else:
-            f = sigma * np.sinh(rate * d)
-            # cosh^2 - sinh^2 = 1 in disguise; a failure here is an arithmetic bug
-            fprime = sigma * rate * np.cosh(rate * d)
-            target = (tau * prob.m.neg_part().sup_norm()) ** (2.0 / p)
-            resid = (C ** (1.0 / p) * fprime) ** 2 - (cn ** (1.0 / p) * f) ** 2 - target
-            assert np.max(np.abs(resid)) <= 1e-10 * max(1.0, target), (
-                "sinh profile identity failed"
-            )
-    vals = np.maximum(f, 0.0) ** k
+        f = sigma * prof.g(d)
+    vals = np.maximum(f, 0.0) ** prof.k
     vals[0 if left else -1] = 0.0
     if vals.max() > 1.0 + _EDGE_TOL:
         raise TauTooLargeError(
-            f"{side} {shape} profile exceeds 1 (max {vals.max():.6g}) at tau={tau:g}"
+            f"{side} {prof.shape} profile exceeds 1 (max {vals.max():.6g}) at tau={tau:g}"
         )
     return GridFunction(grid, vals)
 
@@ -165,7 +111,8 @@ _VARIANTS = {"A": "thm1_i", "B": "thm1_ii"}
 def build_u1_power(
     prob: Problem, tau: float, eps: float, variant: str, n: int = 256
 ) -> GridFunction:
-    """Left power profile (sigma * int_a^x M^-_eps)^k on [a, x1]; variant A or B."""
+    """Left power profile (sigma * int_a^x M^-_eps)^k on [a, x1]; variant "A"
+    (thm1_i) or "B" (thm1_ii), or the theorem's name."""
     return _profile(_VARIANTS.get(variant, variant), "left", prob, tau, eps, n)
 
 
@@ -208,10 +155,10 @@ def build_u3_linear(prob: Problem, tau: float, n: int = 256) -> GridFunction:
 
 def _outer_piece(piece: str, theorem: str, prob: Problem, tau: float, eps: float, n: int):
     # through the module-level builder name, so a wrapper installed on this
-    # module sees the call
-    shape, variant = _SHAPES[theorem]
+    # module sees the call; a power builder takes the theorem as its variant
+    shape = outer_profile(theorem, prob).shape
     build = globals()[f"build_{piece}_{shape}"]
-    return build(prob, tau, eps, variant, n) if variant else build(prob, tau, n)
+    return build(prob, tau, eps, theorem, n) if shape == "power" else build(prob, tau, n)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +264,6 @@ def build_subsolution(
     side against the degree-q right side exactly and moves it to m without
     spending any slack.
     """
-    if theorem not in CONDITION_NAMES:
-        raise ValueError(f"unknown theorem name: {theorem!r}")
     span = prob.domain.length()
     x0, x1 = prob.window.a, prob.window.b
     has_left = x0 - prob.domain.a > _EDGE_TOL * span

@@ -114,6 +114,14 @@ def _report(kind, values, nodes, worst_pick, note):
     )
 
 
+def boundary_note(v: GridFunction, kind: str) -> str:
+    """"" where v vanishes at both ends, up to 1e-10 max(1, sup|v|) of
+    rounding, else the note "<kind> must vanish at the boundary"."""
+    if max(abs(v.values[0]), abs(v.values[-1])) <= 1e-10 * max(1.0, v.sup_norm()):
+        return ""
+    return f"{kind} must vanish at the boundary"
+
+
 def check_weak_subsolution(v: GridFunction, prob: Problem) -> WeakFormReport:
     """Does v satisfy A_i ≤ tol·∫φ_i at every interior hat, with tol the
     `default_certificate_tol` of v's grid?
@@ -121,11 +129,8 @@ def check_weak_subsolution(v: GridFunction, prob: Problem) -> WeakFormReport:
     Nonnegativity and vanishing boundary values are part of the claim and are
     reported as failures rather than raised.
     """
-    scale = max(1.0, float(np.max(np.abs(v.values))))
-    note = ""
-    if max(abs(float(v.values[0])), abs(float(v.values[-1]))) > 1e-10 * scale:
-        note = "subsolution must vanish at the boundary"
-    elif float(np.min(v.values)) < -1e-10 * scale:
+    note = boundary_note(v, "subsolution")
+    if not note and float(np.min(v.values)) < -1e-10 * max(1.0, v.sup_norm()):
         note = "subsolution must be nonnegative"
     values = weak_form_values(v, prob)
     return _report("subsolution", values, v.grid.nodes, np.argmax, note)

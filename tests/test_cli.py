@@ -434,6 +434,30 @@ class TestSolve:
             "verify", cfg, "--u", str(out / "u.csv"), "--out", str(tmp_path / "v"),
         ]) == 0
 
+    def test_verify_u_requires_vanishing_boundary_values(self, tmp_path):
+        # a solution on [-1/4, 5/4] restricted to [0, 1] solves the equation
+        # there, but does not vanish at 0 and 1
+        step = {"preset": "step", "inside": 1.0, "outside": -0.1}
+        wide = write_config(tmp_path, "wide.json", domain=[-0.25, 1.25], n=768, m=step)
+        out = tmp_path / "out"
+        assert main(["solve", wide, "--out", str(out)]) == 0
+        rows = (out / "u.csv").read_text().splitlines()
+        cut = [rows[0]] + [r for r in rows[1:] if 0.0 <= float(r.split(",")[0]) <= 1.0]
+        assert float(cut[1].split(",")[1]) > 1e-3
+        (tmp_path / "cut.csv").write_text("\n".join(cut) + "\n")
+        unit = write_config(tmp_path, "unit.json", n=512, m=step)
+        v = tmp_path / "v"
+        assert main(["verify", unit, "--u", str(tmp_path / "cut.csv"), "--out", str(v)]) == 2
+        report = json.loads((v / "verify.json").read_text())["u"]
+        assert report["residual"] <= report["tol"]
+        assert report["note"] == "solution must vanish at the boundary"
+        # a solve's own u.csv carries no note and still verifies
+        assert main(["solve", unit, "--out", str(tmp_path / "own")]) == 0
+        assert main([
+            "verify", unit, "--u", str(tmp_path / "own" / "u.csv"), "--out", str(v),
+        ]) == 0
+        assert "note" not in json.loads((v / "verify.json").read_text())["u"]
+
     def test_solve_without_any_condition_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, m={"preset": "step", "inside": 1.0, "outside": -1.0})
         assert main(["solve", cfg, "--out", str(tmp_path / "o")]) == 2

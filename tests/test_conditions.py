@@ -366,9 +366,10 @@ class TestTauInterval:
          ("thm2_ii", 1.75, 0.5), ("cor", 1.75, 0.0)],
     )
     def test_scale_is_the_thm1_ii_edge_mass_power(self, theorem, p, csup):
-        # an off-centre window, so the two sides' edge masses differ
+        # an off-centre window, so the two sides' edge masses differ; q =
+        # (p-1)/2 lies in every theorem's q range
         window, eps = Interval(0.2, 0.6), 1e-3
-        prob = step_problem(p, 0.25, 0.1, csup=csup, window=window)
+        prob = step_problem(p, (p - 1.0) / 2.0, 0.1, csup=csup, window=window)
         ti = tau_interval(theorem, prob, fake_eig(1.0), eps)
         if theorem == "thm1_ii":
             Ma, _, Mb, _ = _side_masses(prob.m, eps, window.a, window.b)
@@ -379,7 +380,7 @@ class TestTauInterval:
 
     def test_hyperbolic_ranges_need_c(self):
         prob = step_problem(2.0, 0.5, 0.1)
-        with pytest.raises(ValueError, match="not identically zero"):
+        with pytest.raises(ValueError, match="c vanishes"):
             tau_interval("thm2_i", prob, fake_eig(1.0), 1e-3)
 
     def test_default_eps_scales_with_mass(self):

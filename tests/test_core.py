@@ -578,20 +578,23 @@ def test_load_vector_sums_to_integral():
 
 
 def test_load_vector_tiny_variation_no_cancellation():
-    # nearly flat u stresses the quadrature branch; closed form would cancel badly
+    # nearly flat u stresses the quadrature branch; closed form would cancel
+    # badly.  u^2 times a hat is a cubic on each cell, so 2-point
+    # Gauss-Legendre per cell is an exact reference
     w = Weight.constant(1.0, UNIT)
     g = Grid.uniform(UNIT, 4)
     u = 1.0 + 1e-9 * np.array([0.0, 1.0, -1.0, 0.5, 0.0])
     plan = AssemblyPlan(g, {"w": w})
     lv = plan.load_vector("w", u, 2.0)
+    xi, wi = np.polynomial.legendre.leggauss(2)
+    uf = GridFunction(g, u)
     for i in (1, 2, 3):
         hat = _hat(g.nodes, i)
-        uf = GridFunction(g, u)
-        ref = sum(
-            quad(lambda x: uf(x) ** 2 * hat(np.array([x]))[0], g.nodes[j], g.nodes[j + 1],
-                 epsabs=1e-16, epsrel=1e-14)[0]
-            for j in (i - 1, i)
-        )
+        ref = 0.0
+        for j in (i - 1, i):
+            half = 0.5 * (g.nodes[j + 1] - g.nodes[j])
+            x = g.nodes[j] + half * (1.0 + xi)
+            ref += half * float(np.sum(wi * uf(x) ** 2 * hat(x)))
         assert lv[i] == pytest.approx(ref, rel=1e-13)
 
 

@@ -232,6 +232,13 @@ class TestSolveBetween:
         assert indefinite
         assert 0 < len(calls) <= 100
 
+    def test_step_halving_rescues_a_low_p_solve(self):
+        # the full Newton step fails the descent test here; without the
+        # halving of t the solve stops with SolverError at about 5e-3
+        prob = step_problem(1.5, 0.375, 0.1)
+        tol = 1e-8
+        solve_full(prob, grid=prob.default_grid(512), tol=tol).require_certified(tol)
+
     @pytest.mark.parametrize("csup, passes", [(0.0, 1), (0.5, 2)])
     def test_one_load_vector_pass_per_nonzero_weight(self, monkeypatch, csup, passes):
         calls = []

@@ -34,6 +34,7 @@ from plap1d import (
     tau_interval,
     window_eigenpair,
 )
+from plap1d.conditions import TAU_CAP_FACTOR
 from plap1d.subsuper import _junction, _profile_params
 from plap1d.verify import check_weak_subsolution, check_weak_supersolution
 
@@ -93,11 +94,11 @@ class TestPowerPieces:
             build_u1_power(prob, 1e9, 1e-2, "A")
 
     def test_variant_preconditions(self):
-        with pytest.raises(ValueError, match="variant A"):
+        with pytest.raises(ValueError, match=r"thm1_i: requires p >= 2 and q in"):
             build_u1_power(step_problem(1.5, 0.25, 0.1), 1.0, 1e-3, "A")
-        with pytest.raises(ValueError, match="variant B"):
+        with pytest.raises(ValueError, match="thm1_ii: requires p <= 2"):
             build_u1_power(step_problem(2.5, 1.0, 0.1), 1.0, 1e-3, "B")
-        with pytest.raises(ValueError, match="variant"):
+        with pytest.raises(ValueError, match="unknown condition name"):
             build_u1_power(step_problem(2.0, 0.5, 0.1), 1.0, 1e-3, "C")
 
 
@@ -260,6 +261,27 @@ def test_right_profile_mirrors_left_on_symmetric_window(theorem, p, q, csup, mu)
     assert u1.values.max() > 1e-6
     assert np.allclose(u3.grid.nodes, 1.0 - u1.grid.nodes[::-1], rtol=0.0, atol=1e-15)
     assert np.allclose(u3.values, u1.values[::-1], rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "theorem, p, q, csup, window",
+    [("thm1_i", 2.5, 1.0, 0.0, WIN), ("thm1_ii", 1.75, 0.5, 0.0, WIN),
+     ("thm2_i", 2.5, 0.5, 0.5, WIN), ("thm2_ii", 1.75, 0.5, 0.5, WIN),
+     ("cor", 1.75, 0.5, 0.0, WIN), ("thm1_i", 2.5, 1.0, 0.0, Interval(0.2, 0.6)),
+     ("thm1_ii", 1.75, 0.5, 0.0, Interval(0.2, 0.6))],
+)
+def test_tau_range_ends_where_the_taller_piece_reaches_one(theorem, p, q, csup, window):
+    # tau_interval and the builders state the same bound: at hi the taller
+    # outer piece peaks at 1, and just above hi the builders refuse tau
+    prob = step_problem(p, q, 0.1, csup=csup, window=window)
+    eig = window_eigenpair(prob, Grid.uniform(UNIT, 256))
+    eps = 1e-3
+    ti = tau_interval(theorem, prob, eig, eps)
+    assert ti.hi < TAU_CAP_FACTOR * max(eig.lambda1, ti.lo)
+    u1, u3 = outer_pieces(theorem, prob, ti.hi, eps, 96)
+    assert max(u1.values.max(), u3.values.max()) == pytest.approx(1.0, rel=0.0, abs=1e-12)
+    with pytest.raises(TauTooLargeError):
+        outer_pieces(theorem, prob, ti.hi * (1.0 + 1e-9), eps, 96)
 
 
 def glue_reference(u1, u2, u3, x_lo, x_hi):
