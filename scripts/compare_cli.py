@@ -20,7 +20,9 @@ the file and field where it occurs), and, for each numeric column that
 differs in a CSV both calls wrote, that per-entry difference next to
 max|a - b| / max|a|, the move relative to the base column's sup norm.  An
 entry near zero dominates the first; the second says how far the grid
-function moved as a whole.
+function moved as a whole.  After the summary line it prints how many calls
+changed their exit code and, for each report field and CSV column that
+moved, the largest of these differences over all calls.
 
 Usage (from the repository root)::
 
@@ -36,6 +38,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -152,39 +155,69 @@ def csv_columns(data: bytes) -> dict[str, list[float | None]]:
     return out
 
 
-def moved(a: dict, b: dict) -> list[str]:
-    """Largest relative differences between two calls' output files."""
-    parts = []
-    worst, where, reports = 0.0, "", False
+def numbers(a: dict, b: dict):
+    """(file, field, base numbers, changed numbers) of every float field of
+    the JSON reports and every numeric CSV column, over the files both calls
+    wrote that differ.  A CSV column keeps the rows where both calls wrote a
+    number when the row counts agree, and all its cells otherwise."""
     for fname in sorted(set(a) & set(b)):
         if a[fname] == b[fname]:
             continue
         if fname.endswith(".json"):
-            reports = True
             x = dict(json_floats(json.loads(a[fname])))
             y = dict(json_floats(json.loads(b[fname])))
             for path in sorted(x.keys() & y.keys()):
-                d = rel_diff(x[path], y[path])
-                if d > worst:
-                    worst, where = d, f" at {fname} {path}"
+                yield fname, path, (x[path],), (y[path],)
         elif fname.endswith(".csv"):
             x, y = csv_columns(a[fname]), csv_columns(b[fname])
             for col in [col for col in x if col in y]:
                 if len(x[col]) != len(y[col]):
-                    parts.append(f"{fname} {col}: {len(x[col])}/{len(y[col])} rows")
+                    yield fname, col, x[col], y[col]
                     continue
-                # over the rows where both calls wrote a number
                 both = [(u, v) for u, v in zip(x[col], y[col]) if u is not None and v is not None]
-                if all(u == v for u, v in both):
-                    continue
-                xs, ys = zip(*both)
-                parts.append(
-                    f"{fname} {col} {max(map(rel_diff, xs, ys)):.3g} per entry, "
-                    f"{sup_diff(xs, ys):.3g} of sup"
-                )
+                yield fname, col, tuple(u for u, _ in both), tuple(v for _, v in both)
+
+
+def moved(a: dict, b: dict) -> list[str]:
+    """Largest relative differences between two calls' output files."""
+    parts = []
+    worst, where = 0.0, ""
+    reports = any(f.endswith(".json") and a[f] != b[f] for f in set(a) & set(b))
+    for fname, field, xs, ys in numbers(a, b):
+        if fname.endswith(".json"):
+            d = rel_diff(xs[0], ys[0])
+            if d > worst:
+                worst, where = d, f" at {fname} {field}"
+        elif len(xs) != len(ys):
+            parts.append(f"{fname} {field}: {len(xs)}/{len(ys)} rows")
+        elif xs != ys:
+            parts.append(
+                f"{fname} {field} {max(map(rel_diff, xs, ys)):.3g} per entry, "
+                f"{sup_diff(xs, ys):.3g} of sup"
+            )
     if reports:
         parts.insert(0, f"report {worst:.3g}{where}")
     return parts
+
+
+def summary(results) -> list[str]:
+    """Closing lines over (base, change) results of run(): the calls whose
+    exit code changed, then for each report field (list indices shown as *)
+    and CSV column that moved, the largest relative move over all calls, per
+    entry and, for a CSV column, of the base column's sup norm."""
+    changed = sum(a[0] != b[0] for a, b in results)
+    worst = {}
+    for a, b in results:
+        for fname, field, xs, ys in numbers(a[3], b[3]):
+            if len(xs) == len(ys) and xs != ys:
+                key = fname, re.sub(r"/\d+(?=/|$)", "/*", field)
+                old = worst.get(key, (0.0, 0.0))
+                worst[key] = (max(old[0], *map(rel_diff, xs, ys)), max(old[1], sup_diff(xs, ys)))
+    lines = [f"{changed} of {len(results)} calls changed their exit code"]
+    for (fname, field), (d, sup) in sorted(worst.items()):
+        lines.append(f"largest move of {fname} {field}: {d:.3g}" + (
+            "" if fname.endswith(".json") else f" per entry, {sup:.3g} of sup"))
+    return lines
 
 
 def main() -> int:
@@ -198,7 +231,7 @@ def main() -> int:
     planned = calls(todo)
     print(f"{len(todo)} configs x {len(COMMANDS)} commands, 1 sweep, "
           f"{len(SUBCOMMANDS) + 1} help texts", flush=True)
-    diffs = 0
+    diffs, results = 0, []
     with tempfile.TemporaryDirectory() as tmp:
         works = {}
         for label in ("base", "change"):
@@ -224,8 +257,10 @@ def main() -> int:
                 parts = moved(a[3], b[3])
                 if parts:
                     print(f"{'':8s} largest relative difference: {', '.join(parts)}", flush=True)
+            results.append((a, b))
             diffs += bool(found)
     print(f"{diffs} of {len(planned)} calls differ")
+    print("\n".join(summary(results)))
     return 1 if diffs else 0
 
 

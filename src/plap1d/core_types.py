@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 from numpy.polynomial.legendre import leggauss
 
 DEFAULT_N = 2048
@@ -498,16 +497,21 @@ def sin_power_weight(domain: Interval, exponent: float, npieces: int = 128) -> "
     """
     if exponent <= 0:
         raise ValueError("exponent must be positive")
-    a, L = domain.a, domain.length()
     breaks = np.linspace(domain.a, domain.b, npieces + 1)
-    coefs = []
-    for k in range(npieces):
-        lo, hi = breaks[k], breaks[k + 1]
-        xs = np.linspace(0.0, hi - lo, 25)
-        s = (lo - a + xs) / L
-        target = np.sin(np.pi * s) ** (exponent / 2.0)
-        g = P.polyfit(xs, target, 3)
-        coefs.append(P.polymul(g, g))
+    width = np.diff(breaks)
+    t = np.linspace(0.0, 1.0, 25)
+    s = (breaks[:-1, None] - domain.a + width[:, None] * t) / domain.length()
+    target = np.sin(np.pi * s) ** (exponent / 2.0)
+    # every piece is fitted at 25 points of its own t = (x - lo)/(hi - lo), so
+    # one least-squares solve against their shared Vandermonde matrix fits all
+    fit = np.linalg.lstsq(np.vander(t, 4, increasing=True), target.T, rcond=None)[0]
+    g = fit.T / width[:, None] ** np.arange(4)
+    coefs = np.zeros((npieces, 7))
+    for k in range(4):
+        coefs[:, k : k + 4] += g[:, k : k + 1] * g
+    # lift each piece by a bound on the rounding of its expanded square and
+    # of Horner's rule on it, so that no evaluation on the piece is negative
+    coefs[:, 0] += 16 * np.finfo(float).eps * np.abs(fit).sum(axis=0) ** 2
     return Weight(breaks, coefs)
 
 

@@ -3,15 +3,21 @@
 The eigenvalue problem -(phi_p(F'))' + c phi_p(F) = lambda m phi_p(F) on
 I = (x0, x1), F = 0 on the endpoints, is solved by integrating the first-order
 system u' = phi_p^{-1}(w), w' = (c - lambda m) phi_p(u) from (u, w) = (0, 1)
-and bracketing lambda until the first interior zero of u lands on the right
-endpoint.  Only whether a shot crosses zero moves the bracket; its end value
-u(x1; lambda) picks the next probe by regula falsi.  With m >= 0 on I the
-first-zero position moves monotonically with lambda (the Pruefer angle at x1
-grows with lambda), so the bracket is correct and u(x1; lambda) changes sign
-continuously where the crossing flips.  The low end starts at lambda = 0
-without a shot: for c >= 0 on I, w' = c phi_p(u) >= 0 keeps w >= 1 there, so
-u rises to the right endpoint.  A c that is negative somewhere on I is
-rejected before any shot.
+for the lambda whose shot has its first interior zero on the right endpoint.
+With m >= 0 on I the first-zero position moves monotonically with lambda (the
+Pruefer angle at x1 grows with lambda), so shots that stay positive and shots
+that cross zero bracket lambda1, and u(x1; lambda) changes sign continuously
+where the crossing flips.  For c >= 0 on I, w' = c phi_p(u) >= 0 keeps w >= 1
+at lambda = 0, so the bracket's low end starts there without a shot; a c that
+is negative somewhere on I is rejected before any shot.
+
+Each shot also gives its Newton step.  With (v, z) = d(u, w)/dlambda along a
+shot, d/dx [u z - (p-1) w v] = -m |u|^p, and u, v and z vanish at x0, so
+(p-1) w(x1) v(x1) - u(x1) z(x1) = int_I m |u|^p.  Hence
+(p-1) u(x1) w(x1) / int_I m |u|^p is the exact Newton step for the zero of
+u(x1) / phi_p^{-1}(w(x1)), whose lambda-derivative is positive.  The integral
+comes from the shot's nodal u and w(x1) from its last midpoint w, so a probe
+costs no extra integration.
 
 The RK4 shots are plain Python loops on Python floats; there is no JIT.  Each
 shot computes its stage coefficients c - lambda*m with numpy and hands them to
@@ -182,33 +188,33 @@ def principal_eigenvalue(
 ) -> EigenPair:
     """Positive principal eigenvalue and eigenfunction on the window I.
 
-    Keeps a bracket whose low end's shot stays positive and whose high end's
-    shot crosses zero, grown geometrically from the constant-coefficient
-    closed form, and returns its midpoint once its width is at most
-    _TOL * lo.  Each probe is Illinois regula falsi on the ends' u(x1), a
-    midpoint when the high end crossed twice (u(x1) >= 0), and at least
-    _TOL/4 * lo inside the bracket (_TOL/4 * hi once hi is finite).  Every
-    scale is relative, so m -> s m maps the probes to lambda / s for any
-    size of lambda1.  The low end starts at lambda = 0, unshot; its regula
-    falsi partner is u(x1; 0) = |I| of c = 0, and it is shot only if no
-    probe stayed positive.
+    The first probe is the constant-coefficient closed form, exact when c and
+    m are constant on I; each later one is the last shot's Newton step (module
+    docstring) or, if that falls outside the bracket, doubling while no shot
+    has crossed, then Illinois regula falsi on the ends' u(x1) (u(x1; 0) = |I|
+    of c = 0 for the unshot low end), or the midpoint when the high end
+    crossed twice (u(x1) >= 0).  Probes stay _TOL/4 * lo inside the bracket
+    (_TOL/4 * hi once hi is finite); every scale is relative, so m -> s m maps
+    the probes to lambda / s.  It returns lambda minus the step of the first
+    shot whose step is at most _TOL * lambda, whose first zero is not before
+    the last cell, and whose u(x1) is below sqrt(_TOL) of its peak, so that a
+    small w(x1) alone cannot pass; failing that, the midpoint of a bracket at
+    most _TOL * lo wide.
 
-    The eigenfunction is rebuilt from the shot at the no-zero end of the final
-    bracket with each cell slope set to the inverse p-flux of w at the cell
-    midpoint, rather than by sampling u at the nodes.  For p > 2 the
-    eigenfunction peaks in a |x - x*|^{p/(p-1)} cusp and the nodal interpolant
-    then carries an O(1) weak-form defect at the hats beside the apex, which
-    no grid refinement shrinks; w = phi_p(u') stays smooth through the apex,
-    so a profile whose hat flux differences telescope w has the defect
-    everywhere at O(h^2).  The small endpoint excess of the shot (the bracket
-    has finite width) is removed by subtracting a linear ramp.
+    The eigenfunction is rebuilt from the returned shot (the low end's in the
+    fallback): each cell slope is the inverse p-flux of the shot's midpoint
+    w, not a difference of its nodal u.  For p > 2 the nodal interpolant of
+    the |x - x*|^{p/(p-1)} cusp at the apex carries an O(1) weak-form defect
+    at the hats beside it, which no refinement shrinks; w = phi_p(u') stays
+    smooth there, so the rebuilt profile's defect is O(h^2) everywhere.  A
+    linear ramp removes the shot's small endpoint value.
 
     Raises NoEigenvalueError when m has no positive mass on I, BracketError
     when the bracket cap is exceeded, and EigenError, before any shot, when
     c is negative somewhere on I (beyond rounding of 1e-12 of its sup norm),
     where no positive principal eigenvalue need exist.
     """
-    _, _, ipm1, shot = _shooter(p, c, m, I, n)
+    xs, _, ipm1, shot = _shooter(p, c, m, I, n)
     m_win = m.restrict(I.a, I.b)
     if m_win.pos_part().sup_norm() == 0.0:
         raise NoEigenvalueError("m has no positive part on the window")
@@ -218,60 +224,67 @@ def principal_eigenvalue(
             "c is negative on the window; "
             "no positive principal eigenvalue for this c"
         )
-    # the first probe is the constant-coefficient closed form, exact when c
-    # and m are constant on the window; probes double until one crosses
     pi_p = 2.0 * np.pi / (p * np.sin(np.pi / p))
     mbar = max(m_win.integral() / I.length(), 1e-12)
     cbar = max(c_win.integral() / I.length(), 0.0)
-    seed = ((p - 1.0) * (pi_p / I.length()) ** p + cbar) / mbar
-    # f_lo > 0 always; f_hi < 0 unless hi crossed zero twice.  side is the
-    # end the last probe moved, for the Illinois halving.  w_lo stays None
-    # until a probe stays positive.
-    lo, f_lo, hi, f_hi, side, w_lo = 0.0, I.length(), np.inf, 0.0, 0, None
-    while hi - lo > _TOL * lo:
-        gap = 0.25 * _TOL * (lo if hi == np.inf else hi)
-        if hi == np.inf:
-            if lo >= seed * 2.0**79:
-                raise BracketError("bracket expansion exceeded its cap")
-            lam = 2.0 * lo if lo > 0.0 else seed
-        elif f_hi < 0.0:
-            lam = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        else:
-            lam = 0.5 * (lo + hi)
-        lam = min(max(lam, lo + gap), hi - gap)
-        if lam <= lo or lam >= hi:
-            break
-        out, wmid, (jcross, _, _) = shot(lam)
-        if jcross >= 0:
-            hi, f_hi = lam, out[-1]
-            if side > 0:
-                f_lo *= 0.5
-            side = 1
-        else:
-            lo, f_lo, w_lo = lam, out[-1], wmid
-            if side < 0:
-                f_hi *= 0.5
-            side = -1
-    if w_lo is None:
-        _, w_lo, _ = shot(lo)
+    lam = seed = ((p - 1.0) * (pi_p / I.length()) ** p + cbar) / mbar
+    grid = Grid(np.linspace(I.a, I.b, n + 1))
     hcell = (I.b - I.a) / n
-    slopes = np.abs(w_lo) ** ipm1 * np.sign(w_lo)
+    # int_I m|u|^p is mhat @ |u|^p, each cell's exact m mass split between
+    # its nodes, so that a break of m between nodes counts where it is
+    cell_m = np.diff(m_win.antiderivative()(grid.nodes))
+    mhat = 0.5 * (np.append(cell_m, 0.0) + np.append(0.0, cell_m))
+    # w(x1) from w at the last midpoint: on that half cell u ~ |u'| (x1 - x),
+    # so w gains (c - lambda m) |w| (h/2)^p / p on its way to x1
+    m1, c1, tail = float(m_win(I.b)), float(c_win(I.b)), (0.5 * hcell) ** p / p
+    last = (len(xs) - 1) // n * (n - 1)  # the last cell's first substep
+    # f_lo > 0 always; f_hi < 0 unless hi crossed zero twice.  side is the
+    # end the last shot moved, for the Illinois halving
+    lo, f_lo, hi, f_hi, side = 0.0, I.length(), np.inf, 0.0, 0
+    while hi - lo > _TOL * lo:
+        out, wmid, (jcross, _, _) = shot(lam)
+        u1 = float(out[-1])
+        mass = float(mhat @ np.abs(out) ** p)
+        w1 = float(wmid[-1]) * (1.0 + (lam * m1 - c1) * tail)
+        step = (p - 1.0) * u1 * w1 / mass if mass > 0.0 else np.inf
+        if jcross >= 0:
+            hi, f_hi, f_lo = lam, u1, f_lo * (0.5 if side > 0 else 1.0)
+        else:
+            lo, f_lo, f_hi, w_lo = lam, u1, f_hi * (0.5 if side < 0 else 1.0), wmid
+        side = 1 if jcross >= 0 else -1
+        small = abs(step) <= _TOL * lam and abs(u1) <= np.sqrt(_TOL) * float(np.max(out))
+        if small and (jcross < 0 or jcross >= last):
+            lam, w = lam - step, wmid
+            break
+        if hi == np.inf and lo >= seed * 2.0**79:
+            raise BracketError("bracket expansion exceeded its cap")
+        lam -= step
+        if not lo < lam < hi:
+            if hi == np.inf:
+                lam = 2.0 * lo
+            elif f_hi < 0.0:
+                lam = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+            else:
+                lam = 0.5 * (lo + hi)
+        gap = 0.25 * _TOL * (lo if hi == np.inf else hi)
+        lam = min(max(lam, lo + gap), hi - gap)
+    else:
+        lam, w = 0.5 * (lo + hi), w_lo
+    slopes = np.abs(w) ** ipm1 * np.sign(w)
     vals = np.concatenate(([0.0], np.cumsum(slopes * hcell)))
     vals -= vals[-1] * np.linspace(0.0, 1.0, n + 1)
     vals = np.maximum(vals, 0.0)
     vals[-1] = 0.0
     if np.min(vals[1:-1]) <= 0.0:
         raise EigenError("eigenfunction lost interior positivity; refine the grid")
-    grid = Grid(np.linspace(I.a, I.b, n + 1))
     phi = GridFunction(grid, vals / np.max(vals))
-    lam1 = 0.5 * (lo + hi)
     plan = AssemblyPlan(grid, {"c": c_win, "m": m_win})
     s = phi.slopes()
     v = phi.values
     num = float(np.sum(np.abs(s) ** p * grid.h)) + float(v @ plan.load_vector("c", v, p - 1.0))
     den = float(v @ plan.load_vector("m", v, p - 1.0))
     rayleigh = num / den
-    return EigenPair(lambda1=lam1, phi=phi, rayleigh=rayleigh)
+    return EigenPair(lambda1=lam, phi=phi, rayleigh=rayleigh)
 
 
 def window_eigenpair(prob: Problem, grid: Grid) -> EigenPair:

@@ -418,6 +418,18 @@ class TestWriteCsv:
         assert b"\n0,-0\n" in out.read_bytes()
         assert b",4.9406564584124654e-324\n" in out.read_bytes()
 
+    def test_one_percent_pass_matches_the_per_row_f_string(self, tmp_path):
+        # the rows as the per-row f-string wrote them before the single %
+        # pass; values carry the signed zeros, a subnormal and both extremes
+        nodes = np.array([-1.0, -1.0 / 3.0, 0.0, 1e-300, 1.0 / 3.0, 1e308])
+        values = np.array([0.0, -0.0, 5e-324, 1e308, -1e308, 1.0 / 3.0])
+        rows = zip(nodes.tolist(), values.tolist())
+        ref = "x,u\n" + "".join(f"{x:.17g},{v:.17g}\n" for x, v in rows)
+        out = tmp_path / "out.csv"
+        write_csv(str(out), GridFunction(Grid(nodes), values))
+        assert out.read_text() == ref
+        assert "\n-0.33333333333333331,-0\n" in ref and ",-1e+308\n" in ref
+
 
 class TestSolve:
     def test_solve_writes_solution_and_verifies(self, tmp_path):

@@ -152,6 +152,26 @@ def test_sin_power_weight_accuracy():
         assert np.mean(err) < 5e-4
 
 
+@pytest.mark.parametrize("exponent", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("npieces", [1, 7, 128, 4096])
+def test_sin_power_weight_matches_per_piece_polyfit(npieces, exponent):
+    # the batched fit against one P.polyfit per piece in its local variable,
+    # squared by P.polymul.  Times width**k, the coefficients are those in
+    # t = (x - lo)/width, compared relative to each piece's largest one (a
+    # coefficient alone can cancel to near zero)
+    w = sin_power_weight(UNIT, exponent, npieces)
+    ref = np.zeros((npieces, 7))
+    for k, (lo, hi) in enumerate(zip(w.breaks[:-1], w.breaks[1:])):
+        xs = np.linspace(0.0, hi - lo, 25)
+        g = P.polyfit(xs, np.sin(np.pi * (lo - UNIT.a + xs) / UNIT.length()) ** (exponent / 2.0), 3)
+        ref[k] = P.polymul(g, g)
+    t_scale = np.diff(w.breaks)[:, None] ** np.arange(7)
+    got, want = w.coefs * t_scale, ref * t_scale
+    assert np.all(np.abs(got - want) <= 1e-12 * np.max(np.abs(want), axis=1, keepdims=True))
+    # each piece is lifted by its rounding bound, so no extremum is negative
+    assert w.min_value() >= 0.0
+
+
 @given(
     st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
     st.floats(0.05, 0.95),

@@ -9,6 +9,7 @@ from plap1d.core_types import (
     Interval,
     NoEigenvalueError,
     Weight,
+    sin_power_weight,
     step_weight,
 )
 from plap1d.eigen import principal_eigenvalue, shoot
@@ -158,11 +159,11 @@ class TestEigenBracket:
     @pytest.mark.parametrize("c", [0.0, 0.7])
     @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
     def test_step_weight_closes_from_the_seed(self, p, c, monkeypatch):
-        # the closed-form seed crosses; the bracket-scale margin then puts the
-        # next probe far enough below it to land the low end
+        # the closed-form seed is exact for constant c and m on the window, so
+        # its shot's Newton step is already below _TOL * lambda
         shots = count_shots(monkeypatch)
         principal_eigenvalue(p, Weight.constant(c, UNIT), STEP, WINDOW, n=512)
-        assert len(shots) <= 3
+        assert len(shots) == 1
 
     # lambda1 far below 1: the bracket's width, stopping rule and margin are
     # all relative to lambda, so the closed-form seed closes it as for order 1
@@ -209,23 +210,74 @@ class TestEigenBracket:
         assert_bracket_invariant(pair, p, cw, STEP, WINDOW, 512)
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
-    def test_crossed_twice_falls_back_to_midpoints(self, p, monkeypatch):
+    def test_two_bump_weight_closes_in_few_shots(self, p, monkeypatch):
+        # the mean of m is 0.1, so the closed-form seed sits far below
+        # lambda1 and the Newton probes climb from it; Illinois regula falsi
+        # took 16 and 23 shots
         shots = count_shots(monkeypatch)
-        ends = []
-        original = eigen._rk4_full
-
-        def recorded(K, KH, hsub, pm1, ipm1, nsub, out, wmid):
-            cross = original(K, KH, hsub, pm1, ipm1, nsub, out, wmid)
-            ends.append((cross[0] >= 0, out[-1]))
-            return cross
-
-        monkeypatch.setattr(eigen, "_rk4_full", recorded)
         pair = principal_eigenvalue(p, ZERO, TWO_BUMPS, UNIT, n=512)
-        # some bracketing shot crossed and ended nonnegative, so the next
-        # probe was a midpoint; bisection alone took 31 shots or more
-        assert any(crossed and end >= 0.0 for crossed, end in ends)
-        assert len(shots) < 31
+        assert len(shots) <= {2.0: 10, 3.0: 13}[p]
         assert_bracket_invariant(pair, p, ZERO, TWO_BUMPS, UNIT, 512)
+
+    def test_small_end_flux_is_not_taken_for_convergence(self):
+        # c is tuned so that the seed's shot ends with w(x1) within 1e-19 of
+        # zero while u(x1) sits near its peak: that shot's Newton step is
+        # tiny, yet the seed is 20 % below lambda1
+        m = step_weight(UNIT, Interval(0.0, 0.25), 1.0, 0.0)
+        c = 0.008626475442568006
+        cw = Weight.constant(c, UNIT)
+        pair = principal_eigenvalue(2.0, cw, m, UNIT, n=512)
+        assert pair.lambda1 > 1.2 * (np.pi**2 + c) / 0.25
+        assert abs(pair.rayleigh - pair.lambda1) <= 1e-3 * pair.lambda1
+        assert_bracket_invariant(pair, 2.0, cw, m, UNIT, 512)
+
+
+OFF_CENTRE = Interval(0.05, 0.15)
+# (m, window) of the shot-count grid
+GRID_WEIGHTS = {
+    "step": (STEP, WINDOW),
+    "sin-power": (sin_power_weight(UNIT, 0.5).affine(np.pi**2, 0.0), UNIT),
+    "two-bump": (TWO_BUMPS, UNIT),
+    "off-centre": (step_weight(UNIT, OFF_CENTRE, 1.0, 0.0), OFF_CENTRE),
+}
+GRID_P = (1.1, 1.5, 2.0, 3.0, 5.0, 8.0)
+GRID_N = (64, 256, 1024)
+# shots of the Illinois regula falsi rule that Newton probing replaced, by p
+# (rows, as GRID_P) and n (columns, as GRID_N), with c = 0
+ILLINOIS_SHOTS = {
+    "step": [[5, 3, 2], [4, 2, 2], [3, 3, 3], [6, 3, 2], [8, 5, 3], [8, 6, 3]],
+    "sin-power": [[8, 8, 8], [8, 8, 8], [8, 8, 8], [9, 9, 9], [11, 10, 10], [11, 11, 11]],
+    "two-bump": [[13, 13, 13], [12, 12, 12], [13, 14, 11], [23, 22, 18], [45, 47, 44], [53, 51, 54]],
+    "off-centre": [[5, 3, 2], [5, 2, 2], [3, 3, 3], [6, 3, 2], [8, 5, 3], [8, 6, 3]],
+}
+
+
+def bisection_reference(lam, p, m, I, n, rel=2e-8, steps=7):
+    """lambda1 bisected on whether the shot crosses zero before I.b, from
+    lam * (1 -+ rel), which must bracket it: to within rel / 2**steps."""
+    lo, hi = lam * (1.0 - rel), lam * (1.0 + rel)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        _, zero = shoot(mid, p, ZERO, m, I, n=n)
+        if zero is not None and zero < I.b:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("n", GRID_N)
+@pytest.mark.parametrize("p", GRID_P)
+@pytest.mark.parametrize("name", list(GRID_WEIGHTS))
+def test_newton_probes_need_no_more_shots_than_illinois(name, p, n, monkeypatch):
+    m, I = GRID_WEIGHTS[name]
+    shots = count_shots(monkeypatch)
+    pair = principal_eigenvalue(p, ZERO, m, I, n=n)
+    assert len(shots) <= ILLINOIS_SHOTS[name][GRID_P.index(p)][GRID_N.index(n)]
+    assert_bracket_invariant(pair, p, ZERO, m, I, n)
+    # a Newton stop lands far closer; the bracket fallback's midpoint is
+    # within half its width, _TOL / 2
+    assert pair.lambda1 == pytest.approx(bisection_reference(pair.lambda1, p, m, I, n), rel=6e-9)
 
 
 def rk4_full_reference(K, KH, hsub, pm1, ipm1, nsub, out, wmid):

@@ -87,3 +87,39 @@ def test_compare_cli_measures_how_far_outputs_moved():
         "phi.csv u 0.25 per entry, 0.25 of sup",
         "tail.csv u 0.5 per entry, 0.001 of sup",
     ]
+
+
+def test_compare_cli_summarizes_moves_over_all_calls():
+    sys.path.insert(0, os.path.join(ROOT, "scripts"))
+    try:
+        import compare_cli
+    finally:
+        sys.path.pop(0)
+    # (exit code, stdout, stderr, files) of two calls in each checkout
+    eigen_base = (0, b"", b"", {
+        "eigen.json": b'{"lambda1": 10.0, "conditions": [{"mu": 2.0}, {"mu": 4.0}]}',
+        "phi.csv": b"x,u\n0,0\n0.5,1\n1,0\n",
+    })
+    eigen_change = (0, b"", b"", {
+        "eigen.json": b'{"lambda1": 10.5, "conditions": [{"mu": 2.0}, {"mu": 5.0}]}',
+        "phi.csv": b"x,u\n0,0\n0.5,0.75\n1,0\n",
+    })
+    solve_base = (0, b"", b"", {
+        "solve.json": b'{"residual": 1e-9}',
+        "u.csv": b"x,u\n0,0\n1,0.001\n2,1\n",
+    })
+    solve_change = (2, b"", b"", {
+        "solve.json": b'{"residual": 3e-9}',
+        "u.csv": b"x,u\n0,0\n1,0.002\n2,1\n",
+    })
+    results = [(eigen_base, eigen_change), (solve_base, solve_change), (solve_base, solve_base)]
+    # list indices fold into one field, which keeps its largest move; a
+    # field or column that did not move is not listed
+    assert compare_cli.summary(results) == [
+        "1 of 3 calls changed their exit code",
+        "largest move of eigen.json /conditions/*/mu: 0.2",
+        "largest move of eigen.json /lambda1: 0.0476",
+        "largest move of phi.csv u: 0.25 per entry, 0.25 of sup",
+        "largest move of solve.json /residual: 0.667",
+        "largest move of u.csv u: 0.5 per entry, 0.001 of sup",
+    ]
