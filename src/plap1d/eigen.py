@@ -19,6 +19,10 @@ u(x1) / phi_p^{-1}(w(x1)), whose lambda-derivative is positive.  The integral
 comes from the shot's nodal u and w(x1) from its last midpoint w, so a probe
 costs no extra integration.
 
+A probe is that Newton step while it stays inside the bracket, else doubling
+while no shot has crossed zero and bisection once one has.  Crossings are
+read at the nodes: a shot has crossed when u <= 0 at a node past x0.
+
 The RK4 shots are plain Python loops on Python floats; there is no JIT.  Each
 shot computes its stage coefficients c - lambda*m with numpy and hands them to
 the loop as lists, because numpy scalars cost about three times as much per
@@ -66,9 +70,6 @@ def _rk4_full(K, KH, hsub, pm1, ipm1, nsub, out, wmid):
     """Integrate to the right endpoint, storing u at every nsub-th substep
     and w at the substep sitting at each ambient cell's midpoint.
 
-    Returns (jcross, u_pre, u_post), u at both ends of the substep whose step
-    crossed zero first, or jcross = -1 when u stays positive.
-
     The loops run over half cells and their substeps, so no step tests its
     index.  Signed powers take the branch on the sign instead of multiplying
     by it, which gives the same doubles because no argument is ever -0.0: u
@@ -80,12 +81,8 @@ def _rk4_full(K, KH, hsub, pm1, ipm1, nsub, out, wmid):
     h2 = 0.5 * hsub
     h6 = hsub / 6.0
     out[0] = 0.0
-    jcross = -1
-    u_pre = 0.0
-    u_post = 0.0
     for k in range(2 * len(wmid)):
         for j in range(k * half, (k + 1) * half):
-            up = u
             k1u = w**ipm1 if w >= 0 else -((-w) ** ipm1)
             k1w = K[j] * (u**pm1 if u >= 0 else -((-u) ** pm1))
             au = u + h2 * k1u
@@ -102,33 +99,22 @@ def _rk4_full(K, KH, hsub, pm1, ipm1, nsub, out, wmid):
             k4w = K[j + 1] * (au**pm1 if au >= 0 else -((-au) ** pm1))
             u += h6 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
             w += h6 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-            if u <= 0.0 and jcross < 0:
-                jcross = j
-                u_pre = up
-                u_post = u
         if k & 1:
             out[(k + 1) >> 1] = u
         else:
             wmid[k >> 1] = w
-    return jcross, u_pre, u_post
-
-
-def _stage_tables(c: Weight, m: Weight, I: Interval, n: int, nsub: int):
-    """Substep nodes xs and lam -> (K, KH), the RK4 stage coefficient
-    c - lam*m at the substep nodes and at their midpoints, as float lists."""
-    xs = np.linspace(I.a, I.b, n * nsub + 1)
-    half = 0.5 * (xs[:-1] + xs[1:])
-    cn, ch, mn, mh = c(xs), c(half), m(xs), m(half)
-    return xs, lambda lam: ((cn - lam * mn).tolist(), (ch - lam * mh).tolist())
 
 
 def _shooter(p: float, c: Weight, m: Weight, I: Interval, n: int):
-    """(xs, hsub, ipm1, shot) for shots on (p, c, m, I, n); shot(lam) returns
-    (out, wmid, (jcross, u_pre, u_post)) of one _rk4_full."""
+    """shot(lam) -> (out, wmid) of one _rk4_full on (p, c, m, I, n): u at the
+    n + 1 nodes and w at the n cell midpoints, from the stage coefficient
+    c - lam*m at the substep nodes and their midpoints, as float lists."""
     if p <= 1.0:
         raise ValueError(f"invalid exponent: p must be > 1, got {p}")
     nsub = 8 if (p < 1.2 or p > 6.0) else 4
-    xs, stages = _stage_tables(c, m, I, n, nsub)
+    xs = np.linspace(I.a, I.b, n * nsub + 1)
+    half = 0.5 * (xs[:-1] + xs[1:])
+    cn, ch, mn, mh = c(xs), c(half), m(xs), m(half)
     hsub = (I.b - I.a) / (n * nsub)
     if hsub <= 0.0:
         raise EigenError("integration step underflow")
@@ -136,13 +122,18 @@ def _shooter(p: float, c: Weight, m: Weight, I: Interval, n: int):
     ipm1 = 1.0 / pm1
 
     def shot(lam: float):
-        K, KH = stages(lam)
         out = np.empty(n + 1)
         wmid = np.empty(n)
-        cross = _rk4_full(K, KH, hsub, pm1, ipm1, nsub, out, wmid)
-        return out, wmid, cross
+        K, KH = (cn - lam * mn).tolist(), (ch - lam * mh).tolist()
+        _rk4_full(K, KH, hsub, pm1, ipm1, nsub, out, wmid)
+        return out, wmid
 
-    return xs, hsub, ipm1, shot
+    return shot
+
+
+def _first_zero(out) -> int:
+    """Index of the first node past x0 where u <= 0; len(out) if there is none."""
+    return int(np.argmax(np.append(out[1:], -1.0) <= 0.0)) + 1
 
 
 def shoot(
@@ -160,23 +151,24 @@ def shoot(
     endpoint of I, in plain Python on floats (no JIT; see the module
     docstring).  Returns the trajectory sampled on the ambient grid and the
     location of the first zero of u past the start, None if u stays positive.
-    The zero is the secant root of u in the substep where u first drops to
-    zero or below, so it is within O(hsub^2) of the computed trajectory's
-    zero.  A trajectory that reaches the right endpoint still positive but
-    below truncation-error size relative to its peak is counted as hitting
-    zero there; without this, a zero sitting exactly on the endpoint would be
-    reported or dropped depending on the sign of the discretization error.
+    The zero is read at the nodes: it is the secant root of u over the cell
+    whose right node is the first with u <= 0, so it is within O(h^2) of the
+    computed trajectory's zero.  A trajectory that reaches the right endpoint
+    still positive but below truncation-error size relative to its peak is
+    counted as hitting zero there; without this, a zero sitting exactly on
+    the endpoint would be reported or dropped depending on the sign of the
+    discretization error.
     """
-    xs, hsub, _, shot = _shooter(p, c, m, I, n)
-    out, _, (jcross, u_pre, u_post) = shot(lam)
+    out, _ = _shooter(p, c, m, I, n)(lam)
     grid = Grid(np.linspace(I.a, I.b, n + 1))
     traj = GridFunction(grid, out)
-    if jcross < 0:
+    i = _first_zero(out)
+    if i > n:
         top = float(np.max(out))
         if top > 0.0 and out[-1] <= 1e-7 * top:
             return traj, float(I.b)
         return traj, None
-    return traj, float(xs[jcross] + hsub * u_pre / (u_pre - u_post))
+    return traj, float(grid.nodes[i - 1] + grid.h[i - 1] * out[i - 1] / (out[i - 1] - out[i]))
 
 
 def principal_eigenvalue(
@@ -188,18 +180,19 @@ def principal_eigenvalue(
 ) -> EigenPair:
     """Positive principal eigenvalue and eigenfunction on the window I.
 
-    The first probe is the constant-coefficient closed form, exact when c and
-    m are constant on I; each later one is the last shot's Newton step (module
-    docstring) or, if that falls outside the bracket, doubling while no shot
-    has crossed, then Illinois regula falsi on the ends' u(x1) (u(x1; 0) = |I|
-    of c = 0 for the unshot low end), or the midpoint when the high end
-    crossed twice (u(x1) >= 0).  Probes stay _TOL/4 * lo inside the bracket
-    (_TOL/4 * hi once hi is finite); every scale is relative, so m -> s m maps
-    the probes to lambda / s.  It returns lambda minus the step of the first
-    shot whose step is at most _TOL * lambda, whose first zero is not before
-    the last cell, and whose u(x1) is below sqrt(_TOL) of its peak, so that a
-    small w(x1) alone cannot pass; failing that, the midpoint of a bracket at
-    most _TOL * lo wide.
+    Probes follow three rules.  The first is the constant-coefficient closed
+    form, exact when c and m are constant on I; each later one is the last
+    shot's Newton step (module docstring) or, if that falls outside the
+    bracket, doubling while no shot has crossed zero and bisection once one
+    has.  Crossings are read at the nodes: a shot crosses when u <= 0 at a
+    node past x0, which puts it at the high end of the bracket.  Probes stay
+    _TOL/4 * lo inside the bracket (_TOL/4 * hi once hi is finite); every
+    scale is relative, so m -> s m maps the probes to lambda / s.  It returns
+    lambda minus the step of the first shot whose step is at most
+    _TOL * lambda, whose first node with u <= 0, if any, is x1, and whose
+    u(x1) is below sqrt(_TOL) of its peak, so that a small w(x1) alone
+    cannot pass; failing that, the midpoint of a bracket at most _TOL * lo
+    wide.
 
     The eigenfunction is rebuilt from the returned shot (the low end's in the
     fallback): each cell slope is the inverse p-flux of the shot's midpoint
@@ -214,7 +207,7 @@ def principal_eigenvalue(
     c is negative somewhere on I (beyond rounding of 1e-12 of its sup norm),
     where no positive principal eigenvalue need exist.
     """
-    xs, _, ipm1, shot = _shooter(p, c, m, I, n)
+    shot = _shooter(p, c, m, I, n)
     m_win = m.restrict(I.a, I.b)
     if m_win.pos_part().sup_norm() == 0.0:
         raise NoEigenvalueError("m has no positive part on the window")
@@ -237,40 +230,32 @@ def principal_eigenvalue(
     # w(x1) from w at the last midpoint: on that half cell u ~ |u'| (x1 - x),
     # so w gains (c - lambda m) |w| (h/2)^p / p on its way to x1
     m1, c1, tail = float(m_win(I.b)), float(c_win(I.b)), (0.5 * hcell) ** p / p
-    last = (len(xs) - 1) // n * (n - 1)  # the last cell's first substep
-    # f_lo > 0 always; f_hi < 0 unless hi crossed zero twice.  side is the
-    # end the last shot moved, for the Illinois halving
-    lo, f_lo, hi, f_hi, side = 0.0, I.length(), np.inf, 0.0, 0
+    lo, hi = 0.0, np.inf
     while hi - lo > _TOL * lo:
-        out, wmid, (jcross, _, _) = shot(lam)
+        out, wmid = shot(lam)
         u1 = float(out[-1])
         mass = float(mhat @ np.abs(out) ** p)
         w1 = float(wmid[-1]) * (1.0 + (lam * m1 - c1) * tail)
         step = (p - 1.0) * u1 * w1 / mass if mass > 0.0 else np.inf
-        if jcross >= 0:
-            hi, f_hi, f_lo = lam, u1, f_lo * (0.5 if side > 0 else 1.0)
-        else:
-            lo, f_lo, f_hi, w_lo = lam, u1, f_hi * (0.5 if side < 0 else 1.0), wmid
-        side = 1 if jcross >= 0 else -1
+        first = _first_zero(out)
         small = abs(step) <= _TOL * lam and abs(u1) <= np.sqrt(_TOL) * float(np.max(out))
-        if small and (jcross < 0 or jcross >= last):
+        if small and first >= n:
             lam, w = lam - step, wmid
             break
+        if first <= n:
+            hi = lam
+        else:
+            lo, w_lo = lam, wmid
         if hi == np.inf and lo >= seed * 2.0**79:
             raise BracketError("bracket expansion exceeded its cap")
         lam -= step
         if not lo < lam < hi:
-            if hi == np.inf:
-                lam = 2.0 * lo
-            elif f_hi < 0.0:
-                lam = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-            else:
-                lam = 0.5 * (lo + hi)
+            lam = 2.0 * lo if hi == np.inf else 0.5 * (lo + hi)
         gap = 0.25 * _TOL * (lo if hi == np.inf else hi)
         lam = min(max(lam, lo + gap), hi - gap)
     else:
         lam, w = 0.5 * (lo + hi), w_lo
-    slopes = np.abs(w) ** ipm1 * np.sign(w)
+    slopes = np.abs(w) ** (1.0 / (p - 1.0)) * np.sign(w)
     vals = np.concatenate(([0.0], np.cumsum(slopes * hcell)))
     vals -= vals[-1] * np.linspace(0.0, 1.0, n + 1)
     vals = np.maximum(vals, 0.0)

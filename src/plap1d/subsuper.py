@@ -62,14 +62,6 @@ class Certificate:
 # profile pieces
 
 
-def _profile_params(theorem: str, prob: Problem, tau: float):
-    """(k, sigma(tau)) of the theorem's outer profile, from the constants
-    (k, A, e), sigma(tau) = (A tau)^e, of `conditions.outer_profile`, which
-    also raises the ValueError of a theorem that does not apply."""
-    prof = outer_profile(theorem, prob)
-    return prof.k, prof.sigma(tau)
-
-
 def _profile(theorem: str, side: str, prob: Problem, tau: float, eps: float, n: int):
     """The theorem's outer profile f^k on the left reach [a, x1] or the right
     reach [x0, b], side "left" or "right".
@@ -105,22 +97,19 @@ def _profile(theorem: str, side: str, prob: Problem, tau: float, eps: float, n: 
     return GridFunction(grid, vals)
 
 
-_VARIANTS = {"A": "thm1_i", "B": "thm1_ii"}
-
-
 def build_u1_power(
     prob: Problem, tau: float, eps: float, variant: str, n: int = 256
 ) -> GridFunction:
-    """Left power profile (sigma * int_a^x M^-_eps)^k on [a, x1]; variant "A"
-    (thm1_i) or "B" (thm1_ii), or the theorem's name."""
-    return _profile(_VARIANTS.get(variant, variant), "left", prob, tau, eps, n)
+    """Left power profile (sigma * int_a^x M^-_eps)^k on [a, x1]; variant is
+    the theorem's name, "thm1_i" or "thm1_ii"."""
+    return _profile(variant, "left", prob, tau, eps, n)
 
 
 def build_u3_power(
     prob: Problem, tau: float, eps: float, variant: str, n: int = 256
 ) -> GridFunction:
     """Right power profile (sigma * int_x^b M^-_eps)^k on [x0, b]."""
-    return _profile(_VARIANTS.get(variant, variant), "right", prob, tau, eps, n)
+    return _profile(variant, "right", prob, tau, eps, n)
 
 
 def build_u1_sinh(prob: Problem, tau: float, n: int = 256) -> GridFunction:
@@ -284,7 +273,7 @@ def build_subsolution(
             eps *= 0.5
             continue
         tau_eff = tau * ti.scale
-        k, sigma = _profile_params(theorem, prob, tau)
+        prof = outer_profile(theorem, prob)
         s = tau_eff ** (-1.0 / (prob.p - 1.0 - prob.q))
         return Certificate(
             kind="subsolution",
@@ -294,8 +283,8 @@ def build_subsolution(
                 "tau": tau,
                 "tau_effective": tau_eff,
                 "eps": eps,
-                "k": k,
-                "sigma": sigma,
+                "k": prof.k,
+                "sigma": prof.sigma(tau),
                 "junction_lo": x_lo,
                 "junction_hi": x_hi,
                 "rescale": s,
@@ -322,10 +311,6 @@ def build_supersolution(prob: Problem, grid: Grid) -> Certificate:
     p >= 1.4 up to n = 4096 cells; at p = 1.3 it fails the check from
     n = 2048 on.
     """
-    if prob.c.min_value() < 0.0 and not prob.allow_sign_changing_c:
-        raise NoSupersolutionError(
-            "supersolution construction needs c >= 0 pointwise"
-        )
     mplus = prob.m.pos_part()
     if mplus.sup_norm() == 0.0:
         raise NoSupersolutionError(

@@ -631,6 +631,19 @@ class TestSweep:
         cfg = write_config(tmp_path)
         assert main(["sweep", cfg, "--out", str(tmp_path / "o")]) == 64
 
+    @pytest.mark.parametrize("ranges, message", [
+        (["p=2:3:0"], "count must be at least 1"),
+        (["p=2:3:1e9"], "invalid literal for int()"),
+        (["p=2:3:2", "p=2.5:3:2"], "range 'p' given twice"),
+        (["p.value=2:3:2"], "config has no object at 'p.value'"),
+    ], ids=["count-zero", "count-not-integer", "range-twice", "path-through-number"])
+    def test_malformed_range_is_usage_error(self, tmp_path, capsys, ranges, message):
+        cfg = write_config(tmp_path)
+        assert main(["sweep", cfg, *ranges, "--jobs", "1", "--out", str(tmp_path / "o")]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and message in err
+        assert not (tmp_path / "o").exists()
+
     def test_swept_n_sets_each_cells_grid(self, tmp_path):
         # at p = 2.5 the window eigenvalue moves with the grid
         cfg = write_config(tmp_path, p=2.5, q=1.0)
@@ -677,6 +690,17 @@ class TestCli:
 
     def test_no_arguments_is_usage_error(self):
         assert main([]) == 64
+
+    def test_unexpected_exception_is_exit_one_with_its_type(self, tmp_path, capsys, monkeypatch):
+        # an exception no stage documents is an internal failure, not a
+        # usage error or an uncertified result
+        def broken(prob, grid):
+            raise RuntimeError("stage broke")
+
+        monkeypatch.setattr("plap1d.cli.window_eigenpair", broken)
+        cfg = write_config(tmp_path)
+        assert main(["eigen", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: RuntimeError: stage broke\n"
 
     def test_cached_parser_gives_each_call_its_own_namespace(self):
         assert build_parser() is build_parser()

@@ -123,3 +123,21 @@ def test_compare_cli_summarizes_moves_over_all_calls():
         "largest move of solve.json /residual: 0.667",
         "largest move of u.csv u: 0.5 per entry, 0.001 of sup",
     ]
+
+
+def test_workload_lines(tmp_path):
+    proc = run_script("workload_lines.py", "--seeds", "0", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    modules = sorted(n for n in os.listdir(os.path.join(ROOT, "src", "plap1d")) if n.endswith(".py"))
+    heads = [ln for ln in lines if not ln.startswith(" ") and " statements never ran" in ln]
+    assert [ln.split(":")[0] for ln in heads] == modules
+    eigen = next(ln for ln in heads if ln.startswith("eigen.py"))
+    missed, _, total = eigen.split(": ")[1].split()[:3]
+    assert 0 < int(missed) < int(total)
+    # no workload eigensolve runs into the bracket cap
+    assert any(ln.strip().endswith('raise BracketError("bracket expansion exceeded its cap")')
+               for ln in lines)
+    assert [ln.split(":")[0] for ln in lines[-3:]] == [
+        "certify-scan seed 0", "solve-manufactured seed 0", "solve-step seed 0"
+    ]

@@ -34,8 +34,8 @@ from plap1d import (
     tau_interval,
     window_eigenpair,
 )
-from plap1d.conditions import TAU_CAP_FACTOR
-from plap1d.subsuper import _junction, _profile_params
+from plap1d.conditions import TAU_CAP_FACTOR, outer_profile
+from plap1d.subsuper import _junction
 from plap1d.verify import check_weak_subsolution, check_weak_supersolution
 
 UNIT = Interval(0.0, 1.0)
@@ -56,48 +56,49 @@ def subsolution(prob, theorem, grid):
 class TestPowerPieces:
     def test_variant_a_p2_parameters(self):
         prob = step_problem(2.0, 0.5, 0.1)
-        k, sigma = _profile_params("thm1_i", prob, 6.0)
-        assert k == 2.0
-        assert sigma == pytest.approx(3.0, rel=1e-12)
+        prof = outer_profile("thm1_i", prob)
+        assert prof.k == 2.0
+        assert prof.sigma(6.0) == pytest.approx(3.0, rel=1e-12)
 
     def test_closed_form_ramp_without_negative_mass(self):
         # m >= 0 leaves only the eps inflation: u1 = (sigma eps (x-a)^2/2)^k
         prob = step_problem(2.5, 1.0, 0.0)
         tau, eps = 5.0, 1e-3
-        u1 = build_u1_power(prob, tau, eps, "A", n=64)
-        k, sigma = _profile_params("thm1_i", prob, tau)
+        u1 = build_u1_power(prob, tau, eps, "thm1_i", n=64)
+        prof = outer_profile("thm1_i", prob)
+        k, sigma = prof.k, prof.sigma(tau)
         x = u1.grid.nodes
         expected = (sigma * eps * x**2 / 2.0) ** k
         assert np.allclose(u1.values, expected, rtol=1e-12, atol=1e-300)
 
     def test_left_piece_vanishes_at_a_and_rises(self):
         prob = step_problem(2.5, 1.0, 0.1)
-        u1 = build_u1_power(prob, 10.0, 1e-3, "A")
+        u1 = build_u1_power(prob, 10.0, 1e-3, "thm1_i")
         assert u1.values[0] == 0.0
         assert np.all(np.diff(u1.values) > 0.0)
 
     def test_right_piece_vanishes_at_b_and_falls(self):
         prob = step_problem(2.5, 1.0, 0.1)
-        u3 = build_u3_power(prob, 10.0, 1e-3, "A")
+        u3 = build_u3_power(prob, 10.0, 1e-3, "thm1_i")
         assert u3.values[-1] == 0.0
         assert np.all(np.diff(u3.values) < 0.0)
 
     def test_reflection_symmetry(self):
         prob = step_problem(1.75, 0.5, 0.2)
-        u1 = build_u1_power(prob, 3.0, 1e-3, "B", n=80)
-        u3 = build_u3_power(prob, 3.0, 1e-3, "B", n=80)
+        u1 = build_u1_power(prob, 3.0, 1e-3, "thm1_ii", n=80)
+        u3 = build_u3_power(prob, 3.0, 1e-3, "thm1_ii", n=80)
         assert np.allclose(u3.values, u1.values[::-1], rtol=1e-12)
 
     def test_overgrown_profile_rejected(self):
         prob = step_problem(2.5, 1.0, 0.5)
         with pytest.raises(TauTooLargeError):
-            build_u1_power(prob, 1e9, 1e-2, "A")
+            build_u1_power(prob, 1e9, 1e-2, "thm1_i")
 
     def test_variant_preconditions(self):
         with pytest.raises(ValueError, match=r"thm1_i: requires p >= 2 and q in"):
-            build_u1_power(step_problem(1.5, 0.25, 0.1), 1.0, 1e-3, "A")
+            build_u1_power(step_problem(1.5, 0.25, 0.1), 1.0, 1e-3, "thm1_i")
         with pytest.raises(ValueError, match="thm1_ii: requires p <= 2"):
-            build_u1_power(step_problem(2.5, 1.0, 0.1), 1.0, 1e-3, "B")
+            build_u1_power(step_problem(2.5, 1.0, 0.1), 1.0, 1e-3, "thm1_ii")
         with pytest.raises(ValueError, match="unknown condition name"):
             build_u1_power(step_problem(2.0, 0.5, 0.1), 1.0, 1e-3, "C")
 
@@ -238,10 +239,9 @@ FAMILIES = [
 def outer_pieces(theorem, prob, tau, eps, n):
     """(u1, u3) of the theorem through the public builders."""
     if theorem in ("thm1_i", "thm1_ii"):
-        variant = "A" if theorem == "thm1_i" else "B"
         return (
-            build_u1_power(prob, tau, eps, variant, n),
-            build_u3_power(prob, tau, eps, variant, n),
+            build_u1_power(prob, tau, eps, theorem, n),
+            build_u3_power(prob, tau, eps, theorem, n),
         )
     left, right = {
         "thm2_i": (build_u1_sinh, build_u3_sinh),
@@ -541,7 +541,7 @@ class TestExponentIdentities:
         if not 0.0 < q < p - 1.0:
             return
         prob = step_problem(p, q, 0.1)
-        k, _ = _profile_params("thm1_i", prob, 1.0)
+        k = outer_profile("thm1_i", prob).k
         l = (k - 1.0) * (p - 1.0)
         assert l - 1.0 + p == pytest.approx(k * (p - 1.0), rel=1e-10)
         assert l + p - 2.0 == pytest.approx(k * q, rel=1e-10)
