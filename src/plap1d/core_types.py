@@ -147,6 +147,18 @@ def _real_roots_rows(coefs: np.ndarray, width: np.ndarray, tol_edge: np.ndarray)
     conditioning).  Rows of equal trimmed length share one stacked
     eigenvalue call on the companion matrices `P.polycompanion` builds,
     which returns row by row the numbers `P.polyroots` does.
+
+    Rows that provably have no root on their closed piece skip that call.
+    In t = x/width the trimmed, normalized row has coefficients
+    a_j = c_j width^j, and its Bernstein coefficients on [0, 1] bound it from
+    both sides (the convex-hull bound; Lane & Riesenfeld, BIT 21, 1981).  If
+    they all exceed 1e-12 * sum|a_j|, hundreds of times their own rounding,
+    or all lie below its negative, the row has no root on the piece, so no
+    root is lost.  The result can change only where the companion solve
+    reported a root the row does not have: a complex pair that the absolute
+    1e-9 test takes for real on a narrow piece, or the sqrt(eps)-sized split
+    of a double root just outside an edge.  A row whose conversion
+    overflows is kept.
     """
     K, D = coefs.shape
     R = max(D - 1, 0)
@@ -163,6 +175,15 @@ def _real_roots_rows(coefs: np.ndarray, width: np.ndarray, tol_edge: np.ndarray)
     for L in np.unique(size[size > 1]):
         rows = np.flatnonzero(size == L)
         cr = c[rows, :L]
+        bern = np.array([[math.comb(i, j) / math.comb(L - 1, j) for i in range(L)] for j in range(L)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = cr * width[rows, None] ** np.arange(L)
+            b = a @ bern
+            margin = 1e-12 * np.abs(a).sum(axis=1, keepdims=True)
+            root_free = np.all(b > margin, axis=1) | np.all(b < -margin, axis=1)
+        rows, cr = rows[~root_free], cr[~root_free]
+        if rows.size == 0:
+            continue
         if L == 2:
             z = -cr[:, :1] / cr[:, 1:]
         else:
@@ -314,8 +335,10 @@ class Weight:
 
     A Weight is immutable: `coefs` is read-only, no method changes breaks or
     coefs, and the algebra returns new instances.  That is what lets each
-    instance compute its extrema and its positive and negative parts once
-    and hand out the same results afterwards.
+    instance compute once, in a memo that dies with it, its extrema, the
+    roots its two signed parts share, those parts, its antiderivative and
+    each restriction asked for (on its own domain, the instance itself), so
+    that every stage of one problem reads the same window weight.
     """
 
     def __init__(self, breaks, coefs):
@@ -346,7 +369,7 @@ class Weight:
         self.coefs.flags.writeable = False
         self._memo: dict = {}
 
-    def _memoized(self, key: str, compute):
+    def _memoized(self, key, compute):
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
@@ -393,10 +416,12 @@ class Weight:
     def min_value(self) -> float:
         return self._memoized("extrema", self._extrema)[0]
 
+    def max_value(self) -> float:
+        return self._memoized("extrema", self._extrema)[1]
+
     def sup_norm(self) -> float:
         """Essential sup of |w|, from per-piece polynomial extrema."""
-        lo, hi = self._memoized("extrema", self._extrema)
-        return max(abs(lo), abs(hi))
+        return max(abs(self.min_value()), abs(self.max_value()))
 
     def is_zero(self) -> bool:
         return self.sup_norm() == 0.0
@@ -410,7 +435,18 @@ class Weight:
         return Weight(self.breaks, C)
 
     def restrict(self, lo: float, hi: float) -> "Weight":
-        """The same function on the subinterval [lo, hi]."""
+        """The same function on the subinterval [lo, hi].
+
+        On the weight's own ends, with no piece narrow enough to drop, the
+        rebuild would only compose each piece with a zero shift, which is
+        exact, so it returns self.
+        """
+        span = self.breaks[-1] - self.breaks[0]
+        if lo == self.breaks[0] and hi == self.breaks[-1] and (self._widths() > 1e-14 * span).all():
+            return self
+        return self._memoized(("restrict", lo, hi), lambda: self._restrict(lo, hi))
+
+    def _restrict(self, lo: float, hi: float) -> "Weight":
         dom = self.domain
         span = dom.length()
         if lo < dom.a - 1e-12 * span or hi > dom.b + 1e-12 * span or not lo < hi:
@@ -429,16 +465,22 @@ class Weight:
         # from cuts[k, j] to cuts[k, j + 1] and keeps the piece, shifted to
         # its left end, where the piece has the wanted sign at its midpoint
         w = self._widths()
-        roots, count = _real_roots_rows(self.coefs, w, 1e-12 * w)
+        roots, count = self._memoized("roots", lambda: _real_roots_rows(self.coefs, w, 1e-12 * w))
         cuts = np.column_stack([np.zeros_like(w), roots, w])
         k, j = np.nonzero(np.arange(cuts.shape[1] - 1) <= count[:, None])
+        ends = self.breaks[k] + cuts[k, j + 1]
+        ends[-1] = self.breaks[-1]
+        # drop the empty segment a cut leaves when it rounds onto the end
+        # before it, as a root 1e-15 past a break at 17 does
+        full = ends > np.maximum.accumulate(np.concatenate([self.breaks[:1], ends[:-1]]))
+        k, j, ends = k[full], j[full], ends[full]
         left, right = cuts[k, j], cuts[k, j + 1]
         C = self.coefs[k]
         val = _horner_rows(C, 0.5 * (left + right)[:, None])[:, 0]
         keep = val > 0.0 if want_positive else val < 0.0
         sub = _compose_affine(C, left, np.ones_like(left))
         sub = np.where(keep[:, None], sub if want_positive else -sub, 0.0)
-        breaks = np.concatenate([self.breaks[:1], self.breaks[k] + right])
+        breaks = np.concatenate([self.breaks[:1], ends])
         breaks[-1] = self.breaks[-1]
         return Weight(breaks, sub)
 
@@ -456,6 +498,9 @@ class Weight:
         F's constant on piece k is the running sum over the earlier pieces
         of (F_j(width_j) - F_j(0)), accumulated left to right.
         """
+        return self._memoized("antiderivative", self._antiderivative)
+
+    def _antiderivative(self) -> "Weight":
         C = self.coefs
         w = self._widths()
         F = np.zeros((C.shape[0], C.shape[1] + 1))

@@ -209,7 +209,7 @@ def principal_eigenvalue(
     """
     shot = _shooter(p, c, m, I, n)
     m_win = m.restrict(I.a, I.b)
-    if m_win.pos_part().sup_norm() == 0.0:
+    if m_win.max_value() <= 0.0:
         raise NoEigenvalueError("m has no positive part on the window")
     c_win = c.restrict(I.a, I.b)
     if c_win.min_value() < -1e-12 * max(1.0, c_win.sup_norm()):

@@ -22,6 +22,7 @@ from plap1d import (
     sweep,
 )
 import plap1d.solver
+from plap1d import core_types
 from plap1d.core_types import AssemblyPlan
 from plap1d.solver import _energy_and_grad, _plan
 
@@ -335,6 +336,28 @@ class TestSolveFull:
             errs.append(float(np.max(np.abs(rep.u.values - exact))))
         assert errs[0] < 1e-3
         assert errs[0] / errs[1] > 1.5
+
+    def test_manufactured_weight_facts_are_computed_once(self, monkeypatch):
+        # the 128-piece weight's window restriction, sign roots and extrema
+        # are each computed once per problem, and pieces whose Bernstein
+        # coefficients share one sign never reach the companion eigensolve
+        calls, rows = [], []
+        roots, eigvals = core_types._real_roots_rows, np.linalg.eigvals
+
+        def counting_roots(*args):
+            calls.append(1)
+            return roots(*args)
+
+        def counting_eigvals(mat):
+            rows.append(len(mat))
+            return eigvals(mat)
+
+        monkeypatch.setattr(core_types, "_real_roots_rows", counting_roots)
+        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        prob = manufactured_problem()
+        solve_full(prob, grid=prob.default_grid(512))
+        assert len(calls) <= 5
+        assert sum(rows) <= 8
 
     def test_scaling_consistency_for_nonnegative_weight(self):
         # doubling m scales the solution by 2^{1/(p-1-q)} when m >= 0
