@@ -28,15 +28,11 @@ from .conditions import (
     ConditionReport,
     TauInterval,
     c_pq,
+    check,
     check_all,
-    check_cor,
-    check_thm1_i,
-    check_thm1_ii,
-    check_thm2_i,
-    check_thm2_ii,
     default_eps,
     gamma,
-    m_script,
+    outer_bound,
     tau_interval,
 )
 from .subsuper import (

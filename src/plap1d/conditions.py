@@ -1,10 +1,11 @@
 """Sufficient-condition inequalities and the tau ranges they make feasible.
 
-Each checker evaluates one printed inequality with exact piecewise-polynomial
-integrals and the eigenvalue supplied by the caller, and reports the numbers
-it compared so downstream code can apply its own slack.  Comparisons are the
-printed ones: strict where the source inequality is strict, non-strict
-otherwise, in plain IEEE arithmetic.
+One bound, `outer_bound`, states each theorem's lambda1 inequality: the
+condition holds where L(0) <= 1/lambda1, and the subsolution builder takes
+tau from [lambda1, 1/L(eps)].  `check` compares L(0) with 1/lambda1 (and,
+for thm1_*, the c part) in plain IEEE arithmetic, strict where the source
+inequality is strict, and reports the numbers it compared so downstream
+code can apply its own slack.
 """
 
 from __future__ import annotations
@@ -43,12 +44,10 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class TauInterval:
-    """Feasible [lo, hi] for tau; the profiles certify the weight
-    tau * scale * m, with scale = M_eps^{p-2} for thm1_ii and 1 otherwise."""
+    """Feasible [lo, hi] for tau; the glued profiles certify the weight tau m."""
 
     lo: float
     hi: float
-    scale: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.lo <= self.hi:
@@ -99,22 +98,6 @@ def _side_masses(m: Weight, eps: float, x0: float, x1: float):
     return Ma, Ia, Mb, Ib
 
 
-def m_script(p: float, prob: Problem) -> float:
-    """max over the two sides of M^-(edge)^{2-p} (int M^-)^{p-1}, at eps = 0.
-
-    A side with no negative mass contributes 0, reading 0^{2-p} * 0^{p-1} as
-    the limit value 0.
-    """
-    Ma, Ia, Mb, Ib = _side_masses(prob.m, 0.0, prob.window.a, prob.window.b)
-
-    def side(mass, integral):
-        if mass <= 0.0 or integral <= 0.0:
-            return 0.0
-        return mass ** (2.0 - p) * integral ** (p - 1.0)
-
-    return max(side(Ma, Ia), side(Mb, Ib))
-
-
 def _report(name, lhs, rhs, holds, reason, aux):
     # reason is empty exactly when the condition applies
     return ConditionReport(
@@ -129,13 +112,14 @@ def _report(name, lhs, rhs, holds, reason, aux):
     )
 
 
-def _two_part_report(name, parts, reason, aux):
+def _two_part_report(name, parts, reason):
     # parts: (label, lhs, rhs, strict); the binding part (smallest normalized
     # margin, ties to the strict one) provides the headline lhs/rhs
     def norm_margin(part):
         _, lhs, rhs, strict = part
         return ((rhs - lhs) / max(1.0, abs(rhs)), not strict)
 
+    aux = {}
     for label, lhs, rhs, strict in parts:
         aux[f"{label}_lhs"] = lhs
         aux[f"{label}_rhs"] = rhs
@@ -170,23 +154,24 @@ def applicability(which: str, prob: Problem) -> str:
 
 @dataclass(frozen=True)
 class OuterProfile:
-    """One theorem's outer profile f^k, f = sigma(tau) g(d), sigma = (A tau)^e.
+    """One theorem's outer profile f^k, f = sigma(tau s) g(d), sigma(t) = (A t)^{1/r}.
 
     d is the distance from the reach's outer end.  g is the eps-inflated
     negative mass between that end and x for thm1_* (shape "power", built in
     `subsuper._profile`), d for cor, sinh(rate d) for thm2_i and
-    expm1(rate d) for thm2_ii.  f peaks at the reach's far end, so a tau is
-    admissible while sigma(tau) g_end <= 1, the rule of `tau_interval`.
+    expm1(rate d) for thm2_ii; s is the reach's `side_scale`.  f peaks at
+    the reach's far end, so a tau is admissible while A tau s g_end^r <= 1
+    on both reaches, the bound `outer_bound` states.
     """
 
     shape: str
     k: float
     A: float
-    e: float
+    r: float
     rate: float = 0.0
 
-    def sigma(self, tau: float) -> float:
-        return (self.A * tau) ** self.e
+    def sigma(self, t: float) -> float:
+        return (self.A * t) ** (1.0 / self.r)
 
     def g(self, d):
         hyperbolic = {"sinh": np.sinh, "exp": np.expm1}.get(self.shape)
@@ -208,135 +193,102 @@ def outer_profile(which: str, prob: Problem, eps: float = 0.0, check: bool = Tru
         return OuterProfile("power", 1.0 / d, A, 1.0)
     if which == "thm1_ii":
         A = d ** (p - 1.0) / (p - 1.0) ** p
-        return OuterProfile("power", (p - 1.0) / d, A, 1.0 / (p - 1.0))
+        return OuterProfile("power", (p - 1.0) / d, A, p - 1.0)
     mminus = max(prob.m.neg_part().sup_norm(), eps)
     C = c_pq(p, q)
     if which == "cor":
-        return OuterProfile("linear", p / d, mminus / C, 1.0 / p)
+        return OuterProfile("linear", p / d, mminus / C, p)
     cn = prob.c_plus.sup_norm()
     shape = "sinh" if which == "thm2_i" else "exp"
-    return OuterProfile(shape, p / d, mminus / cn, 1.0 / p, (cn / C) ** (1.0 / p))
+    return OuterProfile(shape, p / d, mminus / cn, p, (cn / C) ** (1.0 / p))
 
 
-def check_thm1_i(prob: Problem, eig: EigenPair) -> ConditionReport:
-    """Power-profile condition for p >= 2, q in (p-2, p-1): parts (i1), (i2)."""
-    p, q = prob.p, prob.q
-    gam = gamma(prob.domain, prob.window)
-    d = p - 1.0 - q
-    M2 = m_script(2.0, prob)
-    i1_lhs = gam ** (p - 2.0) * M2
-    i1_rhs = (p - 1.0) / (d ** (p - 1.0) * eig.lambda1)
-    i2_lhs = gam**p * prob.c_plus.sup_norm()
-    i2_rhs = (2.0 - p + q) * (p - 1.0) / d**p
-    return _two_part_report(
-        "thm1_i",
-        [("i1", i1_lhs, i1_rhs, True), ("i2", i2_lhs, i2_rhs, False)],
-        applicability("thm1_i", prob),
-        {"M_2": M2},
-    )
+def side_scale(which: str, p: float, edge_mass: float) -> float:
+    """s of one reach: for thm1_ii its eps-inflated negative mass at the
+    window edge to the power 2 - p, since the profile's M^{p-2} factor is
+    smallest there for p <= 2; 1 for every other theorem."""
+    return edge_mass ** (2.0 - p) if which == "thm1_ii" else 1.0
 
 
-def check_thm1_ii(prob: Problem, eig: EigenPair) -> ConditionReport:
-    """Power-profile condition for 1 < p <= 2: parts (i3), (i4).
+def outer_bound(which: str, prob: Problem, eps: float = 0.0, check: bool = True) -> float:
+    """L(eps), the max over the two reaches of A s g_end^r.
 
-    (i3) bounds the max over the two sides of M^{2-p} (int M)^{p-1}, one
-    side at a time, while `tau_interval` needs a tau for both sides at once.
-    Where one side has the larger edge mass and the other the larger
-    integral, this condition can hold and the construction still fail
-    (CHANGES.md FOUND: thm1_ii condition and construction disagree).
+    A, r and g come from `outer_profile(which, prob, eps, check)` and s from
+    `side_scale`.  g_end is the reach's integrated eps-inflated negative
+    mass for thm1_*, where a reach with no negative mass bounds nothing, and
+    g(gamma) otherwise.  The condition's lambda1 part is L(0) <= 1/lambda1
+    (`check`) and the tau range is [lambda1, 1/L(eps)] (`tau_interval`).
     """
-    p, q = prob.p, prob.q
-    gam = gamma(prob.domain, prob.window)
-    d = p - 1.0 - q
-    Mp = m_script(p, prob)
-    i3_rhs = (p - 1.0) ** p / (d ** (p - 1.0) * eig.lambda1)
-    i4_lhs = gam**p * prob.c_plus.sup_norm()
-    i4_rhs = ((p - 1.0) / d) ** p * q
-    return _two_part_report(
-        "thm1_ii",
-        [("i3", Mp, i3_rhs, True), ("i4", i4_lhs, i4_rhs, False)],
-        applicability("thm1_ii", prob),
-        {"M_p": Mp},
+    prof = outer_profile(which, prob, eps, check)
+    if prof.shape != "power":
+        return prof.A * float(prof.g(gamma(prob.domain, prob.window))) ** prof.r
+    Ma, Ia, Mb, Ib = _side_masses(prob.m, eps, prob.window.a, prob.window.b)
+    return max(
+        prof.A * side_scale(which, prob.p, M) * I**prof.r if M > 0.0 and I > 0.0 else 0.0
+        for M, I in ((Ma, Ia), (Mb, Ib))
     )
 
 
-def _profile_report(name: str, prob: Problem, eig: EigenPair) -> ConditionReport:
-    """cor, thm2_i, thm2_ii: A g(gamma)^p <= 1/lambda1, with the constants of
-    the theorem's outer profile at eps = 0."""
+def check(name: str, prob: Problem, eig: EigenPair) -> ConditionReport:
+    """The named condition at the eigenvalue eig.lambda1.
+
+    Its lambda1 part is `outer_bound`'s L(0) <= 1/lambda1, strict for
+    thm1_*; thm1_* add a c part, (i2) gamma^p ||c^+|| <= (2-p+q)(p-1)/d^p or
+    (i4) gamma^p ||c^+|| <= ((p-1)/d)^p q with d = p-1-q.  For cor and
+    thm2_* a weight c of the other family leaves no left side, so lhs is NaN.
+    """
     reason = applicability(name, prob)
-    aux = {"C_pq": c_pq(prob.p, prob.q)}
-    lhs = math.nan
-    # a profile of the other c family has no left side
-    if reason not in (_NO_C, _HAS_C):
-        prof = outer_profile(name, prob, check=False)
-        lhs = prof.A * float(prof.g(gamma(prob.domain, prob.window))) ** prob.p
-        mminus = prob.m.neg_part().sup_norm()
-        if prof.rate:
-            aux.update(lambda_tilde=prof.rate, m_minus_sup=mminus, c_sup=prob.c_plus.sup_norm())
-        else:
-            aux["m_minus_sup"] = mminus
+    p, q = prob.p, prob.q
     rhs = 1.0 / eig.lambda1
+    lhs = math.nan if reason in (_NO_C, _HAS_C) else outer_bound(name, prob, check=False)
+    if name in ("thm1_i", "thm1_ii"):
+        d = p - 1.0 - q
+        c_lhs = gamma(prob.domain, prob.window) ** p * prob.c_plus.sup_norm()
+        if name == "thm1_i":
+            parts = [("i1", lhs, rhs, True), ("i2", c_lhs, (2.0 - p + q) * (p - 1.0) / d**p, False)]
+        else:
+            parts = [("i3", lhs, rhs, True), ("i4", c_lhs, ((p - 1.0) / d) ** p * q, False)]
+        return _two_part_report(name, parts, reason)
+    aux = {"C_pq": c_pq(p, q)}
+    if not math.isnan(lhs):
+        mminus = prob.m.neg_part().sup_norm()
+        if name == "cor":
+            aux["m_minus_sup"] = mminus
+        else:
+            rate = outer_profile(name, prob, check=False).rate
+            aux.update(lambda_tilde=rate, m_minus_sup=mminus, c_sup=prob.c_plus.sup_norm())
     return _report(name, lhs, rhs, lhs <= rhs, reason, aux)
-
-
-def check_thm2_i(prob: Problem, eig: EigenPair) -> ConditionReport:
-    """sinh-profile condition, p >= 2 with c not identically zero."""
-    return _profile_report("thm2_i", prob, eig)
-
-
-def check_thm2_ii(prob: Problem, eig: EigenPair) -> ConditionReport:
-    """exp-profile condition, any p > 1 with c not identically zero."""
-    return _profile_report("thm2_ii", prob, eig)
-
-
-def check_cor(prob: Problem, eig: EigenPair) -> ConditionReport:
-    """c-free condition: ||m^-|| gamma^p / C_pq <= 1/lambda1."""
-    return _profile_report("cor", prob, eig)
 
 
 def check_all(prob: Problem, eig: EigenPair) -> list[ConditionReport]:
     """Every condition's report, in CONDITION_NAMES order."""
-    checks = (check_thm1_i, check_thm1_ii, check_thm2_i, check_thm2_ii, check_cor)
-    return [check(prob, eig) for check in checks]
+    return [check(name, prob, eig) for name in CONDITION_NAMES]
 
 
 def tau_interval(which: str, prob: Problem, eig: EigenPair, eps: float) -> TauInterval:
-    """The tau range the chosen proof admits at negative-mass inflation eps.
+    """The tau range the chosen proof admits at negative-mass inflation eps:
+    [lambda1, 1/L(eps)], with L from `outer_bound(which, prob, eps)`.
 
-    The upper end has one rule, sigma(hi) g_end = 1, with sigma and g from
-    `outer_profile(which, prob, eps)`, so the tallest outer piece the
-    builders accept peaks at exactly 1.  g_end is max(Ia, Ib), the larger
-    side's integrated eps-inflated mass, for thm1_* (one tau serves both
-    sides; see `check_thm1_ii`) and g(gamma) otherwise.  The upper end is
-    capped at TAU_CAP_FACTOR times max(lambda1, lo) so a problem with no
-    negative mass still gets a finite range.  A condition that does not
-    apply raises ValueError naming its `applicability` reason; an empty
-    range raises EpsTooLargeError, and the caller is expected to shrink eps
-    and retry.
+    tau >= lambda1 lets the window eigenfunction certify the weight tau m,
+    and tau <= 1/L(eps) keeps both outer pieces at or below 1, so the
+    tallest piece the builders accept peaks at exactly 1.  One tau serves
+    both reaches and the rescale.  The upper end is capped at
+    TAU_CAP_FACTOR lambda1 so a problem with no negative mass still gets a
+    finite range.  A condition that does not apply raises ValueError naming
+    its `applicability` reason; an empty range raises EpsTooLargeError, and
+    the caller is expected to shrink eps and retry.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    prof = outer_profile(which, prob, eps)
-    lam1 = eig.lambda1
-    lo, scale = lam1, 1.0
-    if prof.shape == "power":
-        Ma, Ia, Mb, Ib = _side_masses(prob.m, eps, prob.window.a, prob.window.b)
-        g_end = max(Ia, Ib)
-        if which == "thm1_ii":
-            M_eps = max(Ma, Mb)
-            lo = lam1 * M_eps ** (2.0 - prob.p)
-            scale = M_eps ** (prob.p - 2.0)
-    else:
-        g_end = float(prof.g(gamma(prob.domain, prob.window)))
-    denom = prof.A * g_end ** (1.0 / prof.e)
-    hi = math.inf if denom == 0.0 else 1.0 / denom
-    hi = min(hi, TAU_CAP_FACTOR * max(lam1, lo))
+    L = outer_bound(which, prob, eps)
+    lo = eig.lambda1
+    hi = min(math.inf if L == 0.0 else 1.0 / L, TAU_CAP_FACTOR * lo)
     if not lo <= hi:
         raise EpsTooLargeError(
             f"feasible tau range for {which} empty at eps={eps:g}: "
             f"lo={lo:g} > hi={hi:g}"
         )
-    return TauInterval(lo=lo, hi=hi, scale=scale)
+    return TauInterval(lo=lo, hi=hi)
 
 
 def default_eps(m: Weight) -> float:

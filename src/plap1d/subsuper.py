@@ -22,6 +22,7 @@ from .conditions import (
     _mass_integrals,
     default_eps,
     outer_profile,
+    side_scale,
     tau_interval,
 )
 from .core_types import (
@@ -66,14 +67,13 @@ def _profile(theorem: str, side: str, prob: Problem, tau: float, eps: float, n: 
     """The theorem's outer profile f^k on the left reach [a, x1] or the right
     reach [x0, b], side "left" or "right".
 
-    f = sigma g(d) at the distance d from the reach's outer end, with k,
-    sigma and g from `conditions.outer_profile`; for thm1_* g is the exact
-    eps-inflated negative mass from that end to x (`_mass_integrals`).  A
-    tau above `tau_interval`'s upper end lifts f^k above 1 and raises
-    TauTooLargeError.
+    f = sigma(tau s) g(d) at the distance d from the reach's outer end, with
+    k, sigma and g from `conditions.outer_profile` and s the reach's
+    `conditions.side_scale`; for thm1_* g is the exact eps-inflated negative
+    mass from that end to x (`_mass_integrals`).  A tau above
+    `tau_interval`'s upper end lifts f^k above 1 and raises TauTooLargeError.
     """
     prof = outer_profile(theorem, prob)
-    sigma = prof.sigma(tau)
     a, b = prob.domain.a, prob.domain.b
     left = side == "left"
     # a uniform grid on the reach with the weight's kinks as extra nodes
@@ -83,11 +83,13 @@ def _profile(theorem: str, side: str, prob: Problem, tau: float, eps: float, n: 
     if prof.shape == "power":
         F, G = _mass_integrals(prob.m, eps)
         if left:
-            f = sigma * (G(grid.nodes) - G(a))
+            edge, g = float(F(prob.window.b)), G(grid.nodes) - G(a)
         else:
-            f = sigma * (float(F(b)) * d - (float(G(b)) - G(grid.nodes)))
+            F_x0, total = F(np.array([prob.window.a, b]))
+            edge, g = total - F_x0, total * d - (float(G(b)) - G(grid.nodes))
+        f = prof.sigma(tau * side_scale(theorem, prob.p, edge)) * g
     else:
-        f = sigma * prof.g(d)
+        f = prof.sigma(tau) * prof.g(d)
     vals = np.maximum(f, 0.0) ** prof.k
     vals[0 if left else -1] = 0.0
     if vals.max() > 1.0 + _EDGE_TOL:
@@ -247,11 +249,11 @@ def build_subsolution(
     at or below 1, its value at the far end of its reach, and the junctions
     are admissible by construction (`_junction`), so in practice a step
     fails, and eps is halved, only when the range is empty
-    (EpsTooLargeError).  The glued function certifies the weight
-    tau_effective * m, with tau_effective = tau * `TauInterval.scale`;
-    scaling it by tau_effective^{-1/(p-1-q)} balances the degree-(p-1) left
-    side against the degree-q right side exactly and moves it to m without
-    spending any slack.
+    (EpsTooLargeError).  The glued function certifies the weight tau m;
+    scaling it by tau^{-1/(p-1-q)} balances the degree-(p-1) left side
+    against the degree-q right side exactly and moves it to m without
+    spending any slack.  construction["sigma"] is sigma(tau); a thm1_ii
+    reach takes sigma(tau s) with its own `side_scale` s.
     """
     span = prob.domain.length()
     x0, x1 = prob.window.a, prob.window.b
@@ -272,16 +274,14 @@ def build_subsolution(
             last_error = exc
             eps *= 0.5
             continue
-        tau_eff = tau * ti.scale
         prof = outer_profile(theorem, prob)
-        s = tau_eff ** (-1.0 / (prob.p - 1.0 - prob.q))
+        s = tau ** (-1.0 / (prob.p - 1.0 - prob.q))
         return Certificate(
             kind="subsolution",
             u=raw.scaled(s),
             construction={
                 "theorem": theorem,
                 "tau": tau,
-                "tau_effective": tau_eff,
                 "eps": eps,
                 "k": prof.k,
                 "sigma": prof.sigma(tau),

@@ -19,11 +19,7 @@ from plap1d import (
     build_subsolution,
     build_supersolution,
     c_pq,
-    check_cor,
-    check_thm1_i,
-    check_thm1_ii,
-    check_thm2_i,
-    check_thm2_ii,
+    check,
     enforce_ordering,
     principal_eigenvalue,
     sin_power_weight,
@@ -97,8 +93,8 @@ def test_criterion_2_constant_oracle_and_p2_coincidence():
             2.0, q, outside, csup=csup, window=Interval(x0, x1), inside=inside
         )
         eig = _fake_eig(rng.uniform(0.3, 60.0))
-        r1 = check_thm1_i(prob, eig)
-        r2 = check_thm1_ii(prob, eig)
+        r1 = check("thm1_i", prob, eig)
+        r2 = check("thm1_ii", prob, eig)
         agree = agree and r1.applicable and r2.applicable and r1.holds == r2.holds
         for a, b in ((r1.lhs, r2.lhs), (r1.rhs, r2.rhs), (r1.margin, r2.margin)):
             worst = max(worst, abs(a - b))
@@ -125,11 +121,11 @@ def test_criterion_4_threshold_and_full_pipeline():
     prob0 = _step_problem(2.0, 0.5, 0.5)
     eig = principal_eigenvalue(prob0.p, prob0.c_plus, prob0.m, WIN, n=2048)
     lo, hi = 0.3, 0.8
-    assert check_cor(_step_problem(2.0, 0.5, lo), eig).holds
-    assert not check_cor(_step_problem(2.0, 0.5, hi), eig).holds
+    assert check("cor", _step_problem(2.0, 0.5, lo), eig).holds
+    assert not check("cor", _step_problem(2.0, 0.5, hi), eig).holds
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if check_cor(_step_problem(2.0, 0.5, mid), eig).holds:
+        if check("cor", _step_problem(2.0, 0.5, mid), eig).holds:
             lo = mid
         else:
             hi = mid
@@ -198,9 +194,9 @@ def test_criterion_6_hyperbolic_implication():
             inside=float(rng.uniform(0.2, 3.0)),
         )
         eig = _fake_eig(rng.uniform(0.1, 100.0))
-        if check_thm2_ii(prob, eig).holds:
+        if check("thm2_ii", prob, eig).holds:
             implications += 1
-            if not check_thm2_i(prob, eig).holds:
+            if not check("thm2_i", prob, eig).holds:
                 counterexamples += 1
     t = np.linspace(0.0, 30.0, 10000)
     scalar_ok = bool(np.all(np.sinh(t) <= np.expm1(t)))

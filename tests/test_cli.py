@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from plap1d.cli import _csv_cell, build_parser, main, weight_from_spec, write_csv
+from plap1d.cli import _csv_cell, build_parser, main, render_json, weight_from_spec, write_csv
 from plap1d.core_types import Grid, GridFunction, Interval
 
 BASE = {
@@ -44,6 +44,18 @@ def window_edge_weight(left, right):
 EDGE_WINDOW = {"p": 1.5, "q": 0.25, "window": [0.05, 0.15], "n": 256}
 
 
+def unequal_sides(B, mirror):
+    """EDGE_WINDOW overrides with m = -20B left of the window and -B right of
+    it, so the left reach has the larger edge mass and the right reach the
+    larger integral; mirror reflects the problem about x = 1/2."""
+    m = window_edge_weight(-20.0 * B, -B)
+    if not mirror:
+        return {**EDGE_WINDOW, "m": m}
+    pieces = [{"from": 1.0 - pc["to"], "to": 1.0 - pc["from"], "poly": pc["poly"]}
+              for pc in reversed(m["pieces"])]
+    return {**EDGE_WINDOW, "window": [0.85, 0.95], "m": {"pieces": pieces}}
+
+
 def bad_leaf_cases():
     """(overrides, names, what, id) that set one numeric leaf of BASE, or of
     the sin-power weight of MANUFACTURED, to a value that is not a number."""
@@ -67,6 +79,11 @@ def bad_leaf_cases():
             leaves.append((f"{key}-{leaf}", {**base, key: spec}, names))
         for leaf, overrides, names in leaves:
             yield overrides, names, f"got {value!r}", f"{label}-{leaf}"
+
+
+def condition(report, name):
+    """The named condition's entry in a check, certify or solve report."""
+    return next(c for c in report["conditions"] if c["name"] == name)
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -157,6 +174,16 @@ class TestConfigParsing:
         assert main(["check", cfg_a, "--out", str(out_a)]) == 0
         assert main(["check", cfg_b, "--out", str(out_b)]) == 0
         assert (out_a / "check.json").read_bytes() == (out_b / "check.json").read_bytes()
+
+    def test_piece_that_is_not_an_object_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, m={"pieces": [3]})
+        assert main(["check", cfg]) == 64
+        assert "'m' piece 0" in capsys.readouterr().err
+
+    def test_reversed_window_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, window=[0.75, 0.25])
+        assert main(["check", cfg]) == 64
+        assert "'window'" in capsys.readouterr().err
 
     def test_gap_in_pieces_rejected(self, tmp_path, capsys):
         pieces = {
@@ -345,15 +372,29 @@ class TestCertifyVerify:
         by_name = {c["name"]: c for c in json.loads((out / "check.json").read_text())["conditions"]}
         assert by_name["thm1_ii"]["holds"]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="CHANGES.md FOUND: the thm1_ii condition and the thm1_ii construction "
-        "disagree; the left side has the larger edge mass, the right side the larger "
-        "integral, and tau_interval needs one tau for both",
-    )
     def test_thm1_ii_construction_follows_its_condition(self, tmp_path):
         cfg = write_config(tmp_path, **EDGE_WINDOW, m=window_edge_weight(-0.13, -0.0065))
         assert main(["certify", cfg, "--policy", "thm1_ii", "--out", str(tmp_path / "o")]) == 0
+
+    # each reach bounds tau with its own edge mass and integral, so wherever
+    # check holds thm1_ii on this family the certificates verify
+    @pytest.mark.parametrize("mirror", [False, True], ids=["window-left", "window-right"])
+    @pytest.mark.parametrize("n", [256, 1024])
+    @pytest.mark.parametrize("B", [0.0063, 0.0065, 0.0068])
+    def test_thm1_ii_certifies_across_the_unequal_sides_family(self, tmp_path, B, n, mirror):
+        cfg = write_config(tmp_path, **{**unequal_sides(B, mirror), "n": n})
+        out = tmp_path / "o"
+        assert main(["certify", cfg, "--policy", "thm1_ii", "--out", str(out)]) == 0
+        report = json.loads((out / "certify.json").read_text())
+        assert condition(report, "thm1_ii")["holds"]
+        assert report["sub"]["verified"]["passed"] and report["super"]["verified"]["passed"]
+
+    @pytest.mark.parametrize("mirror", [False, True], ids=["window-left", "window-right"])
+    def test_thm1_ii_fails_past_the_unequal_sides_family(self, tmp_path, mirror):
+        cfg = write_config(tmp_path, **unequal_sides(0.007, mirror))
+        main(["check", cfg, "--out", str(tmp_path / "c")])
+        entry = condition(json.loads((tmp_path / "c" / "check.json").read_text()), "thm1_ii")
+        assert entry["applicable"] and not entry["holds"]
 
     def test_certify_failure_is_exit_two(self, tmp_path):
         cfg = write_config(tmp_path, m={"preset": "step", "inside": 1.0, "outside": -1.0})
@@ -383,6 +424,11 @@ class TestCertifyVerify:
         bad.write_text(text)
         assert main(["verify", cfg, flag, str(bad), "--out", str(tmp_path / "o")]) == 64
         assert "bad.csv" in capsys.readouterr().err
+
+    def test_verify_rejects_a_missing_grid_function(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["verify", cfg, "--sub", str(tmp_path / "absent.csv")]) == 64
+        assert "cannot read grid function" in capsys.readouterr().err
 
     def test_verify_needs_an_input(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -685,6 +731,11 @@ class TestSweep:
 
 
 class TestCli:
+    @pytest.mark.parametrize("obj, text", [({}, "{}"), ([], "[]"), (None, "null")])
+    def test_render_json_empty_containers_and_none(self, obj, text):
+        assert render_json(obj) == text
+        assert json.loads(text) == obj
+
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate", "x.json"]) == 64
 

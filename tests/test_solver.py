@@ -172,6 +172,27 @@ class TestSolveBetween:
         assert np.any(free)
         assert float(np.max(np.abs(grad[free]) / g.hat_masses()[free])) <= tol
 
+    @pytest.mark.parametrize("failure", ["singular", "nan"])
+    def test_failed_linear_solve_ends_in_a_typed_residual_error(self, monkeypatch, failure):
+        # neither the Cholesky step nor its clipped fallback gives a usable
+        # step, so the iteration stops at the midpoint's residual
+        calls = []
+
+        def broken(ab, rhs, **kwargs):
+            calls.append(None)
+            if failure == "singular":
+                raise scipy.linalg.LinAlgError("not positive definite")
+            return np.full_like(rhs, np.nan)
+
+        monkeypatch.setattr(scipy.linalg, "solveh_banded", broken)
+        prob = manufactured_problem()
+        g = prob.default_grid(64)
+        sin_vals = np.sin(np.pi * g.nodes)
+        sub, sup = box_certificates(g, 0.5 * sin_vals, sin_vals + 0.5)
+        with pytest.raises(SolverError, match="projected-gradient residual"):
+            solve_between(prob, sub, sup, g)
+        assert len(calls) == (2 if failure == "singular" else 1)
+
     def test_newton_from_midpoint_needs_few_energy_evaluations(self, monkeypatch):
         calls = []
 

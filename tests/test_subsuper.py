@@ -204,11 +204,11 @@ class TestGlue:
 class TestRescale:
     def test_reference_factor(self):
         # p=2, q=1/2: exponent 1/(p-1-q) = 2, so the glued function, whose
-        # peak is the eigenfunction's 1, is scaled by tau_effective^-2
+        # peak is the eigenfunction's 1, is scaled by tau^-2
         prob = step_problem(2.0, 0.5, 0.5)
         cert = subsolution(prob, "cor", Grid.uniform(UNIT, 512))
         s = cert.construction["rescale"]
-        assert s == pytest.approx(cert.construction["tau_effective"] ** -2.0, rel=1e-15)
+        assert s == pytest.approx(cert.construction["tau"] ** -2.0, rel=1e-15)
         assert cert.u.values.max() == pytest.approx(s, rel=1e-12)
 
     def test_rescaled_certificate_still_verifies(self):
@@ -419,7 +419,7 @@ class TestBuildSubsolution:
         rep = check_weak_subsolution(cert.u, prob)
         assert rep.passed, f"worst {rep.worst_value} at x={rep.worst_x}"
         assert cert.kind == "subsolution"
-        for key in ("theorem", "tau", "tau_effective", "eps", "k", "sigma",
+        for key in ("theorem", "tau", "eps", "k", "sigma",
                     "junction_lo", "junction_hi", "rescale", "lambda1"):
             assert key in cert.construction
 

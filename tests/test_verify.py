@@ -81,6 +81,16 @@ class TestSubsolution:
         assert "boundary" in rep.note
 
 
+    def test_negative_node_is_rejected(self):
+        g = Grid.uniform(UNIT, 64)
+        vals = 1e-3 * np.sin(np.pi * g.nodes)
+        vals[32] = -1e-3
+        prob = unit_problem(2.0, 0.5, Weight.constant(1.0, UNIT))
+        rep = check_weak_subsolution(GridFunction(g, vals), prob)
+        assert not rep.passed
+        assert rep.note == "subsolution must be nonnegative"
+
+
 class TestSupersolution:
     def make_remark_supersolution(self, n=512, k=9.0 / 8.0):
         g = Grid.uniform(UNIT, n)
@@ -114,6 +124,15 @@ class TestSupersolution:
         prob = unit_problem(2.5, 0.5, Weight.constant(1.0, UNIT))
         rep = check_weak_supersolution(constant_fn(g, 5.0), prob)
         assert not rep.passed
+
+    def test_negative_node_is_rejected(self):
+        # the remark's supersolution, which passes, with one node negated
+        w = self.make_remark_supersolution(n=64)
+        w.values[32] = -w.values[32]
+        prob = unit_problem(2.0, 0.5, Weight.constant(1.0, UNIT))
+        rep = check_weak_supersolution(w, prob)
+        assert not rep.passed
+        assert rep.note == "supersolution must be nonnegative"
 
     def test_zero_is_a_trivial_certificate(self):
         g = Grid.uniform(UNIT, 64)
