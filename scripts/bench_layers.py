@@ -1,0 +1,195 @@
+"""Layer timings and counts of the window eigensolve and the full solve.
+
+Three cases, each at n = 512, 2048 and 8192 cells:
+
+  manufactured  p = 2, q = 1/2, c = 0, m = pi^2 sin(pi x)^(1/2) (128 pieces),
+                window = domain; tol 1e-7 at n = 8192, where 1e-8 stagnates
+  step          p = 2, q = 1/2, c = 0, m = 1 on (1/4, 3/4) and -0.1 outside,
+                window (1/4, 3/4)
+  two-bump      p = 5, q = 2, c = 0, m = 1 on (0, 0.05) and (0.95, 1) and 0
+                between, window = domain
+
+For each case and n the script times `principal_eigenvalue` on the window,
+through `window_eigenpair` as `solve_full` calls it (the window gets its
+share of the n cells), and `solve_full`, at tol 1e-8 unless stated.  Both
+run in this process: one warm-up call, then the median of --repeats timed
+calls, each on a freshly built problem so that every call computes its own
+weight facts, as one CLI call does.  A separate run with counting wrappers
+records the counts next to the seconds, since they do not depend on the
+machine:
+
+  shots         RK4 shots (`eigen._rk4_full` calls), coarse seeding levels
+                included
+  shot_work     their integration work in full-resolution shots: the
+                substeps of all shots over the finest shot's, rounded up
+  fine_shots    shots on the full-resolution grid
+  energy_evals  `solver._energy_and_grad` evaluations (solve_full only)
+
+A solve that raises is timed up to the raise and recorded with its error.
+The output also records the Python, numpy and scipy versions, the core
+count and the CPU model.
+
+Usage (from the repository root)::
+
+    PYTHONPATH=src python3 scripts/bench_layers.py
+    PYTHONPATH=src python3 scripts/bench_layers.py --n 512 --repeats 1 --out /tmp/layers.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import statistics
+import sys
+import time
+
+import numpy as np
+import scipy
+
+from plap1d import eigen, solver
+from plap1d.core_types import Interval, Problem, Weight, sin_power_weight, step_weight
+
+UNIT = Interval(0.0, 1.0)
+WINDOW = Interval(0.25, 0.75)
+NS = (512, 2048, 8192)
+
+
+def manufactured() -> Problem:
+    m = sin_power_weight(UNIT, 0.5).affine(np.pi**2, 0.0)
+    return Problem(p=2.0, q=0.5, domain=UNIT, m=m, c=Weight.constant(0.0, UNIT), window=UNIT)
+
+
+def step() -> Problem:
+    m = step_weight(UNIT, WINDOW, 1.0, -0.1)
+    return Problem(p=2.0, q=0.5, domain=UNIT, m=m, c=Weight.constant(0.0, UNIT), window=WINDOW)
+
+
+def two_bump() -> Problem:
+    m = Weight([0.0, 0.05, 0.95, 1.0], [[1.0], [0.0], [1.0]])
+    return Problem(p=5.0, q=2.0, domain=UNIT, m=m, c=Weight.constant(0.0, UNIT), window=UNIT)
+
+
+CASES = {"manufactured": manufactured, "step": step, "two-bump": two_bump}
+
+
+def solve_tol(name: str, n: int) -> float:
+    return 1e-7 if (name, n) == ("manufactured", 8192) else 1e-8
+
+
+def layers(name: str, n: int):
+    """(layer name, call) pairs; each call takes a fresh problem."""
+    tol = solve_tol(name, n)
+
+    def eigensolve(prob):
+        eigen.window_eigenpair(prob, prob.default_grid(n))
+
+    def solve(prob):
+        solver.solve_full(prob, grid=prob.default_grid(n), tol=tol)
+
+    return (("principal_eigenvalue", eigensolve), ("solve_full", solve))
+
+
+def run(call, prob) -> str | None:
+    try:
+        call(prob)
+    except RuntimeError as exc:  # the program's typed failures are recorded
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+def seconds(name: str, call, repeats: int) -> float:
+    run(call, CASES[name]())
+    times = []
+    for prob in [CASES[name]() for _ in range(repeats)]:
+        t0 = time.perf_counter()
+        run(call, prob)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
+def counts(name: str, n: int) -> dict:
+    """Counts of each layer of one case at n cells, from one counted call."""
+    out = {}
+    for layer, call in layers(name, n):
+        substeps, evals = [], []
+        rk4, energy = eigen._rk4_full, solver._energy_and_grad
+
+        def counted_rk4(K, KH, *rest):
+            substeps.append(len(KH))
+            return rk4(K, KH, *rest)
+
+        def counted_energy(*args):
+            evals.append(1)
+            return energy(*args)
+
+        eigen._rk4_full, solver._energy_and_grad = counted_rk4, counted_energy
+        try:
+            error = run(call, CASES[name]())
+        finally:
+            eigen._rk4_full, solver._energy_and_grad = rk4, energy
+        finest = max(substeps)
+        out[layer] = {
+            "shots": len(substeps),
+            "shot_work": math.ceil(sum(substeps) / finest),
+            "fine_shots": substeps.count(finest),
+        }
+        if layer == "solve_full":
+            out[layer]["energy_evals"] = len(evals)
+            out[layer]["error"] = error
+    return out
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def environment() -> dict:
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cores": os.cpu_count(),
+        "cpu": cpu_model(),
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--n", type=int, nargs="+", default=list(NS))
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--out", default="BENCH_layers.json")
+    args = ap.parse_args(argv)
+    rows = []
+    for name in CASES:
+        for n in args.n:
+            row = {"case": name, "n": n, "tol": solve_tol(name, n)}
+            row.update(counts(name, n))
+            for layer, call in layers(name, n):
+                row[layer]["s"] = seconds(name, call, args.repeats)
+            rows.append(row)
+            eig, full = row["principal_eigenvalue"], row["solve_full"]
+            print(
+                f"{name:12s} n={n:5d}  eigen {eig['s'] * 1e3:8.2f} ms  shots {eig['shots']:3d}"
+                f"  work {eig['shot_work']:3d}  solve_full {full['s'] * 1e3:8.2f} ms"
+                f"  energy {full['energy_evals']:4d}" + (f"  [{full['error']}]" if full["error"] else ""),
+                flush=True,
+            )
+    report = {"environment": environment(), "repeats": args.repeats, "cases": rows}
+    with open(args.out, "w") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

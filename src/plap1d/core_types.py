@@ -336,9 +336,10 @@ class Weight:
     A Weight is immutable: `coefs` is read-only, no method changes breaks or
     coefs, and the algebra returns new instances.  That is what lets each
     instance compute once, in a memo that dies with it, its extrema, the
-    roots its two signed parts share, those parts, its antiderivative and
-    each restriction asked for (on its own domain, the instance itself), so
-    that every stage of one problem reads the same window weight.
+    roots its two signed parts share, those parts, its antiderivative, each
+    affine map and each restriction asked for (on its own domain, the
+    instance itself), so that every stage of one problem reads the same
+    window weight and the same eps-inflated negative part.
     """
 
     def __init__(self, breaks, coefs):
@@ -429,7 +430,10 @@ class Weight:
     # -- algebra --------------------------------------------------------------
 
     def affine(self, scale: float, offset: float = 0.0) -> "Weight":
-        """scale * w + offset as a new Weight."""
+        """scale * w + offset, one Weight per (scale, offset) pair asked for."""
+        return self._memoized(("affine", scale, offset), lambda: self._affine(scale, offset))
+
+    def _affine(self, scale: float, offset: float) -> "Weight":
         C = scale * self.coefs
         C[:, 0] += offset
         return Weight(self.breaks, C)

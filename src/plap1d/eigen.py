@@ -23,6 +23,16 @@ A probe is that Newton step while it stays inside the bracket, else doubling
 while no shot has crossed zero and bisection once one has.  Crossings are
 read at the nodes: a shot has crossed when u <= 0 at a node past x0.
 
+The first probe is the constant-coefficient closed form when c and m are
+constant on the window, where it is exact.  Otherwise it is lambda1 of the
+same probe loop on 1/_COARSEN of the cells, seeded the same way, down to the
+coarsest level with at least _MIN_COARSE cells (nested iteration): a shot
+there costs 1/_COARSEN of one on the next finer grid, and its lambda1 is
+within the discretization error of the finer one, so the full-resolution
+loop usually stops at its first Newton step.  Every level starts from its
+own bracket (0, inf), so the result and its stopping rule depend on the
+coarse levels only through the first probe.
+
 The RK4 shots are plain Python loops on Python floats; there is no JIT.  Each
 shot computes its stage coefficients c - lambda*m with numpy and hands them to
 the loop as lists, because numpy scalars cost about three times as much per
@@ -51,6 +61,10 @@ from .core_types import (
 
 # relative width of the final eigenvalue bracket
 _TOL = 1e-8
+# nested-iteration seed: each coarser level has 1/_COARSEN of the cells, and
+# the coarsest keeps at least _MIN_COARSE
+_COARSEN = 8
+_MIN_COARSE = 64
 
 
 @dataclass
@@ -171,6 +185,54 @@ def shoot(
     return traj, float(grid.nodes[i - 1] + grid.h[i - 1] * out[i - 1] / (out[i - 1] - out[i]))
 
 
+def _newton(shot, p, I, n, lam, m_win, c_win):
+    """(lambda1, w at the cell midpoints) by the probe rule of
+    principal_eigenvalue on n cells, from the bracket (0, inf) and the first
+    probe lam; shot is _shooter's on those n cells."""
+    seed = lam
+    hcell = (I.b - I.a) / n
+    # int_I m|u|^p is mhat @ |u|^p, each cell's exact m mass split between
+    # its nodes, so that a break of m between nodes counts where it is
+    cell_m = np.diff(m_win.antiderivative()(np.linspace(I.a, I.b, n + 1)))
+    mhat = 0.5 * (np.append(cell_m, 0.0) + np.append(0.0, cell_m))
+    # w(x1) from w at the last midpoint: on that half cell u ~ |u'| (x1 - x),
+    # so w gains (c - lambda m) |w| (h/2)^p / p on its way to x1
+    m1, c1, tail = float(m_win(I.b)), float(c_win(I.b)), (0.5 * hcell) ** p / p
+    lo, hi = 0.0, np.inf
+    while hi - lo > _TOL * lo:
+        out, wmid = shot(lam)
+        u1 = float(out[-1])
+        mass = float(mhat @ np.abs(out) ** p)
+        w1 = float(wmid[-1]) * (1.0 + (lam * m1 - c1) * tail)
+        step = (p - 1.0) * u1 * w1 / mass if mass > 0.0 else np.inf
+        first = _first_zero(out)
+        small = abs(step) <= _TOL * lam and abs(u1) <= np.sqrt(_TOL) * float(np.max(out))
+        if small and first >= n:
+            return lam - step, wmid
+        if first <= n:
+            hi = lam
+        else:
+            lo, w_lo = lam, wmid
+        if hi == np.inf and lo >= seed * 2.0**79:
+            raise BracketError("bracket expansion exceeded its cap")
+        lam -= step
+        if not lo < lam < hi:
+            lam = 2.0 * lo if hi == np.inf else 0.5 * (lo + hi)
+        gap = 0.25 * _TOL * (lo if hi == np.inf else hi)
+        lam = min(max(lam, lo + gap), hi - gap)
+    return 0.5 * (lo + hi), w_lo
+
+
+def _coarse_seed(p, c, m, I, n, lam, m_win, c_win):
+    """lam improved by _newton on n // _COARSEN cells, itself seeded the same
+    way, while a level keeps at least _MIN_COARSE cells."""
+    nc = n // _COARSEN
+    if nc < _MIN_COARSE:
+        return lam
+    lam = _coarse_seed(p, c, m, I, nc, lam, m_win, c_win)
+    return _newton(_shooter(p, c, m, I, nc), p, I, nc, lam, m_win, c_win)[0]
+
+
 def principal_eigenvalue(
     p: float,
     c: Weight,
@@ -181,8 +243,9 @@ def principal_eigenvalue(
     """Positive principal eigenvalue and eigenfunction on the window I.
 
     Probes follow three rules.  The first is the constant-coefficient closed
-    form, exact when c and m are constant on I; each later one is the last
-    shot's Newton step (module docstring) or, if that falls outside the
+    form when c and m are constant on I, where it is exact, and otherwise
+    the lambda1 of the same rules on a coarser grid (module docstring); each
+    later one is the last shot's Newton step or, if that falls outside the
     bracket, doubling while no shot has crossed zero and bisection once one
     has.  Crossings are read at the nodes: a shot crosses when u <= 0 at a
     node past x0, which puts it at the high end of the bracket.  Probes stay
@@ -220,41 +283,12 @@ def principal_eigenvalue(
     pi_p = 2.0 * np.pi / (p * np.sin(np.pi / p))
     mbar = max(m_win.integral() / I.length(), 1e-12)
     cbar = max(c_win.integral() / I.length(), 0.0)
-    lam = seed = ((p - 1.0) * (pi_p / I.length()) ** p + cbar) / mbar
+    lam = ((p - 1.0) * (pi_p / I.length()) ** p + cbar) / mbar
+    if not (m_win.min_value() == m_win.max_value() and c_win.min_value() == c_win.max_value()):
+        lam = _coarse_seed(p, c, m, I, n, lam, m_win, c_win)
+    lam, w = _newton(shot, p, I, n, lam, m_win, c_win)
     grid = Grid(np.linspace(I.a, I.b, n + 1))
     hcell = (I.b - I.a) / n
-    # int_I m|u|^p is mhat @ |u|^p, each cell's exact m mass split between
-    # its nodes, so that a break of m between nodes counts where it is
-    cell_m = np.diff(m_win.antiderivative()(grid.nodes))
-    mhat = 0.5 * (np.append(cell_m, 0.0) + np.append(0.0, cell_m))
-    # w(x1) from w at the last midpoint: on that half cell u ~ |u'| (x1 - x),
-    # so w gains (c - lambda m) |w| (h/2)^p / p on its way to x1
-    m1, c1, tail = float(m_win(I.b)), float(c_win(I.b)), (0.5 * hcell) ** p / p
-    lo, hi = 0.0, np.inf
-    while hi - lo > _TOL * lo:
-        out, wmid = shot(lam)
-        u1 = float(out[-1])
-        mass = float(mhat @ np.abs(out) ** p)
-        w1 = float(wmid[-1]) * (1.0 + (lam * m1 - c1) * tail)
-        step = (p - 1.0) * u1 * w1 / mass if mass > 0.0 else np.inf
-        first = _first_zero(out)
-        small = abs(step) <= _TOL * lam and abs(u1) <= np.sqrt(_TOL) * float(np.max(out))
-        if small and first >= n:
-            lam, w = lam - step, wmid
-            break
-        if first <= n:
-            hi = lam
-        else:
-            lo, w_lo = lam, wmid
-        if hi == np.inf and lo >= seed * 2.0**79:
-            raise BracketError("bracket expansion exceeded its cap")
-        lam -= step
-        if not lo < lam < hi:
-            lam = 2.0 * lo if hi == np.inf else 0.5 * (lo + hi)
-        gap = 0.25 * _TOL * (lo if hi == np.inf else hi)
-        lam = min(max(lam, lo + gap), hi - gap)
-    else:
-        lam, w = 0.5 * (lo + hi), w_lo
     slopes = np.abs(w) ** (1.0 / (p - 1.0)) * np.sign(w)
     vals = np.concatenate(([0.0], np.cumsum(slopes * hcell)))
     vals -= vals[-1] * np.linspace(0.0, 1.0, n + 1)

@@ -296,6 +296,27 @@ class TestCor:
         ]
 
 
+def test_check_all_reuses_the_reach_mass_antiderivatives(monkeypatch):
+    # m^- + eps and its antiderivatives are built once per weight and eps:
+    # the first check_all makes F and G, a repeat reads them from the memo
+    prob = step_problem(2.0, 0.5, 0.1)
+    eig = principal_eigenvalue(2.0, prob.c, prob.m, WINDOW, n=512)
+    calls = []
+    original = Weight._antiderivative
+
+    def counted(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(Weight, "_antiderivative", counted)
+    first = check_all(prob, eig)
+    assert len(calls) == 2
+    calls.clear()
+    # repr, since a report that does not apply carries lhs = nan
+    assert repr(check_all(prob, eig)) == repr(first)
+    assert calls == []
+
+
 class TestTauInterval:
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError, match="invalid tau interval"):

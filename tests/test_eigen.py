@@ -122,16 +122,23 @@ class TestPrincipalEigenvalue:
 
 
 def count_shots(monkeypatch):
-    """Count shots by wrapping the RK4 kernel each one calls once."""
-    shots = []
+    """Record the substep count of every shot, by wrapping the RK4 kernel
+    each one calls once; shot_work reads the record."""
+    substeps = []
     original = eigen._rk4_full
 
-    def counted(*args):
-        shots.append(True)
-        return original(*args)
+    def counted(K, KH, *rest):
+        substeps.append(len(KH))
+        return original(K, KH, *rest)
 
     monkeypatch.setattr(eigen, "_rk4_full", counted)
-    return shots
+    return substeps
+
+
+def shot_work(substeps):
+    """Integration work in full-resolution shots: the substeps of every shot,
+    coarse-level seeding shots included, over the finest shot's, rounded up."""
+    return -(-sum(substeps) // max(substeps)) if substeps else 0
 
 
 def assert_bracket_invariant(pair, p, c, m, I, n, tol=1e-8):
@@ -149,7 +156,7 @@ class TestEigenBracket:
     def test_step_weight_needs_few_shots(self, p, c, monkeypatch):
         shots = count_shots(monkeypatch)
         principal_eigenvalue(p, Weight.constant(c, UNIT), STEP, WINDOW, n=512)
-        assert len(shots) <= 8
+        assert shot_work(shots) <= 8
 
     @pytest.mark.parametrize("c", [0.0, 0.7])
     @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
@@ -158,7 +165,7 @@ class TestEigenBracket:
         # its shot's Newton step is already below _TOL * lambda
         shots = count_shots(monkeypatch)
         principal_eigenvalue(p, Weight.constant(c, UNIT), STEP, WINDOW, n=512)
-        assert len(shots) == 1
+        assert shot_work(shots) == 1
 
     # lambda1 far below 1: the bracket's width, stopping rule and margin are
     # all relative to lambda, so the closed-form seed closes it as for order 1
@@ -168,7 +175,7 @@ class TestEigenBracket:
         shots = count_shots(monkeypatch)
         pair = principal_eigenvalue(2.0, ZERO, Weight.constant(mass, UNIT), UNIT, n=n)
         assert pair.lambda1 == pytest.approx(np.pi**2 / mass, rel=1e-8)
-        assert len(shots) <= 3
+        assert shot_work(shots) <= 3
 
     def test_scaled_weight_scales_lambda1_and_its_shots(self, monkeypatch):
         # m -> s m maps every probe to lambda / s
@@ -177,7 +184,7 @@ class TestEigenBracket:
         for s in (1.0, 1e6, 1e9):
             start = len(shots)
             pair = principal_eigenvalue(2.0, ZERO, STEP.affine(s), WINDOW, n=512)
-            runs.append((pair.lambda1 * s, len(shots) - start))
+            runs.append((pair.lambda1 * s, shot_work(shots[start:])))
         (ref, ref_shots), *scaled = runs
         for lam_s, count in scaled:
             assert lam_s == pytest.approx(ref, rel=1e-12)
@@ -211,7 +218,7 @@ class TestEigenBracket:
         # took 16 and 23 shots
         shots = count_shots(monkeypatch)
         pair = principal_eigenvalue(p, ZERO, TWO_BUMPS, UNIT, n=512)
-        assert len(shots) <= {2.0: 10, 3.0: 13}[p]
+        assert shot_work(shots) <= {2.0: 10, 3.0: 13}[p]
         assert_bracket_invariant(pair, p, ZERO, TWO_BUMPS, UNIT, 512)
 
     def test_small_end_flux_is_not_taken_for_convergence(self):
@@ -268,11 +275,39 @@ def test_newton_probes_need_no_more_shots_than_illinois(name, p, n, monkeypatch)
     m, I = GRID_WEIGHTS[name]
     shots = count_shots(monkeypatch)
     pair = principal_eigenvalue(p, ZERO, m, I, n=n)
-    assert len(shots) <= ILLINOIS_SHOTS[name][GRID_P.index(p)][GRID_N.index(n)]
+    assert shot_work(shots) <= ILLINOIS_SHOTS[name][GRID_P.index(p)][GRID_N.index(n)]
     assert_bracket_invariant(pair, p, ZERO, m, I, n)
     # a Newton stop lands far closer; the bracket fallback's midpoint is
     # within half its width, _TOL / 2
     assert pair.lambda1 == pytest.approx(bisection_reference(pair.lambda1, p, m, I, n), rel=6e-9)
+
+
+class TestCoarseSeed:
+    @pytest.mark.parametrize("p", [1.6, 2.0, 3.0])
+    def test_non_constant_weight_closes_in_one_fine_shot(self, p, monkeypatch):
+        # the coarse levels (256 cells, 32 stops the recursion) bring the
+        # first full-resolution probe within reach of one Newton step
+        m, I = GRID_WEIGHTS["sin-power"]
+        n = 2048
+        shots = count_shots(monkeypatch)
+        pair = principal_eigenvalue(p, ZERO, m, I, n=n)
+        assert shot_work(shots) <= 2
+        monkeypatch.undo()
+        assert pair.lambda1 == pytest.approx(bisection_reference(pair.lambda1, p, m, I, n), rel=6e-9)
+
+    @pytest.mark.parametrize("p", [1.1, 2.0, 7.0])
+    def test_constant_window_runs_no_coarse_level(self, p, monkeypatch):
+        # the closed-form seed is exact there: one shot, on all n cells
+        shots = count_shots(monkeypatch)
+        principal_eigenvalue(p, Weight.constant(0.7, UNIT), STEP, WINDOW, n=4096)
+        nsub = 8 if (p < 1.2 or p > 6.0) else 4
+        assert shots == [4096 * nsub]
+
+    def test_levels_coarsen_by_eight_down_to_64_cells(self, monkeypatch):
+        shots = count_shots(monkeypatch)
+        principal_eigenvalue(2.0, ZERO, GRID_WEIGHTS["sin-power"][0], UNIT, n=8192)
+        assert sorted({s // 4 for s in shots}) == [128, 1024, 8192]
+        assert shots[-1] == 8192 * 4
 
 
 def rk4_full_reference(K, KH, hsub, pm1, ipm1, nsub, out, wmid):

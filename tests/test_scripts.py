@@ -6,6 +6,7 @@ that imports a name the package no longer has.
 """
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -141,3 +142,25 @@ def test_workload_lines(tmp_path):
     assert [ln.split(":")[0] for ln in lines[-3:]] == [
         "certify-scan seed 0", "solve-manufactured seed 0", "solve-step seed 0"
     ]
+
+
+def test_bench_layers_counts_match_the_committed_file(tmp_path):
+    # counts do not depend on the machine: a count that moves fails here
+    # until BENCH_layers.json is regenerated and the move is explained
+    out = tmp_path / "layers.json"
+    proc = run_script("bench_layers.py", "--n", "512", "--repeats", "1", "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+    def counts(path, n):
+        with open(path) as fh:
+            rows = json.load(fh)["cases"]
+        return {
+            (row["case"], layer): {k: v for k, v in row[layer].items() if k != "s"}
+            for row in rows
+            if row["n"] == n
+            for layer in ("principal_eigenvalue", "solve_full")
+        }
+
+    committed = counts(os.path.join(ROOT, "BENCH_layers.json"), 512)
+    assert len(committed) == 6
+    assert counts(out, 512) == committed

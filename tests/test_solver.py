@@ -22,7 +22,7 @@ from plap1d import (
     sweep,
 )
 import plap1d.solver
-from plap1d import core_types
+from plap1d import core_types, eigen
 from plap1d.core_types import AssemblyPlan
 from plap1d.solver import _energy_and_grad, _plan
 
@@ -379,6 +379,20 @@ class TestSolveFull:
         solve_full(prob, grid=prob.default_grid(512))
         assert len(calls) <= 5
         assert sum(rows) <= 8
+
+    def test_manufactured_solve_eigensolves_once(self, monkeypatch):
+        # the coarse seeding levels run inside the one principal_eigenvalue
+        calls = []
+        original = eigen.principal_eigenvalue
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(eigen, "principal_eigenvalue", counted)
+        prob = manufactured_problem()
+        solve_full(prob, grid=prob.default_grid(512))
+        assert len(calls) == 1
 
     def test_scaling_consistency_for_nonnegative_weight(self):
         # doubling m scales the solution by 2^{1/(p-1-q)} when m >= 0
