@@ -11,19 +11,23 @@ Three cases, each at n = 512, 2048 and 8192 cells:
 
 For each case and n the script times `principal_eigenvalue` on the window,
 through `window_eigenpair` as `solve_full` calls it (the window gets its
-share of the n cells), and `solve_full`, at tol 1e-8 unless stated.  Both
-run in this process: one warm-up call, then the median of --repeats timed
-calls, each on a freshly built problem so that every call computes its own
-weight facts, as one CLI call does.  A separate run with counting wrappers
+share of the n cells), the companion solve `bvp.solve_g` of m^+ on the n
+cells, as `build_supersolution` calls it, and `solve_full`, at tol 1e-8
+unless stated.  All run in this process: one warm-up call, then the median
+of --repeats timed calls, each on a freshly built problem so that every
+call computes its own weight facts, as one CLI call does.  A separate run with counting wrappers
 records the counts next to the seconds, since they do not depend on the
 machine:
 
-  shots         RK4 shots (`eigen._rk4_full` calls), coarse seeding levels
-                included
-  shot_work     their integration work in full-resolution shots: the
-                substeps of all shots over the finest shot's, rounded up
-  fine_shots    shots on the full-resolution grid
-  energy_evals  `solver._energy_and_grad` evaluations (solve_full only)
+  shots          RK4 shots (`eigen._rk4_full` calls), coarse seeding levels
+                 included
+  shot_work      their integration work in full-window shots: the substeps
+                 of all shots over those of one shot across the window on
+                 the full-resolution grid, so a half-window shot counts 0.5
+  fine_shots     shots on the full-resolution grid
+  closure_evals  closure-sum evaluations of the companion solve (`phi_p`
+                 calls in `bvp`; solve_g only)
+  energy_evals   `solver._energy_and_grad` evaluations (solve_full only)
 
 A solve that raises is timed up to the raise and recorded with its error.
 The output also records the Python, numpy and scipy versions, the core
@@ -39,7 +43,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import platform
 import statistics
@@ -49,7 +52,7 @@ import time
 import numpy as np
 import scipy
 
-from plap1d import eigen, solver
+from plap1d import bvp, eigen, solver
 from plap1d.core_types import Interval, Problem, Weight, sin_power_weight, step_weight
 
 UNIT = Interval(0.0, 1.0)
@@ -86,10 +89,13 @@ def layers(name: str, n: int):
     def eigensolve(prob):
         eigen.window_eigenpair(prob, prob.default_grid(n))
 
+    def companion(prob):
+        bvp.solve_g(prob.p, prob.m.pos_part(), prob.default_grid(n))
+
     def solve(prob):
         solver.solve_full(prob, grid=prob.default_grid(n), tol=tol)
 
-    return (("principal_eigenvalue", eigensolve), ("solve_full", solve))
+    return (("principal_eigenvalue", eigensolve), ("solve_g", companion), ("solve_full", solve))
 
 
 def run(call, prob) -> str | None:
@@ -114,27 +120,36 @@ def counts(name: str, n: int) -> dict:
     """Counts of each layer of one case at n cells, from one counted call."""
     out = {}
     for layer, call in layers(name, n):
-        substeps, evals = [], []
-        rk4, energy = eigen._rk4_full, solver._energy_and_grad
+        substeps, hsubs, closures, evals = [], [], [], []
+        rk4, phi_p, energy = eigen._rk4_full, bvp.phi_p, solver._energy_and_grad
 
-        def counted_rk4(K, KH, *rest):
+        def counted_rk4(K, KH, hsub, *rest):
             substeps.append(len(KH))
-            return rk4(K, KH, *rest)
+            hsubs.append(hsub)
+            return rk4(K, KH, hsub, *rest)
+
+        def counted_phi_p(*args):
+            closures.append(1)
+            return phi_p(*args)
 
         def counted_energy(*args):
             evals.append(1)
             return energy(*args)
 
-        eigen._rk4_full, solver._energy_and_grad = counted_rk4, counted_energy
+        eigen._rk4_full, bvp.phi_p, solver._energy_and_grad = counted_rk4, counted_phi_p, counted_energy
+        prob = CASES[name]()
         try:
-            error = run(call, CASES[name]())
+            error = run(call, prob)
         finally:
-            eigen._rk4_full, solver._energy_and_grad = rk4, energy
-        finest = max(substeps)
+            eigen._rk4_full, bvp.phi_p, solver._energy_and_grad = rk4, phi_p, energy
+        if layer == "solve_g":
+            out[layer] = {"closure_evals": len(closures)}
+            continue
+        fine = min(hsubs)
         out[layer] = {
             "shots": len(substeps),
-            "shot_work": math.ceil(sum(substeps) / finest),
-            "fine_shots": substeps.count(finest),
+            "shot_work": round(sum(substeps) / round(prob.window.length() / fine), 4),
+            "fine_shots": hsubs.count(fine),
         }
         if layer == "solve_full":
             out[layer]["energy_evals"] = len(evals)
@@ -177,10 +192,11 @@ def main(argv=None) -> int:
             for layer, call in layers(name, n):
                 row[layer]["s"] = seconds(name, call, args.repeats)
             rows.append(row)
-            eig, full = row["principal_eigenvalue"], row["solve_full"]
+            eig, comp, full = row["principal_eigenvalue"], row["solve_g"], row["solve_full"]
             print(
                 f"{name:12s} n={n:5d}  eigen {eig['s'] * 1e3:8.2f} ms  shots {eig['shots']:3d}"
-                f"  work {eig['shot_work']:3d}  solve_full {full['s'] * 1e3:8.2f} ms"
+                f"  work {eig['shot_work']:6.3f}  solve_g {comp['s'] * 1e3:6.2f} ms"
+                f"  closures {comp['closure_evals']:3d}  solve_full {full['s'] * 1e3:8.2f} ms"
                 f"  energy {full['energy_evals']:4d}" + (f"  [{full['error']}]" if full["error"] else ""),
                 flush=True,
             )

@@ -2,10 +2,13 @@
 
 The configs are those the three benchmark workloads of perfbench/workloads.py
 draw at the given seeds (read from the first checkout, never changed), each
-distinct config once, plus the BASE config of tests/test_cli.py.  On every
-config the script runs CLI check, eigen, certify and solve in both checkouts,
-then verify on the sub.csv, super.csv and u.csv that checkout's solve call
-wrote.  Certify and solve get the workload's --policy, if any.  Once per run
+distinct config once, plus the BASE config of tests/test_cli.py and two
+variants of it (VARIANTS) that reach constant-window branches of the
+eigensolve that no workload reaches: an odd window cell count, and p = 7,
+which integrates with 8 RK4 substeps per cell, on a grid fine enough that
+the closed-form eigenvalue is taken.  On every config the script runs CLI
+check, eigen, certify and solve in both checkouts, then verify on the
+sub.csv, super.csv and u.csv that checkout's solve call wrote.  Certify and solve get the workload's --policy, if any.  Once per run
 it also calls sweep --jobs 1 on the BASE config over two values of q, and
 --help of the program and of each of the six subcommands, so the parser is
 compared too.  Each call runs in a fresh interpreter with that checkout's
@@ -46,6 +49,13 @@ import tempfile
 COMMANDS = ("check", "eigen", "certify", "solve", "verify")
 SUBCOMMANDS = ("check", "eigen", "certify", "solve", "verify", "sweep")
 
+# (name, changes to BASE): 258 cells put 129 in the window; at p = 7 the
+# window's 4096 cells keep the grid's eigenvalue within 1e-9 of the closed form
+VARIANTS = (
+    ("test_cli-base-odd-window", {"n": 258}),
+    ("test_cli-base-p7", {"p": 7.0, "n": 8192}),
+)
+
 CHILD = "import sys; sys.path.insert(0, sys.argv[1]); from plap1d.cli import main; sys.exit(main(sys.argv[2:]))"
 
 
@@ -62,12 +72,15 @@ def base_config(root: str) -> dict:
 
 
 def cases(root: str, seeds: list[int]) -> list[tuple[str, dict, str | None, int]]:
-    """(name, config, policy, seed) for every distinct workload config and the test base."""
+    """(name, config, policy, seed) for the test base, its variants and every
+    distinct workload config."""
     sys.path.insert(0, os.path.join(root, "perfbench"))
     import workloads
 
-    out = [("test_cli-base", base_config(root), None, 0)]
-    seen = {(json.dumps(out[0][1], sort_keys=True), None)}
+    base = base_config(root)
+    out = [("test_cli-base", base, None, 0)]
+    out += [(name, {**base, **change}, None, 0) for name, change in VARIANTS]
+    seen = {(json.dumps(cfg, sort_keys=True), None) for _, cfg, _, _ in out}
     for seed in seeds:
         for workload in sorted(workloads.WORKLOADS):
             for prob in workloads.problems(workload, seed):

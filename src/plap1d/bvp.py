@@ -12,15 +12,19 @@ flux_j = phi_p(v') on cell j and load_i is the exact integral of g against
 that hat.  So flux_j = f0 - (load_1 + ... + load_j), every cell slope is
 phi_p^{-1} of its flux, and the one unknown f0 is fixed by the boundary
 condition: the slopes times the cell widths must sum to zero.  That sum is
-strictly increasing in f0, so plain bisection finds f0 to the last bit, and
-v is the running sum of slope times width (del Pino, Elgueta & Manasevich,
-JDE 80, 1989, for the first-integral treatment of the 1D p-Laplacian).  For
+strictly increasing in f0, with derivative sum_j (p'-1)|f0 - R_j|^{p'-2} h_j
+(R_j the running load), so safeguarded Newton brackets f0 within a few
+doubles, bisection pins it to the last bit, and v is the running sum of
+slope times width (del Pino, Elgueta & Manasevich, JDE 80, 1989, for the
+first-integral treatment of the 1D p-Laplacian).  For
 p = 2 this is the standard second-difference scheme, whose nodal values are
 exact for piecewise-quadratic solutions.  Every p > 1 is solved; the range of
 p in which k(v+1) then verifies is stated at `subsuper.build_supersolution`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -32,7 +36,8 @@ def solve_g(p: float, g: Weight, grid: Grid) -> GridFunction:
 
     There is no zero-order term: the supersolution needs none for c >= 0
     (see the module docstring), and without it the discrete equations
-    integrate in closed form up to the scalar f0.
+    integrate in closed form up to the scalar f0.  f0 and v are the doubles
+    that plain bisection on [0, total load] gives, in a few evaluations.
 
     Parameters
     ----------
@@ -58,12 +63,32 @@ def solve_g(p: float, g: Weight, grid: Grid) -> GridFunction:
     load = AssemblyPlan(grid, {"g": g}).load_vector("g", np.ones(grid.n + 1), 0.0)
     running = np.concatenate(([0.0], np.cumsum(load[1:-1])))
 
-    def slopes(f0: float) -> np.ndarray:
-        # phi_p^{-1} is phi_{p'} with the conjugate exponent p' = p/(p-1)
-        return phi_p(f0 - running, p / (p - 1.0))
+    pp = p / (p - 1.0)
 
-    # the closure sum is <= 0 at f0 = 0 and >= 0 at f0 = total load
+    def slopes(f0: float) -> np.ndarray:
+        # phi_p^{-1} is phi_{p'} with the conjugate exponent p'
+        return phi_p(f0 - running, pp)
+
+    # the closure sum is <= 0 at f0 = 0 and >= 0 at f0 = total load.  Newton
+    # from the root for p = 2 takes a bisection step wherever it leaves the
+    # bracket or its derivative is not finite (|0|^(p'-2) for p > 2); once it
+    # converges, one probe just past its point closes the bracket
     lo, hi = 0.0, float(running[-1])
+    f0, probe = float(running @ h) / float(np.sum(h)), False
+    while lo < f0 < hi:
+        closure = float(slopes(f0) @ h)
+        lo, hi = (f0, hi) if closure < 0.0 else (lo, f0)
+        if probe:
+            break
+        with np.errstate(divide="ignore"):
+            deriv = (pp - 1.0) * float(np.abs(f0 - running) ** (pp - 2.0) @ h)
+        step = closure / deriv if math.isfinite(deriv) else math.nan
+        probe = abs(step) <= math.ulp(f0)
+        if probe:
+            f0 = math.nextafter(f0 - step, math.inf if closure < 0.0 else -math.inf)
+        else:
+            f0 = f0 - step if lo < f0 - step < hi else 0.5 * (lo + hi)
+    # bisection to adjacent doubles, which pins f0 to the bit
     while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:

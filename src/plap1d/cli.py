@@ -51,7 +51,7 @@ from .core_types import (
     sin_power_weight,
     step_weight,
 )
-from .eigen import window_eigenpair
+from .eigen import rayleigh_quotient, window_eigenpair
 from .solver import certify, select_theorem, solve_full, sweep
 from .verify import (
     boundary_note,
@@ -357,7 +357,7 @@ def cmd_eigen(args) -> int:
     prob, _, eig = _eigen_setup(args)
     report = _base_report(args)
     report["lambda1"] = float(eig.lambda1)
-    report["rayleigh"] = float(eig.rayleigh)
+    report["rayleigh"] = rayleigh_quotient(prob.p, prob.c_plus, prob.m, prob.window, eig.phi)
     report["window"] = [prob.window.a, prob.window.b]
     write_report(report, args.out)
     write_csv(os.path.join(args.out, "phi.csv"), eig.phi)

@@ -23,10 +23,16 @@ A probe is that Newton step while it stays inside the bracket, else doubling
 while no shot has crossed zero and bisection once one has.  Crossings are
 read at the nodes: a shot has crossed when u <= 0 at a node past x0.
 
-The first probe is the constant-coefficient closed form when c and m are
-constant on the window, where it is exact.  Otherwise it is lambda1 of the
-same probe loop on 1/_COARSEN of the cells, seeded the same way, down to the
-coarsest level with at least _MIN_COARSE cells (nested iteration): a shot
+Where c and m are constant on the window, lambda1 is the closed form
+((p-1)(pi_p/L)^p + c)/m, and the eigenfunction is even about the middle of
+the window (del Pino, Elgueta & Manasevich, JDE 80, 1989), so one shot over
+the left half of the cells, mirrored, gives it.  That shot's w at the
+middle also gives, by the identity above on the half window, the grid's
+own eigenvalue; where that is more than _TOL/10 away (coarse grids at p far
+from 2) the probe loop runs instead, from the closed form, so lambda1 stays
+inside the shooting bracket of the grid phi lives on.  Otherwise the first
+probe is lambda1 of the same probe loop on 1/_COARSEN of the cells, seeded
+the same way, down to the coarsest level with at least _MIN_COARSE cells (nested iteration): a shot
 there costs 1/_COARSEN of one on the next finer grid, and its lambda1 is
 within the discretization error of the finer one, so the full-resolution
 loop usually stops at its first Newton step.  Every level starts from its
@@ -71,13 +77,13 @@ _MIN_COARSE = 64
 class EigenPair:
     """Principal eigenvalue with its sup-normalized eigenfunction on I.
 
-    rayleigh is an independently assembled Rayleigh quotient of phi, kept as a
-    cross-check against the bracketed lambda1.
+    lambda1 is exact on a window where c and m are constant, and otherwise
+    the shooting value; `rayleigh_quotient` gives an independently assembled
+    cross-check of it for phi.
     """
 
     lambda1: float
     phi: GridFunction
-    rayleigh: float
 
 
 def _rk4_full(K, KH, hsub, pm1, ipm1, nsub, out, wmid):
@@ -119,13 +125,18 @@ def _rk4_full(K, KH, hsub, pm1, ipm1, nsub, out, wmid):
             wmid[k >> 1] = w
 
 
+def _substeps(p: float) -> int:
+    """RK4 substeps per ambient cell: 8 for p < 1.2 or p > 6, else 4."""
+    if p <= 1.0:
+        raise ValueError(f"invalid exponent: p must be > 1, got {p}")
+    return 8 if (p < 1.2 or p > 6.0) else 4
+
+
 def _shooter(p: float, c: Weight, m: Weight, I: Interval, n: int):
     """shot(lam) -> (out, wmid) of one _rk4_full on (p, c, m, I, n): u at the
     n + 1 nodes and w at the n cell midpoints, from the stage coefficient
     c - lam*m at the substep nodes and their midpoints, as float lists."""
-    if p <= 1.0:
-        raise ValueError(f"invalid exponent: p must be > 1, got {p}")
-    nsub = 8 if (p < 1.2 or p > 6.0) else 4
+    nsub = _substeps(p)
     xs = np.linspace(I.a, I.b, n * nsub + 1)
     half = 0.5 * (xs[:-1] + xs[1:])
     cn, ch, mn, mh = c(xs), c(half), m(xs), m(half)
@@ -185,6 +196,32 @@ def shoot(
     return traj, float(grid.nodes[i - 1] + grid.h[i - 1] * out[i - 1] / (out[i - 1] - out[i]))
 
 
+def _half_shot(p, I, n, lam, m0, c0):
+    """w at the n cell midpoints at the closed-form lam of a window with
+    m = m0 and c = c0, from one _rk4_full over its left n // 2 + 1 cells and
+    mirrored, w being odd about the middle of I; None when that shot is not
+    positive there or its w at the middle (the mean of the two cells beside
+    it for even n) puts the grid's own eigenvalue, by the shot identity on
+    the left half, more than _TOL / 10 from lam."""
+    nsub = _substeps(p)
+    half = n // 2
+    k = float(c0 - lam * m0)
+    out, wmid = np.empty(half + 2), np.empty(half + 1)
+    hsub = (I.b - I.a) / (n * nsub)  # an underflow to 0 leaves u at 0: None
+    _rk4_full([k] * ((half + 1) * nsub + 1), [k] * ((half + 1) * nsub), hsub, p - 1.0, 1.0 / (p - 1.0), nsub, out, wmid)
+    rise = wmid[:half]
+    if not (np.all(out[1:] > 0.0) and np.all(rise > 0.0)):
+        return None
+    if n % 2:
+        w_mid, u_mid = wmid[half], 0.5 * (out[half] + out[half + 1])
+    else:
+        w_mid, u_mid = 0.5 * (wmid[half - 1] + wmid[half]), out[half]
+    mass = m0 * (I.b - I.a) / n * float(np.sum(out[1 : half + 1] ** p))
+    if abs(w_mid * u_mid) >= 0.1 * _TOL * lam * mass:
+        return None
+    return np.concatenate((rise, np.zeros(n % 2), -rise[::-1]))
+
+
 def _newton(shot, p, I, n, lam, m_win, c_win):
     """(lambda1, w at the cell midpoints) by the probe rule of
     principal_eigenvalue on n cells, from the bracket (0, inf) and the first
@@ -242,10 +279,12 @@ def principal_eigenvalue(
 ) -> EigenPair:
     """Positive principal eigenvalue and eigenfunction on the window I.
 
-    Probes follow three rules.  The first is the constant-coefficient closed
-    form when c and m are constant on I, where it is exact, and otherwise
-    the lambda1 of the same rules on a coarser grid (module docstring); each
-    later one is the last shot's Newton step or, if that falls outside the
+    Where c and m are constant on I, lambda1 is the closed form and phi
+    comes from one half-window shot; probes run there only when that shot
+    puts the grid's eigenvalue more than _TOL/10 away (module docstring).
+    Probes follow three rules.  The first is the closed form there, and
+    otherwise the lambda1 of the same rules on a coarser grid; each later
+    one is the last shot's Newton step or, if that falls outside the
     bracket, doubling while no shot has crossed zero and bisection once one
     has.  Crossings are read at the nodes: a shot crosses when u <= 0 at a
     node past x0, which puts it at the high end of the bracket.  Probes stay
@@ -270,7 +309,7 @@ def principal_eigenvalue(
     c is negative somewhere on I (beyond rounding of 1e-12 of its sup norm),
     where no positive principal eigenvalue need exist.
     """
-    shot = _shooter(p, c, m, I, n)
+    _substeps(p)  # rejects p <= 1 before anything else
     m_win = m.restrict(I.a, I.b)
     if m_win.max_value() <= 0.0:
         raise NoEigenvalueError("m has no positive part on the window")
@@ -281,12 +320,19 @@ def principal_eigenvalue(
             "no positive principal eigenvalue for this c"
         )
     pi_p = 2.0 * np.pi / (p * np.sin(np.pi / p))
-    mbar = max(m_win.integral() / I.length(), 1e-12)
-    cbar = max(c_win.integral() / I.length(), 0.0)
-    lam = ((p - 1.0) * (pi_p / I.length()) ** p + cbar) / mbar
-    if not (m_win.min_value() == m_win.max_value() and c_win.min_value() == c_win.max_value()):
-        lam = _coarse_seed(p, c, m, I, n, lam, m_win, c_win)
-    lam, w = _newton(shot, p, I, n, lam, m_win, c_win)
+    constant = m_win.min_value() == m_win.max_value() and c_win.min_value() == c_win.max_value()
+    w = None
+    if constant:
+        m0, c0 = m_win.max_value(), c_win.max_value()
+        lam = float(((p - 1.0) * (pi_p / I.length()) ** p + c0) / m0)
+        w = _half_shot(p, I, n, lam, m0, c0)
+    if w is None:
+        mbar = max(m_win.integral() / I.length(), 1e-12)
+        cbar = max(c_win.integral() / I.length(), 0.0)
+        lam = ((p - 1.0) * (pi_p / I.length()) ** p + cbar) / mbar
+        if not constant:
+            lam = _coarse_seed(p, c, m, I, n, lam, m_win, c_win)
+        lam, w = _newton(_shooter(p, c, m, I, n), p, I, n, lam, m_win, c_win)
     grid = Grid(np.linspace(I.a, I.b, n + 1))
     hcell = (I.b - I.a) / n
     slopes = np.abs(w) ** (1.0 / (p - 1.0)) * np.sign(w)
@@ -296,14 +342,20 @@ def principal_eigenvalue(
     vals[-1] = 0.0
     if np.min(vals[1:-1]) <= 0.0:
         raise EigenError("eigenfunction lost interior positivity; refine the grid")
-    phi = GridFunction(grid, vals / np.max(vals))
-    plan = AssemblyPlan(grid, {"c": c_win, "m": m_win})
+    return EigenPair(lambda1=lam, phi=GridFunction(grid, vals / np.max(vals)))
+
+
+def rayleigh_quotient(p: float, c: Weight, m: Weight, I: Interval, phi: GridFunction) -> float:
+    """(int |phi'|^p + int c |phi|^p) / int m |phi|^p of the P1 function phi
+    on the window I, assembled independently of the shot as a cross-check
+    of lambda1."""
+    grid = phi.grid
+    plan = AssemblyPlan(grid, {"c": c.restrict(I.a, I.b), "m": m.restrict(I.a, I.b)})
     s = phi.slopes()
     v = phi.values
     num = float(np.sum(np.abs(s) ** p * grid.h)) + float(v @ plan.load_vector("c", v, p - 1.0))
     den = float(v @ plan.load_vector("m", v, p - 1.0))
-    rayleigh = num / den
-    return EigenPair(lambda1=lam, phi=phi, rayleigh=rayleigh)
+    return num / den
 
 
 def window_eigenpair(prob: Problem, grid: Grid) -> EigenPair:

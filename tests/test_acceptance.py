@@ -48,7 +48,7 @@ def _report(num, ok, detail):
 
 def _fake_eig(lam):
     phi = GridFunction(Grid.uniform(WIN, 4), np.ones(5))
-    return EigenPair(lambda1=float(lam), phi=phi, rayleigh=float(lam))
+    return EigenPair(lambda1=float(lam), phi=phi)
 
 
 def _step_problem(p, q, mu, csup=0.0, window=WIN, inside=1.0):

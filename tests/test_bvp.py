@@ -1,10 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plap1d import bvp
 from plap1d.bvp import solve_g
-from plap1d.core_types import AssemblyPlan, Grid, Interval, Weight, phi_p
+from plap1d.core_types import (
+    AssemblyPlan,
+    Grid,
+    Interval,
+    Weight,
+    phi_p,
+    sin_power_weight,
+    step_weight,
+)
 
 UNIT = Interval(0.0, 1.0)
 ONE = Weight.constant(1.0, UNIT)
@@ -77,3 +88,72 @@ def test_symmetry_and_positivity(p, gval):
     v = solve_g(p, Weight.constant(gval, UNIT), g)
     assert np.all(v.values >= 0.0)
     np.testing.assert_allclose(v.values, v.values[::-1], atol=1e-8 * max(1.0, v.sup_norm()))
+
+
+def bisection_only(p, g, grid):
+    # the companion solve with f0 from plain bisection on [0, total load]:
+    # solve_g's Newton only narrows that bracket, so its values must match
+    # these bit for bit
+    h = grid.h
+    load = AssemblyPlan(grid, {"g": g}).load_vector("g", np.ones(grid.n + 1), 0.0)
+    running = np.concatenate(([0.0], np.cumsum(load[1:-1])))
+
+    def slopes(f0):
+        return phi_p(f0 - running, p / (p - 1.0))
+
+    lo, hi = 0.0, float(running[-1])
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if float(slopes(mid) @ h) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    v = np.concatenate(([0.0], np.cumsum(slopes(mid) * h)))
+    v[-1] = 0.0
+    return v
+
+
+# m^+ of the workloads' step weight, the manufactured sin-power weight, and a
+# load on an off-centre strip, whose f0 sits near the total load
+LOADS = {
+    "step": step_weight(UNIT, Interval(0.25, 0.75), 1.0, -0.1).pos_part(),
+    "sin-power": sin_power_weight(UNIT, 0.5).affine(np.pi**2, 0.0),
+    "off-centre": step_weight(UNIT, Interval(0.05, 0.15), 1.0, 0.0),
+}
+GRIDS = {
+    **{f"uniform-{n}": Grid.uniform(UNIT, n) for n in (16, 512, 4096)},
+    "graded": Grid(np.linspace(0.0, 1.0, 301) ** 1.5),
+}
+PS = [1.1, 1.3, 1.5, 2.0, 3.0, 8.0]
+
+
+def count_closures(monkeypatch):
+    """Record every closure-sum evaluation, by wrapping the phi_p that
+    solve_g calls once per evaluation."""
+    calls = []
+    original = bvp.phi_p
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(bvp, "phi_p", counted)
+    return calls
+
+
+@pytest.mark.parametrize("grid", list(GRIDS))
+@pytest.mark.parametrize("p", PS)
+@pytest.mark.parametrize("load", list(LOADS))
+def test_newton_seeded_root_matches_bisection_bit_for_bit(load, p, grid, monkeypatch):
+    g, mesh = LOADS[load], GRIDS[grid]
+    calls = count_closures(monkeypatch)
+    with warnings.catch_warnings():
+        # |0|^(p'-2) for p > 2 must not warn where f0 meets the running load
+        warnings.simplefilter("error")
+        v = solve_g(p, g, mesh)
+    assert np.array_equal(v.values, bisection_only(p, g, mesh))
+    # bisection alone takes about 55 evaluations; the off-centre strip's f0 sits
+    # where the closure sum's derivative blows up, and Newton helps less
+    assert len(calls) <= (8 if load != "off-centre" else 25)

@@ -33,7 +33,7 @@ FOUR_PI_SQ = 4.0 * math.pi**2
 
 def fake_eig(lam):
     g = Grid.uniform(UNIT, 4)
-    return EigenPair(lam, GridFunction(g, np.ones(5)), lam)
+    return EigenPair(lam, GridFunction(g, np.ones(5)))
 
 
 def step_problem(p, q, mu, csup=0.0, window=WINDOW):

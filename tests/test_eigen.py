@@ -85,7 +85,8 @@ class TestPrincipalEigenvalue:
         m = step_weight(UNIT, Interval(0.2, 0.9), 2.0, 0.5)
         c = Weight.constant(0.3, UNIT)
         pair = principal_eigenvalue(p, c, m, UNIT)
-        assert abs(pair.rayleigh - pair.lambda1) <= 1e-4 * pair.lambda1
+        rayleigh = eigen.rayleigh_quotient(p, c, m, UNIT, pair.phi)
+        assert abs(rayleigh - pair.lambda1) <= 1e-4 * pair.lambda1
 
     @pytest.mark.parametrize("tau", [0.5, 2.0, 10.0])
     def test_homogeneity_in_m(self, tau):
@@ -135,10 +136,11 @@ def count_shots(monkeypatch):
     return substeps
 
 
-def shot_work(substeps):
-    """Integration work in full-resolution shots: the substeps of every shot,
-    coarse-level seeding shots included, over the finest shot's, rounded up."""
-    return -(-sum(substeps) // max(substeps)) if substeps else 0
+def shot_work(substeps, n, p):
+    """Integration work in full-window shots on n cells: the substeps of
+    every shot, coarse-level seeding shots included, over the n * nsub of
+    one shot across the whole window, so a shot over half of it counts 0.5."""
+    return sum(substeps) / (n * eigen._substeps(p))
 
 
 def assert_bracket_invariant(pair, p, c, m, I, n, tol=1e-8):
@@ -156,16 +158,16 @@ class TestEigenBracket:
     def test_step_weight_needs_few_shots(self, p, c, monkeypatch):
         shots = count_shots(monkeypatch)
         principal_eigenvalue(p, Weight.constant(c, UNIT), STEP, WINDOW, n=512)
-        assert shot_work(shots) <= 8
+        assert shot_work(shots, 512, p) <= 8
 
     @pytest.mark.parametrize("c", [0.0, 0.7])
     @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
     def test_step_weight_closes_from_the_seed(self, p, c, monkeypatch):
-        # the closed-form seed is exact for constant c and m on the window, so
-        # its shot's Newton step is already below _TOL * lambda
+        # the closed form is exact for constant c and m on the window, so the
+        # only shot is the eigenfunction's, over the left n // 2 + 1 cells
         shots = count_shots(monkeypatch)
         principal_eigenvalue(p, Weight.constant(c, UNIT), STEP, WINDOW, n=512)
-        assert shot_work(shots) == 1
+        assert shots == [257 * eigen._substeps(p)]
 
     # lambda1 far below 1: the bracket's width, stopping rule and margin are
     # all relative to lambda, so the closed-form seed closes it as for order 1
@@ -175,7 +177,7 @@ class TestEigenBracket:
         shots = count_shots(monkeypatch)
         pair = principal_eigenvalue(2.0, ZERO, Weight.constant(mass, UNIT), UNIT, n=n)
         assert pair.lambda1 == pytest.approx(np.pi**2 / mass, rel=1e-8)
-        assert shot_work(shots) <= 3
+        assert shot_work(shots, n, 2.0) <= 3
 
     def test_scaled_weight_scales_lambda1_and_its_shots(self, monkeypatch):
         # m -> s m maps every probe to lambda / s
@@ -184,7 +186,7 @@ class TestEigenBracket:
         for s in (1.0, 1e6, 1e9):
             start = len(shots)
             pair = principal_eigenvalue(2.0, ZERO, STEP.affine(s), WINDOW, n=512)
-            runs.append((pair.lambda1 * s, shot_work(shots[start:])))
+            runs.append((pair.lambda1 * s, shot_work(shots[start:], 512, 2.0)))
         (ref, ref_shots), *scaled = runs
         for lam_s, count in scaled:
             assert lam_s == pytest.approx(ref, rel=1e-12)
@@ -218,7 +220,7 @@ class TestEigenBracket:
         # took 16 and 23 shots
         shots = count_shots(monkeypatch)
         pair = principal_eigenvalue(p, ZERO, TWO_BUMPS, UNIT, n=512)
-        assert shot_work(shots) <= {2.0: 10, 3.0: 13}[p]
+        assert shot_work(shots, 512, p) <= {2.0: 10, 3.0: 13}[p]
         assert_bracket_invariant(pair, p, ZERO, TWO_BUMPS, UNIT, 512)
 
     def test_small_end_flux_is_not_taken_for_convergence(self):
@@ -230,7 +232,8 @@ class TestEigenBracket:
         cw = Weight.constant(c, UNIT)
         pair = principal_eigenvalue(2.0, cw, m, UNIT, n=512)
         assert pair.lambda1 > 1.2 * (np.pi**2 + c) / 0.25
-        assert abs(pair.rayleigh - pair.lambda1) <= 1e-3 * pair.lambda1
+        rayleigh = eigen.rayleigh_quotient(2.0, cw, m, UNIT, pair.phi)
+        assert abs(rayleigh - pair.lambda1) <= 1e-3 * pair.lambda1
         assert_bracket_invariant(pair, 2.0, cw, m, UNIT, 512)
 
 
@@ -275,7 +278,7 @@ def test_newton_probes_need_no_more_shots_than_illinois(name, p, n, monkeypatch)
     m, I = GRID_WEIGHTS[name]
     shots = count_shots(monkeypatch)
     pair = principal_eigenvalue(p, ZERO, m, I, n=n)
-    assert shot_work(shots) <= ILLINOIS_SHOTS[name][GRID_P.index(p)][GRID_N.index(n)]
+    assert shot_work(shots, n, p) <= ILLINOIS_SHOTS[name][GRID_P.index(p)][GRID_N.index(n)]
     assert_bracket_invariant(pair, p, ZERO, m, I, n)
     # a Newton stop lands far closer; the bracket fallback's midpoint is
     # within half its width, _TOL / 2
@@ -291,23 +294,66 @@ class TestCoarseSeed:
         n = 2048
         shots = count_shots(monkeypatch)
         pair = principal_eigenvalue(p, ZERO, m, I, n=n)
-        assert shot_work(shots) <= 2
+        assert shot_work(shots, n, p) <= 2
         monkeypatch.undo()
         assert pair.lambda1 == pytest.approx(bisection_reference(pair.lambda1, p, m, I, n), rel=6e-9)
 
     @pytest.mark.parametrize("p", [1.1, 2.0, 7.0])
     def test_constant_window_runs_no_coarse_level(self, p, monkeypatch):
-        # the closed-form seed is exact there: one shot, on all n cells
+        # the closed form is exact there: one shot, over the left n // 2 + 1
+        # cells
         shots = count_shots(monkeypatch)
         principal_eigenvalue(p, Weight.constant(0.7, UNIT), STEP, WINDOW, n=4096)
         nsub = 8 if (p < 1.2 or p > 6.0) else 4
-        assert shots == [4096 * nsub]
+        assert shots == [2049 * nsub]
 
     def test_levels_coarsen_by_eight_down_to_64_cells(self, monkeypatch):
         shots = count_shots(monkeypatch)
         principal_eigenvalue(2.0, ZERO, GRID_WEIGHTS["sin-power"][0], UNIT, n=8192)
         assert sorted({s // 4 for s in shots}) == [128, 1024, 8192]
         assert shots[-1] == 8192 * 4
+
+
+def closed_form(p, c, m, length):
+    # lambda1 of constant c and m on an interval, in principal_eigenvalue's
+    # order of operations
+    return float((lambda1_constant(p, length) + c) / m)
+
+
+class TestConstantWindow:
+    # p = 1.1 and 7 take 8 substeps, p = 2 takes 4; an even and an odd cell
+    # count, fine enough that the grid's shot agrees with the closed form
+    @pytest.mark.parametrize("n", [4096, 4097])
+    @pytest.mark.parametrize("p", [1.1, 2.0, 7.0])
+    def test_closed_form_from_one_half_window_shot(self, p, n, monkeypatch):
+        shots = count_shots(monkeypatch)
+        pair = principal_eigenvalue(p, ZERO, STEP, WINDOW, n=n)
+        assert shots == [(n // 2 + 1) * eigen._substeps(p)]
+        monkeypatch.undo()
+        assert pair.lambda1 == closed_form(p, 0.0, 1.0, WINDOW.length())
+        ref = bisection_reference(pair.lambda1, p, STEP, WINDOW, n)
+        assert pair.lambda1 == pytest.approx(ref, rel=1e-8)
+        phi = pair.phi.values
+        np.testing.assert_allclose(phi, phi[::-1], rtol=0.0, atol=1e-14)
+
+    def test_tiny_mass_does_not_meet_the_seed_floor(self):
+        # the probe loop's seed floors the mean of m at 1e-12; the closed form
+        # reads m itself
+        m = step_weight(UNIT, WINDOW, 1e-13, 0.0)
+        pair = principal_eigenvalue(2.0, ZERO, m, WINDOW, n=4096)
+        assert pair.lambda1 == closed_form(2.0, 0.0, 1e-13, WINDOW.length())
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_coarse_grid_keeps_the_grids_own_eigenvalue(self, n, monkeypatch):
+        # at p = 5 on 64 cells the grid's shot turns about 1.5e-6 away from the
+        # closed form, far past _TOL / 10, so the probe loop runs after the
+        # half shot and lambda1 stays inside the grid's shooting bracket
+        shots = count_shots(monkeypatch)
+        pair = principal_eigenvalue(5.0, ZERO, STEP, WINDOW, n=n)
+        assert shots[0] == (n // 2 + 1) * 4 and len(shots) > 1
+        monkeypatch.undo()
+        assert abs(pair.lambda1 / closed_form(5.0, 0.0, 1.0, WINDOW.length()) - 1.0) > 1e-7
+        assert_bracket_invariant(pair, 5.0, ZERO, STEP, WINDOW, n)
 
 
 def rk4_full_reference(K, KH, hsub, pm1, ipm1, nsub, out, wmid):
