@@ -2,12 +2,13 @@
 
 The configs are those the three benchmark workloads of perfbench/workloads.py
 draw at the given seeds (read from the first checkout, never changed), each
-distinct config once, plus the BASE config of tests/test_cli.py and two
-variants of it (VARIANTS) that reach constant-window branches of the
-eigensolve that no workload reaches: an odd window cell count, and p = 7,
-which integrates with 8 RK4 substeps per cell, on a grid fine enough that
-the closed-form eigenvalue is taken.  On every config the script runs CLI
-check, eigen, certify and solve in both checkouts, then verify on the
+distinct config once, plus the BASE config of tests/test_cli.py and three
+variants of it (VARIANTS) that reach constant-window cases of the eigensolve
+that no workload reaches: an odd window cell count; p = 7, which integrates
+with 8 RK4 substeps per cell; and p = 5 on a 64-cell window, where the
+closed-form eigenvalue and the grid's own shooting eigenvalue differ by
+about 1.5e-6.  On every config the script runs CLI check, eigen, certify
+and solve in both checkouts, then verify on the
 sub.csv, super.csv and u.csv that checkout's solve call wrote.  Certify and solve get the workload's --policy, if any.  Once per run
 it also calls sweep --jobs 1 on the BASE config over two values of q, and
 --help of the program and of each of the six subcommands, so the parser is
@@ -49,11 +50,14 @@ import tempfile
 COMMANDS = ("check", "eigen", "certify", "solve", "verify")
 SUBCOMMANDS = ("check", "eigen", "certify", "solve", "verify", "sweep")
 
-# (name, changes to BASE): 258 cells put 129 in the window; at p = 7 the
-# window's 4096 cells keep the grid's eigenvalue within 1e-9 of the closed form
+# (name, changes to BASE): 258 cells put 129 in the window; p = 7 takes 8
+# RK4 substeps per cell, on 4096 window cells; p = 5 on 64 window cells is a
+# coarse grid where an eigensolve that shoots for the grid's own eigenvalue
+# moves away from the closed form
 VARIANTS = (
     ("test_cli-base-odd-window", {"n": 258}),
     ("test_cli-base-p7", {"p": 7.0, "n": 8192}),
+    ("test_cli-base-p5-coarse", {"p": 5.0, "n": 128}),
 )
 
 CHILD = "import sys; sys.path.insert(0, sys.argv[1]); from plap1d.cli import main; sys.exit(main(sys.argv[2:]))"

@@ -82,20 +82,18 @@ def _mass_integrals(m: Weight, eps: float):
     return F, F.antiderivative()
 
 
-def _side_masses(m: Weight, eps: float, x0: float, x1: float):
-    """Exact one-sided negative-mass data at inflation eps.
-
-    Returns (M_a(x1), int_a^{x1} M_a, M_b(x0), int_{x0}^b M_b) where
-    M_a(y) = int_a^y (m^- + eps) and M_b(z) = int_z^b (m^- + eps).
-    """
+def reach_masses(m: Weight, eps: float, window: Interval, side: str, x):
+    """(edge, g(x)) of m^- + eps on the left reach [a, window.b] or the right
+    reach [window.a, b], side "left" or "right", exactly: edge is the
+    reach's whole mass, and g(x) = int_a^x M_a or int_x^b M_b, with
+    M_a(y) = int_a^y (m^- + eps) and M_b(z) = int_z^b (m^- + eps), at a
+    point or an array of points x."""
     F, G = _mass_integrals(m, eps)
     a, b = m.domain.a, m.domain.b
-    Ma = float(F(x1))
-    Ia = float(G(x1) - G(a))
-    total = float(F(b))
-    Mb = total - float(F(x0))
-    Ib = total * (b - x0) - float(G(b) - G(x0))
-    return Ma, Ia, Mb, Ib
+    if side == "left":
+        return F(window.b), G(x) - G(a)
+    total = F(b)
+    return total - F(window.a), total * (b - x) - (G(b) - G(x))
 
 
 def _report(name, lhs, rhs, holds, reason, aux):
@@ -215,17 +213,19 @@ def outer_bound(which: str, prob: Problem, eps: float = 0.0, check: bool = True)
 
     A, r and g come from `outer_profile(which, prob, eps, check)` and s from
     `side_scale`.  g_end is the reach's integrated eps-inflated negative
-    mass for thm1_*, where a reach with no negative mass bounds nothing, and
-    g(gamma) otherwise.  The condition's lambda1 part is L(0) <= 1/lambda1
-    (`check`) and the tau range is [lambda1, 1/L(eps)] (`tau_interval`).
+    mass at its far end for thm1_* (`reach_masses`), where a reach with no
+    negative mass bounds nothing, and g(gamma) otherwise.  The condition's
+    lambda1 part is L(0) <= 1/lambda1 (`check`) and the tau range is
+    [lambda1, 1/L(eps)] (`tau_interval`).
     """
     prof = outer_profile(which, prob, eps, check)
     if prof.shape != "power":
         return prof.A * float(prof.g(gamma(prob.domain, prob.window))) ** prof.r
-    Ma, Ia, Mb, Ib = _side_masses(prob.m, eps, prob.window.a, prob.window.b)
+    w = prob.window
+    sides = (reach_masses(prob.m, eps, w, "left", w.b), reach_masses(prob.m, eps, w, "right", w.a))
     return max(
         prof.A * side_scale(which, prob.p, M) * I**prof.r if M > 0.0 and I > 0.0 else 0.0
-        for M, I in ((Ma, Ia), (Mb, Ib))
+        for M, I in sides
     )
 
 

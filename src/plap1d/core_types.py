@@ -184,13 +184,10 @@ def _real_roots_rows(coefs: np.ndarray, width: np.ndarray, tol_edge: np.ndarray)
         rows, cr = rows[~root_free], cr[~root_free]
         if rows.size == 0:
             continue
-        if L == 2:
-            z = -cr[:, :1] / cr[:, 1:]
-        else:
-            mat = np.zeros((rows.size, L - 1, L - 1))
-            mat[:, np.arange(1, L - 1), np.arange(L - 2)] = 1.0
-            mat[:, :, -1] -= cr[:, :-1] / cr[:, -1:]
-            z = np.linalg.eigvals(mat)
+        mat = np.zeros((rows.size, L - 1, L - 1))
+        mat[:, np.arange(1, L - 1), np.arange(L - 2)] = 1.0
+        mat[:, :, -1] -= cr[:, :-1] / cr[:, -1:]
+        z = np.linalg.eigvals(mat)
         r = z.real
         w, tol = width[rows, None], tol_edge[rows, None]
         ok = (np.abs(z.imag) <= 1e-9 * np.maximum(1.0, np.abs(z))) & (tol < r) & (r < w - tol)

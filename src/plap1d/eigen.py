@@ -24,20 +24,17 @@ while no shot has crossed zero and bisection once one has.  Crossings are
 read at the nodes: a shot has crossed when u <= 0 at a node past x0.
 
 Where c and m are constant on the window, lambda1 is the closed form
-((p-1)(pi_p/L)^p + c)/m, and the eigenfunction is even about the middle of
-the window (del Pino, Elgueta & Manasevich, JDE 80, 1989), so one shot over
-the left half of the cells, mirrored, gives it.  That shot's w at the
-middle also gives, by the identity above on the half window, the grid's
-own eigenvalue; where that is more than _TOL/10 away (coarse grids at p far
-from 2) the probe loop runs instead, from the closed form, so lambda1 stays
-inside the shooting bracket of the grid phi lives on.  Otherwise the first
-probe is lambda1 of the same probe loop on 1/_COARSEN of the cells, seeded
-the same way, down to the coarsest level with at least _MIN_COARSE cells (nested iteration): a shot
-there costs 1/_COARSEN of one on the next finer grid, and its lambda1 is
-within the discretization error of the finer one, so the full-resolution
-loop usually stops at its first Newton step.  Every level starts from its
-own bracket (0, inf), so the result and its stopping rule depend on the
-coarse levels only through the first probe.
+((p-1)(pi_p/L)^p + c)/m on every grid, and the eigenfunction is even about
+the middle of the window (del Pino, Elgueta & Manasevich, JDE 80, 1989), so
+one shot at that lambda over the left half of the cells, mirrored, gives
+it; no probe runs.  On any other window the first probe is lambda1 of the
+same probe loop on 1/_COARSEN of the cells, seeded the same way, down to
+the coarsest level with at least _MIN_COARSE cells (nested iteration): a
+shot there costs 1/_COARSEN of one on the next finer grid, and its lambda1
+is within the discretization error of the finer one, so the
+full-resolution loop usually stops at its first Newton step.  Every level
+starts from its own bracket (0, inf), so the result and its stopping rule
+depend on the coarse levels only through the first probe.
 
 The RK4 shots are plain Python loops on Python floats; there is no JIT.  Each
 shot computes its stage coefficients c - lambda*m with numpy and hands them to
@@ -77,9 +74,10 @@ _MIN_COARSE = 64
 class EigenPair:
     """Principal eigenvalue with its sup-normalized eigenfunction on I.
 
-    lambda1 is exact on a window where c and m are constant, and otherwise
-    the shooting value; `rayleigh_quotient` gives an independently assembled
-    cross-check of it for phi.
+    lambda1 is the exact closed form on a window where c and m are
+    constant, whatever the grid, and otherwise the grid's shooting value;
+    `rayleigh_quotient` gives an independently assembled cross-check of it
+    for phi.
     """
 
     lambda1: float
@@ -198,28 +196,16 @@ def shoot(
 
 def _half_shot(p, I, n, lam, m0, c0):
     """w at the n cell midpoints at the closed-form lam of a window with
-    m = m0 and c = c0, from one _rk4_full over its left n // 2 + 1 cells and
-    mirrored, w being odd about the middle of I; None when that shot is not
-    positive there or its w at the middle (the mean of the two cells beside
-    it for even n) puts the grid's own eigenvalue, by the shot identity on
-    the left half, more than _TOL / 10 from lam."""
+    m = m0 and c = c0, from one _rk4_full over its left n // 2 cells,
+    mirrored: w is odd about the middle of I, and the middle cell of an odd
+    n gets w = 0."""
     nsub = _substeps(p)
     half = n // 2
     k = float(c0 - lam * m0)
-    out, wmid = np.empty(half + 2), np.empty(half + 1)
-    hsub = (I.b - I.a) / (n * nsub)  # an underflow to 0 leaves u at 0: None
-    _rk4_full([k] * ((half + 1) * nsub + 1), [k] * ((half + 1) * nsub), hsub, p - 1.0, 1.0 / (p - 1.0), nsub, out, wmid)
-    rise = wmid[:half]
-    if not (np.all(out[1:] > 0.0) and np.all(rise > 0.0)):
-        return None
-    if n % 2:
-        w_mid, u_mid = wmid[half], 0.5 * (out[half] + out[half + 1])
-    else:
-        w_mid, u_mid = 0.5 * (wmid[half - 1] + wmid[half]), out[half]
-    mass = m0 * (I.b - I.a) / n * float(np.sum(out[1 : half + 1] ** p))
-    if abs(w_mid * u_mid) >= 0.1 * _TOL * lam * mass:
-        return None
-    return np.concatenate((rise, np.zeros(n % 2), -rise[::-1]))
+    out, wmid = np.empty(half + 1), np.empty(half)
+    hsub = (I.b - I.a) / (n * nsub)
+    _rk4_full([k] * (half * nsub + 1), [k] * (half * nsub), hsub, p - 1.0, 1.0 / (p - 1.0), nsub, out, wmid)
+    return np.concatenate((wmid, np.zeros(n % 2), -wmid[::-1]))
 
 
 def _newton(shot, p, I, n, lam, m_win, c_win):
@@ -280,34 +266,36 @@ def principal_eigenvalue(
     """Positive principal eigenvalue and eigenfunction on the window I.
 
     Where c and m are constant on I, lambda1 is the closed form and phi
-    comes from one half-window shot; probes run there only when that shot
-    puts the grid's eigenvalue more than _TOL/10 away (module docstring).
-    Probes follow three rules.  The first is the closed form there, and
-    otherwise the lambda1 of the same rules on a coarser grid; each later
-    one is the last shot's Newton step or, if that falls outside the
-    bracket, doubling while no shot has crossed zero and bisection once one
-    has.  Crossings are read at the nodes: a shot crosses when u <= 0 at a
-    node past x0, which puts it at the high end of the bracket.  Probes stay
-    _TOL/4 * lo inside the bracket (_TOL/4 * hi once hi is finite); every
-    scale is relative, so m -> s m maps the probes to lambda / s.  It returns
-    lambda minus the step of the first shot whose step is at most
-    _TOL * lambda, whose first node with u <= 0, if any, is x1, and whose
-    u(x1) is below sqrt(_TOL) of its peak, so that a small w(x1) alone
-    cannot pass; failing that, the midpoint of a bracket at most _TOL * lo
-    wide.
+    comes from one shot at it over the left half of I (module docstring);
+    no probe runs.  Elsewhere probes follow three rules.  The first is the
+    lambda1 of the same rules on a coarser grid, or, on the coarsest, the
+    closed form of the means of c and m on I; each later one is the last
+    shot's Newton step or, if that falls outside the bracket, doubling
+    while no shot has crossed zero and bisection once one has.  Crossings
+    are read at the nodes: a shot crosses when u <= 0 at a node past x0,
+    which puts it at the high end of the bracket.  Probes stay _TOL/4 * lo
+    inside the bracket (_TOL/4 * hi once hi is finite); every scale is
+    relative, so m -> s m maps the probes to lambda / s.  It returns lambda
+    minus the step of the first shot whose step is at most _TOL * lambda,
+    whose first node with u <= 0, if any, is x1, and whose u(x1) is below
+    sqrt(_TOL) of its peak, so that a small w(x1) alone cannot pass;
+    failing that, the midpoint of a bracket at most _TOL * lo wide.
 
-    The eigenfunction is rebuilt from the returned shot (the low end's in the
-    fallback): each cell slope is the inverse p-flux of the shot's midpoint
-    w, not a difference of its nodal u.  For p > 2 the nodal interpolant of
-    the |x - x*|^{p/(p-1)} cusp at the apex carries an O(1) weak-form defect
-    at the hats beside it, which no refinement shrinks; w = phi_p(u') stays
-    smooth there, so the rebuilt profile's defect is O(h^2) everywhere.  A
-    linear ramp removes the shot's small endpoint value.
+    The eigenfunction is rebuilt from the returned shot (the low end's when
+    the bracket midpoint is returned): each cell slope is the inverse
+    p-flux of the shot's midpoint w, not a difference of its nodal u.  For
+    p > 2 the nodal interpolant of the |x - x*|^{p/(p-1)} cusp at the apex
+    carries an O(1) weak-form defect at the hats beside it, which no
+    refinement shrinks; w = phi_p(u') stays smooth there, so the rebuilt
+    profile's defect is O(h^2) everywhere.  A linear ramp removes the
+    shot's small endpoint value.
 
     Raises NoEigenvalueError when m has no positive mass on I, BracketError
     when the bracket cap is exceeded, and EigenError, before any shot, when
     c is negative somewhere on I (beyond rounding of 1e-12 of its sup norm),
-    where no positive principal eigenvalue need exist.
+    where no positive principal eigenvalue need exist.  It also raises
+    EigenError when the rebuilt eigenfunction is not finite and positive
+    inside I, as where the closed form overflows on a tiny window.
     """
     _substeps(p)  # rejects p <= 1 before anything else
     m_win = m.restrict(I.a, I.b)
@@ -320,18 +308,16 @@ def principal_eigenvalue(
             "no positive principal eigenvalue for this c"
         )
     pi_p = 2.0 * np.pi / (p * np.sin(np.pi / p))
-    constant = m_win.min_value() == m_win.max_value() and c_win.min_value() == c_win.max_value()
-    w = None
-    if constant:
+    if m_win.min_value() == m_win.max_value() and c_win.min_value() == c_win.max_value():
         m0, c0 = m_win.max_value(), c_win.max_value()
-        lam = float(((p - 1.0) * (pi_p / I.length()) ** p + c0) / m0)
+        with np.errstate(over="ignore"):  # an overflow to inf fails the final guard
+            lam = float(((p - 1.0) * (pi_p / I.length()) ** p + c0) / m0)
         w = _half_shot(p, I, n, lam, m0, c0)
-    if w is None:
+    else:
         mbar = max(m_win.integral() / I.length(), 1e-12)
         cbar = max(c_win.integral() / I.length(), 0.0)
         lam = ((p - 1.0) * (pi_p / I.length()) ** p + cbar) / mbar
-        if not constant:
-            lam = _coarse_seed(p, c, m, I, n, lam, m_win, c_win)
+        lam = _coarse_seed(p, c, m, I, n, lam, m_win, c_win)
         lam, w = _newton(_shooter(p, c, m, I, n), p, I, n, lam, m_win, c_win)
     grid = Grid(np.linspace(I.a, I.b, n + 1))
     hcell = (I.b - I.a) / n
@@ -340,7 +326,7 @@ def principal_eigenvalue(
     vals -= vals[-1] * np.linspace(0.0, 1.0, n + 1)
     vals = np.maximum(vals, 0.0)
     vals[-1] = 0.0
-    if np.min(vals[1:-1]) <= 0.0:
+    if not np.min(vals[1:-1]) > 0.0:  # NaN fails too
         raise EigenError("eigenfunction lost interior positivity; refine the grid")
     return EigenPair(lambda1=lam, phi=GridFunction(grid, vals / np.max(vals)))
 

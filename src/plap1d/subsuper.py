@@ -19,9 +19,9 @@ import numpy as np
 
 from .bvp import solve_g
 from .conditions import (
-    _mass_integrals,
     default_eps,
     outer_profile,
+    reach_masses,
     side_scale,
     tau_interval,
 )
@@ -70,7 +70,7 @@ def _profile(theorem: str, side: str, prob: Problem, tau: float, eps: float, n: 
     f = sigma(tau s) g(d) at the distance d from the reach's outer end, with
     k, sigma and g from `conditions.outer_profile` and s the reach's
     `conditions.side_scale`; for thm1_* g is the exact eps-inflated negative
-    mass from that end to x (`_mass_integrals`).  A tau above
+    mass from that end to x (`conditions.reach_masses`).  A tau above
     `tau_interval`'s upper end lifts f^k above 1 and raises TauTooLargeError.
     """
     prof = outer_profile(theorem, prob)
@@ -79,17 +79,11 @@ def _profile(theorem: str, side: str, prob: Problem, tau: float, eps: float, n: 
     # a uniform grid on the reach with the weight's kinks as extra nodes
     reach = Interval(a, prob.window.b) if left else Interval(prob.window.a, b)
     grid = Grid.uniform(reach, max(int(n), 16)).with_points(prob.m.breaks[1:-1])
-    d = grid.nodes - a if left else b - grid.nodes
     if prof.shape == "power":
-        F, G = _mass_integrals(prob.m, eps)
-        if left:
-            edge, g = float(F(prob.window.b)), G(grid.nodes) - G(a)
-        else:
-            F_x0, total = F(np.array([prob.window.a, b]))
-            edge, g = total - F_x0, total * d - (float(G(b)) - G(grid.nodes))
+        edge, g = reach_masses(prob.m, eps, prob.window, side, grid.nodes)
         f = prof.sigma(tau * side_scale(theorem, prob.p, edge)) * g
     else:
-        f = prof.sigma(tau) * prof.g(d)
+        f = prof.sigma(tau) * prof.g(grid.nodes - a if left else b - grid.nodes)
     vals = np.maximum(f, 0.0) ** prof.k
     vals[0 if left else -1] = 0.0
     if vals.max() > 1.0 + _EDGE_TOL:

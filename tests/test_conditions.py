@@ -24,7 +24,7 @@ from plap1d import (
     step_weight,
     tau_interval,
 )
-from plap1d.conditions import _side_masses, outer_profile, side_scale
+from plap1d.conditions import outer_profile, reach_masses, side_scale
 
 UNIT = Interval(0.0, 1.0)
 WINDOW = Interval(0.25, 0.75)
@@ -410,7 +410,8 @@ class TestTauInterval:
         window, eps = Interval(0.2, 0.6), 1e-3
         prob = step_problem(p, (p - 1.0) / 2.0, 0.1, csup=csup, window=window)
         assert tau_interval(theorem, prob, fake_eig(1.0), eps).lo == 1.0
-        Ma, _, Mb, _ = _side_masses(prob.m, eps, window.a, window.b)
+        Ma = reach_masses(prob.m, eps, window, "left", window.b)[0]
+        Mb = reach_masses(prob.m, eps, window, "right", window.a)[0]
         assert Ma != Mb
         for M in (Ma, Mb):
             assert side_scale(theorem, p, M) == (M ** (2.0 - p) if theorem == "thm1_ii" else 1.0)

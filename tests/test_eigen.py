@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import betaincinv
 
 from plap1d import eigen
 from plap1d.core_types import (
@@ -164,10 +167,10 @@ class TestEigenBracket:
     @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
     def test_step_weight_closes_from_the_seed(self, p, c, monkeypatch):
         # the closed form is exact for constant c and m on the window, so the
-        # only shot is the eigenfunction's, over the left n // 2 + 1 cells
+        # only shot is the eigenfunction's, over the left n // 2 cells
         shots = count_shots(monkeypatch)
-        principal_eigenvalue(p, Weight.constant(c, UNIT), STEP, WINDOW, n=512)
-        assert shots == [257 * eigen._substeps(p)]
+        pair = principal_eigenvalue(p, Weight.constant(c, UNIT), STEP, WINDOW, n=512)
+        assert_closed_form_from_one_half_shot(pair, shots, p, c, 1.0, WINDOW, 512)
 
     # lambda1 far below 1: the bracket's width, stopping rule and margin are
     # all relative to lambda, so the closed-form seed closes it as for order 1
@@ -257,6 +260,10 @@ ILLINOIS_SHOTS = {
 }
 
 
+# c = 0 and m = 1 on the window, where lambda1 is the closed form
+CONSTANT_WINDOWS = ("step", "off-centre")
+
+
 def bisection_reference(lam, p, m, I, n, rel=2e-8, steps=7):
     """lambda1 bisected on whether the shot crosses zero before I.b, from
     lam * (1 -+ rel), which must bracket it: to within rel / 2**steps."""
@@ -279,6 +286,9 @@ def test_newton_probes_need_no_more_shots_than_illinois(name, p, n, monkeypatch)
     shots = count_shots(monkeypatch)
     pair = principal_eigenvalue(p, ZERO, m, I, n=n)
     assert shot_work(shots, n, p) <= ILLINOIS_SHOTS[name][GRID_P.index(p)][GRID_N.index(n)]
+    if name in CONSTANT_WINDOWS:
+        assert_closed_form_from_one_half_shot(pair, shots, p, 0.0, 1.0, I, n)
+        return
     assert_bracket_invariant(pair, p, ZERO, m, I, n)
     # a Newton stop lands far closer; the bracket fallback's midpoint is
     # within half its width, _TOL / 2
@@ -300,12 +310,11 @@ class TestCoarseSeed:
 
     @pytest.mark.parametrize("p", [1.1, 2.0, 7.0])
     def test_constant_window_runs_no_coarse_level(self, p, monkeypatch):
-        # the closed form is exact there: one shot, over the left n // 2 + 1
-        # cells
+        # the closed form is exact there: one shot, over the left n // 2 cells
         shots = count_shots(monkeypatch)
         principal_eigenvalue(p, Weight.constant(0.7, UNIT), STEP, WINDOW, n=4096)
         nsub = 8 if (p < 1.2 or p > 6.0) else 4
-        assert shots == [2049 * nsub]
+        assert shots == [2048 * nsub]
 
     def test_levels_coarsen_by_eight_down_to_64_cells(self, monkeypatch):
         shots = count_shots(monkeypatch)
@@ -320,6 +329,13 @@ def closed_form(p, c, m, length):
     return float((lambda1_constant(p, length) + c) / m)
 
 
+def assert_closed_form_from_one_half_shot(pair, shots, p, c, m, I, n):
+    # lambda1 is the closed form of constant c and m on I, and the only shot
+    # is the eigenfunction's, over the left n // 2 of the n cells
+    assert shots == [(n // 2) * eigen._substeps(p)]
+    assert pair.lambda1 == closed_form(p, c, m, I.length())
+
+
 class TestConstantWindow:
     # p = 1.1 and 7 take 8 substeps, p = 2 takes 4; an even and an odd cell
     # count, fine enough that the grid's shot agrees with the closed form
@@ -328,9 +344,8 @@ class TestConstantWindow:
     def test_closed_form_from_one_half_window_shot(self, p, n, monkeypatch):
         shots = count_shots(monkeypatch)
         pair = principal_eigenvalue(p, ZERO, STEP, WINDOW, n=n)
-        assert shots == [(n // 2 + 1) * eigen._substeps(p)]
         monkeypatch.undo()
-        assert pair.lambda1 == closed_form(p, 0.0, 1.0, WINDOW.length())
+        assert_closed_form_from_one_half_shot(pair, shots, p, 0.0, 1.0, WINDOW, n)
         ref = bisection_reference(pair.lambda1, p, STEP, WINDOW, n)
         assert pair.lambda1 == pytest.approx(ref, rel=1e-8)
         phi = pair.phi.values
@@ -344,16 +359,34 @@ class TestConstantWindow:
         assert pair.lambda1 == closed_form(2.0, 0.0, 1e-13, WINDOW.length())
 
     @pytest.mark.parametrize("n", [64, 65])
-    def test_coarse_grid_keeps_the_grids_own_eigenvalue(self, n, monkeypatch):
-        # at p = 5 on 64 cells the grid's shot turns about 1.5e-6 away from the
-        # closed form, far past _TOL / 10, so the probe loop runs after the
-        # half shot and lambda1 stays inside the grid's shooting bracket
+    def test_coarse_grid_takes_the_closed_form(self, n, monkeypatch):
+        # at p = 5 on 64 cells the grid's own shooting eigenvalue is about
+        # 1.5e-6 from the closed form; lambda1 is still the closed form
         shots = count_shots(monkeypatch)
         pair = principal_eigenvalue(5.0, ZERO, STEP, WINDOW, n=n)
-        assert shots[0] == (n // 2 + 1) * 4 and len(shots) > 1
-        monkeypatch.undo()
-        assert abs(pair.lambda1 / closed_form(5.0, 0.0, 1.0, WINDOW.length()) - 1.0) > 1e-7
-        assert_bracket_invariant(pair, 5.0, ZERO, STEP, WINDOW, n)
+        assert_closed_form_from_one_half_shot(pair, shots, 5.0, 0.0, 1.0, WINDOW, n)
+
+    # phi is sup-normalized over the nodes, and for odd n the middle is not
+    # a node, so the reference is normalized the same way
+    @pytest.mark.parametrize("n, bound", [(65, 3e-4), (257, 6e-5)])
+    @pytest.mark.parametrize("p", [5.0, 7.0])
+    def test_eigenfunction_matches_sin_p(self, p, n, bound):
+        # sin_p(s)^p = I^{-1}(1/p, 1 - 1/p; 2 s / pi_p), the inverse of the
+        # regularized incomplete beta function, which keeps its digits near
+        # the ends, where sin_p(s) ~ s
+        phi = principal_eigenvalue(p, ZERO, STEP, WINDOW, n=n).phi
+        x = phi.grid.nodes
+        t = np.clip(2.0 * np.minimum(x - WINDOW.a, WINDOW.b - x) / WINDOW.length(), 0.0, 1.0)
+        ref = betaincinv(1.0 / p, 1.0 - 1.0 / p, t) ** (1.0 / p)
+        assert np.max(np.abs(phi.values - ref / np.max(ref))) <= bound
+
+    def test_degenerate_window_raises_a_typed_error(self):
+        # lambda1 = 7 (pi_8 / 1e-40)^8 overflows a double; no RuntimeWarning
+        I = Interval(0.0, 1e-40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EigenError):
+                principal_eigenvalue(8.0, Weight.constant(0.0, I), Weight.constant(1.0, I), I, n=64)
 
 
 def rk4_full_reference(K, KH, hsub, pm1, ipm1, nsub, out, wmid):
