@@ -5,9 +5,9 @@ draw at the given seeds (read from the first checkout, never changed), each
 distinct config once, plus the BASE config of tests/test_cli.py and three
 variants of it (VARIANTS) that reach constant-window cases of the eigensolve
 that no workload reaches: an odd window cell count; p = 7, which integrates
-with 8 RK4 substeps per cell; and p = 5 on a 64-cell window, where the
-closed-form eigenvalue and the grid's own shooting eigenvalue differ by
-about 1.5e-6.  On every config the script runs CLI check, eigen, certify
+with 8 RK4 substeps per cell; and p = 5 on a 64-cell window, the fewest
+cells `window_eigenpair` gives, where the closed form's half-window shot
+runs on 32 cells.  On every config the script runs CLI check, eigen, certify
 and solve in both checkouts, then verify on the
 sub.csv, super.csv and u.csv that checkout's solve call wrote.  Certify and solve get the workload's --policy, if any.  Once per run
 it also calls sweep --jobs 1 on the BASE config over two values of q, and
@@ -26,7 +26,8 @@ max|a - b| / max|a|, the move relative to the base column's sup norm.  An
 entry near zero dominates the first; the second says how far the grid
 function moved as a whole.  After the summary line it prints how many calls
 changed their exit code and, for each report field and CSV column that
-moved, the largest of these differences over all calls.
+moved, the largest of these differences over all calls, and last the line
+total of each checkout's src/plap1d.
 
 Usage (from the repository root)::
 
@@ -51,9 +52,8 @@ COMMANDS = ("check", "eigen", "certify", "solve", "verify")
 SUBCOMMANDS = ("check", "eigen", "certify", "solve", "verify", "sweep")
 
 # (name, changes to BASE): 258 cells put 129 in the window; p = 7 takes 8
-# RK4 substeps per cell, on 4096 window cells; p = 5 on 64 window cells is a
-# coarse grid where an eigensolve that shoots for the grid's own eigenvalue
-# moves away from the closed form
+# RK4 substeps per cell, on 4096 window cells; p = 5 on 64 window cells is
+# the coarsest window, where the closed form's half shot has 32 cells
 VARIANTS = (
     ("test_cli-base-odd-window", {"n": 258}),
     ("test_cli-base-p7", {"p": 7.0, "n": 8192}),
@@ -237,6 +237,23 @@ def summary(results) -> list[str]:
     return lines
 
 
+def src_lines(root: str) -> int:
+    """Line total of the .py files of root's src/plap1d, as wc -l counts."""
+    pkg = os.path.join(root, "src", "plap1d")
+    total = 0
+    for fname in os.listdir(pkg):
+        if fname.endswith(".py"):
+            with open(os.path.join(pkg, fname), "rb") as fh:
+                total += fh.read().count(b"\n")
+    return total
+
+
+def line_delta(base: str, change: str) -> str:
+    """The closing line: each checkout's src/plap1d line total and the change."""
+    a, b = src_lines(base), src_lines(change)
+    return f"src/plap1d lines: {a} base, {b} change ({b - a:+d})"
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", help="root of the reference checkout")
@@ -278,6 +295,7 @@ def main() -> int:
             diffs += bool(found)
     print(f"{diffs} of {len(planned)} calls differ")
     print("\n".join(summary(results)))
+    print(line_delta(args.base, args.change))
     return 1 if diffs else 0
 
 

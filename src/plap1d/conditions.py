@@ -1,8 +1,11 @@
 """Sufficient-condition inequalities and the tau ranges they make feasible.
 
-One bound, `outer_bound`, states each theorem's lambda1 inequality: the
-condition holds where L(0) <= 1/lambda1, and the subsolution builder takes
-tau from [lambda1, 1/L(eps)].  `check` compares L(0) with 1/lambda1 (and,
+One function, `OuterProfile.on_reach`, states each theorem's outer profile
+f = sigma(tau s) g on either reach beside the window; `outer_bound` reads
+it at the reach ends and `subsuper` samples it at the reach nodes.  That
+bound, L(eps), states each theorem's lambda1 inequality: the condition
+holds where L(0) <= 1/lambda1, and the subsolution builder takes tau from
+[lambda1, 1/L(eps)].  `check` compares L(0) with 1/lambda1 (and,
 for thm1_*, the c part) in plain IEEE arithmetic, strict where the source
 inequality is strict, and reports the numbers it compared so downstream
 code can apply its own slack.
@@ -82,20 +85,6 @@ def _mass_integrals(m: Weight, eps: float):
     return F, F.antiderivative()
 
 
-def reach_masses(m: Weight, eps: float, window: Interval, side: str, x):
-    """(edge, g(x)) of m^- + eps on the left reach [a, window.b] or the right
-    reach [window.a, b], side "left" or "right", exactly: edge is the
-    reach's whole mass, and g(x) = int_a^x M_a or int_x^b M_b, with
-    M_a(y) = int_a^y (m^- + eps) and M_b(z) = int_z^b (m^- + eps), at a
-    point or an array of points x."""
-    F, G = _mass_integrals(m, eps)
-    a, b = m.domain.a, m.domain.b
-    if side == "left":
-        return F(window.b), G(x) - G(a)
-    total = F(b)
-    return total - F(window.a), total * (b - x) - (G(b) - G(x))
-
-
 def _report(name, lhs, rhs, holds, reason, aux):
     # reason is empty exactly when the condition applies
     return ConditionReport(
@@ -152,14 +141,12 @@ def applicability(which: str, prob: Problem) -> str:
 
 @dataclass(frozen=True)
 class OuterProfile:
-    """One theorem's outer profile f^k, f = sigma(tau s) g(d), sigma(t) = (A t)^{1/r}.
+    """One theorem's outer profile f^k, f = sigma(tau s) g, sigma(t) = (A t)^{1/r}.
 
-    d is the distance from the reach's outer end.  g is the eps-inflated
-    negative mass between that end and x for thm1_* (shape "power", built in
-    `subsuper._profile`), d for cor, sinh(rate d) for thm2_i and
-    expm1(rate d) for thm2_ii; s is the reach's `side_scale`.  f peaks at
-    the reach's far end, so a tau is admissible while A tau s g_end^r <= 1
-    on both reaches, the bound `outer_bound` states.
+    `on_reach` gives s and g on either reach, for every theorem.  f peaks
+    at the reach's far end, so a tau is admissible while A tau s g_end^r <= 1
+    on both reaches, the bound `outer_bound` states.  shape names g: "power"
+    for thm1_*, "linear" for cor, "sinh" for thm2_i and "exp" for thm2_ii.
     """
 
     shape: str
@@ -167,13 +154,39 @@ class OuterProfile:
     A: float
     r: float
     rate: float = 0.0
+    scale_power: float = 0.0
 
     def sigma(self, t: float) -> float:
         return (self.A * t) ** (1.0 / self.r)
 
-    def g(self, d):
-        hyperbolic = {"sinh": np.sinh, "exp": np.expm1}.get(self.shape)
-        return d if hyperbolic is None else hyperbolic(self.rate * d)
+    def on_reach(self, prob: Problem, eps: float, side: str, x):
+        """(s, g(x)) on the left reach [a, window.b] or the right reach
+        [window.a, b], side "left" or "right", at a point or an array of
+        points x.
+
+        For thm1_* g is the eps-inflated negative mass integrated from the
+        reach's outer end, int_a^x M_a or int_x^b M_b with M_a(y) =
+        int_a^y (m^- + eps) and M_b(z) = int_z^b (m^- + eps), exactly, and s
+        is the reach's whole such mass to the power scale_power: 2 - p for
+        thm1_ii, since the profile's M^{p-2} factor is smallest at the
+        window edge for p <= 2, and 0, so s = 1, for thm1_i; a reach with no
+        mass gets s = 0.  For the other theorems s = 1 and g is d,
+        sinh(rate d) or expm1(rate d) at the distance d from the reach's
+        outer end.
+        """
+        a, b = prob.domain.a, prob.domain.b
+        left = side == "left"
+        if self.shape != "power":
+            d = x - a if left else b - x
+            g = {"sinh": np.sinh, "exp": np.expm1}.get(self.shape)
+            return 1.0, d if g is None else g(self.rate * d)
+        F, G = _mass_integrals(prob.m, eps)
+        if left:
+            edge, g = F(prob.window.b), G(x) - G(a)
+        else:
+            total = F(b)
+            edge, g = total - F(prob.window.a), total * (b - x) - (G(b) - G(x))
+        return (edge**self.scale_power if edge > 0.0 else 0.0), g
 
 
 def outer_profile(which: str, prob: Problem, eps: float = 0.0, check: bool = True) -> OuterProfile:
@@ -191,7 +204,7 @@ def outer_profile(which: str, prob: Problem, eps: float = 0.0, check: bool = Tru
         return OuterProfile("power", 1.0 / d, A, 1.0)
     if which == "thm1_ii":
         A = d ** (p - 1.0) / (p - 1.0) ** p
-        return OuterProfile("power", (p - 1.0) / d, A, p - 1.0)
+        return OuterProfile("power", (p - 1.0) / d, A, p - 1.0, scale_power=2.0 - p)
     mminus = max(prob.m.neg_part().sup_norm(), eps)
     C = c_pq(p, q)
     if which == "cor":
@@ -201,32 +214,19 @@ def outer_profile(which: str, prob: Problem, eps: float = 0.0, check: bool = Tru
     return OuterProfile(shape, p / d, mminus / cn, p, (cn / C) ** (1.0 / p))
 
 
-def side_scale(which: str, p: float, edge_mass: float) -> float:
-    """s of one reach: for thm1_ii its eps-inflated negative mass at the
-    window edge to the power 2 - p, since the profile's M^{p-2} factor is
-    smallest there for p <= 2; 1 for every other theorem."""
-    return edge_mass ** (2.0 - p) if which == "thm1_ii" else 1.0
-
-
 def outer_bound(which: str, prob: Problem, eps: float = 0.0, check: bool = True) -> float:
     """L(eps), the max over the two reaches of A s g_end^r.
 
-    A, r and g come from `outer_profile(which, prob, eps, check)` and s from
-    `side_scale`.  g_end is the reach's integrated eps-inflated negative
-    mass at its far end for thm1_* (`reach_masses`), where a reach with no
-    negative mass bounds nothing, and g(gamma) otherwise.  The condition's
-    lambda1 part is L(0) <= 1/lambda1 (`check`) and the tau range is
-    [lambda1, 1/L(eps)] (`tau_interval`).
+    A and r come from `outer_profile(which, prob, eps, check)`, and s and
+    g_end, g at the reach's far end, from its `OuterProfile.on_reach`; a
+    reach with g_end = 0 bounds nothing.  The condition's lambda1 part is
+    L(0) <= 1/lambda1 (`check`) and the tau range is [lambda1, 1/L(eps)]
+    (`tau_interval`).
     """
     prof = outer_profile(which, prob, eps, check)
-    if prof.shape != "power":
-        return prof.A * float(prof.g(gamma(prob.domain, prob.window))) ** prof.r
     w = prob.window
-    sides = (reach_masses(prob.m, eps, w, "left", w.b), reach_masses(prob.m, eps, w, "right", w.a))
-    return max(
-        prof.A * side_scale(which, prob.p, M) * I**prof.r if M > 0.0 and I > 0.0 else 0.0
-        for M, I in sides
-    )
+    ends = (prof.on_reach(prob, eps, "left", w.b), prof.on_reach(prob, eps, "right", w.a))
+    return max(prof.A * s * g**prof.r if g > 0.0 else 0.0 for s, g in ends)
 
 
 def check(name: str, prob: Problem, eig: EigenPair) -> ConditionReport:

@@ -294,8 +294,9 @@ def principal_eigenvalue(
     when the bracket cap is exceeded, and EigenError, before any shot, when
     c is negative somewhere on I (beyond rounding of 1e-12 of its sup norm),
     where no positive principal eigenvalue need exist.  It also raises
-    EigenError when the rebuilt eigenfunction is not finite and positive
-    inside I, as where the closed form overflows on a tiny window.
+    EigenError when the closed form, of the window's constants or of the
+    means of c and m, overflows the double range, as on a tiny window, and
+    when the rebuilt eigenfunction is not finite and positive inside I.
     """
     _substeps(p)  # rejects p <= 1 before anything else
     m_win = m.restrict(I.a, I.b)
@@ -308,15 +309,17 @@ def principal_eigenvalue(
             "no positive principal eigenvalue for this c"
         )
     pi_p = 2.0 * np.pi / (p * np.sin(np.pi / p))
-    if m_win.min_value() == m_win.max_value() and c_win.min_value() == c_win.max_value():
-        m0, c0 = m_win.max_value(), c_win.max_value()
-        with np.errstate(over="ignore"):  # an overflow to inf fails the final guard
-            lam = float(((p - 1.0) * (pi_p / I.length()) ** p + c0) / m0)
+    # the closed form of the window's constants, or of the means of c and m
+    constant = m_win.min_value() == m_win.max_value() and c_win.min_value() == c_win.max_value()
+    m0 = m_win.max_value() if constant else max(m_win.integral() / I.length(), 1e-12)
+    c0 = c_win.max_value() if constant else max(c_win.integral() / I.length(), 0.0)
+    with np.errstate(over="ignore"):  # an overflow to inf raises below
+        lam = float(((p - 1.0) * (pi_p / I.length()) ** p + c0) / m0)
+    if not np.isfinite(lam):
+        raise EigenError(f"closed-form lambda1 overflows a double (window length {I.length():g})")
+    if constant:
         w = _half_shot(p, I, n, lam, m0, c0)
     else:
-        mbar = max(m_win.integral() / I.length(), 1e-12)
-        cbar = max(c_win.integral() / I.length(), 0.0)
-        lam = ((p - 1.0) * (pi_p / I.length()) ** p + cbar) / mbar
         lam = _coarse_seed(p, c, m, I, n, lam, m_win, c_win)
         lam, w = _newton(_shooter(p, c, m, I, n), p, I, n, lam, m_win, c_win)
     grid = Grid(np.linspace(I.a, I.b, n + 1))

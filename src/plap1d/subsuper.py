@@ -3,8 +3,10 @@
 A subsolution certificate is assembled from up to three pieces: a rising
 profile on the left reach [a, x1], the normalized principal eigenfunction on
 the window, and a falling profile on the right reach [x0, b].  Each outer
-profile is f^k, with f one formula per theorem (`_profile`).  The pieces
-are glued where their difference changes sign strictly on a segment where
+profile is f^k, with f = sigma(tau s) g sampled from the theorem's
+`conditions.OuterProfile.on_reach` (`_profile`).  The negative-mass
+inflation eps halves only while the tau range is empty.  The pieces are
+glued where their difference changes sign strictly on a segment where
 both are linear, which makes every kink convex, as the weak inequality
 needs.  The glued function is rescaled so it certifies the original weight
 rather than the inflated one the profiles are built against.
@@ -18,13 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bvp import solve_g
-from .conditions import (
-    default_eps,
-    outer_profile,
-    reach_masses,
-    side_scale,
-    tau_interval,
-)
+from .conditions import default_eps, outer_profile, tau_interval
 from .core_types import (
     EpsTooLargeError,
     GlueError,
@@ -67,11 +63,10 @@ def _profile(theorem: str, side: str, prob: Problem, tau: float, eps: float, n: 
     """The theorem's outer profile f^k on the left reach [a, x1] or the right
     reach [x0, b], side "left" or "right".
 
-    f = sigma(tau s) g(d) at the distance d from the reach's outer end, with
-    k, sigma and g from `conditions.outer_profile` and s the reach's
-    `conditions.side_scale`; for thm1_* g is the exact eps-inflated negative
-    mass from that end to x (`conditions.reach_masses`).  A tau above
-    `tau_interval`'s upper end lifts f^k above 1 and raises TauTooLargeError.
+    f = sigma(tau s) g, with k and sigma from `conditions.outer_profile` and
+    s and g at the reach's nodes from its `OuterProfile.on_reach`.  A tau
+    above `tau_interval`'s upper end lifts f^k above 1 and raises
+    TauTooLargeError.
     """
     prof = outer_profile(theorem, prob)
     a, b = prob.domain.a, prob.domain.b
@@ -79,11 +74,8 @@ def _profile(theorem: str, side: str, prob: Problem, tau: float, eps: float, n: 
     # a uniform grid on the reach with the weight's kinks as extra nodes
     reach = Interval(a, prob.window.b) if left else Interval(prob.window.a, b)
     grid = Grid.uniform(reach, max(int(n), 16)).with_points(prob.m.breaks[1:-1])
-    if prof.shape == "power":
-        edge, g = reach_masses(prob.m, eps, prob.window, side, grid.nodes)
-        f = prof.sigma(tau * side_scale(theorem, prob.p, edge)) * g
-    else:
-        f = prof.sigma(tau) * prof.g(grid.nodes - a if left else b - grid.nodes)
+    s, g = prof.on_reach(prob, eps, side, grid.nodes)
+    f = prof.sigma(tau * s) * g
     vals = np.maximum(f, 0.0) ** prof.k
     vals[0 if left else -1] = 0.0
     if vals.max() > 1.0 + _EDGE_TOL:
@@ -138,10 +130,11 @@ def build_u3_linear(prob: Problem, tau: float, n: int = 256) -> GridFunction:
     return _profile("cor", "right", prob, tau, 0.0, n)
 
 
-def _outer_piece(piece: str, theorem: str, prob: Problem, tau: float, eps: float, n: int):
+def _outer_piece(
+    piece: str, shape: str, theorem: str, prob: Problem, tau: float, eps: float, n: int
+):
     # through the module-level builder name, so a wrapper installed on this
     # module sees the call; a power builder takes the theorem as its variant
-    shape = outer_profile(theorem, prob).shape
     build = globals()[f"build_{piece}_{shape}"]
     return build(prob, tau, eps, theorem, n) if shape == "power" else build(prob, tau, n)
 
@@ -237,17 +230,18 @@ def build_subsolution(
     """Assemble, glue, and rescale the subsolution the chosen theorem proves.
 
     eig is the principal eigenpair on the window, as `window_eigenpair`
-    computes it for grid; its eigenfunction is the middle piece.  Each step
-    of the eps halving schedule tries one tau, the geometric mean of the
-    feasible range clamped into it.  tau <= hi already keeps each profile
-    at or below 1, its value at the far end of its reach, and the junctions
-    are admissible by construction (`_junction`), so in practice a step
-    fails, and eps is halved, only when the range is empty
-    (EpsTooLargeError).  The glued function certifies the weight tau m;
+    computes it for grid; its eigenfunction is the middle piece.  eps starts
+    at `default_eps` and halves, up to 20 times, only while the tau range
+    is empty (EpsTooLargeError); the last empty range raises.  The pieces
+    are then built once at one tau, the geometric mean of the range clamped
+    into it, and glued once.  tau <= hi keeps each profile at or below 1,
+    its value at the far end of its reach, and the junctions are admissible
+    by construction (`_junction`); a TauTooLargeError or GlueError that
+    does occur propagates.  The glued function certifies the weight tau m;
     scaling it by tau^{-1/(p-1-q)} balances the degree-(p-1) left side
     against the degree-q right side exactly and moves it to m without
     spending any slack.  construction["sigma"] is sigma(tau); a thm1_ii
-    reach takes sigma(tau s) with its own `side_scale` s.
+    reach takes sigma(tau s) with its own s (`OuterProfile.on_reach`).
     """
     span = prob.domain.length()
     x0, x1 = prob.window.a, prob.window.b
@@ -257,35 +251,35 @@ def build_subsolution(
     n_right = max(32, round(grid.n * (prob.domain.b - x0) / span))
 
     eps = default_eps(prob.m)
-    for _ in range(21):
+    for _ in range(20):
         try:
             ti = tau_interval(theorem, prob, eig, eps)
-            tau = min(max(math.sqrt(ti.lo * ti.hi), ti.lo), ti.hi)
-            u1 = _outer_piece("u1", theorem, prob, tau, eps, n_left) if has_left else None
-            u3 = _outer_piece("u3", theorem, prob, tau, eps, n_right) if has_right else None
-            raw, x_lo, x_hi = glue(u1, eig.phi, u3)
-        except (EpsTooLargeError, TauTooLargeError, GlueError) as exc:
-            last_error = exc
+            break
+        except EpsTooLargeError:
             eps *= 0.5
-            continue
-        prof = outer_profile(theorem, prob)
-        s = tau ** (-1.0 / (prob.p - 1.0 - prob.q))
-        return Certificate(
-            kind="subsolution",
-            u=raw.scaled(s),
-            construction={
-                "theorem": theorem,
-                "tau": tau,
-                "eps": eps,
-                "k": prof.k,
-                "sigma": prof.sigma(tau),
-                "junction_lo": x_lo,
-                "junction_hi": x_hi,
-                "rescale": s,
-                "lambda1": float(eig.lambda1),
-            },
-        )
-    raise last_error
+    else:
+        ti = tau_interval(theorem, prob, eig, eps)
+    tau = min(max(math.sqrt(ti.lo * ti.hi), ti.lo), ti.hi)
+    prof = outer_profile(theorem, prob)
+    u1 = _outer_piece("u1", prof.shape, theorem, prob, tau, eps, n_left) if has_left else None
+    u3 = _outer_piece("u3", prof.shape, theorem, prob, tau, eps, n_right) if has_right else None
+    raw, x_lo, x_hi = glue(u1, eig.phi, u3)
+    s = tau ** (-1.0 / (prob.p - 1.0 - prob.q))
+    return Certificate(
+        kind="subsolution",
+        u=raw.scaled(s),
+        construction={
+            "theorem": theorem,
+            "tau": tau,
+            "eps": eps,
+            "k": prof.k,
+            "sigma": prof.sigma(tau),
+            "junction_lo": x_lo,
+            "junction_hi": x_hi,
+            "rescale": s,
+            "lambda1": float(eig.lambda1),
+        },
+    )
 
 
 def build_supersolution(prob: Problem, grid: Grid) -> Certificate:

@@ -24,7 +24,7 @@ from plap1d import (
     step_weight,
     tau_interval,
 )
-from plap1d.conditions import outer_profile, reach_masses, side_scale
+from plap1d.conditions import outer_profile
 
 UNIT = Interval(0.0, 1.0)
 WINDOW = Interval(0.25, 0.75)
@@ -404,17 +404,25 @@ class TestTauInterval:
          ("thm2_ii", 1.75, 0.5), ("cor", 1.75, 0.0)],
     )
     def test_scale_is_the_thm1_ii_edge_mass_power(self, theorem, p, csup):
-        # an off-centre window, so the two reaches' edge masses differ; q =
-        # (p-1)/2 lies in every theorem's q range.  Every range starts at
-        # lambda1, and only thm1_ii scales a reach
+        # an off-centre window, so the two reaches' edge masses differ: 0.2 mu
+        # + 0.6 eps on the left reach and 0.4 mu + 0.8 eps on the right, with
+        # running integrals 0.1 mu + 0.18 eps and 0.24 mu + 0.32 eps at their
+        # far ends; q = (p-1)/2 lies in every theorem's q range.  Every range
+        # starts at lambda1, and only thm1_ii scales a reach
         window, eps = Interval(0.2, 0.6), 1e-3
         prob = step_problem(p, (p - 1.0) / 2.0, 0.1, csup=csup, window=window)
         assert tau_interval(theorem, prob, fake_eig(1.0), eps).lo == 1.0
-        Ma = reach_masses(prob.m, eps, window, "left", window.b)[0]
-        Mb = reach_masses(prob.m, eps, window, "right", window.a)[0]
-        assert Ma != Mb
-        for M in (Ma, Mb):
-            assert side_scale(theorem, p, M) == (M ** (2.0 - p) if theorem == "thm1_ii" else 1.0)
+        prof = outer_profile(theorem, prob, eps)
+        ends = (("left", window.b, 0.02 + 0.6 * eps, 0.01 + 0.18 * eps),
+                ("right", window.a, 0.04 + 0.8 * eps, 0.024 + 0.32 * eps))
+        for side, x, M, I in ends:
+            s, g = prof.on_reach(prob, eps, side, x)
+            if theorem == "thm1_ii":
+                assert s == pytest.approx(M ** (2.0 - p), rel=1e-12)
+            else:
+                assert s == 1.0
+            if theorem.startswith("thm1"):
+                assert g == pytest.approx(I, rel=1e-12)
 
     def test_hyperbolic_ranges_need_c(self):
         prob = step_problem(2.0, 0.5, 0.1)

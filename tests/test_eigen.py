@@ -385,7 +385,7 @@ class TestConstantWindow:
         I = Interval(0.0, 1e-40)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(EigenError):
+            with pytest.raises(EigenError, match="closed-form lambda1 overflows a double"):
                 principal_eigenvalue(8.0, Weight.constant(0.0, I), Weight.constant(1.0, I), I, n=64)
 
 

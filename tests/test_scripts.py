@@ -32,16 +32,6 @@ def csv_rows(path):
         return list(csv.reader(fh))
 
 
-def test_profile_gallery(tmp_path):
-    out = tmp_path / "gallery"
-    proc = run_script("profile_gallery.py", "--n", "256", "--out-dir", str(out), cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert "FAIL" not in proc.stdout
-    names = sorted(os.listdir(out))
-    assert names and all(n.startswith("profile_") and n.endswith(".csv") for n in names)
-    assert all(len(csv_rows(out / n)) > 256 for n in names)
-
-
 def test_threshold_scan(tmp_path):
     out = tmp_path / "thresholds.csv"
     proc = run_script(
@@ -124,6 +114,23 @@ def test_compare_cli_summarizes_moves_over_all_calls():
         "largest move of solve.json /residual: 0.667",
         "largest move of u.csv u: 0.5 per entry, 0.001 of sup",
     ]
+
+
+def test_compare_cli_reports_each_checkouts_line_total(tmp_path):
+    sys.path.insert(0, os.path.join(ROOT, "scripts"))
+    try:
+        import compare_cli
+    finally:
+        sys.path.pop(0)
+    # only the .py files of src/plap1d count, every line of them
+    for root, files in (("base", {"a.py": "x\ny\n", "b.py": "z\n"}),
+                        ("change", {"a.py": "x\n", "notes.txt": "1\n2\n3\n"})):
+        pkg = tmp_path / root / "src" / "plap1d"
+        pkg.mkdir(parents=True)
+        for name, text in files.items():
+            (pkg / name).write_text(text)
+    line = compare_cli.line_delta(str(tmp_path / "base"), str(tmp_path / "change"))
+    assert line == "src/plap1d lines: 3 base, 1 change (-2)"
 
 
 def test_workload_lines(tmp_path):

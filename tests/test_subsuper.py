@@ -35,6 +35,7 @@ from plap1d import (
     window_eigenpair,
 )
 from plap1d.conditions import TAU_CAP_FACTOR, outer_profile
+from plap1d import subsuper
 from plap1d.subsuper import _junction
 from plap1d.verify import check_weak_subsolution, check_weak_supersolution
 
@@ -268,7 +269,8 @@ def test_right_profile_mirrors_left_on_symmetric_window(theorem, p, q, csup, mu)
     [("thm1_i", 2.5, 1.0, 0.0, WIN), ("thm1_ii", 1.75, 0.5, 0.0, WIN),
      ("thm2_i", 2.5, 0.5, 0.5, WIN), ("thm2_ii", 1.75, 0.5, 0.5, WIN),
      ("cor", 1.75, 0.5, 0.0, WIN), ("thm1_i", 2.5, 1.0, 0.0, Interval(0.2, 0.6)),
-     ("thm1_ii", 1.75, 0.5, 0.0, Interval(0.2, 0.6))],
+     ("thm1_ii", 1.75, 0.5, 0.0, Interval(0.2, 0.6)), ("thm2_i", 2.0, 0.5, 0.5, Interval(0.2, 0.6)),
+     ("thm2_ii", 1.75, 0.5, 0.5, Interval(0.2, 0.6)), ("cor", 1.75, 0.5, 0.0, Interval(0.2, 0.6))],
 )
 def test_tau_range_ends_where_the_taller_piece_reaches_one(theorem, p, q, csup, window):
     # tau_interval and the builders state the same bound: at hi the taller
@@ -437,6 +439,23 @@ class TestBuildSubsolution:
         prob = step_problem(2.0, 0.5, 1.0)
         with pytest.raises(EpsTooLargeError):
             subsolution(prob, "cor", Grid.uniform(UNIT, 256))
+
+    @pytest.mark.parametrize(
+        "name, error", [("glue", GlueError), ("build_u1_linear", TauTooLargeError)]
+    )
+    def test_piece_and_glue_errors_propagate_without_halving(self, monkeypatch, name, error):
+        # only an empty tau range halves eps: a failing glue or outer piece
+        # raises its own typed error from its first and only call
+        calls = []
+
+        def fail(*args):
+            calls.append(args)
+            raise error(f"{name} refused")
+
+        monkeypatch.setattr(subsuper, name, fail)
+        with pytest.raises(error, match=f"{name} refused"):
+            subsolution(step_problem(2.0, 0.5, 0.5), "cor", Grid.uniform(UNIT, 256))
+        assert len(calls) == 1
 
     def test_unknown_theorem_rejected(self):
         prob = step_problem(2.0, 0.5, 0.1)
