@@ -13,21 +13,23 @@ For each case and n the script times `principal_eigenvalue` on the window,
 through `window_eigenpair` as `solve_full` calls it (the window gets its
 share of the n cells), the companion solve `bvp.solve_g` of m^+ on the n
 cells, as `build_supersolution` calls it, and `solve_full`, at tol 1e-8
-unless stated.  All run in this process: one warm-up call, then the median
+unless stated, with the seconds of its `solve_between` call recorded
+separately.  All run in this process: one warm-up call, then the median
 of --repeats timed calls, each on a freshly built problem so that every
-call computes its own weight facts, as one CLI call does.  A separate run with counting wrappers
-records the counts next to the seconds, since they do not depend on the
-machine:
+call computes its own weight facts, as one CLI call does.  A separate run
+with counting wrappers records the counts next to the seconds, since they
+do not depend on the machine:
 
-  shots          RK4 shots (`eigen._rk4_full` calls), coarse seeding levels
-                 included
-  shot_work      their integration work in full-window shots: the substeps
-                 of all shots over those of one shot across the window on
-                 the full-resolution grid, so a half-window shot counts 0.5
-  fine_shots     shots on the full-resolution grid
+  shots          marches of the eigenvalue recursion (`eigen._march`
+                 calls), coarse seeding levels included
+  shot_work      their work in full-window marches: the cells of all
+                 marches over the window's cells on the full-resolution
+                 grid, so a half-window march counts 0.5
+  fine_shots     marches with the full-resolution step length
   closure_evals  closure-sum evaluations of the companion solve (`phi_p`
                  calls in `bvp`; solve_g only)
-  energy_evals   `solver._energy_and_grad` evaluations (solve_full only)
+  energy_evals   `solver._energy_and_grad` evaluations (solve_full, and
+                 those inside its `solve_between` call)
 
 A solve that raises is timed up to the raise and recorded with its error.
 The output also records the Python, numpy and scipy versions, the core
@@ -106,27 +108,43 @@ def run(call, prob) -> str | None:
     return None
 
 
-def seconds(name: str, call, repeats: int) -> float:
-    run(call, CASES[name]())
-    times = []
-    for prob in [CASES[name]() for _ in range(repeats)]:
+def seconds(name: str, call, repeats: int) -> tuple[float, float]:
+    """Median seconds of one call, and median seconds spent inside
+    `solver.solve_between` during one call."""
+    between, inner = solver.solve_between, [0.0]
+
+    def timed_between(*args, **kwargs):
         t0 = time.perf_counter()
-        run(call, prob)
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+        try:
+            return between(*args, **kwargs)
+        finally:
+            inner[-1] += time.perf_counter() - t0
+
+    solver.solve_between = timed_between
+    try:
+        run(call, CASES[name]())
+        times, inner = [], []
+        for prob in [CASES[name]() for _ in range(repeats)]:
+            inner.append(0.0)
+            t0 = time.perf_counter()
+            run(call, prob)
+            times.append(time.perf_counter() - t0)
+    finally:
+        solver.solve_between = between
+    return statistics.median(times), statistics.median(inner)
 
 
 def counts(name: str, n: int) -> dict:
     """Counts of each layer of one case at n cells, from one counted call."""
     out = {}
     for layer, call in layers(name, n):
-        substeps, hsubs, closures, evals = [], [], [], []
-        rk4, phi_p, energy = eigen._rk4_full, bvp.phi_p, solver._energy_and_grad
+        cells, steps, closures, evals, inside = [], [], [], [], []
+        march, phi_p, energy, between = eigen._march, bvp.phi_p, solver._energy_and_grad, solver.solve_between
 
-        def counted_rk4(K, KH, hsub, *rest):
-            substeps.append(len(KH))
-            hsubs.append(hsub)
-            return rk4(K, KH, hsub, *rest)
+        def counted_march(K, h, *rest):
+            cells.append(len(K) + 1)
+            steps.append(h)
+            return march(K, h, *rest)
 
         def counted_phi_p(*args):
             closures.append(1)
@@ -136,24 +154,34 @@ def counts(name: str, n: int) -> dict:
             evals.append(1)
             return energy(*args)
 
-        eigen._rk4_full, bvp.phi_p, solver._energy_and_grad = counted_rk4, counted_phi_p, counted_energy
+        def counted_between(*args, **kwargs):
+            start = len(evals)
+            try:
+                return between(*args, **kwargs)
+            finally:
+                inside.append(len(evals) - start)
+
+        wrapped = (counted_march, counted_phi_p, counted_energy, counted_between)
+        eigen._march, bvp.phi_p, solver._energy_and_grad, solver.solve_between = wrapped
         prob = CASES[name]()
         try:
             error = run(call, prob)
         finally:
-            eigen._rk4_full, bvp.phi_p, solver._energy_and_grad = rk4, phi_p, energy
+            eigen._march, bvp.phi_p, solver._energy_and_grad, solver.solve_between = (
+                march, phi_p, energy, between)
         if layer == "solve_g":
             out[layer] = {"closure_evals": len(closures)}
             continue
-        fine = min(hsubs)
+        fine = min(steps)
         out[layer] = {
-            "shots": len(substeps),
-            "shot_work": round(sum(substeps) / round(prob.window.length() / fine), 4),
-            "fine_shots": hsubs.count(fine),
+            "shots": len(cells),
+            "shot_work": round(sum(cells) / round(prob.window.length() / fine), 4),
+            "fine_shots": steps.count(fine),
         }
         if layer == "solve_full":
             out[layer]["energy_evals"] = len(evals)
             out[layer]["error"] = error
+            out["solve_between"] = {"energy_evals": sum(inside)}
     return out
 
 
@@ -190,14 +218,17 @@ def main(argv=None) -> int:
             row = {"case": name, "n": n, "tol": solve_tol(name, n)}
             row.update(counts(name, n))
             for layer, call in layers(name, n):
-                row[layer]["s"] = seconds(name, call, args.repeats)
+                row[layer]["s"], between_s = seconds(name, call, args.repeats)
+                if layer == "solve_full":
+                    row["solve_between"]["s"] = between_s
             rows.append(row)
             eig, comp, full = row["principal_eigenvalue"], row["solve_g"], row["solve_full"]
             print(
                 f"{name:12s} n={n:5d}  eigen {eig['s'] * 1e3:8.2f} ms  shots {eig['shots']:3d}"
                 f"  work {eig['shot_work']:6.3f}  solve_g {comp['s'] * 1e3:6.2f} ms"
                 f"  closures {comp['closure_evals']:3d}  solve_full {full['s'] * 1e3:8.2f} ms"
-                f"  energy {full['energy_evals']:4d}" + (f"  [{full['error']}]" if full["error"] else ""),
+                f"  energy {full['energy_evals']:4d}  solve_between {between_s * 1e3:8.2f} ms"
+                + (f"  [{full['error']}]" if full["error"] else ""),
                 flush=True,
             )
     report = {"environment": environment(), "repeats": args.repeats, "cases": rows}

@@ -2,12 +2,13 @@
 
 The configs are those the three benchmark workloads of perfbench/workloads.py
 draw at the given seeds (read from the first checkout, never changed), each
-distinct config once, plus the BASE config of tests/test_cli.py and three
-variants of it (VARIANTS) that reach constant-window cases of the eigensolve
-that no workload reaches: an odd window cell count; p = 7, which integrates
-with 8 RK4 substeps per cell; and p = 5 on a 64-cell window, the fewest
-cells `window_eigenpair` gives, where the closed form's half-window shot
-runs on 32 cells.  On every config the script runs CLI check, eigen, certify
+distinct config once, plus the BASE config of tests/test_cli.py and four
+variants of it (VARIANTS) that reach cases of the eigensolve that no
+workload reaches: three constant windows (an odd window cell count; p = 7
+on 4096 window cells; and p = 5 on a 64-cell window, the fewest cells
+`window_eigenpair` gives, where the closed form's half-window march runs on
+32 cells), and a window inside which m jumps, where lambda1 has no closed
+form.  On every config the script runs CLI check, eigen, certify
 and solve in both checkouts, then verify on the
 sub.csv, super.csv and u.csv that checkout's solve call wrote.  Certify and solve get the workload's --policy, if any.  Once per run
 it also calls sweep --jobs 1 on the BASE config over two values of q, and
@@ -51,13 +52,21 @@ import tempfile
 COMMANDS = ("check", "eigen", "certify", "solve", "verify")
 SUBCOMMANDS = ("check", "eigen", "certify", "solve", "verify", "sweep")
 
-# (name, changes to BASE): 258 cells put 129 in the window; p = 7 takes 8
-# RK4 substeps per cell, on 4096 window cells; p = 5 on 64 window cells is
-# the coarsest window, where the closed form's half shot has 32 cells
+# (name, changes to BASE): 258 cells put 129 in the window; p = 7 on 4096
+# window cells; p = 5 on 64 window cells is the coarsest window, where the
+# closed form's half march has 32 cells; m = 2 on (0.2, 0.5) and 0.7 on
+# (0.5, 0.9) jumps inside the window (0.2, 0.9), so lambda1 is the
+# Rayleigh quotient of the probe loop's eigenfunction
 VARIANTS = (
     ("test_cli-base-odd-window", {"n": 258}),
     ("test_cli-base-p7", {"p": 7.0, "n": 8192}),
     ("test_cli-base-p5-coarse", {"p": 5.0, "n": 128}),
+    ("test_cli-base-window-jump", {"window": [0.2, 0.9], "m": {"pieces": [
+        {"from": 0.0, "to": 0.2, "poly": [-0.5]},
+        {"from": 0.2, "to": 0.5, "poly": [2.0]},
+        {"from": 0.5, "to": 0.9, "poly": [0.7]},
+        {"from": 0.9, "to": 1.0, "poly": [-0.5]},
+    ]}}),
 )
 
 CHILD = "import sys; sys.path.insert(0, sys.argv[1]); from plap1d.cli import main; sys.exit(main(sys.argv[2:]))"

@@ -488,7 +488,7 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # wiring
 
-_POLICY = ("--policy", {"default": "auto"})
+_POLICY = ("--policy", {"default": "auto", "choices": ("auto", *CONDITION_NAMES)})
 
 # name, help, handler, arguments after the common config/--out/--seed
 _SUBCOMMANDS = (

@@ -771,3 +771,17 @@ class TestCli:
             main(["sweep", "--help"])
         assert exc.value.code == 0
         assert "--jobs JOBS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, extra", [
+        ("certify", []), ("solve", []), ("sweep", ["p=2:3:2", "--jobs", "1"]),
+    ])
+    def test_unknown_policy_is_usage_error(self, tmp_path, capsys, command, extra):
+        # the parser checks --policy against "auto" and the condition names,
+        # before any config is read or any cell runs
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main([command, cfg, *extra, "--policy", "nope", "--out", str(out)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "invalid choice" in err and "nope" in err
+        assert all(name in err for name in ("auto", "thm1_i", "thm1_ii", "thm2_i", "thm2_ii", "cor"))
+        assert not out.exists()

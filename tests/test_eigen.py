@@ -8,6 +8,7 @@ from scipy.special import betaincinv
 
 from plap1d import eigen
 from plap1d.core_types import (
+    DEFAULT_N,
     EigenError,
     Interval,
     NoEigenvalueError,
@@ -84,12 +85,12 @@ class TestPrincipalEigenvalue:
         assert np.allclose(pair.phi.values, np.sin(np.pi * pair.phi.grid.nodes), atol=1e-5)
 
     @pytest.mark.parametrize("p", [1.6, 2.0, 3.5])
-    def test_rayleigh_cross_check(self, p):
+    def test_rayleigh_cross_check(self, p, monkeypatch):
+        # lambda1 is R(phi) here; the march's own grid eigenvalue agrees
         m = step_weight(UNIT, Interval(0.2, 0.9), 2.0, 0.5)
         c = Weight.constant(0.3, UNIT)
-        pair = principal_eigenvalue(p, c, m, UNIT)
-        rayleigh = eigen.rayleigh_quotient(p, c, m, UNIT, pair.phi)
-        assert abs(rayleigh - pair.lambda1) <= 1e-4 * pair.lambda1
+        pair, lam = march_eigenvalue(monkeypatch, p, c, m, UNIT, DEFAULT_N)
+        assert abs(lam - pair.lambda1) <= 1e-4 * pair.lambda1
 
     @pytest.mark.parametrize("tau", [0.5, 2.0, 10.0])
     def test_homogeneity_in_m(self, tau):
@@ -126,32 +127,51 @@ class TestPrincipalEigenvalue:
 
 
 def count_shots(monkeypatch):
-    """Record the substep count of every shot, by wrapping the RK4 kernel
-    each one calls once; shot_work reads the record."""
-    substeps = []
-    original = eigen._rk4_full
+    """Record the cell count of every march, by wrapping the kernel each one
+    calls once; shot_work reads the record."""
+    cells = []
+    original = eigen._march
 
-    def counted(K, KH, *rest):
-        substeps.append(len(KH))
-        return original(K, KH, *rest)
+    def counted(K, *rest):
+        cells.append(len(K) + 1)
+        return original(K, *rest)
 
-    monkeypatch.setattr(eigen, "_rk4_full", counted)
-    return substeps
-
-
-def shot_work(substeps, n, p):
-    """Integration work in full-window shots on n cells: the substeps of
-    every shot, coarse-level seeding shots included, over the n * nsub of
-    one shot across the whole window, so a shot over half of it counts 0.5."""
-    return sum(substeps) / (n * eigen._substeps(p))
+    monkeypatch.setattr(eigen, "_march", counted)
+    return cells
 
 
-def assert_bracket_invariant(pair, p, c, m, I, n, tol=1e-8):
-    # the final bracket is within tol * lambda1 of lambda1: below it the shot
-    # stays positive to the right endpoint, above it it crosses inside
-    _, zero = shoot(pair.lambda1 * (1.0 - 2.0 * tol), p, c, m, I, n=n)
+def shot_work(cells, n):
+    """Marching work in full-window marches on n cells: the cells of every
+    march, coarse levels included, over n, so a march over half of them
+    counts 0.5."""
+    return sum(cells) / n
+
+
+def march_eigenvalue(monkeypatch, p, c, m, I, n):
+    """(pair, the grid eigenvalue of the full-resolution probe loop) of one
+    principal_eigenvalue call on a window without a closed form, read from
+    the last return of the probe loop, which rests on the fine level."""
+    found = []
+    original = eigen._newton
+
+    def recorded(*args):
+        out = original(*args)
+        found.append(out[0])
+        return out
+
+    monkeypatch.setattr(eigen, "_newton", recorded)
+    pair = principal_eigenvalue(p, c, m, I, n=n)
+    monkeypatch.setattr(eigen, "_newton", original)
+    return pair, found[-1]
+
+
+def assert_bracket_invariant(lam, p, c, m, I, n, tol=1e-8):
+    # the grid eigenvalue lam is within tol * lam of the bracket's ends: below
+    # it the march stays positive to the right endpoint, above it it crosses
+    # inside
+    _, zero = shoot(lam * (1.0 - 2.0 * tol), p, c, m, I, n=n)
     assert zero is None or zero == I.b
-    _, zero = shoot(pair.lambda1 * (1.0 + 2.0 * tol), p, c, m, I, n=n)
+    _, zero = shoot(lam * (1.0 + 2.0 * tol), p, c, m, I, n=n)
     assert zero is not None and zero < I.b
 
 
@@ -161,13 +181,13 @@ class TestEigenBracket:
     def test_step_weight_needs_few_shots(self, p, c, monkeypatch):
         shots = count_shots(monkeypatch)
         principal_eigenvalue(p, Weight.constant(c, UNIT), STEP, WINDOW, n=512)
-        assert shot_work(shots, 512, p) <= 8
+        assert shot_work(shots, 512) <= 8
 
     @pytest.mark.parametrize("c", [0.0, 0.7])
     @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
     def test_step_weight_closes_from_the_seed(self, p, c, monkeypatch):
         # the closed form is exact for constant c and m on the window, so the
-        # only shot is the eigenfunction's, over the left n // 2 cells
+        # only march is the eigenfunction's, over the left n // 2 cells
         shots = count_shots(monkeypatch)
         pair = principal_eigenvalue(p, Weight.constant(c, UNIT), STEP, WINDOW, n=512)
         assert_closed_form_from_one_half_shot(pair, shots, p, c, 1.0, WINDOW, 512)
@@ -180,7 +200,7 @@ class TestEigenBracket:
         shots = count_shots(monkeypatch)
         pair = principal_eigenvalue(2.0, ZERO, Weight.constant(mass, UNIT), UNIT, n=n)
         assert pair.lambda1 == pytest.approx(np.pi**2 / mass, rel=1e-8)
-        assert shot_work(shots, n, 2.0) <= 3
+        assert shot_work(shots, n) <= 3
 
     def test_scaled_weight_scales_lambda1_and_its_shots(self, monkeypatch):
         # m -> s m maps every probe to lambda / s
@@ -189,7 +209,7 @@ class TestEigenBracket:
         for s in (1.0, 1e6, 1e9):
             start = len(shots)
             pair = principal_eigenvalue(2.0, ZERO, STEP.affine(s), WINDOW, n=512)
-            runs.append((pair.lambda1 * s, shot_work(shots[start:], 512, 2.0)))
+            runs.append((pair.lambda1 * s, shot_work(shots[start:], 512)))
         (ref, ref_shots), *scaled = runs
         for lam_s, count in scaled:
             assert lam_s == pytest.approx(ref, rel=1e-12)
@@ -212,9 +232,14 @@ class TestEigenBracket:
     @pytest.mark.parametrize("c", [0.0, 0.7])
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_bracket_invariant(self, p, c):
+        # principal_eigenvalue takes the closed form on this constant window,
+        # so the probe loop runs here directly, from the closed form; the
+        # grid eigenvalue it brackets sits O(h^2) below the closed form
         cw = Weight.constant(c, UNIT)
-        pair = principal_eigenvalue(p, cw, STEP, WINDOW, n=512)
-        assert_bracket_invariant(pair, p, cw, STEP, WINDOW, 512)
+        exact = closed_form(p, c, 1.0, WINDOW.length())
+        lam, _ = eigen._newton(eigen._shooter(p, cw, STEP, WINDOW, 512), p, 512, exact)
+        assert_bracket_invariant(lam, p, cw, STEP, WINDOW, 512)
+        assert 0.0 < (exact - lam) / exact <= 2.0 / 512**2
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_two_bump_weight_closes_in_few_shots(self, p, monkeypatch):
@@ -222,22 +247,53 @@ class TestEigenBracket:
         # lambda1 and the Newton probes climb from it; Illinois regula falsi
         # took 16 and 23 shots
         shots = count_shots(monkeypatch)
-        pair = principal_eigenvalue(p, ZERO, TWO_BUMPS, UNIT, n=512)
-        assert shot_work(shots, 512, p) <= {2.0: 10, 3.0: 13}[p]
-        assert_bracket_invariant(pair, p, ZERO, TWO_BUMPS, UNIT, 512)
+        _, lam = march_eigenvalue(monkeypatch, p, ZERO, TWO_BUMPS, UNIT, 512)
+        assert shot_work(shots, 512) <= {2.0: 10, 3.0: 13}[p]
+        assert_bracket_invariant(lam, p, ZERO, TWO_BUMPS, UNIT, 512)
 
-    def test_small_end_flux_is_not_taken_for_convergence(self):
-        # c is tuned so that the seed's shot ends with w(x1) within 1e-19 of
-        # zero while u(x1) sits near its peak: that shot's Newton step is
-        # tiny, yet the seed is 20 % below lambda1
+    def test_small_end_flux_is_not_taken_for_convergence(self, monkeypatch):
+        # c is tuned so that the seed's march on the coarsest level (64
+        # cells) ends with f on its last cell within 2e-19 of zero while
+        # u(x1) sits near its peak: that march's Newton step is tiny, yet the
+        # seed is 20 % below lambda1
         m = step_weight(UNIT, Interval(0.0, 0.25), 1.0, 0.0)
-        c = 0.008626475442568006
+        c = 0.010843392221095255
         cw = Weight.constant(c, UNIT)
-        pair = principal_eigenvalue(2.0, cw, m, UNIT, n=512)
-        assert pair.lambda1 > 1.2 * (np.pi**2 + c) / 0.25
-        rayleigh = eigen.rayleigh_quotient(2.0, cw, m, UNIT, pair.phi)
-        assert abs(rayleigh - pair.lambda1) <= 1e-3 * pair.lambda1
-        assert_bracket_invariant(pair, 2.0, cw, m, UNIT, 512)
+        pair, lam = march_eigenvalue(monkeypatch, 2.0, cw, m, UNIT, 512)
+        assert lam > 1.2 * (np.pi**2 + c) / 0.25
+        assert abs(pair.lambda1 - lam) <= 1e-3 * lam
+        assert_bracket_invariant(lam, 2.0, cw, m, UNIT, 512)
+
+
+class TestRayleighBound:
+    @pytest.mark.parametrize("p", [1.6, 2.0, 3.5])
+    @pytest.mark.parametrize("name", ["sin-power", "two-bump", "jump"])
+    def test_lambda1_is_the_rayleigh_quotient_without_a_closed_form(self, name, p, monkeypatch):
+        # on these windows c or m varies, so lambda1 is R(phi), which the
+        # march's own eigenvalue only approximates
+        m, I, c = {
+            "sin-power": (*GRID_WEIGHTS["sin-power"], ZERO),
+            "two-bump": (TWO_BUMPS, UNIT, ZERO),
+            "jump": (step_weight(UNIT, Interval(0.2, 0.9), 2.0, 0.5), UNIT, Weight.constant(0.3, UNIT)),
+        }[name]
+        pair, lam = march_eigenvalue(monkeypatch, p, c, m, I, 512)
+        assert pair.lambda1 == eigen.rayleigh_quotient(p, c, m, I, pair.phi)
+        assert pair.lambda1 != lam
+
+    def test_two_bump_bound_decreases_with_n(self):
+        # R(phi) bounds the continuous lambda1, about 986.96, from above and
+        # falls towards it as the grid refines
+        bounds = [principal_eigenvalue(2.0, ZERO, TWO_BUMPS, UNIT, n=n).lambda1
+                  for n in (256, 512, 1024, 2048, 4096)]
+        assert all(a > b for a, b in zip(bounds, bounds[1:]))
+        assert bounds[-1] > 986.96
+        assert bounds[0] < 988.22
+
+    @pytest.mark.parametrize("n", [64, 257, 2048])
+    @pytest.mark.parametrize("p, c, m", [(1.3, 0.0, 1.0), (2.0, 0.7, 2.5), (6.0, 3.0, 0.4)])
+    def test_constant_window_returns_the_closed_form_exactly(self, p, c, m, n):
+        pair = principal_eigenvalue(p, Weight.constant(c, UNIT), step_weight(UNIT, WINDOW, m, -1.0), WINDOW, n=n)
+        assert pair.lambda1 == closed_form(p, c, m, WINDOW.length())
 
 
 OFF_CENTRE = Interval(0.05, 0.15)
@@ -265,8 +321,9 @@ CONSTANT_WINDOWS = ("step", "off-centre")
 
 
 def bisection_reference(lam, p, m, I, n, rel=2e-8, steps=7):
-    """lambda1 bisected on whether the shot crosses zero before I.b, from
-    lam * (1 -+ rel), which must bracket it: to within rel / 2**steps."""
+    """The grid eigenvalue bisected on whether the march crosses zero before
+    I.b, from lam * (1 -+ rel), which must bracket it: to within
+    rel / 2**steps."""
     lo, hi = lam * (1.0 - rel), lam * (1.0 + rel)
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
@@ -284,43 +341,47 @@ def bisection_reference(lam, p, m, I, n, rel=2e-8, steps=7):
 def test_newton_probes_need_no_more_shots_than_illinois(name, p, n, monkeypatch):
     m, I = GRID_WEIGHTS[name]
     shots = count_shots(monkeypatch)
-    pair = principal_eigenvalue(p, ZERO, m, I, n=n)
-    assert shot_work(shots, n, p) <= ILLINOIS_SHOTS[name][GRID_P.index(p)][GRID_N.index(n)]
+    if name in CONSTANT_WINDOWS:
+        pair = principal_eigenvalue(p, ZERO, m, I, n=n)
+    else:
+        pair, lam = march_eigenvalue(monkeypatch, p, ZERO, m, I, n)
+    assert shot_work(shots, n) <= ILLINOIS_SHOTS[name][GRID_P.index(p)][GRID_N.index(n)]
     if name in CONSTANT_WINDOWS:
         assert_closed_form_from_one_half_shot(pair, shots, p, 0.0, 1.0, I, n)
         return
-    assert_bracket_invariant(pair, p, ZERO, m, I, n)
+    assert_bracket_invariant(lam, p, ZERO, m, I, n)
     # a Newton stop lands far closer; the bracket fallback's midpoint is
     # within half its width, _TOL / 2
-    assert pair.lambda1 == pytest.approx(bisection_reference(pair.lambda1, p, m, I, n), rel=6e-9)
+    assert lam == pytest.approx(bisection_reference(lam, p, m, I, n), rel=6e-9)
 
 
 class TestCoarseSeed:
     @pytest.mark.parametrize("p", [1.6, 2.0, 3.0])
-    def test_non_constant_weight_closes_in_one_fine_shot(self, p, monkeypatch):
+    def test_non_constant_weight_closes_in_two_fine_shots(self, p, monkeypatch):
         # the coarse levels (256 cells, 32 stops the recursion) bring the
-        # first full-resolution probe within reach of one Newton step
+        # first full-resolution probe within O(h^2) of the grid eigenvalue:
+        # one Newton step, and a second march that confirms it
         m, I = GRID_WEIGHTS["sin-power"]
         n = 2048
         shots = count_shots(monkeypatch)
-        pair = principal_eigenvalue(p, ZERO, m, I, n=n)
-        assert shot_work(shots, n, p) <= 2
+        _, lam = march_eigenvalue(monkeypatch, p, ZERO, m, I, n)
+        assert shots.count(n) == 2
+        assert shot_work(shots, n) <= 3
         monkeypatch.undo()
-        assert pair.lambda1 == pytest.approx(bisection_reference(pair.lambda1, p, m, I, n), rel=6e-9)
+        assert lam == pytest.approx(bisection_reference(lam, p, m, I, n), rel=6e-9)
 
     @pytest.mark.parametrize("p", [1.1, 2.0, 7.0])
     def test_constant_window_runs_no_coarse_level(self, p, monkeypatch):
-        # the closed form is exact there: one shot, over the left n // 2 cells
+        # the closed form is exact there: one march, over the left n // 2 cells
         shots = count_shots(monkeypatch)
         principal_eigenvalue(p, Weight.constant(0.7, UNIT), STEP, WINDOW, n=4096)
-        nsub = 8 if (p < 1.2 or p > 6.0) else 4
-        assert shots == [2048 * nsub]
+        assert shots == [2048]
 
     def test_levels_coarsen_by_eight_down_to_64_cells(self, monkeypatch):
         shots = count_shots(monkeypatch)
         principal_eigenvalue(2.0, ZERO, GRID_WEIGHTS["sin-power"][0], UNIT, n=8192)
-        assert sorted({s // 4 for s in shots}) == [128, 1024, 8192]
-        assert shots[-1] == 8192 * 4
+        assert sorted(set(shots)) == [128, 1024, 8192]
+        assert shots[-1] == 8192
 
 
 def closed_form(p, c, m, length):
@@ -330,15 +391,16 @@ def closed_form(p, c, m, length):
 
 
 def assert_closed_form_from_one_half_shot(pair, shots, p, c, m, I, n):
-    # lambda1 is the closed form of constant c and m on I, and the only shot
+    # lambda1 is the closed form of constant c and m on I, and the only march
     # is the eigenfunction's, over the left n // 2 of the n cells
-    assert shots == [(n // 2) * eigen._substeps(p)]
+    assert shots == [n // 2]
     assert pair.lambda1 == closed_form(p, c, m, I.length())
 
 
 class TestConstantWindow:
-    # p = 1.1 and 7 take 8 substeps, p = 2 takes 4; an even and an odd cell
-    # count, fine enough that the grid's shot agrees with the closed form
+    # an even and an odd cell count, fine enough that the grid eigenvalue of
+    # the march, which the probe loop finds from the closed form, sits less
+    # than 1e-6 below the closed form
     @pytest.mark.parametrize("n", [4096, 4097])
     @pytest.mark.parametrize("p", [1.1, 2.0, 7.0])
     def test_closed_form_from_one_half_window_shot(self, p, n, monkeypatch):
@@ -346,8 +408,9 @@ class TestConstantWindow:
         pair = principal_eigenvalue(p, ZERO, STEP, WINDOW, n=n)
         monkeypatch.undo()
         assert_closed_form_from_one_half_shot(pair, shots, p, 0.0, 1.0, WINDOW, n)
-        ref = bisection_reference(pair.lambda1, p, STEP, WINDOW, n)
-        assert pair.lambda1 == pytest.approx(ref, rel=1e-8)
+        lam, _ = eigen._newton(eigen._shooter(p, ZERO, STEP, WINDOW, n), p, n, pair.lambda1)
+        assert 0.0 < (pair.lambda1 - lam) / pair.lambda1 <= 1e-6
+        assert lam == pytest.approx(bisection_reference(lam, p, STEP, WINDOW, n), rel=6e-9)
         phi = pair.phi.values
         np.testing.assert_allclose(phi, phi[::-1], rtol=0.0, atol=1e-14)
 
@@ -360,8 +423,8 @@ class TestConstantWindow:
 
     @pytest.mark.parametrize("n", [64, 65])
     def test_coarse_grid_takes_the_closed_form(self, n, monkeypatch):
-        # at p = 5 on 64 cells the grid's own shooting eigenvalue is about
-        # 1.5e-6 from the closed form; lambda1 is still the closed form
+        # at p = 5 on 64 cells the grid eigenvalue of the march is about
+        # 1.3e-3 below the closed form; lambda1 is still the closed form
         shots = count_shots(monkeypatch)
         pair = principal_eigenvalue(5.0, ZERO, STEP, WINDOW, n=n)
         assert_closed_form_from_one_half_shot(pair, shots, 5.0, 0.0, 1.0, WINDOW, n)
@@ -389,40 +452,24 @@ class TestConstantWindow:
                 principal_eigenvalue(8.0, Weight.constant(0.0, I), Weight.constant(1.0, I), I, n=64)
 
 
-def rk4_full_reference(K, KH, hsub, pm1, ipm1, nsub, out, wmid):
-    # the single-loop kernel with index tests and multiplied signs, kept as
-    # the reference that eigen._rk4_full must reproduce bit for bit
-    u = 0.0
-    w = 1.0
-    half = nsub // 2
-    out[0] = 0.0
-    for j in range(len(KH)):
-        k1u = abs(w) ** ipm1 * (1.0 if w >= 0 else -1.0)
-        k1w = K[j] * abs(u) ** pm1 * (1.0 if u >= 0 else -1.0)
-        au = u + 0.5 * hsub * k1u
-        aw = w + 0.5 * hsub * k1w
-        k2u = abs(aw) ** ipm1 * (1.0 if aw >= 0 else -1.0)
-        k2w = KH[j] * abs(au) ** pm1 * (1.0 if au >= 0 else -1.0)
-        au = u + 0.5 * hsub * k2u
-        aw = w + 0.5 * hsub * k2w
-        k3u = abs(aw) ** ipm1 * (1.0 if aw >= 0 else -1.0)
-        k3w = KH[j] * abs(au) ** pm1 * (1.0 if au >= 0 else -1.0)
-        au = u + hsub * k3u
-        aw = w + hsub * k3w
-        k4u = abs(aw) ** ipm1 * (1.0 if aw >= 0 else -1.0)
-        k4w = K[j + 1] * abs(au) ** pm1 * (1.0 if au >= 0 else -1.0)
-        u += hsub / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        w += hsub / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        if (j + 1) % nsub == 0:
-            out[(j + 1) // nsub] = u
-        elif (j + 1) % nsub == half:
-            wmid[(j + 1) // nsub] = w
+def march_reference(K, h, pm1, ipm1):
+    # the recursion written with an index loop and multiplied signs, kept as
+    # the reference that eigen._march must reproduce bit for bit
+    n = len(K) + 1
+    u = [0.0] * (n + 1)
+    f = 1.0
+    for i in range(n):
+        u[i + 1] = u[i] + h * abs(f) ** ipm1 * (1.0 if f >= 0 else -1.0)
+        if i + 1 < n:
+            f = f - K[i] * abs(u[i + 1]) ** pm1 * (1.0 if u[i + 1] >= 0 else -1.0)
+    return u, f
 
 
 class TestKernel:
     # (weight, multiple of lambda1, crosses, u(1) >= 0): below lambda1, above
-    # it, and above it with TWO_BUMPS, where the shot crosses and comes back;
-    # crossings are read at the nodes, as principal_eigenvalue reads them
+    # it, and above it with TWO_BUMPS, where the march crosses and comes
+    # back; crossings are read at the nodes, as principal_eigenvalue reads
+    # them
     CASES = [
         (ONE, 0.5, False, True),
         (ONE, 1.5, True, False),
@@ -433,21 +480,37 @@ class TestKernel:
     @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 7.0])
     def test_matches_reference_bit_for_bit(self, p, case):
         m, factor, crosses, end_nonneg = self.CASES[case]
-        # at n = 100, hsub/6 and hsub*(1/6) are different doubles
         n = 100
         c = Weight.constant(0.3, UNIT)
         lam = factor * principal_eigenvalue(p, c, m, UNIT, n=n).lambda1
-        # nsub = 8 for p = 1.1 and p = 7, 4 otherwise, as in eigen._shooter;
-        # the stage coefficient c - lam*m at the substep nodes and midpoints
-        nsub = 8 if (p < 1.2 or p > 6.0) else 4
-        xs = np.linspace(0.0, 1.0, n * nsub + 1)
-        half = 0.5 * (xs[:-1] + xs[1:])
-        K, KH = (c(xs) - lam * m(xs)).tolist(), (c(half) - lam * m(half)).tolist()
-        args = (K, KH, 1.0 / (n * nsub), p - 1.0, 1.0 / (p - 1.0), nsub)
-        out, wmid = np.empty(n + 1), np.empty(n)
-        ref_out, ref_wmid = np.empty(n + 1), np.empty(n)
-        eigen._rk4_full(*args, out, wmid)
-        rk4_full_reference(*args, ref_out, ref_wmid)
-        assert np.array_equal(out, ref_out)
-        assert np.array_equal(wmid, ref_wmid)
+        # lam mhat - chat at the interior nodes, each cell's exact mass split
+        # evenly between its nodes
+        nodes = np.linspace(0.0, 1.0, n + 1)
+        cell_m, cell_c = np.diff(m.antiderivative()(nodes)), np.diff(c.antiderivative()(nodes))
+        K = (0.5 * lam * (cell_m[:-1] + cell_m[1:]) - 0.5 * (cell_c[:-1] + cell_c[1:])).tolist()
+        args = (K, 1.0 / n, p - 1.0, 1.0 / (p - 1.0))
+        out, f = eigen._march(*args)
+        ref_out, ref_f = march_reference(*args)
+        assert out == ref_out
+        assert f == ref_f
+        out = np.array(out)
         assert (bool(np.any(out[1:] <= 0.0)), out[-1] >= 0.0) == (crosses, end_nonneg)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 5.0])
+    @pytest.mark.parametrize("m", [ONE, TWO_BUMPS], ids=["constant", "two-bump"])
+    def test_newton_step_is_exact(self, p, m):
+        # by the discrete Wronskian, g = u_n / phi_p^{-1}(f_{n-1}) has
+        # dg/dlambda = mass / ((p-1) |f_{n-1}|^{p'}); a central difference of g
+        # agrees to its own truncation error
+        n = 100
+        shot = eigen._shooter(p, ZERO, m, UNIT, n)
+        pp = p / (p - 1.0)
+
+        def g(lam):
+            u, f, _ = shot(lam)
+            return u[-1] / (np.sign(f) * abs(f) ** (pp - 1.0))
+
+        lam = 0.9 * principal_eigenvalue(p, ZERO, m, UNIT, n=n).lambda1
+        _, f, mass = shot(lam)
+        d = 1e-5 * lam
+        assert (g(lam + d) - g(lam - d)) / (2.0 * d) == pytest.approx(mass / ((p - 1.0) * abs(f) ** pp), rel=1e-6)

@@ -165,9 +165,9 @@ def test_bench_layers_counts_match_the_committed_file(tmp_path):
             (row["case"], layer): {k: v for k, v in row[layer].items() if k != "s"}
             for row in rows
             if row["n"] == n
-            for layer in ("principal_eigenvalue", "solve_g", "solve_full")
+            for layer in ("principal_eigenvalue", "solve_g", "solve_full", "solve_between")
         }
 
     committed = counts(os.path.join(ROOT, "BENCH_layers.json"), 512)
-    assert len(committed) == 9
+    assert len(committed) == 12
     assert counts(out, 512) == committed
