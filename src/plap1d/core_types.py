@@ -146,7 +146,10 @@ def _real_roots_rows(coefs: np.ndarray, width: np.ndarray, tol_edge: np.ndarray)
     effect is far-away roots, and they wreck the companion matrix
     conditioning).  Rows of equal trimmed length share one stacked
     eigenvalue call on the companion matrices `P.polycompanion` builds,
-    which returns row by row the numbers `P.polyroots` does.
+    which returns row by row the numbers `P.polyroots` does.  An eigenvalue
+    z counts as real when |Im z| <= 1e-9 * max(width[k], |z|): relative to
+    the piece, so that on a narrow piece a complex pair close to the axis,
+    across which the row keeps its sign, is not taken for a root.
 
     Rows that provably have no root on their closed piece skip that call.
     In t = x/width the trimmed, normalized row has coefficients
@@ -155,10 +158,9 @@ def _real_roots_rows(coefs: np.ndarray, width: np.ndarray, tol_edge: np.ndarray)
     they all exceed 1e-12 * sum|a_j|, hundreds of times their own rounding,
     or all lie below its negative, the row has no root on the piece, so no
     root is lost.  The result can change only where the companion solve
-    reported a root the row does not have: a complex pair that the absolute
-    1e-9 test takes for real on a narrow piece, or the sqrt(eps)-sized split
-    of a double root just outside an edge.  A row whose conversion
-    overflows is kept.
+    reported a root the row does not have: a complex pair that the 1e-9
+    test takes for real, or the sqrt(eps)-sized split of a double root just
+    outside an edge.  A row whose conversion overflows is kept.
     """
     K, D = coefs.shape
     R = max(D - 1, 0)
@@ -190,7 +192,7 @@ def _real_roots_rows(coefs: np.ndarray, width: np.ndarray, tol_edge: np.ndarray)
         z = np.linalg.eigvals(mat)
         r = z.real
         w, tol = width[rows, None], tol_edge[rows, None]
-        ok = (np.abs(z.imag) <= 1e-9 * np.maximum(1.0, np.abs(z))) & (tol < r) & (r < w - tol)
+        ok = (np.abs(z.imag) <= 1e-9 * np.maximum(w, np.abs(z))) & (tol < r) & (r < w - tol)
         cand[rows, : L - 1] = np.where(ok, r, np.nan)
     cand.sort(axis=1)
     last = np.full(K, np.nan)
@@ -657,12 +659,14 @@ class AssemblyPlan:
 
     Where u varies enough across a subcell (relative variation >= 0.2) the
     integral of poly(xi) * u(xi)^r is evaluated in closed form through the
-    substitution t = u(xi); this handles the boundary cells, where u vanishes
-    like a fractional power and fixed quadrature would lose digits.  Elsewhere
-    20-point Gauss is used, whose truncation error is far below roundoff at
-    that variation threshold.  Either way u^r (or its power moments) is
-    computed once per call and shared by the left and the right hat.  Net
-    effect: load vectors are exact to roundoff for every r > 0.
+    substitution t = u(xi): each table row is re-expressed in t by the same
+    `_compose_affine`, xi = (t - u_lo) / du, and dotted with the power moments
+    of t^r over [u_lo, u_hi].  This handles the boundary cells, where u
+    vanishes like a fractional power and fixed quadrature would lose digits.
+    Elsewhere 20-point Gauss is used, whose truncation error is far below
+    roundoff at that variation threshold.  Either way u^r (or its power
+    moments) is computed once per call and shared by the left and the right
+    hat.  Net effect: load vectors are exact to roundoff for every r > 0.
     """
 
     _CLOSED_DELTA = 0.2
@@ -723,24 +727,6 @@ class AssemblyPlan:
             return np.where(T > 0, T, 1.0) ** r * (T > 0)
         return T ** r
 
-    @staticmethod
-    def _closed_moment(W: np.ndarray, ul, uh, duc, M) -> np.ndarray:
-        """Integral of poly(xi) * u(xi)^r over [0, 1] by t = u(xi), given the
-        power moments M[:, i] = (uh^e_i - ul^e_i) / e_i with e_i = r + 1 + i."""
-        D = W.shape[1]
-        acc = np.zeros(ul.size)
-        for i in range(D):
-            vi = np.zeros(ul.size)
-            for j in range(i, D):
-                vi += (
-                    W[:, j]
-                    / duc ** j
-                    * math.comb(j, i)
-                    * (-ul) ** (j - i)
-                )
-            acc += vi * M[:, i]
-        return acc / duc
-
     # -- public ---------------------------------------------------------------
 
     def load_vector(self, key: str, u: np.ndarray, r: float) -> np.ndarray:
@@ -763,13 +749,12 @@ class AssemblyPlan:
             IL[g] = (vals["L"][g] * Tr) @ _WG
             IR[g] = (vals["R"][g] * Tr) @ _WG
         if np.any(closed):
-            ul = ulo[closed]
-            uh = uhi[closed]
-            duc = du[closed]
+            ul, uh, duc = ulo[closed], uhi[closed], du[closed]
             e = r + 1.0 + np.arange(tab["L"].shape[1])
             M = (uh[:, None] ** e[None, :] - ul[:, None] ** e[None, :]) / e[None, :]
-            IL[closed] = self._closed_moment(tab["L"][closed], ul, uh, duc, M)
-            IR[closed] = self._closed_moment(tab["R"][closed], ul, uh, duc, M)
+            a0, a1 = -ul / duc, 1.0 / duc
+            IL[closed] = np.sum(_compose_affine(tab["L"][closed], a0, a1) * M, axis=1) / duc
+            IR[closed] = np.sum(_compose_affine(tab["R"][closed], a0, a1) * M, axis=1) / duc
         out = np.zeros(self.grid.n + 1)
         np.add.at(out, self.parent, self.wsub * IL)
         np.add.at(out, self.parent + 1, self.wsub * IR)

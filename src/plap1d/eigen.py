@@ -2,13 +2,17 @@
 the P1 flux recursion.
 
 The eigenvalue problem -(phi_p(F'))' + c phi_p(F) = lambda m phi_p(F) on
-I = (x0, x1), F = 0 on the endpoints, is discretized as `bvp.solve_g`
-discretizes its companion problem.  With P1 elements on n uniform cells of
-width h, the hat at interior node i tests the equation to
+I = (x0, x1), F = 0 on the endpoints, is discretized with P1 elements on n
+uniform cells of width h, whose flux side is that of `bvp.solve_g`: the hat
+at interior node i tests the equation to
 f_{i-1} - f_i = (lambda mhat_i - chat_i) phi_p(u_i), where f_j = phi_p(u') on
 cell j and mhat_i, chat_i split each cell's exact mass of m and c evenly
 between its two nodes, so that a break of m between nodes counts where it
-is.  From u_0 = 0 and f_0 = 1 the recursion
+is.  That load is a nodal rule, where `solve_g` integrates its load g
+against hat_i exactly: the half masses are the hat's exact moments of
+lambda m - c only where m and c are constant on each cell, and elsewhere
+they differ from them by at most h/4 times the oscillation of lambda m - c
+on each of the two cells.  From u_0 = 0 and f_0 = 1 the recursion
 
     u_{i+1} = u_i + h phi_p^{-1}(f_i),
     f_{i+1} = f_i - (lambda mhat_{i+1} - chat_{i+1}) phi_p(u_{i+1})

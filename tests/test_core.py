@@ -108,6 +108,16 @@ def test_weight_parts_quadratic_two_roots():
     assert -(w.affine(-1.0).min_value()) == pytest.approx(0.24, rel=1e-13)  # max, at x=1
 
 
+@pytest.mark.parametrize("width, eps", [(1.7e-5, 1e-11), (1e-3, 1e-10)])
+def test_weight_parts_ignore_a_near_real_pair_on_a_narrow_piece(width, eps):
+    # (x - 0.8w)((x - 0.3w)^2 + eps^2) changes sign only at 0.8w; the pair
+    # 0.3w +- i eps lies within 1e-9 of the axis, but not within 1e-9 * w
+    c = P.polymul([-0.8 * width, 1.0], [(0.3 * width) ** 2 + eps**2, -0.6 * width, 1.0])
+    breaks = Weight([0.0, width], [c]).pos_part().breaks
+    assert breaks.size == 3 and breaks[0] == 0.0 and breaks[2] == width
+    assert breaks[1] == pytest.approx(0.8 * width, rel=1e-9)
+
+
 def test_weight_supnorm_interior_extremum():
     # x(1-x) has its max 0.25 at an interior critical point
     w = Weight([0.0, 1.0], [[0.0, 1.0, -1.0]])
@@ -251,7 +261,7 @@ def _ref_roots(c, width, tol_edge):
         return []
     real = []
     for z in P.polyroots(c):
-        if abs(z.imag) <= 1e-9 * max(1.0, abs(z)):
+        if abs(z.imag) <= 1e-9 * max(width, abs(z)):
             r = float(z.real)
             if tol_edge < r < width - tol_edge:
                 real.append(r)
@@ -592,9 +602,14 @@ def _hat(nodes, i):
     return f
 
 
-def test_load_vector_matches_quad():
+@pytest.mark.parametrize("w", [
     # 0.3 + 2 x^2 on the second piece, in the local coordinate x - 0.4
-    w = Weight([0.0, 0.4, 1.0], [[1.0, -2.0], [0.62, 1.6, 2.0]])
+    Weight([0.0, 0.4, 1.0], [[1.0, -2.0], [0.62, 1.6, 2.0]]),
+    # the manufactured problem's m: 128 degree-6 pieces, hat tables of 8
+    # coefficients on the boundary cells' closed branch
+    sin_power_weight(UNIT, 0.5).affine(math.pi**2),
+], ids=["two-piece", "manufactured"])
+def test_load_vector_matches_quad(w):
     g = Grid.uniform(UNIT, 13)
     u = np.abs(np.sin(3.0 * g.nodes))
     u[0] = u[-1] = 0.0
@@ -606,7 +621,7 @@ def test_load_vector_matches_quad():
             hat = _hat(g.nodes, i)
             lo = g.nodes[max(i - 1, 0)]
             hi = g.nodes[min(i + 1, g.n)]
-            cuts = sorted({lo, hi, g.nodes[i]} | ({0.4} if lo < 0.4 < hi else set()))
+            cuts = sorted({lo, hi, g.nodes[i]} | {b for b in w.breaks if lo < b < hi})
             ref = sum(
                 quad(lambda x: w(x) * uf(x) ** r * hat(np.array([x]))[0], aa, bb,
                      limit=200, epsabs=1e-14, epsrel=1e-13)[0]
@@ -793,7 +808,8 @@ def test_gauss_node_tables_are_the_tables_at_the_nodes(name):
 
 
 def _reference_moment(plan, W, ulo, uhi, r):
-    # one hat's moments with a per-call Horner evaluation of its table
+    # one hat's moments: a per-call Horner evaluation of its table on the
+    # Gauss subcells, the substitution t = u(xi) on the closed ones
     du = uhi - ulo
     denom = np.abs(ulo) + np.abs(uhi)
     delta = np.where(denom > 0, np.abs(du) / np.where(denom > 0, denom, 1.0), 0.0)
@@ -807,13 +823,13 @@ def _reference_moment(plan, W, ulo, uhi, r):
         ul, uh, duc, Wc = ulo[closed], uhi[closed], du[closed], W[closed]
         e = r + 1.0 + np.arange(W.shape[1])
         M = (uh[:, None] ** e[None, :] - ul[:, None] ** e[None, :]) / e[None, :]
-        acc = np.zeros(ul.size)
-        for i in range(W.shape[1]):
-            vi = np.zeros(ul.size)
-            for j in range(i, W.shape[1]):
-                vi += Wc[:, j] / duc ** j * math.comb(j, i) * (-ul) ** (j - i)
-            acc += vi * M[:, i]
-        out[closed] = acc / duc
+        # each row re-expressed in t = u(xi), xi = (t - ul) / du, by
+        # numpy.polynomial composition, one subcell at a time
+        V = np.zeros_like(Wc)
+        for k, row in enumerate(Wc):
+            coef = Polynomial(row)(Polynomial([-ul[k] / duc[k], 1.0 / duc[k]])).coef
+            V[k, : coef.size] = coef
+        out[closed] = np.sum(V * M, axis=1) / duc
     return plan.wsub * out
 
 
