@@ -30,6 +30,8 @@ do not depend on the machine:
                  calls in `bvp`; solve_g only)
   energy_evals   `solver._energy_and_grad` evaluations (solve_full, and
                  those inside its `solve_between` call)
+  plan_builds    `AssemblyPlan` constructions (every layer, and those
+                 inside `solve_between`)
 
 A solve that raises is timed up to the raise and recorded with its error.
 The output also records the Python, numpy and scipy versions, the core
@@ -55,7 +57,7 @@ import numpy as np
 import scipy
 
 from plap1d import bvp, eigen, solver
-from plap1d.core_types import Interval, Problem, Weight, sin_power_weight, step_weight
+from plap1d.core_types import AssemblyPlan, Interval, Problem, Weight, sin_power_weight, step_weight
 
 UNIT = Interval(0.0, 1.0)
 WINDOW = Interval(0.25, 0.75)
@@ -138,8 +140,9 @@ def counts(name: str, n: int) -> dict:
     """Counts of each layer of one case at n cells, from one counted call."""
     out = {}
     for layer, call in layers(name, n):
-        cells, steps, closures, evals, inside = [], [], [], [], []
+        cells, steps, closures, evals, builds, inside = [], [], [], [], [], []
         march, phi_p, energy, between = eigen._march, bvp.phi_p, solver._energy_and_grad, solver.solve_between
+        build = AssemblyPlan.__init__
 
         def counted_march(K, h, *rest):
             cells.append(len(K) + 1)
@@ -154,34 +157,43 @@ def counts(name: str, n: int) -> dict:
             evals.append(1)
             return energy(*args)
 
+        def counted_build(*args):
+            builds.append(1)
+            return build(*args)
+
         def counted_between(*args, **kwargs):
-            start = len(evals)
+            start = len(evals), len(builds)
             try:
                 return between(*args, **kwargs)
             finally:
-                inside.append(len(evals) - start)
+                inside.append((len(evals) - start[0], len(builds) - start[1]))
 
-        wrapped = (counted_march, counted_phi_p, counted_energy, counted_between)
-        eigen._march, bvp.phi_p, solver._energy_and_grad, solver.solve_between = wrapped
+        wrapped = (counted_march, counted_phi_p, counted_energy, counted_between, counted_build)
+        (eigen._march, bvp.phi_p, solver._energy_and_grad, solver.solve_between,
+         AssemblyPlan.__init__) = wrapped
         prob = CASES[name]()
         try:
             error = run(call, prob)
         finally:
-            eigen._march, bvp.phi_p, solver._energy_and_grad, solver.solve_between = (
-                march, phi_p, energy, between)
+            (eigen._march, bvp.phi_p, solver._energy_and_grad, solver.solve_between,
+             AssemblyPlan.__init__) = (march, phi_p, energy, between, build)
         if layer == "solve_g":
-            out[layer] = {"closure_evals": len(closures)}
+            out[layer] = {"closure_evals": len(closures), "plan_builds": len(builds)}
             continue
         fine = min(steps)
         out[layer] = {
             "shots": len(cells),
             "shot_work": round(sum(cells) / round(prob.window.length() / fine), 4),
             "fine_shots": steps.count(fine),
+            "plan_builds": len(builds),
         }
         if layer == "solve_full":
             out[layer]["energy_evals"] = len(evals)
             out[layer]["error"] = error
-            out["solve_between"] = {"energy_evals": sum(inside)}
+            out["solve_between"] = {
+                "energy_evals": sum(e for e, _ in inside),
+                "plan_builds": sum(b for _, b in inside),
+            }
     return out
 
 

@@ -2,13 +2,14 @@
 
 The configs are those the three benchmark workloads of perfbench/workloads.py
 draw at the given seeds (read from the first checkout, never changed), each
-distinct config once, plus the BASE config of tests/test_cli.py and four
-variants of it (VARIANTS) that reach cases of the eigensolve that no
-workload reaches: three constant windows (an odd window cell count; p = 7
-on 4096 window cells; and p = 5 on a 64-cell window, the fewest cells
-`window_eigenpair` gives, where the closed form's half-window march runs on
-32 cells), and a window inside which m jumps, where lambda1 has no closed
-form.  On every config the script runs CLI check, eigen, certify
+distinct config once, plus the BASE config of tests/test_cli.py and five
+variants of it (VARIANTS) that reach cases that no workload reaches: three
+constant windows (an odd window cell count; p = 7 on 4096 window cells; and
+p = 5 on a 64-cell window, the fewest cells `window_eigenpair` gives, where
+the closed form's half-window march runs on 32 cells), a window inside
+which m jumps, where lambda1 has no closed form, and a c that jumps inside
+the window, off the grid and off m's breaks, which the Rayleigh quotient's
+c term and the solver's c plan integrate.  On every config the script runs CLI check, eigen, certify
 and solve in both checkouts, then verify on the
 sub.csv, super.csv and u.csv that checkout's solve call wrote.  Certify and solve get the workload's --policy, if any.  Once per run
 it also calls sweep --jobs 1 on the BASE config over two values of q, and
@@ -56,7 +57,9 @@ SUBCOMMANDS = ("check", "eigen", "certify", "solve", "verify", "sweep")
 # window cells; p = 5 on 64 window cells is the coarsest window, where the
 # closed form's half march has 32 cells; m = 2 on (0.2, 0.5) and 0.7 on
 # (0.5, 0.9) jumps inside the window (0.2, 0.9), so lambda1 is the
-# Rayleigh quotient of the probe loop's eigenfunction
+# Rayleigh quotient of the probe loop's eigenfunction; c = 0.3 on (0, 0.37)
+# and 0.6 + 0.2 (x - 0.37) on (0.37, 1) jumps at a point that is neither a
+# node nor a break of m
 VARIANTS = (
     ("test_cli-base-odd-window", {"n": 258}),
     ("test_cli-base-p7", {"p": 7.0, "n": 8192}),
@@ -66,6 +69,10 @@ VARIANTS = (
         {"from": 0.2, "to": 0.5, "poly": [2.0]},
         {"from": 0.5, "to": 0.9, "poly": [0.7]},
         {"from": 0.9, "to": 1.0, "poly": [-0.5]},
+    ]}}),
+    ("test_cli-base-c-jump", {"c": {"pieces": [
+        {"from": 0.0, "to": 0.37, "poly": [0.3]},
+        {"from": 0.37, "to": 1.0, "poly": [0.6, 0.2]},
     ]}}),
 )
 

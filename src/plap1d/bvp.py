@@ -60,7 +60,7 @@ def solve_g(p: float, g: Weight, grid: Grid) -> GridFunction:
     if g.min_value() < 0:
         raise ValueError("right-hand side g must be nonnegative")
     h = grid.h
-    load = AssemblyPlan(grid, {"g": g}).load_vector("g", np.ones(grid.n + 1), 0.0)
+    load = AssemblyPlan(grid, g).load_vector(np.ones(grid.n + 1), 0.0)
     running = np.concatenate(([0.0], np.cumsum(load[1:-1])))
 
     pp = p / (p - 1.0)

@@ -225,8 +225,9 @@ def outer_bound(which: str, prob: Problem, eps: float = 0.0, check: bool = True)
     """
     prof = outer_profile(which, prob, eps, check)
     w = prob.window
-    ends = (prof.on_reach(prob, eps, "left", w.b), prof.on_reach(prob, eps, "right", w.a))
-    return max(prof.A * s * g**prof.r if g > 0.0 else 0.0 for s, g in ends)
+    with np.errstate(over="ignore"):  # a large c overflows g or g^r: L = inf
+        ends = (prof.on_reach(prob, eps, "left", w.b), prof.on_reach(prob, eps, "right", w.a))
+        return max(prof.A * s * g**prof.r if g > 0.0 else 0.0 for s, g in ends)
 
 
 def check(name: str, prob: Problem, eig: EigenPair) -> ConditionReport:

@@ -641,20 +641,20 @@ _WG = 0.5 * _GAUSS_WEIGHTS
 # exact weak-form assembly
 
 class AssemblyPlan:
-    """Precomputed tables for integrals of weight * u^r * hat over one grid.
+    """Precomputed tables for integrals of one weight * u^r * hat over one grid.
 
-    The grid cells are cut at every weight breakpoint.  On each subcell the
+    The grid cells are cut at the weight's breakpoints.  On each subcell the
     weight piece is re-expressed in the local coordinate xi in [0, 1] and
     multiplied by the two hat restrictions once, at construction time: the
-    coefficient tables "L" and "R" of weight * hat.  The weight's padded
+    coefficient tables `L` and `R` of weight * hat.  The weight's padded
     `Weight.coefs` array is read as given, one row per subcell, and the
     re-expression is one Horner composition batched over all subcells
     (`_compose_affine`); it performs, subcell by subcell, the same
     floating-point operations in the same order as evaluating the piece's
     `numpy.polynomial.Polynomial` at the affine polynomial, so the tables are
     identical to the per-piece construction.
-    Also built once: both tables evaluated at the 20 Gauss nodes
-    (`at_gauss`), and the two hats at those nodes, so a call evaluates no
+    Also built once: both tables evaluated at the 20 Gauss nodes (`L_gauss`,
+    `R_gauss`), and the two hats at those nodes, so a call evaluates no
     polynomial and needs only the nodal values of u.
 
     Where u varies enough across a subcell (relative variation >= 0.2) the
@@ -671,15 +671,14 @@ class AssemblyPlan:
 
     _CLOSED_DELTA = 0.2
 
-    def __init__(self, grid: Grid, weights: dict[str, Weight]):
+    def __init__(self, grid: Grid, weight: Weight):
         self.grid = grid
         nodes = grid.nodes
         a, b = nodes[0], nodes[-1]
         span = b - a
-        for w in weights.values():
-            if not (w.domain.contains(a, 1e-12 * span) and w.domain.contains(b, 1e-12 * span)):
-                raise ValueError("assembly weights must cover the grid interval")
-        pts = grid.with_points(np.concatenate([w.breaks for w in weights.values()])).nodes
+        if not (weight.domain.contains(a, 1e-12 * span) and weight.domain.contains(b, 1e-12 * span)):
+            raise ValueError("assembly weight must cover the grid interval")
+        pts = grid.with_points(weight.breaks).nodes
         self.sub_lo = pts[:-1]
         self.sub_hi = pts[1:]
         self.wsub = self.sub_hi - self.sub_lo
@@ -694,18 +693,12 @@ class AssemblyPlan:
         self._off_lo = self.sub_lo - nodes[self.parent]
         self._hat_left = phiL_lo[:, None] + dL[:, None] * _XI[None, :]
         self._hat_right = 1.0 - self._hat_left
-        self.tables: dict[str, dict[str, np.ndarray]] = {}
-        self.at_gauss: dict[str, dict[str, np.ndarray]] = {}
-        mids = 0.5 * (self.sub_lo + self.sub_hi)
-        for key, wgt in weights.items():
-            piece = np.asarray(wgt.piece_index(mids))
-            WB = _compose_affine(wgt.coefs[piece], self.sub_lo - wgt.breaks[piece], self.wsub)
-            tab = {
-                "L": _mul_linear(WB, phiL_lo, dL),
-                "R": _mul_linear(WB, 1.0 - phiL_lo, -dL),
-            }
-            self.tables[key] = tab
-            self.at_gauss[key] = {name: _horner_rows(T, _XI) for name, T in tab.items()}
+        piece = np.asarray(weight.piece_index(0.5 * (self.sub_lo + self.sub_hi)))
+        WB = _compose_affine(weight.coefs[piece], self.sub_lo - weight.breaks[piece], self.wsub)
+        self.L = _mul_linear(WB, phiL_lo, dL)
+        self.R = _mul_linear(WB, 1.0 - phiL_lo, -dL)
+        self.L_gauss = _horner_rows(self.L, _XI)
+        self.R_gauss = _horner_rows(self.R, _XI)
 
     # -- internals ------------------------------------------------------------
 
@@ -729,7 +722,7 @@ class AssemblyPlan:
 
     # -- public ---------------------------------------------------------------
 
-    def load_vector(self, key: str, u: np.ndarray, r: float) -> np.ndarray:
+    def load_vector(self, u: np.ndarray, r: float) -> np.ndarray:
         """Per-node integrals of weight * u^r * hat_i, boundary hats included.
 
         u must be nonnegative nodal values on the plan's grid; r > -1.
@@ -741,26 +734,25 @@ class AssemblyPlan:
         delta = np.where(denom > 0, np.abs(du) / np.where(denom > 0, denom, 1.0), 0.0)
         closed = (delta >= self._CLOSED_DELTA) & (np.abs(du) > 1e-200)
         g = ~closed
-        tab, vals = self.tables[key], self.at_gauss[key]
         IL = np.empty(ulo.size)
         IR = np.empty(ulo.size)
         if np.any(g):
             Tr = self._gauss_powers(ulo[g], du[g], r)
-            IL[g] = (vals["L"][g] * Tr) @ _WG
-            IR[g] = (vals["R"][g] * Tr) @ _WG
+            IL[g] = (self.L_gauss[g] * Tr) @ _WG
+            IR[g] = (self.R_gauss[g] * Tr) @ _WG
         if np.any(closed):
             ul, uh, duc = ulo[closed], uhi[closed], du[closed]
-            e = r + 1.0 + np.arange(tab["L"].shape[1])
+            e = r + 1.0 + np.arange(self.L.shape[1])
             M = (uh[:, None] ** e[None, :] - ul[:, None] ** e[None, :]) / e[None, :]
             a0, a1 = -ul / duc, 1.0 / duc
-            IL[closed] = np.sum(_compose_affine(tab["L"][closed], a0, a1) * M, axis=1) / duc
-            IR[closed] = np.sum(_compose_affine(tab["R"][closed], a0, a1) * M, axis=1) / duc
+            IL[closed] = np.sum(_compose_affine(self.L[closed], a0, a1) * M, axis=1) / duc
+            IR[closed] = np.sum(_compose_affine(self.R[closed], a0, a1) * M, axis=1) / duc
         out = np.zeros(self.grid.n + 1)
         np.add.at(out, self.parent, self.wsub * IL)
         np.add.at(out, self.parent + 1, self.wsub * IR)
         return out
 
-    def mass_tridiag(self, key: str, u: np.ndarray, r: float):
+    def mass_tridiag(self, u: np.ndarray, r: float):
         """(diag, off) of the matrix int weight * u^r * hat_i * hat_j.
 
         Gauss-only; intended for Newton matrices, where quadrature-level
@@ -770,13 +762,12 @@ class AssemblyPlan:
         u = np.asarray(u, dtype=float)
         ulo, uhi = self._sub_values(u)
         Tr = self._gauss_powers(ulo, uhi - ulo, r)
-        vals = self.at_gauss[key]
-        left = vals["L"] * Tr
+        left = self.L_gauss * Tr
         diag = np.zeros(self.grid.n + 1)
         off = np.zeros(self.grid.n)
         for V, hat, target, idx in (
             (left, self._hat_left, diag, self.parent),
-            (vals["R"] * Tr, self._hat_right, diag, self.parent + 1),
+            (self.R_gauss * Tr, self._hat_right, diag, self.parent + 1),
             (left, self._hat_right, off, self.parent),
         ):
             np.add.at(target, idx, self.wsub * ((V * hat) @ _WG))

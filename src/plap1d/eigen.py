@@ -297,16 +297,12 @@ def rayleigh_quotient(p: float, c: Weight, m: Weight, I: Interval, phi: GridFunc
     on the window I, every integral exact; with phi = 0 at both ends of I,
     an upper bound on the continuous problem's lambda1.  The c integral is
     skipped where c vanishes on I."""
-    grid = phi.grid
-    weights = {"m": m.restrict(I.a, I.b), "c": c.restrict(I.a, I.b)}
-    if weights["c"].is_zero():
-        del weights["c"]
-    plan = AssemblyPlan(grid, weights)
-    v = phi.values
+    grid, v = phi.grid, phi.values
     num = float(np.sum(np.abs(phi.slopes()) ** p * grid.h))
-    if "c" in weights:
-        num += float(v @ plan.load_vector("c", v, p - 1.0))
-    den = float(v @ plan.load_vector("m", v, p - 1.0))
+    c_win = c.restrict(I.a, I.b)
+    if not c_win.is_zero():
+        num += float(v @ AssemblyPlan(grid, c_win).load_vector(v, p - 1.0))
+    den = float(v @ AssemblyPlan(grid, m.restrict(I.a, I.b)).load_vector(v, p - 1.0))
     return num / den
 
 

@@ -76,29 +76,30 @@ class SolutionReport:
             raise CertificateError(f"min_interior {self.min_interior:.3e} is not positive")
 
 
-def _plan(grid: Grid, prob: Problem) -> AssemblyPlan:
-    """Assembly plan for the energy: m, and c unless c vanishes."""
-    weights = {"m": prob.m} if prob.c.is_zero() else {"m": prob.m, "c": prob.c}
-    return AssemblyPlan(grid, weights)
+def _reaction(grid: Grid, prob: Problem) -> list:
+    """(plan, r, sign) of each reaction term sign * w u^r of the weak
+    equation: -m u^q, and +c u^(p-1) unless c vanishes."""
+    terms = [(AssemblyPlan(grid, prob.m), prob.q, -1.0)]
+    if not prob.c.is_zero():
+        terms.append((AssemblyPlan(grid, prob.c), prob.p - 1.0, 1.0))
+    return terms
 
 
-def _energy_and_grad(vals, grid, plan, p, q):
-    # u is piecewise linear, u = sum_i u_i hat_i, so the reaction energies
-    # come from the gradient's own load vectors: int w u^{r+1} equals
-    # sum_i u_i int w u^r hat_i, exactly, because the load vectors are exact
-    # to roundoff; one pass per weight, none for a c the plan left out
+def _energy_and_grad(vals, grid, terms, p):
+    # u is piecewise linear, u = sum_i u_i hat_i, so each reaction energy
+    # sign/(r+1) int w u^{r+1} comes from the gradient's own load vector:
+    # it equals sign/(r+1) sum_i u_i int w u^r hat_i, exactly, because the
+    # load vectors are exact to roundoff; one pass per term
     s = np.diff(vals) / grid.h
     flux = phi_p(s, p)
-    lm = plan.load_vector("m", vals, q)
-    e = float(np.sum(np.abs(s) ** p * grid.h)) / p - float(vals @ lm) / (q + 1.0)
+    e = float(np.sum(np.abs(s) ** p * grid.h)) / p
     g = np.zeros_like(vals)
     g[:-1] -= flux
     g[1:] += flux
-    g -= lm
-    if "c" in plan.tables:
-        lc = plan.load_vector("c", vals, p - 1.0)
-        e += float(vals @ lc) / p
-        g += lc
+    for plan, r, sign in terms:
+        load = plan.load_vector(vals, r)
+        e += sign * float(vals @ load) / (r + 1.0)
+        g += sign * load
     return e, g
 
 
@@ -150,8 +151,9 @@ def solve_between(
     rule do not depend on the weight.
 
     The reaction enters with its consistent Jacobian, the second derivative
-    of the reaction energy: -q M_m(u^(q-1)) plus (p - 1) M_c(u^(p-2)) when c
-    is present, with M_w(v) the tridiagonal matrix int w v hat_i hat_j.
+    of the reaction energy: the sum of sign * r * M_w(u^(r-1)) over the
+    terms sign * w u^r of `_reaction`, with M_w(v) the tridiagonal matrix
+    int w v hat_i hat_j.
     Frozen nodes (the boundary and the cleanly pinned ones) keep an
     identity row, a zero right-hand side and no coupling, so the system
     stays symmetric, and banded Cholesky solves it.  Inside the window
@@ -175,16 +177,16 @@ def solve_between(
     # outside the loop below, so that a missing scipy is not a stalled step
     from scipy.linalg import LinAlgError, solveh_banded
 
-    plan = _plan(grid, prob)
+    terms = _reaction(grid, prob)
     hbar = grid.hat_masses()
-    p, q = prob.p, prob.q
+    p = prob.p
     atol = 1e-14 * max(scale, 1.0)
 
     vals = 0.5 * (lo + hi)
     vals[0] = vals[-1] = 0.0
     n = grid.n
     floor = 1e-10 * (np.max(vals) + 1.0) / grid.interval.length()
-    e, g = _energy_and_grad(vals, grid, plan, p, q)
+    e, g = _energy_and_grad(vals, grid, terms, p)
     rnorm = _kkt_residual(g, vals, lo, hi, hbar, atol)
     for _ in range(_MAX_NEWTON):
         if float(np.max(rnorm)) <= tol:
@@ -201,12 +203,11 @@ def solve_between(
         diag[:-1] += w
         diag[1:] += w
         # the reaction's own second derivative, couplings included
-        rdiag, roff = plan.mass_tridiag("m", vals, q - 1.0)
-        rdiag, roff = -q * rdiag, -q * roff
-        if "c" in plan.tables:
-            cdiag, coff = plan.mass_tridiag("c", vals, p - 2.0)
-            rdiag += (p - 1.0) * cdiag
-            roff += (p - 1.0) * coff
+        rdiag, roff = np.zeros(n + 1), np.zeros(n)
+        for plan, r, sign in terms:
+            mdiag, moff = plan.mass_tridiag(vals, r - 1.0)
+            rdiag += sign * r * mdiag
+            roff += sign * r * moff
         # freeze the boundary and the cleanly pinned nodes: identity rows,
         # zero right-hand side, and no coupling into or out of them
         frozen = np.zeros(n + 1, dtype=bool)
@@ -247,7 +248,7 @@ def solve_between(
             if not np.any(d):
                 # fully clipped: shrinking t cannot unclip anything
                 break
-            ec, gc = _energy_and_grad(cand, grid, plan, p, q)
+            ec, gc = _energy_and_grad(cand, grid, terms, p)
             rc = _kkt_residual(gc, cand, lo, hi, hbar, atol)
             if float(rc @ rc) < theta or ec <= e + _ARMIJO * float(g @ d):
                 vals, e, g, rnorm = cand, ec, gc, rc

@@ -24,7 +24,7 @@ ZERO = Weight.constant(0.0, UNIT)
 
 def flux_residual(v, p, g):
     """Hat-normalized weak residual of -(phi_p(v'))' = g at the interior hats."""
-    load = AssemblyPlan(v.grid, {"g": g}).load_vector("g", np.ones(v.grid.n + 1), 0.0)
+    load = AssemblyPlan(v.grid, g).load_vector(np.ones(v.grid.n + 1), 0.0)
     flux = phi_p(v.slopes(), p)
     return (flux[:-1] - flux[1:] - load[1:-1]) / v.grid.hat_masses()[1:-1]
 
@@ -95,7 +95,7 @@ def bisection_only(p, g, grid):
     # solve_g's Newton only narrows that bracket, so its values must match
     # these bit for bit
     h = grid.h
-    load = AssemblyPlan(grid, {"g": g}).load_vector("g", np.ones(grid.n + 1), 0.0)
+    load = AssemblyPlan(grid, g).load_vector(np.ones(grid.n + 1), 0.0)
     running = np.concatenate(([0.0], np.cumsum(load[1:-1])))
 
     def slopes(f0):

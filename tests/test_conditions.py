@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,20 @@ class TestThm2:
         limit = mu * 0.75**2 / 12.0
         assert check("thm2_i", prob, eig).lhs == pytest.approx(limit, rel=1e-8)
         assert check("thm2_ii", prob, eig).lhs == pytest.approx(limit, rel=1e-4)
+
+    @pytest.mark.parametrize("csup", [3e6, 1e8])
+    def test_overflowing_profile_fails_without_a_warning(self, csup):
+        # at the reach's far end g^2 overflows from about c = 2.7e6, and g =
+        # sinh or expm1 itself from about 1.1e7; the bound is then infinite
+        # and the condition fails
+        prob = step_problem(2.0, 0.5, 0.5, csup=csup)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eig = principal_eigenvalue(2.0, prob.c, prob.m, WINDOW, n=128)
+            reps = {rep.name: rep for rep in check_all(prob, eig)}
+        for name in ("thm2_i", "thm2_ii"):
+            assert reps[name].applicable and not reps[name].holds
+            assert reps[name].margin == -math.inf
 
 
 class TestCor:

@@ -614,9 +614,9 @@ def test_load_vector_matches_quad(w):
     u = np.abs(np.sin(3.0 * g.nodes))
     u[0] = u[-1] = 0.0
     uf = GridFunction(g, u)
-    plan = AssemblyPlan(g, {"w": w})
+    plan = AssemblyPlan(g, w)
     for r in (0.5, 1.3, 2.0):
-        lv = plan.load_vector("w", u, r)
+        lv = plan.load_vector(u, r)
         for i in (0, 1, 5, 9, 13):
             hat = _hat(g.nodes, i)
             lo = g.nodes[max(i - 1, 0)]
@@ -634,11 +634,11 @@ def test_load_vector_sums_to_integral():
     w = Weight.constant(2.0, UNIT)
     g = Grid.uniform(UNIT, 32)
     u = g.nodes * (1.0 - g.nodes)
-    plan = AssemblyPlan(g, {"w": w})
+    plan = AssemblyPlan(g, w)
     # the plan integrates the piecewise-linear interpolant, so compare with
     # the trapezoid value of u, not with the parabola's 1/6
     ref = 2.0 * float(np.sum(0.5 * (u[:-1] + u[1:]) * g.h))
-    assert float(np.sum(plan.load_vector("w", u, 1.0))) == pytest.approx(ref, rel=1e-13)
+    assert float(np.sum(plan.load_vector(u, 1.0))) == pytest.approx(ref, rel=1e-13)
 
 
 def test_load_vector_tiny_variation_no_cancellation():
@@ -648,8 +648,8 @@ def test_load_vector_tiny_variation_no_cancellation():
     w = Weight.constant(1.0, UNIT)
     g = Grid.uniform(UNIT, 4)
     u = 1.0 + 1e-9 * np.array([0.0, 1.0, -1.0, 0.5, 0.0])
-    plan = AssemblyPlan(g, {"w": w})
-    lv = plan.load_vector("w", u, 2.0)
+    plan = AssemblyPlan(g, w)
+    lv = plan.load_vector(u, 2.0)
     xi, wi = np.polynomial.legendre.leggauss(2)
     uf = GridFunction(g, u)
     for i in (1, 2, 3):
@@ -664,8 +664,8 @@ def test_load_vector_tiny_variation_no_cancellation():
 
 def test_load_vector_zero_power_gives_hat_masses():
     g = Grid.uniform(UNIT, 9)
-    plan = AssemblyPlan(g, {"one": Weight.constant(1.0, UNIT)})
-    lv = plan.load_vector("one", np.ones(g.n + 1), 0.0)
+    plan = AssemblyPlan(g, Weight.constant(1.0, UNIT))
+    lv = plan.load_vector(np.ones(g.n + 1), 0.0)
     np.testing.assert_allclose(lv, g.hat_masses(), rtol=1e-14)
 
 
@@ -674,12 +674,12 @@ def test_mass_tridiag_row_sums():
     w = Weight([0.0, 0.5, 1.0], [[1.0, 1.0], [2.0]])
     g = Grid.uniform(UNIT, 16)
     u = 0.2 + g.nodes ** 2
-    plan = AssemblyPlan(g, {"w": w})
-    diag, off = plan.mass_tridiag("w", u, 1.5)
+    plan = AssemblyPlan(g, w)
+    diag, off = plan.mass_tridiag(u, 1.5)
     rows = diag.copy()
     rows[:-1] += off
     rows[1:] += off
-    lv = plan.load_vector("w", u, 1.5)
+    lv = plan.load_vector(u, 1.5)
     np.testing.assert_allclose(rows, lv, rtol=1e-9, atol=1e-13)
 
 
@@ -692,8 +692,8 @@ def test_load_vector_total_matches_quad(vals, r):
     g = Grid.uniform(UNIT, len(vals) - 1)
     u = np.asarray(vals)
     uf = GridFunction(g, u)
-    plan = AssemblyPlan(g, {"w": Weight.constant(1.0, UNIT)})
-    total = float(np.sum(plan.load_vector("w", u, r)))
+    plan = AssemblyPlan(g, Weight.constant(1.0, UNIT))
+    total = float(np.sum(plan.load_vector(u, r)))
     ref = sum(
         quad(lambda x: uf(x) ** r, g.nodes[j], g.nodes[j + 1], epsabs=1e-13, epsrel=1e-12)[0]
         for j in range(g.n)
@@ -730,7 +730,7 @@ def _gauss_powers(ulo, uhi, r):
 def test_assembly_tables_match_per_subcell_polynomial_composition(name):
     w = _named_weight(name)
     g = Grid.uniform(UNIT, 512).with_points([0.3, 0.77])
-    plan = AssemblyPlan(g, {"w": w})
+    plan = AssemblyPlan(g, w)
     # reference: each subcell's piece composed with its affine map xi ->
     # s + wsub*xi through numpy.polynomial, one subcell at a time
     piece = w.piece_index(0.5 * (plan.sub_lo + plan.sub_hi))
@@ -752,7 +752,7 @@ def test_assembly_tables_match_per_subcell_polynomial_composition(name):
         "RR": core_types._mul_linear(WR, *right),
     }
     for key in ("L", "R"):
-        assert np.array_equal(plan.tables["w"][key], ref[key]), key
+        assert np.array_equal(getattr(plan, key), ref[key]), key
     # mass_tridiag applies the second hat at the Gauss nodes; it must agree
     # with the hat-product tables integrated by the same Gauss rule
     u = 0.2 + np.sin(3.0 * g.nodes) ** 2
@@ -764,7 +764,7 @@ def test_assembly_tables_match_per_subcell_polynomial_composition(name):
                              ("LR", off, plan.parent)):
         V = core_types._horner_rows(ref[key], core_types._XI)
         np.add.at(target, idx, plan.wsub * ((V * Tr) @ core_types._WG))
-    got_diag, got_off = plan.mass_tridiag("w", u, 0.5)
+    got_diag, got_off = plan.mass_tridiag(u, 0.5)
     scale = float(np.max(np.abs(diag)))
     np.testing.assert_allclose(got_diag, diag, rtol=1e-13, atol=1e-15 * scale)
     np.testing.assert_allclose(got_off, off, rtol=1e-13, atol=1e-15 * scale)
@@ -791,20 +791,23 @@ def test_assembly_subcells_cut_the_grid_at_weight_breaks(name):
     g = Grid.uniform(UNIT, 512).with_points([0.3, 0.77])
     # 0.5 is a node: the first break is within 1e-13 of it, the second is not
     near = Weight([0.0, 0.5 + 5e-14, 0.5 + 3e-13, 1.0], [[1.0], [2.0], [3.0]])
-    weights = {"w": _named_weight(name), "near": near}
-    plan = AssemblyPlan(g, weights)
-    pts = _ref_subcell_points(g, weights.values())
-    assert 0.5 + 3e-13 in pts and 0.5 + 5e-14 not in pts
-    assert np.array_equal(plan.sub_lo, pts[:-1])
-    assert np.array_equal(plan.sub_hi, pts[1:])
+    near_pts = _ref_subcell_points(g, [near])
+    assert 0.5 + 3e-13 in near_pts and 0.5 + 5e-14 not in near_pts
+    # each plan is cut at its own weight's breaks only
+    for w in (_named_weight(name), near):
+        plan = AssemblyPlan(g, w)
+        pts = _ref_subcell_points(g, [w])
+        assert np.array_equal(plan.sub_lo, pts[:-1])
+        assert np.array_equal(plan.sub_hi, pts[1:])
+    assert 0.5 + 3e-13 not in AssemblyPlan(g, _named_weight(name)).sub_lo
 
 
 @pytest.mark.parametrize("name", ["sin-power", "step", "random"])
 def test_gauss_node_tables_are_the_tables_at_the_nodes(name):
-    plan = AssemblyPlan(Grid.uniform(UNIT, 256).with_points([0.3]), {"w": _named_weight(name)})
+    plan = AssemblyPlan(Grid.uniform(UNIT, 256).with_points([0.3]), _named_weight(name))
     for key in ("L", "R"):
-        ref = core_types._horner_rows(plan.tables["w"][key], core_types._XI)
-        assert np.array_equal(plan.at_gauss["w"][key], ref), key
+        ref = core_types._horner_rows(getattr(plan, key), core_types._XI)
+        assert np.array_equal(getattr(plan, f"{key}_gauss"), ref), key
 
 
 def _reference_moment(plan, W, ulo, uhi, r):
@@ -837,30 +840,30 @@ def _reference_moment(plan, W, ulo, uhi, r):
 @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 1.7])
 def test_load_vector_is_bit_identical_to_per_call_horner(name, r):
     g = Grid.uniform(UNIT, 512).with_points([0.3, 0.77])
-    plan = AssemblyPlan(g, {"w": _named_weight(name)})
+    plan = AssemblyPlan(g, _named_weight(name))
     x = g.nodes
     # vanishing ends and an interior zero patch exercise the closed form
     u = np.sin(np.pi * x) ** 0.7 * np.maximum(np.cos(5.0 * np.pi * x), 0.0)
     u[0] = u[-1] = 0.0
     ulo, uhi = plan._sub_values(u)
     ref = np.zeros(g.n + 1)
-    np.add.at(ref, plan.parent, _reference_moment(plan, plan.tables["w"]["L"], ulo, uhi, r))
-    np.add.at(ref, plan.parent + 1, _reference_moment(plan, plan.tables["w"]["R"], ulo, uhi, r))
-    assert np.array_equal(plan.load_vector("w", u, r), ref)
+    np.add.at(ref, plan.parent, _reference_moment(plan, plan.L, ulo, uhi, r))
+    np.add.at(ref, plan.parent + 1, _reference_moment(plan, plan.R, ulo, uhi, r))
+    assert np.array_equal(plan.load_vector(u, r), ref)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("rule", ["q", "p-1"])
 def test_nodal_identity_gives_the_energy_integral(p, rule):
-    # u = sum_i u_i hat_i, so u @ load_vector(w, u, r) = int w u^(r+1)
+    # u = sum_i u_i hat_i, so u @ load_vector(u, r) = int w u^(r+1)
     w = step_weight(UNIT, Interval(0.25, 0.75), 1.0, -0.3)
     g = Grid.uniform(UNIT, 512)
-    plan = AssemblyPlan(g, {"w": w})
+    plan = AssemblyPlan(g, w)
     u = np.sin(np.pi * g.nodes) ** 0.8
     u[0] = u[-1] = 0.0
     r = 0.5 * (p - 1.0) if rule == "q" else p - 1.0
-    total = float(np.sum(plan.load_vector("w", u, r + 1.0)))
-    assert float(u @ plan.load_vector("w", u, r)) == pytest.approx(total, rel=1e-13)
+    total = float(np.sum(plan.load_vector(u, r + 1.0)))
+    assert float(u @ plan.load_vector(u, r)) == pytest.approx(total, rel=1e-13)
 
 
 def test_assembly_plan_build_does_not_evaluate_polynomial_objects(monkeypatch):
@@ -869,5 +872,5 @@ def test_assembly_plan_build_does_not_evaluate_polynomial_objects(monkeypatch):
 
     w = sin_power_weight(UNIT, 1.5)
     monkeypatch.setattr(Polynomial, "__call__", forbidden)
-    plan = AssemblyPlan(Grid.uniform(UNIT, 2048), {"m": w})
-    assert plan.tables["m"]["L"].shape[0] >= 2048
+    plan = AssemblyPlan(Grid.uniform(UNIT, 2048), w)
+    assert plan.L.shape[0] >= 2048

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from plap1d import (
 import plap1d.solver
 from plap1d import core_types, eigen
 from plap1d.core_types import AssemblyPlan
-from plap1d.solver import _energy_and_grad, _plan
+from plap1d.solver import _energy_and_grad, _reaction
 
 UNIT = Interval(0.0, 1.0)
 WIN = Interval(0.25, 0.75)
@@ -53,7 +54,7 @@ def box_certificates(grid, lo_vals, hi_vals):
 
 def energy(u, prob):
     """The solver's energy of u: (1/p) int (|u'|^p + c u^p) - (1/(q+1)) int m u^{q+1}."""
-    return _energy_and_grad(u.values, u.grid, _plan(u.grid, prob), prob.p, prob.q)[0]
+    return _energy_and_grad(u.values, u.grid, _reaction(u.grid, prob), prob.p)[0]
 
 
 class TestEnergy:
@@ -74,12 +75,34 @@ class TestEnergy:
         g = prob.default_grid(n)
         x = g.nodes
         u = GridFunction(g, x * (1.0 - x))
-        plan = AssemblyPlan(g, {"m": prob.m})
-        reaction = float(np.sum(plan.load_vector("m", u.values, 1.5))) / 1.5
+        plan = AssemblyPlan(g, prob.m)
+        reaction = float(np.sum(plan.load_vector(u.values, 1.5))) / 1.5
         grad_part = energy(u, prob) + reaction
         h = 1.0 / n
         assert grad_part == pytest.approx(1.0 / 6.0 - h**2 / 6.0, rel=1e-12)
         assert grad_part == pytest.approx(1.0 / 6.0, abs=h**2)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_gradient_is_the_derivative_of_the_energy(self, p):
+        # c jumps at 0.37, off the grid and off m's breaks, so each term has
+        # its own plan; a wrong sign or 1/(r+1) on either reaction term moves
+        # the gradient by a whole load vector
+        c = Weight([0.0, 0.37, 1.0], [[0.3], [0.6, 0.2]])
+        prob = Problem(p=p, q=0.5 * (p - 1.0), domain=UNIT, m=step_weight(UNIT, WIN, 1.0, -0.3),
+                       c=c, window=WIN)
+        g = prob.default_grid(64)
+        terms = _reaction(g, prob)
+        assert len(terms) == 2
+        vals = np.sin(np.pi * g.nodes) * (1.0 + 0.3 * g.nodes)
+        vals[0] = vals[-1] = 0.0
+        grad = _energy_and_grad(vals, g, terms, p)[1]
+        step = 1e-6
+        for i in range(1, g.n):
+            up, down = vals.copy(), vals.copy()
+            up[i] += step
+            down[i] -= step
+            e_up, e_down = (_energy_and_grad(v, g, terms, p)[0] for v in (up, down))
+            assert grad[i] == pytest.approx((e_up - e_down) / (2 * step), rel=1e-6, abs=1e-9), i
 
     def test_negative_values_are_clipped(self):
         # the assembly clips u at 0, so a constant negative u has no energy
@@ -165,8 +188,7 @@ class TestSolveBetween:
         # the two nodes next to x = 0 float a few 1e-9 above lo, where the
         # discrete equation balances; everything else on the left is pinned
         assert float(np.max(np.abs(u.values - lo)[left])) < 1e-7
-        plan = AssemblyPlan(g, {"c": prob.c, "m": prob.m})
-        _, grad = _energy_and_grad(u.values, g, plan, prob.p, prob.q)
+        _, grad = _energy_and_grad(u.values, g, _reaction(g, prob), prob.p)
         free = (u.values > lo + 1e-12) & (u.values < hi - 1e-12)
         free[0] = free[-1] = False
         assert np.any(free)
@@ -263,9 +285,11 @@ class TestSolveBetween:
 
     @pytest.mark.parametrize("csup, passes", [(0.0, 1), (0.5, 2)])
     def test_one_load_vector_pass_per_nonzero_weight(self, monkeypatch, csup, passes):
+        # one plan per reaction term; each evaluation takes one load vector
+        # from every plan, and each Newton matrix one mass matrix
         calls = []
-        loads = []
-        masses = []
+        loads = collections.Counter()
+        masses = collections.Counter()
         load_vector = AssemblyPlan.load_vector
         mass_tridiag = AssemblyPlan.mass_tridiag
 
@@ -273,13 +297,13 @@ class TestSolveBetween:
             calls.append(None)
             return _energy_and_grad(*args)
 
-        def counted_load(self, key, *args):
-            loads.append(key)
-            return load_vector(self, key, *args)
+        def counted_load(self, *args):
+            loads[self] += 1
+            return load_vector(self, *args)
 
-        def counted_mass(self, key, *args):
-            masses.append(key)
-            return mass_tridiag(self, key, *args)
+        def counted_mass(self, *args):
+            masses[self] += 1
+            return mass_tridiag(self, *args)
 
         monkeypatch.setattr(plap1d.solver, "_energy_and_grad", counted)
         monkeypatch.setattr(AssemblyPlan, "load_vector", counted_load)
@@ -290,9 +314,9 @@ class TestSolveBetween:
         sub, sup = box_certificates(g, 0.05 * sin_vals, sin_vals + 0.5)
         solve_between(prob, sub, sup, g)
         assert len(calls) > 1
-        assert len(loads) == passes * len(calls)
-        assert masses.count("m") > 0
-        assert masses.count("c") == (masses.count("m") if passes == 2 else 0)
+        assert list(loads.values()) == [len(calls)] * passes
+        assert masses.keys() == loads.keys()
+        assert len(set(masses.values())) == 1 and min(masses.values()) > 0
 
 
 class TestSolveFull:
