@@ -72,20 +72,24 @@ def solve_g(p: float, g: Weight, grid: Grid) -> GridFunction:
     # the closure sum is <= 0 at f0 = 0 and >= 0 at f0 = total load.  Newton
     # from the root for p = 2 takes a bisection step wherever it leaves the
     # bracket or its derivative is not finite (|0|^(p'-2) for p > 2); once it
-    # converges, one probe just past its point closes the bracket
+    # converges, probes just past its point, an ulp apart, close the bracket
+    # at the first sign change
     lo, hi = 0.0, float(running[-1])
-    f0, probe = float(running @ h) / float(np.sum(h)), False
+    f0, below = float(running @ h) / float(np.sum(h)), None
     while lo < f0 < hi:
         closure = float(slopes(f0) @ h)
         lo, hi = (f0, hi) if closure < 0.0 else (lo, f0)
-        if probe:
-            break
+        if below is not None:
+            if (closure < 0.0) != below:
+                break
+            f0 = math.nextafter(f0, math.inf if below else -math.inf)
+            continue
         with np.errstate(divide="ignore"):
             deriv = (pp - 1.0) * float(np.abs(f0 - running) ** (pp - 2.0) @ h)
         step = closure / deriv if math.isfinite(deriv) else math.nan
-        probe = abs(step) <= math.ulp(f0)
-        if probe:
-            f0 = math.nextafter(f0 - step, math.inf if closure < 0.0 else -math.inf)
+        if abs(step) <= math.ulp(f0):
+            below = closure < 0.0
+            f0 = math.nextafter(f0 - step, math.inf if below else -math.inf)
         else:
             f0 = f0 - step if lo < f0 - step < hi else 0.5 * (lo + hi)
     # bisection to adjacent doubles, which pins f0 to the bit

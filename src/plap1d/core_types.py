@@ -17,6 +17,7 @@ arithmetic, so their results are bit-identical to it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -632,9 +633,19 @@ class Problem:
 # ---------------------------------------------------------------------------
 # quadrature
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(20)
-_XI = 0.5 * (_GAUSS_NODES + 1.0)
-_WG = 0.5 * _GAUSS_WEIGHTS
+@functools.lru_cache(maxsize=None)
+def _gauss_rule(degree: int):
+    """Gauss nodes and weights on [0, 1] for tables of the given degree,
+    computed once per degree and shared by every plan (never written to).
+
+    A table row of degree D times u^r, with u's relative variation below
+    `AssemblyPlan._CLOSED_DELTA`, integrates to roundoff with 10 points up
+    to D = 8 (1.2e-15 relative against 40-digit quadrature, r in
+    [-0.99, 7]).  A higher degree leaves 2N - 1 - D degrees to u^r, so
+    every two more degrees take one more point, up to 20.
+    """
+    nodes, weights = leggauss(min(20, max(10, (degree + 13) // 2)))
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 # ---------------------------------------------------------------------------
@@ -653,9 +664,10 @@ class AssemblyPlan:
     floating-point operations in the same order as evaluating the piece's
     `numpy.polynomial.Polynomial` at the affine polynomial, so the tables are
     identical to the per-piece construction.
-    Also built once: both tables evaluated at the 20 Gauss nodes (`L_gauss`,
-    `R_gauss`), and the two hats at those nodes, so a call evaluates no
-    polynomial and needs only the nodal values of u.
+    Also built once: a Gauss rule sized from the tables' degree
+    (`_gauss_rule`: 10 points for every preset weight), both tables at its
+    nodes (`L_gauss`, `R_gauss`), and the two hats there, so a call
+    evaluates no polynomial and needs only the nodal values of u.
 
     Where u varies enough across a subcell (relative variation >= 0.2) the
     integral of poly(xi) * u(xi)^r is evaluated in closed form through the
@@ -663,7 +675,7 @@ class AssemblyPlan:
     `_compose_affine`, xi = (t - u_lo) / du, and dotted with the power moments
     of t^r over [u_lo, u_hi].  This handles the boundary cells, where u
     vanishes like a fractional power and fixed quadrature would lose digits.
-    Elsewhere 20-point Gauss is used, whose truncation error is far below
+    Elsewhere the Gauss rule is used, whose truncation error is below
     roundoff at that variation threshold.  Either way u^r (or its power
     moments) is computed once per call and shared by the left and the right
     hat.  Net effect: load vectors are exact to roundoff for every r > 0.
@@ -691,14 +703,15 @@ class AssemblyPlan:
         phiL_hi = (xr - self.sub_hi) / h
         dL = phiL_hi - phiL_lo
         self._off_lo = self.sub_lo - nodes[self.parent]
-        self._hat_left = phiL_lo[:, None] + dL[:, None] * _XI[None, :]
-        self._hat_right = 1.0 - self._hat_left
         piece = np.asarray(weight.piece_index(0.5 * (self.sub_lo + self.sub_hi)))
         WB = _compose_affine(weight.coefs[piece], self.sub_lo - weight.breaks[piece], self.wsub)
         self.L = _mul_linear(WB, phiL_lo, dL)
         self.R = _mul_linear(WB, 1.0 - phiL_lo, -dL)
-        self.L_gauss = _horner_rows(self.L, _XI)
-        self.R_gauss = _horner_rows(self.R, _XI)
+        self.xi, self.wg = _gauss_rule(self.L.shape[1] - 1)
+        self._hat_left = phiL_lo[:, None] + dL[:, None] * self.xi[None, :]
+        self._hat_right = 1.0 - self._hat_left
+        self.L_gauss = _horner_rows(self.L, self.xi)
+        self.R_gauss = _horner_rows(self.R, self.xi)
 
     # -- internals ------------------------------------------------------------
 
@@ -712,10 +725,9 @@ class AssemblyPlan:
         uhi = np.maximum(ulo + sp * self.wsub, 0.0)
         return ulo, uhi
 
-    @staticmethod
-    def _gauss_powers(ulo, du, r: float) -> np.ndarray:
+    def _gauss_powers(self, ulo, du, r: float) -> np.ndarray:
         """u^r at the Gauss nodes of each subcell; 0 where u vanishes, r < 0."""
-        T = np.maximum(ulo[:, None] + du[:, None] * _XI[None, :], 0.0)
+        T = np.maximum(ulo[:, None] + du[:, None] * self.xi[None, :], 0.0)
         if r < 0:
             return np.where(T > 0, T, 1.0) ** r * (T > 0)
         return T ** r
@@ -738,8 +750,8 @@ class AssemblyPlan:
         IR = np.empty(ulo.size)
         if np.any(g):
             Tr = self._gauss_powers(ulo[g], du[g], r)
-            IL[g] = (self.L_gauss[g] * Tr) @ _WG
-            IR[g] = (self.R_gauss[g] * Tr) @ _WG
+            IL[g] = (self.L_gauss[g] * Tr) @ self.wg
+            IR[g] = (self.R_gauss[g] * Tr) @ self.wg
         if np.any(closed):
             ul, uh, duc = ulo[closed], uhi[closed], du[closed]
             e = r + 1.0 + np.arange(self.L.shape[1])
@@ -770,5 +782,5 @@ class AssemblyPlan:
             (self.R_gauss * Tr, self._hat_right, diag, self.parent + 1),
             (left, self._hat_right, off, self.parent),
         ):
-            np.add.at(target, idx, self.wsub * ((V * hat) @ _WG))
+            np.add.at(target, idx, self.wsub * ((V * hat) @ self.wg))
         return diag, off

@@ -157,3 +157,16 @@ def test_newton_seeded_root_matches_bisection_bit_for_bit(load, p, grid, monkeyp
     # bisection alone takes about 55 evaluations; the off-centre strip's f0 sits
     # where the closure sum's derivative blows up, and Newton helps less
     assert len(calls) <= (8 if load != "off-centre" else 25)
+
+
+@pytest.mark.parametrize("p", [1.25, 1.5, 2.0, 3.85])
+def test_probe_steps_on_until_the_closure_changes_sign(p, monkeypatch):
+    # Newton lands within an ulp of f0, and the probe just past its point
+    # reads the same sign; bisection from the bracket that left open took
+    # 55-56 evaluations (p = 3.85 with a 20-point assembly rule, the others
+    # with the 10-point rule)
+    g, mesh = LOADS["step"], Grid.uniform(UNIT, 2048).with_points([0.25, 0.75])
+    calls = count_closures(monkeypatch)
+    v = solve_g(p, g, mesh)
+    assert np.array_equal(v.values, bisection_only(p, g, mesh))
+    assert len(calls) <= 8

@@ -719,8 +719,8 @@ def _named_weight(name):
     }[name]
 
 
-def _gauss_powers(ulo, uhi, r):
-    T = np.maximum(ulo[:, None] + (uhi - ulo)[:, None] * core_types._XI[None, :], 0.0)
+def _gauss_powers(xi, ulo, uhi, r):
+    T = np.maximum(ulo[:, None] + (uhi - ulo)[:, None] * xi[None, :], 0.0)
     if r < 0:
         return np.where(T > 0, T, 1.0) ** r * (T > 0)
     return T ** r
@@ -757,13 +757,13 @@ def test_assembly_tables_match_per_subcell_polynomial_composition(name):
     # with the hat-product tables integrated by the same Gauss rule
     u = 0.2 + np.sin(3.0 * g.nodes) ** 2
     ulo, uhi = plan._sub_values(u)
-    Tr = _gauss_powers(ulo, uhi, 0.5)
+    Tr = _gauss_powers(plan.xi, ulo, uhi, 0.5)
     diag = np.zeros(g.n + 1)
     off = np.zeros(g.n)
     for key, target, idx in (("LL", diag, plan.parent), ("RR", diag, plan.parent + 1),
                              ("LR", off, plan.parent)):
-        V = core_types._horner_rows(ref[key], core_types._XI)
-        np.add.at(target, idx, plan.wsub * ((V * Tr) @ core_types._WG))
+        V = core_types._horner_rows(ref[key], plan.xi)
+        np.add.at(target, idx, plan.wsub * ((V * Tr) @ plan.wg))
     got_diag, got_off = plan.mass_tridiag(u, 0.5)
     scale = float(np.max(np.abs(diag)))
     np.testing.assert_allclose(got_diag, diag, rtol=1e-13, atol=1e-15 * scale)
@@ -806,7 +806,7 @@ def test_assembly_subcells_cut_the_grid_at_weight_breaks(name):
 def test_gauss_node_tables_are_the_tables_at_the_nodes(name):
     plan = AssemblyPlan(Grid.uniform(UNIT, 256).with_points([0.3]), _named_weight(name))
     for key in ("L", "R"):
-        ref = core_types._horner_rows(getattr(plan, key), core_types._XI)
+        ref = core_types._horner_rows(getattr(plan, key), plan.xi)
         assert np.array_equal(getattr(plan, f"{key}_gauss"), ref), key
 
 
@@ -820,8 +820,8 @@ def _reference_moment(plan, W, ulo, uhi, r):
     out = np.empty(ulo.size)
     g = ~closed
     if np.any(g):
-        V = core_types._horner_rows(W[g], core_types._XI)
-        out[g] = (V * _gauss_powers(ulo[g], uhi[g], r)) @ core_types._WG
+        V = core_types._horner_rows(W[g], plan.xi)
+        out[g] = (V * _gauss_powers(plan.xi, ulo[g], uhi[g], r)) @ plan.wg
     if np.any(closed):
         ul, uh, duc, Wc = ulo[closed], uhi[closed], du[closed], W[closed]
         e = r + 1.0 + np.arange(W.shape[1])
@@ -850,6 +850,44 @@ def test_load_vector_is_bit_identical_to_per_call_horner(name, r):
     np.add.at(ref, plan.parent, _reference_moment(plan, plan.L, ulo, uhi, r))
     np.add.at(ref, plan.parent + 1, _reference_moment(plan, plan.R, ulo, uhi, r))
     assert np.array_equal(plan.load_vector(u, r), ref)
+
+
+@pytest.mark.parametrize("degree, points", [(0, 10), (3, 10), (7, 10), (11, 12)])
+def test_gauss_branch_load_vector_matches_mpmath_quadrature(degree, points):
+    # the Gauss branch at its widest: every cell has relative variation of
+    # u just below the closed-form threshold, or 0.19, rising and falling;
+    # a degree-7 weight makes the table degree D = 8, the most that 10
+    # points cover, and degree 11 (D = 12) loses digits unless the rule grows
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(degree)
+    g = Grid.uniform(UNIT, 4)
+    # every power of the local coordinate (x - a) / h weighs in
+    scale = g.h[0] ** -np.arange(degree + 1.0)
+    w = Weight(g.nodes, [rng.uniform(0.5, 1.5, degree + 1) * scale for _ in range(g.n)])
+    plan = AssemblyPlan(g, w)
+    assert plan.xi.size == points
+    for delta in (0.19, 0.19999):
+        rho = (1.0 + delta) / (1.0 - delta)
+        for u in (rho ** np.arange(g.n + 1.0), rho ** -np.arange(g.n + 1.0)):
+            assert np.all(np.abs(np.diff(u)) / (u[:-1] + u[1:]) < plan._CLOSED_DELTA)
+            for r in (-0.99, 0.5, 7.0):
+                ref = np.zeros(g.n + 1)
+                for j in range(g.n):
+                    a, b = g.nodes[j], g.nodes[j + 1]
+                    ua, ub = mpmath.mpf(u[j]), mpmath.mpf(u[j + 1])
+
+                    def moment(hat):
+                        def f(x):
+                            t = (x - a) / (b - a)
+                            wx = mpmath.polyval(w.coefs[j][::-1].tolist(), x - a)
+                            return wx * (ua + (ub - ua) * t) ** r * hat(t)
+                        with mpmath.workdps(30):
+                            return float(mpmath.quad(f, [a, b], method="gauss-legendre"))
+
+                    ref[j] += moment(lambda t: 1 - t)
+                    ref[j + 1] += moment(lambda t: t)
+                got = plan.load_vector(u, r)
+                np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])

@@ -15,6 +15,8 @@ from plap1d import (
     SolutionReport,
     SolverError,
     Weight,
+    build_supersolution,
+    certify,
     sin_power_weight,
     solution_residual,
     solve_between,
@@ -174,8 +176,8 @@ class TestSolveBetween:
         assert float(np.max(u.values - lo)) < 0.05
 
     def test_partially_active_lower_bound_releases_the_rest(self):
-        # lo sits above the solution on x < 1/3 only; Newton starts from the
-        # box midpoint and must pin that part while the rest equilibrates
+        # lo sits above the solution on x < 1/3 only; Newton starts inside
+        # the box and must pin that part while the rest equilibrates
         prob = manufactured_problem()
         g = prob.default_grid(512)
         x = g.nodes
@@ -197,7 +199,7 @@ class TestSolveBetween:
     @pytest.mark.parametrize("failure", ["singular", "nan"])
     def test_failed_linear_solve_ends_in_a_typed_residual_error(self, monkeypatch, failure):
         # neither the Cholesky step nor its clipped fallback gives a usable
-        # step, so the iteration stops at the midpoint's residual
+        # step, so the iteration stops at the start's residual
         calls = []
 
         def broken(ab, rhs, **kwargs):
@@ -215,7 +217,7 @@ class TestSolveBetween:
             solve_between(prob, sub, sup, g)
         assert len(calls) == (2 if failure == "singular" else 1)
 
-    def test_newton_from_midpoint_needs_few_energy_evaluations(self, monkeypatch):
+    def test_newton_from_the_vanishing_start_needs_few_energy_evaluations(self, monkeypatch):
         calls = []
 
         def counted(*args):
@@ -230,6 +232,30 @@ class TestSolveBetween:
         solve_between(prob, sub, sup, g, tol=1e-9)
         # the lumped, clipped reaction Jacobian took 30; the consistent one 4
         assert 0 < len(calls) <= 10
+
+    def test_start_lies_in_the_box_and_vanishes_at_both_ends(self, monkeypatch):
+        # the first energy evaluation is at the start
+        starts = []
+
+        def first(vals, *args):
+            starts.append(vals.copy())
+            raise StopIteration
+
+        monkeypatch.setattr(plap1d.solver, "_energy_and_grad", first)
+        prob = step_problem(3.0, 1.0, 0.1)
+        g = prob.default_grid(512)
+        sub, sup = certify(prob, "cor", g, eigen.window_eigenpair(prob, g))
+        with pytest.raises(StopIteration):
+            solve_between(prob, sub, sup, g)
+        lo, hi = np.maximum(sub.u(g.nodes), 0.0), sup.u(g.nodes)
+        assert hi[0] > 0.0 and hi[-1] > 0.0
+        start = starts[0]
+        assert start[0] == 0.0 and start[-1] == 0.0
+        assert np.all(lo <= start) and np.all(start <= hi)
+        # the end cells are no steeper than the box's own; the box midpoint
+        # put about hi / 2 next to each boundary node
+        for i, j in ((1, 0), (-2, -1)):
+            assert start[i] <= max(lo[i], hi[i] - hi[j]) * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("p, n", [(1.4, 1024), (1.6, 2048), (1.8, 2048)])
     def test_sublinear_p_needs_few_energy_evaluations(self, monkeypatch, p, n):
@@ -249,17 +275,29 @@ class TestSolveBetween:
         assert 0 < len(calls) <= 100
 
     @pytest.mark.parametrize("n", [512, 2048])
-    def test_p8_certifies_through_the_clipped_fallback(self, monkeypatch, n):
-        # from the box midpoint the consistent Newton matrix is indefinite at
-        # the first step, so the clipped lumped model must take it; with the
-        # clipped model alone the solve stalled after 22 evaluations
+    @pytest.mark.parametrize("p", [3.0, 5.0, 8.0])
+    def test_step_solve_count_does_not_grow_with_p_or_n(self, monkeypatch, p, n):
+        # from the box midpoint these took 17/19, 31/36 and 52/61 evaluations
+        # at n = 512/2048; from the vanishing start 7, 9 and 11 at both n
         calls = []
-        indefinite = []
-        solveh_banded = scipy.linalg.solveh_banded
 
         def counted(*args):
             calls.append(None)
             return _energy_and_grad(*args)
+
+        monkeypatch.setattr(plap1d.solver, "_energy_and_grad", counted)
+        prob = step_problem(p, 0.5 * (p - 1.0), 0.1 if p <= 5.0 else 0.001)
+        tol = 1e-8
+        solve_full(prob, grid=prob.default_grid(n), tol=tol).require_certified(tol)
+        assert 0 < len(calls) <= 12
+
+    def test_large_mu_box_steps_through_the_clipped_fallback(self, monkeypatch):
+        # mu = 4.6 sits just below the dead-core threshold 4.618 of
+        # (p, q) = (2, 0.5); from a lower bound of 1e-6 times the window
+        # eigenfunction the consistent Newton matrix is indefinite, and
+        # without the lumped step the solve stalls at residual 1.9
+        indefinite = []
+        solveh_banded = scipy.linalg.solveh_banded
 
         def watched(*args, **kwargs):
             try:
@@ -268,13 +306,15 @@ class TestSolveBetween:
                 indefinite.append(None)
                 raise
 
-        monkeypatch.setattr(plap1d.solver, "_energy_and_grad", counted)
         monkeypatch.setattr(scipy.linalg, "solveh_banded", watched)
-        prob = step_problem(8.0, 3.5, 0.001)
+        prob = step_problem(2.0, 0.5, 4.6)
+        g = prob.default_grid(256)
+        phi = eigen.window_eigenpair(prob, g).phi(g.nodes)
+        sub = Certificate(kind="subsolution", u=GridFunction(g, 1e-6 * phi), construction={})
+        sup = build_supersolution(prob, g)
         tol = 1e-8
-        solve_full(prob, grid=prob.default_grid(n), tol=tol).require_certified(tol)
+        solve_between(prob, sub, sup, g, tol=tol)
         assert indefinite
-        assert 0 < len(calls) <= 100
 
     def test_step_halving_rescues_a_low_p_solve(self):
         # the full Newton step fails the descent test here; without the
