@@ -13,10 +13,12 @@ For each case and n the script times `principal_eigenvalue` on the window,
 through `window_eigenpair` as `solve_full` calls it (the window gets its
 share of the n cells), the companion solve `bvp.solve_g` of m^+ on the n
 cells, as `build_supersolution` calls it, and `solve_full`, at tol 1e-8
-unless stated, with the seconds of its `solve_between` call recorded
-separately.  All run in this process: one warm-up call, then the median
-of --repeats timed calls, each on a freshly built problem so that every
-call computes its own weight facts, as one CLI call does.  A separate run
+unless stated, with the seconds of its `solve_between` call and of its
+`verify.weak_form_values` calls (the independent check of both
+certificates and of the solution) recorded separately.  All run in this
+process: one warm-up call, then the median of --repeats timed calls, each
+on a freshly built problem so that every call computes its own weight
+facts, as one CLI call does.  A separate run
 with counting wrappers records the counts next to the seconds, since they
 do not depend on the machine:
 
@@ -32,6 +34,7 @@ do not depend on the machine:
                  those inside its `solve_between` call)
   plan_builds    `AssemblyPlan` constructions (every layer, and those
                  inside `solve_between`)
+  calls          `verify.weak_form_values` calls inside `solve_full`
 
 A solve that raises is timed up to the raise and recorded with its error.
 The output also records the Python, numpy and scipy versions, the core
@@ -56,7 +59,7 @@ import time
 import numpy as np
 import scipy
 
-from plap1d import bvp, eigen, solver
+from plap1d import bvp, eigen, solver, verify
 from plap1d.core_types import AssemblyPlan, Interval, Problem, Weight, sin_power_weight, step_weight
 
 UNIT = Interval(0.0, 1.0)
@@ -110,39 +113,49 @@ def run(call, prob) -> str | None:
     return None
 
 
-def seconds(name: str, call, repeats: int) -> tuple[float, float]:
-    """Median seconds of one call, and median seconds spent inside
-    `solver.solve_between` during one call."""
-    between, inner = solver.solve_between, [0.0]
+# functions whose seconds inside one call are recorded next to the call's
+INNER = ((solver, "solve_between"), (verify, "weak_form_values"))
 
-    def timed_between(*args, **kwargs):
-        t0 = time.perf_counter()
-        try:
-            return between(*args, **kwargs)
-        finally:
-            inner[-1] += time.perf_counter() - t0
 
-    solver.solve_between = timed_between
+def seconds(name: str, call, repeats: int) -> tuple[float, list[float]]:
+    """Median seconds of one call, and for each INNER function the median
+    seconds spent inside it during one call."""
+    originals = [getattr(module, attr) for module, attr in INNER]
+    inner = [[0.0] * len(INNER)]
+
+    def timed(fn, j):
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inner[-1][j] += time.perf_counter() - t0
+
+        return wrapper
+
+    for j, (module, attr) in enumerate(INNER):
+        setattr(module, attr, timed(originals[j], j))
     try:
         run(call, CASES[name]())
         times, inner = [], []
         for prob in [CASES[name]() for _ in range(repeats)]:
-            inner.append(0.0)
+            inner.append([0.0] * len(INNER))
             t0 = time.perf_counter()
             run(call, prob)
             times.append(time.perf_counter() - t0)
     finally:
-        solver.solve_between = between
-    return statistics.median(times), statistics.median(inner)
+        for (module, attr), fn in zip(INNER, originals):
+            setattr(module, attr, fn)
+    return statistics.median(times), [statistics.median(col) for col in zip(*inner)]
 
 
 def counts(name: str, n: int) -> dict:
     """Counts of each layer of one case at n cells, from one counted call."""
     out = {}
     for layer, call in layers(name, n):
-        cells, steps, closures, evals, builds, inside = [], [], [], [], [], []
+        cells, steps, closures, evals, builds, inside, checks = [], [], [], [], [], [], []
         march, phi_p, energy, between = eigen._march, bvp.phi_p, solver._energy_and_grad, solver.solve_between
-        build = AssemblyPlan.__init__
+        build, weak = AssemblyPlan.__init__, verify.weak_form_values
 
         def counted_march(K, h, *rest):
             cells.append(len(K) + 1)
@@ -161,6 +174,10 @@ def counts(name: str, n: int) -> dict:
             builds.append(1)
             return build(*args)
 
+        def counted_weak(*args):
+            checks.append(1)
+            return weak(*args)
+
         def counted_between(*args, **kwargs):
             start = len(evals), len(builds)
             try:
@@ -168,15 +185,16 @@ def counts(name: str, n: int) -> dict:
             finally:
                 inside.append((len(evals) - start[0], len(builds) - start[1]))
 
-        wrapped = (counted_march, counted_phi_p, counted_energy, counted_between, counted_build)
+        wrapped = (counted_march, counted_phi_p, counted_energy, counted_between, counted_build,
+                   counted_weak)
         (eigen._march, bvp.phi_p, solver._energy_and_grad, solver.solve_between,
-         AssemblyPlan.__init__) = wrapped
+         AssemblyPlan.__init__, verify.weak_form_values) = wrapped
         prob = CASES[name]()
         try:
             error = run(call, prob)
         finally:
             (eigen._march, bvp.phi_p, solver._energy_and_grad, solver.solve_between,
-             AssemblyPlan.__init__) = (march, phi_p, energy, between, build)
+             AssemblyPlan.__init__, verify.weak_form_values) = (march, phi_p, energy, between, build, weak)
         if layer == "solve_g":
             out[layer] = {"closure_evals": len(closures), "plan_builds": len(builds)}
             continue
@@ -194,6 +212,7 @@ def counts(name: str, n: int) -> dict:
                 "energy_evals": sum(e for e, _ in inside),
                 "plan_builds": sum(b for _, b in inside),
             }
+            out["weak_form_values"] = {"calls": len(checks)}
     return out
 
 
@@ -230,16 +249,18 @@ def main(argv=None) -> int:
             row = {"case": name, "n": n, "tol": solve_tol(name, n)}
             row.update(counts(name, n))
             for layer, call in layers(name, n):
-                row[layer]["s"], between_s = seconds(name, call, args.repeats)
+                row[layer]["s"], inner_s = seconds(name, call, args.repeats)
                 if layer == "solve_full":
-                    row["solve_between"]["s"] = between_s
+                    row["solve_between"]["s"], row["weak_form_values"]["s"] = inner_s
             rows.append(row)
             eig, comp, full = row["principal_eigenvalue"], row["solve_g"], row["solve_full"]
+            between_s, weak = row["solve_between"]["s"], row["weak_form_values"]
             print(
                 f"{name:12s} n={n:5d}  eigen {eig['s'] * 1e3:8.2f} ms  shots {eig['shots']:3d}"
                 f"  work {eig['shot_work']:6.3f}  solve_g {comp['s'] * 1e3:6.2f} ms"
                 f"  closures {comp['closure_evals']:3d}  solve_full {full['s'] * 1e3:8.2f} ms"
                 f"  energy {full['energy_evals']:4d}  solve_between {between_s * 1e3:8.2f} ms"
+                f"  weak_form_values {weak['calls']} x {weak['s'] * 1e3 / max(weak['calls'], 1):6.2f} ms"
                 + (f"  [{full['error']}]" if full["error"] else ""),
                 flush=True,
             )

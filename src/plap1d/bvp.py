@@ -16,7 +16,8 @@ strictly increasing in f0, with derivative sum_j (p'-1)|f0 - R_j|^{p'-2} h_j
 (R_j the running load), so safeguarded Newton brackets f0 within a few
 doubles, bisection pins it to the last bit, and v is the running sum of
 slope times width (del Pino, Elgueta & Manasevich, JDE 80, 1989, for the
-first-integral treatment of the 1D p-Laplacian).  For
+first-integral treatment of the 1D p-Laplacian).  The loads are exact hat
+moments of g's pieces (`hat_loads`), with no quadrature.  For
 p = 2 this is the standard second-difference scheme, whose nodal values are
 exact for piecewise-quadratic solutions.  Every p > 1 is solved; the range of
 p in which k(v+1) then verifies is stated at `subsuper.build_supersolution`.
@@ -28,7 +29,32 @@ import math
 
 import numpy as np
 
-from .core_types import AssemblyPlan, Grid, GridFunction, Weight, phi_p
+from .core_types import Grid, GridFunction, Weight, _compose_affine, phi_p
+
+
+def hat_loads(g: Weight, grid: Grid) -> np.ndarray:
+    """The integral of g against every nodal hat of the grid, boundary hats
+    included, exact up to rounding.
+
+    On a subcell [lo, lo + w] of cell [x_j, x_j + h], g's piece composed onto
+    xi in [0, 1] has coefficients c_k; I0 = w sum c_k/(k+1) is its integral
+    and I1 = w sum c_k/(k+2) its moment in xi, so the right hat, affine in
+    xi, gets ((lo - x_j) I0 + w I1)/h and the left hat I0 minus that.
+    """
+    nodes = grid.nodes
+    span = nodes[-1] - nodes[0]
+    if not (g.domain.contains(nodes[0], 1e-12 * span) and g.domain.contains(nodes[-1], 1e-12 * span)):
+        raise ValueError("load weight must cover the grid interval")
+    pts = grid.with_points(g.breaks).nodes
+    lo, w = pts[:-1], np.diff(pts)
+    parent = np.clip(np.searchsorted(nodes, lo, side="right") - 1, 0, grid.n - 1)
+    piece = g.piece_index(lo + 0.5 * w)
+    C = _compose_affine(g.coefs[piece], lo - g.breaks[piece], w)
+    k = np.arange(C.shape[1])
+    I0 = w * np.sum(C / (k + 1.0), axis=1)
+    I1 = w * np.sum(C / (k + 2.0), axis=1)
+    right = ((lo - nodes[parent]) * I0 + w * I1) / grid.h[parent]
+    return np.bincount(parent, I0 - right, nodes.size) + np.bincount(parent + 1, right, nodes.size)
 
 
 def solve_g(p: float, g: Weight, grid: Grid) -> GridFunction:
@@ -60,7 +86,7 @@ def solve_g(p: float, g: Weight, grid: Grid) -> GridFunction:
     if g.min_value() < 0:
         raise ValueError("right-hand side g must be nonnegative")
     h = grid.h
-    load = AssemblyPlan(grid, g).load_vector(np.ones(grid.n + 1), 0.0)
+    load = hat_loads(g, grid)
     running = np.concatenate(([0.0], np.cumsum(load[1:-1])))
 
     pp = p / (p - 1.0)

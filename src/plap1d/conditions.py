@@ -219,7 +219,9 @@ def outer_bound(which: str, prob: Problem, eps: float = 0.0, check: bool = True)
 
     A and r come from `outer_profile(which, prob, eps, check)`, and s and
     g_end, g at the reach's far end, from its `OuterProfile.on_reach`; a
-    reach with g_end = 0 bounds nothing.  The condition's lambda1 part is
+    reach with g_end = 0 or A s = 0 bounds nothing, even where g_end^r
+    overflows (thm2_* with no negative mass and a large c).  The
+    condition's lambda1 part is
     L(0) <= 1/lambda1 (`check`) and the tau range is [lambda1, 1/L(eps)]
     (`tau_interval`).
     """
@@ -227,7 +229,7 @@ def outer_bound(which: str, prob: Problem, eps: float = 0.0, check: bool = True)
     w = prob.window
     with np.errstate(over="ignore"):  # a large c overflows g or g^r: L = inf
         ends = (prof.on_reach(prob, eps, "left", w.b), prof.on_reach(prob, eps, "right", w.a))
-        return max(prof.A * s * g**prof.r if g > 0.0 else 0.0 for s, g in ends)
+        return max(prof.A * s * g**prof.r if g > 0.0 and prof.A * s > 0.0 else 0.0 for s, g in ends)
 
 
 def check(name: str, prob: Problem, eig: EigenPair) -> ConditionReport:

@@ -17,6 +17,7 @@ arithmetic, so their results are bit-identical to it.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -399,11 +400,38 @@ class Weight:
         return np.clip(idx, 0, self.npieces - 1)
 
     def __call__(self, x):
+        """The weight at x, a float or an array of points.
+
+        A float (np.float64 included) takes a Python path: `bisect` finds
+        its piece and Horner runs on the piece's coefficients as floats,
+        with the t = x - break and the operation order of `_horner_rows`, so
+        it returns the bits the array path does, without numpy's per-call
+        overhead.  Points outside the domain take the end pieces.
+        """
+        if isinstance(x, float):
+            breaks, rows = self._memoized("lists", lambda: (self.breaks.tolist(), self.coefs.tolist()))
+            k = min(max(bisect.bisect_left(breaks, x) - 1, 0), len(rows) - 1)
+            t = float(x) - breaks[k]
+            out = 0.0
+            for ck in reversed(rows[k]):
+                out = out * t + ck
+            return out
         x = np.asarray(x, dtype=float)
         xa = np.ravel(x)
         idx = self.piece_index(xa)
         out = _horner_rows(self.coefs[idx], (xa - self.breaks[idx])[:, None])[:, 0]
         return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+
+    def on_panels(self, mid: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Values at the points X[k] (shape (K, M)) of panel k, all read
+        from the piece that holds the panel's midpoint mid[k].
+
+        For panels cut at the breaks this is the piece of every point inside
+        the panel, looked up once per panel, and each value is the same
+        Horner in the piece's own coordinate as `__call__`.
+        """
+        piece = self.piece_index(mid)
+        return _horner_rows(self.coefs[piece], X - self.breaks[piece][:, None])
 
     # -- exact extrema --------------------------------------------------------
 

@@ -5,6 +5,10 @@ composite Gauss quadrature, on purpose sharing nothing with the assembly code
 used by the builders and solvers.  A certificate is only as trustworthy as the
 check that does not reuse the arithmetic that produced it.
 
+The quadrature runs per panel, where the interpolant and both hats are
+affine (see `weak_form_values`), and reads c and m through plain Horner on
+their own pieces: no `AssemblyPlan`, composed table or assembly helper.
+
 Testing against interior hat functions suffices: every nonnegative piecewise
 linear test function vanishing at the boundary is a nonnegative combination of
 hats, and the weak form is linear in the test function.
@@ -19,6 +23,7 @@ import numpy as np
 from .core_types import GridFunction, Problem, phi_p
 
 _GX, _GW = np.polynomial.legendre.leggauss(10)
+_GWX = _GW * _GX
 
 
 def default_certificate_tol(ncells: int) -> float:
@@ -49,6 +54,14 @@ def weak_form_values(v: GridFunction, prob: Problem) -> np.ndarray:
     piecewise-linear interpolant.  The flux term is exact; the weight terms use
     Gauss panels split at the polynomial breaks of c and m, so the only error
     left is the quadrature of smooth powers on smooth panels.
+
+    Each panel lies in one cell, where v and both hats are affine in the
+    Gauss variable xi.  With d the density c v^{p−1} − m v^q at the panel's
+    points, D0 = half Σ w_k d_k and D1 = half Σ w_k xi_k d_k, the right hat
+    gets (off D0 + half D1)/h, off the panel midpoint's offset in its cell,
+    and the left hat D0 minus that.  c and m are read once per panel, from
+    the piece that holds its midpoint (`Weight.on_panels`); the c term is
+    skipped where c vanishes.
     """
     nodes = v.grid.nodes
     dom = prob.domain
@@ -74,21 +87,21 @@ def weak_form_values(v: GridFunction, prob: Problem) -> np.ndarray:
     lo, hi = edges[:-1], edges[1:]
     keep = hi - lo > 1e-14 * span
     lo, hi = lo[keep], hi[keep]
-    parent = np.clip(np.searchsorted(nodes, 0.5 * (lo + hi), side="right") - 1, 0, h.size - 1)
+    mid = 0.5 * (lo + hi)
+    parent = np.clip(np.searchsorted(nodes, mid, side="right") - 1, 0, h.size - 1)
 
     half = 0.5 * (hi - lo)
-    X = (0.5 * (lo + hi))[:, None] + half[:, None] * _GX[None, :]
-    WQ = half[:, None] * _GW[None, :]
-    vX = np.maximum(vals[parent, None] + s[parent, None] * (X - nodes[parent, None]), 0.0)
-    hatR = np.clip((X - nodes[parent, None]) / h[parent, None], 0.0, 1.0)
-    hatL = 1.0 - hatR
-    cX = prob.c(X.ravel()).reshape(X.shape)
-    mX = prob.m(X.ravel()).reshape(X.shape)
-    dens = cX * vX ** (p - 1.0) - mX * vX**q
+    X = mid[:, None] + half[:, None] * _GX[None, :]
+    left = nodes[parent]
+    vX = np.maximum(vals[parent, None] + s[parent, None] * (X - left[:, None]), 0.0)
+    dens = -(prob.m.on_panels(mid, X) * vX**q)
+    if not prob.c.is_zero():
+        dens = prob.c.on_panels(mid, X) * vX ** (p - 1.0) + dens
+    D0 = half * (dens @ _GW)
+    D1 = half * (dens @ _GWX)
+    right = ((mid - left) * D0 + half * D1) / h[parent]
 
-    A = np.zeros(nodes.size)
-    np.add.at(A, parent, np.sum(WQ * dens * hatL, axis=1))
-    np.add.at(A, parent + 1, np.sum(WQ * dens * hatR, axis=1))
+    A = np.bincount(parent, D0 - right, nodes.size) + np.bincount(parent + 1, right, nodes.size)
     flux = phi_p(s, p)
     A[1:-1] += flux[:-1] - flux[1:]
     hbar = 0.5 * (h[:-1] + h[1:])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from plap1d import bvp
 from plap1d.bvp import solve_g
@@ -91,11 +92,11 @@ def test_symmetry_and_positivity(p, gval):
 
 
 def bisection_only(p, g, grid):
-    # the companion solve with f0 from plain bisection on [0, total load]:
-    # solve_g's Newton only narrows that bracket, so its values must match
-    # these bit for bit
+    # the companion solve with f0 from plain bisection on [0, total load],
+    # on solve_g's own load: solve_g's Newton only narrows that bracket, so
+    # its values must match these bit for bit
     h = grid.h
-    load = AssemblyPlan(grid, g).load_vector(np.ones(grid.n + 1), 0.0)
+    load = bvp.hat_loads(g, grid)
     running = np.concatenate(([0.0], np.cumsum(load[1:-1])))
 
     def slopes(f0):
@@ -127,6 +128,26 @@ GRIDS = {
     "graded": Grid(np.linspace(0.0, 1.0, 301) ** 1.5),
 }
 PS = [1.1, 1.3, 1.5, 2.0, 3.0, 8.0]
+
+
+@pytest.mark.parametrize("grid", ["uniform-16", "graded"])
+@pytest.mark.parametrize("load", list(LOADS))
+def test_hat_loads_match_adaptive_quadrature(load, grid):
+    # solve_g's load: the exact integral of g against each hat, boundary
+    # hats included; quad runs on each hat's pieces between g's breaks
+    g, mesh = LOADS[load], GRIDS[grid]
+    got = bvp.hat_loads(g, mesh)
+    nodes = mesh.nodes
+    for i in range(mesh.n + 1):
+        lo, mid, hi = nodes[max(i - 1, 0)], nodes[i], nodes[min(i + 1, mesh.n)]
+
+        def integrand(x):
+            return g(x) * (x - lo) / (mid - lo) if x <= mid else g(x) * (hi - x) / (hi - mid)
+
+        cuts = sorted({lo, mid, hi} | {b for b in g.breaks if lo < b < hi})
+        ref = sum(quad(integrand, a, b, epsabs=1e-15, epsrel=1e-13)[0]
+                  for a, b in zip(cuts[:-1], cuts[1:]) if b > a)
+        assert got[i] == pytest.approx(ref, rel=1e-13, abs=1e-15 * np.sum(got))
 
 
 def count_closures(monkeypatch):

@@ -400,6 +400,16 @@ class TestCertifyVerify:
         cfg = write_config(tmp_path, m={"preset": "step", "inside": 1.0, "outside": -1.0})
         assert main(["certify", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("c", [3e6, 1e8])
+    def test_no_negative_mass_at_a_large_c_fails_with_a_typed_reason(self, tmp_path, capsys, c):
+        # thm2_i holds with lhs 0, but its profile overflows at every eps the
+        # builder tries, so no tau is feasible; this exited 1 on the NaN's
+        # RuntimeWarning
+        cfg = write_config(tmp_path, m={"preset": "step", "inside": 1.0, "outside": 0.0},
+                           c={"preset": "constant", "value": c})
+        assert main(["certify", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "not certified: feasible tau range for thm2_i empty" in capsys.readouterr().err
+
     def test_verify_rejects_wrong_csv_header(self, tmp_path):
         cfg = write_config(tmp_path)
         bad = tmp_path / "bad.csv"

@@ -366,8 +366,14 @@ def _assert_matches_per_piece_references(breaks, coefs):
     a, b = breaks[0], breaks[-1]
     xs = np.concatenate([breaks, 0.5 * (breaks[:-1] + breaks[1:]),
                          np.linspace(a - 0.1, b + 0.1, 203)])
+    xs = np.concatenate([xs, np.random.default_rng(len(coefs)).uniform(a, b, 50)])
     assert np.array_equal(w(xs), _ref_call(breaks, coefs, xs))
-    assert w(xs[1]) == _ref_call(breaks, coefs, xs[1])[0]
+    # the float path (Python float and np.float64) gives the array path's
+    # bits at every break, both ends, outside the domain and at random points
+    for pts in (xs.tolist(), list(xs)):
+        scalar = [w(x) for x in pts]
+        assert all(type(v) is float for v in scalar)
+        assert np.array_equal(np.array(scalar).view(np.int64), w(xs).view(np.int64))
     lo, hi = _ref_extrema(breaks, coefs)
     assert w.min_value() == lo and -(w.affine(-1.0).min_value()) == hi
     _assert_same_weight(w.pos_part(), *_ref_signed_part(breaks, coefs, True))

@@ -165,9 +165,24 @@ def test_bench_layers_counts_match_the_committed_file(tmp_path):
             (row["case"], layer): {k: v for k, v in row[layer].items() if k != "s"}
             for row in rows
             if row["n"] == n
-            for layer in ("principal_eigenvalue", "solve_g", "solve_full", "solve_between")
+            for layer in ("principal_eigenvalue", "solve_g", "solve_full", "solve_between",
+                          "weak_form_values")
         }
 
     committed = counts(os.path.join(ROOT, "BENCH_layers.json"), 512)
-    assert len(committed) == 12
+    assert len(committed) == 15
     assert counts(out, 512) == committed
+
+
+def test_ab_rounds_times_two_trees_in_one_process(tmp_path):
+    # the same tree twice: each copy is imported under its own package name
+    # and both give every problem the same exit code
+    proc = run_script("ab_rounds.py", ROOT, ROOT, "--workload", "certify-scan", "--rounds", "2",
+                      cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "certify-scan seed 0: 8 problems per round"
+    assert [ln.split(":")[0] for ln in lines[1:3]] == ["round   1 (base first)", "round   2 (change first)"]
+    assert lines[3].startswith("base   median ") and lines[4].startswith("change median ")
+    assert lines[-1] == "exit codes differ on 0 of 8 problems"
+    assert os.listdir(tmp_path) == []

@@ -9,6 +9,7 @@ from plap1d.core_types import (
     Interval,
     Problem,
     Weight,
+    phi_p,
     sin_power_weight,
     step_weight,
 )
@@ -216,3 +217,82 @@ class TestProperties:
         for _ in range(100):
             psi = rng.random(raw.size)
             assert np.dot(psi, raw) <= rep.tol * np.dot(psi, hbar) + 1e-12
+
+
+def pointwise_weak_form_values(v, prob):
+    """weak_form_values restated point by point: c and m evaluated at every
+    Gauss point, both hats tabulated there and scattered with np.add.at."""
+    gx, gw = np.polynomial.legendre.leggauss(10)
+    nodes = v.grid.nodes
+    vals = np.maximum(v.values, 0.0)
+    h = np.diff(nodes)
+    s = np.diff(vals) / h
+    inner = [b for w in (prob.c, prob.m) for b in w.breaks[1:-1] if nodes[0] < b < nodes[-1]]
+    edges = np.union1d(nodes, inner)
+    lo, hi = edges[:-1], edges[1:]
+    keep = hi - lo > 1e-14 * (nodes[-1] - nodes[0])
+    lo, hi = lo[keep], hi[keep]
+    parent = np.clip(np.searchsorted(nodes, 0.5 * (lo + hi), side="right") - 1, 0, h.size - 1)
+    half = 0.5 * (hi - lo)
+    X = (0.5 * (lo + hi))[:, None] + half[:, None] * gx
+    vX = np.maximum(vals[parent, None] + s[parent, None] * (X - nodes[parent, None]), 0.0)
+    hat_right = np.clip((X - nodes[parent, None]) / h[parent, None], 0.0, 1.0)
+    dens = prob.c(X) * vX ** (prob.p - 1.0) - prob.m(X) * vX**prob.q
+    A = np.zeros(nodes.size)
+    np.add.at(A, parent, np.sum(half[:, None] * gw * dens * (1.0 - hat_right), axis=1))
+    np.add.at(A, parent + 1, np.sum(half[:, None] * gw * dens * hat_right, axis=1))
+    flux = phi_p(s, prob.p)
+    A[1:-1] += flux[:-1] - flux[1:]
+    return A[1:-1] / (0.5 * (h[:-1] + h[1:]))
+
+
+def drawn_problem(rng, p, with_c):
+    """p, q = (p-1)/2 on the unit interval; m has 7 drawn cubic pieces with
+    breaks off any grid's nodes, and is 1.5 on its third piece, the window;
+    c vanishes or has 3 drawn nonnegative quadratic pieces."""
+    breaks = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.03, 0.97, 6)]))
+    coefs = rng.normal(size=(7, 4)) * 10.0 ** rng.integers(-1, 2, size=(7, 1))
+    coefs[2] = [1.5, 0.0, 0.0, 0.0]
+    c = Weight.constant(0.0, UNIT)
+    if with_c:
+        # nonnegative coefficients in each piece's local x - break >= 0
+        c = Weight(np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.03, 0.97, 2)])),
+                   rng.uniform(0.0, 3.0, size=(3, 3)))
+    window = Interval(breaks[2], breaks[3])
+    return Problem(p=p, q=0.5 * (p - 1.0), domain=UNIT, m=Weight(breaks, coefs), c=c, window=window)
+
+
+@pytest.mark.parametrize("grid", ["uniform", "graded"])
+@pytest.mark.parametrize("with_c", [False, True], ids=["c0", "c-drawn"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_per_panel_values_match_the_pointwise_formula(p, with_c, grid):
+    # the per-panel affine hat sums and the once-per-panel piece lookup
+    # agree with the point-by-point formula to rounding, on drawn weights
+    rng = np.random.default_rng([int(10 * p), int(with_c), int(grid == "graded")])
+    nodes = np.linspace(0.0, 1.0, 258)
+    g = Grid(nodes if grid == "uniform" else nodes**1.7)
+    for _ in range(5):
+        prob = drawn_problem(rng, p, with_c)
+        x = g.nodes
+        v = GridFunction(g, np.sin(np.pi * x) * (1.0 + 0.3 * np.cos(rng.uniform(3.0, 9.0) * x)))
+        ref = pointwise_weak_form_values(v, prob)
+        got = weak_form_values(v, prob)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_weak_form_values_runs_no_assembly_code(monkeypatch):
+    # the verifier shares no arithmetic with the assembly that builds the
+    # certificates: no plan, composed table or assembly Gauss rule
+    from plap1d import core_types
+
+    prob = drawn_problem(np.random.default_rng(3), 2.0, True)
+    g = Grid.uniform(UNIT, 64)
+    v = GridFunction(g, np.sin(np.pi * g.nodes))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("assembly code called from the verifier")
+
+    for name in ("_compose_affine", "_mul_linear", "_gauss_rule"):
+        monkeypatch.setattr(core_types, name, forbidden)
+    monkeypatch.setattr(core_types.AssemblyPlan, "__init__", forbidden)
+    assert np.all(np.isfinite(weak_form_values(v, prob)))
