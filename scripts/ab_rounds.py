@@ -13,11 +13,14 @@ alike.  One untimed round per tree comes first.
 It prints each round's seconds for both trees and their ratio, then the
 median and quartiles of each side's round seconds, the median ratio, and
 in how many rounds the change was faster.  It also reports any problem
-whose exit code differs between the trees.
+whose exit code differs between the trees.  --seed takes several seeds:
+each seed's list gets its own rounds and summary, and a last line pools
+the paired rounds of all seeds into one median ratio and win count.
 
 Usage (from the repository root)::
 
     python3 scripts/ab_rounds.py /path/to/base . --workload certify-scan --rounds 20
+    python3 scripts/ab_rounds.py /path/to/base . --workload solve-step --seed 0 1 2 3 --rounds 16
 """
 
 from __future__ import annotations
@@ -77,12 +80,51 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def summarize(seconds: dict, label: str = "") -> None:
+    """The median change/base ratio of paired rounds and the change's wins."""
+    ratios = [c / b for b, c in zip(seconds["base"], seconds["change"])]
+    wins = sum(c < b for b, c in zip(seconds["base"], seconds["change"]))
+    print(f"{label}median change/base {statistics.median(ratios):.3f}; "
+          f"change faster in {wins} of {len(ratios)} rounds")
+
+
+def run_seed(workloads, sides: dict, workload: str, seed: int, rounds: int) -> dict:
+    """Each side's round seconds on one seed's problem list; prints the rounds
+    and their summary."""
+    problems = workloads.problems(workload, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        calls, out_dir = [], os.path.join(tmp, "out")
+        for i, prob in enumerate(problems):
+            path = os.path.join(tmp, f"problem{i}.json")
+            with open(path, "w") as fh:
+                json.dump(prob.config, fh)
+            calls.append(prob.argv(path, out_dir, seed))
+        codes = {side: run_list(cli, calls)[1] for side, cli in sides.items()}
+        seconds = {side: [] for side in sides}
+        print(f"{workload} seed {seed}: {len(calls)} problems per round")
+        for r in range(rounds):
+            order = ("base", "change") if r % 2 == 0 else ("change", "base")
+            for side in order:
+                seconds[side].append(run_list(sides[side], calls)[0])
+            b, c = seconds["base"][-1], seconds["change"][-1]
+            print(f"round {r + 1:3d} ({order[0]} first): base {b:.4f} s  change {c:.4f} s  "
+                  f"change/base {c / b:.3f}")
+
+    for side in sides:
+        q1, med, q3 = quartiles(seconds[side])
+        print(f"{side:6s} median {med:.4f} s  quartiles {q1:.4f}-{q3:.4f} s")
+    summarize(seconds)
+    differ = [prob.name for prob, a, b in zip(problems, codes["base"], codes["change"]) if a != b]
+    print(f"exit codes differ on {len(differ)} of {len(calls)} problems" + (f": {differ}" if differ else ""))
+    return seconds
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base", help="base checkout")
     ap.add_argument("change", help="changed checkout")
     ap.add_argument("--workload", default="certify-scan")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, nargs="+", default=[0])
     ap.add_argument("--rounds", type=int, default=20)
     args = ap.parse_args(argv)
     if args.rounds < 1:
@@ -91,37 +133,14 @@ def main(argv=None) -> int:
     workloads = import_module("ab_workloads", os.path.join(args.base, "perfbench", "workloads.py"))
     if args.workload not in workloads.WORKLOADS:
         ap.error(f"--workload must be one of {sorted(workloads.WORKLOADS)}")
-    problems = workloads.problems(args.workload, args.seed)
     sides = {"base": import_cli(args.base, "plap1d_base"),
              "change": import_cli(args.change, "plap1d_change")}
-
-    with tempfile.TemporaryDirectory() as tmp:
-        calls, out_dir = [], os.path.join(tmp, "out")
-        for i, prob in enumerate(problems):
-            path = os.path.join(tmp, f"problem{i}.json")
-            with open(path, "w") as fh:
-                json.dump(prob.config, fh)
-            calls.append(prob.argv(path, out_dir, args.seed))
-        codes = {side: run_list(cli, calls)[1] for side, cli in sides.items()}
-        seconds = {side: [] for side in sides}
-        print(f"{args.workload} seed {args.seed}: {len(calls)} problems per round")
-        for r in range(args.rounds):
-            order = ("base", "change") if r % 2 == 0 else ("change", "base")
-            for side in order:
-                seconds[side].append(run_list(sides[side], calls)[0])
-            b, c = seconds["base"][-1], seconds["change"][-1]
-            print(f"round {r + 1:3d} ({order[0]} first): base {b:.4f} s  change {c:.4f} s  "
-                  f"change/base {c / b:.3f}")
-
-    ratios = [c / b for b, c in zip(seconds["base"], seconds["change"])]
-    for side in sides:
-        q1, med, q3 = quartiles(seconds[side])
-        print(f"{side:6s} median {med:.4f} s  quartiles {q1:.4f}-{q3:.4f} s")
-    wins = sum(c < b for b, c in zip(seconds["base"], seconds["change"]))
-    print(f"median change/base {statistics.median(ratios):.3f}; "
-          f"change faster in {wins} of {args.rounds} rounds")
-    differ = [prob.name for prob, a, b in zip(problems, codes["base"], codes["change"]) if a != b]
-    print(f"exit codes differ on {len(differ)} of {len(calls)} problems" + (f": {differ}" if differ else ""))
+    pooled = {side: [] for side in sides}
+    for seed in args.seed:
+        for side, secs in run_seed(workloads, sides, args.workload, seed, args.rounds).items():
+            pooled[side] += secs
+    if len(args.seed) > 1:
+        summarize(pooled, f"pooled over seeds {' '.join(map(str, args.seed))}: ")
     return 0
 
 

@@ -1,11 +1,13 @@
 """Layer timings and counts of the window eigensolve and the full solve.
 
-Three cases, each at n = 512, 2048 and 8192 cells:
+Four cases, each at n = 512, 2048 and 8192 cells:
 
   manufactured  p = 2, q = 1/2, c = 0, m = pi^2 sin(pi x)^(1/2) (128 pieces),
                 window = domain; tol 1e-7 at n = 8192, where 1e-8 stagnates
   step          p = 2, q = 1/2, c = 0, m = 1 on (1/4, 3/4) and -0.1 outside,
                 window (1/4, 3/4)
+  step-p1.5     the step weight at p = 1.5, q = 1/4, where the solve takes
+                Newton's weight on settled cells only (ROADMAP item 1)
   two-bump      p = 5, q = 2, c = 0, m = 1 on (0, 0.05) and (0.95, 1) and 0
                 between, window = domain
 
@@ -32,6 +34,10 @@ do not depend on the machine:
                  calls in `bvp`; solve_g only)
   energy_evals   `solver._energy_and_grad` evaluations (solve_full, and
                  those inside its `solve_between` call)
+  newton_steps   linear systems `solve_between` solved with the consistent
+                 reaction Jacobian (`scipy.linalg.solveh_banded` calls)
+  fallback_steps of those, the ones that were indefinite, after which the
+                 lumped, clipped model solved again
   plan_builds    `AssemblyPlan` constructions (every layer, and those
                  inside `solve_between`)
   calls          `verify.weak_form_values` calls inside `solve_full`
@@ -58,6 +64,7 @@ import time
 
 import numpy as np
 import scipy
+import scipy.linalg
 
 from plap1d import bvp, eigen, solver, verify
 from plap1d.core_types import AssemblyPlan, Interval, Problem, Weight, sin_power_weight, step_weight
@@ -72,9 +79,10 @@ def manufactured() -> Problem:
     return Problem(p=2.0, q=0.5, domain=UNIT, m=m, c=Weight.constant(0.0, UNIT), window=UNIT)
 
 
-def step() -> Problem:
+def step(p: float = 2.0) -> Problem:
     m = step_weight(UNIT, WINDOW, 1.0, -0.1)
-    return Problem(p=2.0, q=0.5, domain=UNIT, m=m, c=Weight.constant(0.0, UNIT), window=WINDOW)
+    return Problem(p=p, q=0.5 * (p - 1.0), domain=UNIT, m=m, c=Weight.constant(0.0, UNIT),
+                   window=WINDOW)
 
 
 def two_bump() -> Problem:
@@ -82,7 +90,8 @@ def two_bump() -> Problem:
     return Problem(p=5.0, q=2.0, domain=UNIT, m=m, c=Weight.constant(0.0, UNIT), window=UNIT)
 
 
-CASES = {"manufactured": manufactured, "step": step, "two-bump": two_bump}
+CASES = {"manufactured": manufactured, "step": step, "step-p1.5": lambda: step(1.5),
+         "two-bump": two_bump}
 
 
 def solve_tol(name: str, n: int) -> float:
@@ -154,8 +163,11 @@ def counts(name: str, n: int) -> dict:
     out = {}
     for layer, call in layers(name, n):
         cells, steps, closures, evals, builds, inside, checks = [], [], [], [], [], [], []
+        # one entry per linear solve: True for the lumped model's, which
+        # follows an indefinite Newton system in the same step
+        solves, indefinite = [], [False]
         march, phi_p, energy, between = eigen._march, bvp.phi_p, solver._energy_and_grad, solver.solve_between
-        build, weak = AssemblyPlan.__init__, verify.weak_form_values
+        build, weak, banded = AssemblyPlan.__init__, verify.weak_form_values, scipy.linalg.solveh_banded
 
         def counted_march(K, h, *rest):
             cells.append(len(K) + 1)
@@ -178,7 +190,17 @@ def counts(name: str, n: int) -> dict:
             checks.append(1)
             return weak(*args)
 
+        def counted_banded(*args, **kwargs):
+            fallback, indefinite[0] = indefinite[0], False
+            solves.append(fallback)
+            try:
+                return banded(*args, **kwargs)
+            except scipy.linalg.LinAlgError:
+                indefinite[0] = not fallback
+                raise
+
         def counted_between(*args, **kwargs):
+            indefinite[0] = False
             start = len(evals), len(builds)
             try:
                 return between(*args, **kwargs)
@@ -186,15 +208,16 @@ def counts(name: str, n: int) -> dict:
                 inside.append((len(evals) - start[0], len(builds) - start[1]))
 
         wrapped = (counted_march, counted_phi_p, counted_energy, counted_between, counted_build,
-                   counted_weak)
+                   counted_weak, counted_banded)
         (eigen._march, bvp.phi_p, solver._energy_and_grad, solver.solve_between,
-         AssemblyPlan.__init__, verify.weak_form_values) = wrapped
+         AssemblyPlan.__init__, verify.weak_form_values, scipy.linalg.solveh_banded) = wrapped
         prob = CASES[name]()
         try:
             error = run(call, prob)
         finally:
             (eigen._march, bvp.phi_p, solver._energy_and_grad, solver.solve_between,
-             AssemblyPlan.__init__, verify.weak_form_values) = (march, phi_p, energy, between, build, weak)
+             AssemblyPlan.__init__, verify.weak_form_values, scipy.linalg.solveh_banded) = (
+                march, phi_p, energy, between, build, weak, banded)
         if layer == "solve_g":
             out[layer] = {"closure_evals": len(closures), "plan_builds": len(builds)}
             continue
@@ -211,6 +234,8 @@ def counts(name: str, n: int) -> dict:
             out["solve_between"] = {
                 "energy_evals": sum(e for e, _ in inside),
                 "plan_builds": sum(b for _, b in inside),
+                "newton_steps": solves.count(False),
+                "fallback_steps": solves.count(True),
             }
             out["weak_form_values"] = {"calls": len(checks)}
     return out

@@ -740,6 +740,8 @@ class AssemblyPlan:
         self._hat_right = 1.0 - self._hat_left
         self.L_gauss = _horner_rows(self.L, self.xi)
         self.R_gauss = _horner_rows(self.R, self.xi)
+        # the node of each subcell's left hat, then of each one's right hat
+        self._both_hats = np.concatenate([self.parent, self.parent + 1])
 
     # -- internals ------------------------------------------------------------
 
@@ -753,62 +755,52 @@ class AssemblyPlan:
         uhi = np.maximum(ulo + sp * self.wsub, 0.0)
         return ulo, uhi
 
-    def _gauss_powers(self, ulo, du, r: float) -> np.ndarray:
-        """u^r at the Gauss nodes of each subcell; 0 where u vanishes, r < 0."""
-        T = np.maximum(ulo[:, None] + du[:, None] * self.xi[None, :], 0.0)
-        if r < 0:
-            return np.where(T > 0, T, 1.0) ** r * (T > 0)
-        return T ** r
-
     # -- public ---------------------------------------------------------------
 
-    def load_vector(self, u: np.ndarray, r: float) -> np.ndarray:
+    def load_vector(self, u: np.ndarray, r: float, gauss: list | None = None) -> np.ndarray:
         """Per-node integrals of weight * u^r * hat_i, boundary hats included.
 
-        u must be nonnegative nodal values on the plan's grid; r > -1.
+        u must be nonnegative nodal values on the plan's grid; r > -1.  The
+        Gauss rule runs on every subcell and the closed-form subcells are
+        overwritten; one `np.bincount` adds the left, then the right hats'
+        moments in `np.add.at`'s order.  When `gauss` is a list, u and u^r
+        at the Gauss nodes, (T, T^r), are appended to it for `mass_tridiag`.
         """
         u = np.asarray(u, dtype=float)
         ulo, uhi = self._sub_values(u)
         du = uhi - ulo
+        T = np.maximum(ulo[:, None] + du[:, None] * self.xi[None, :], 0.0)
+        # u^r, and 0 where u vanishes and r < 0
+        Tr = np.where(T > 0, T, 1.0) ** r * (T > 0) if r < 0 else T ** r
+        if gauss is not None:
+            gauss.append((T, Tr))
+        IL = (self.L_gauss * Tr) @ self.wg
+        IR = (self.R_gauss * Tr) @ self.wg
         denom = np.abs(ulo) + np.abs(uhi)
         delta = np.where(denom > 0, np.abs(du) / np.where(denom > 0, denom, 1.0), 0.0)
-        closed = (delta >= self._CLOSED_DELTA) & (np.abs(du) > 1e-200)
-        g = ~closed
-        IL = np.empty(ulo.size)
-        IR = np.empty(ulo.size)
-        if np.any(g):
-            Tr = self._gauss_powers(ulo[g], du[g], r)
-            IL[g] = (self.L_gauss[g] * Tr) @ self.wg
-            IR[g] = (self.R_gauss[g] * Tr) @ self.wg
-        if np.any(closed):
+        closed = np.flatnonzero((delta >= self._CLOSED_DELTA) & (np.abs(du) > 1e-200))
+        if closed.size:
             ul, uh, duc = ulo[closed], uhi[closed], du[closed]
             e = r + 1.0 + np.arange(self.L.shape[1])
             M = (uh[:, None] ** e[None, :] - ul[:, None] ** e[None, :]) / e[None, :]
             a0, a1 = -ul / duc, 1.0 / duc
             IL[closed] = np.sum(_compose_affine(self.L[closed], a0, a1) * M, axis=1) / duc
             IR[closed] = np.sum(_compose_affine(self.R[closed], a0, a1) * M, axis=1) / duc
-        out = np.zeros(self.grid.n + 1)
-        np.add.at(out, self.parent, self.wsub * IL)
-        np.add.at(out, self.parent + 1, self.wsub * IR)
-        return out
+        return np.bincount(self._both_hats, np.tile(self.wsub, 2) * np.concatenate([IL, IR]),
+                           self.grid.n + 1)
 
-    def mass_tridiag(self, u: np.ndarray, r: float):
-        """(diag, off) of the matrix int weight * u^r * hat_i * hat_j.
+    def mass_tridiag(self, T: np.ndarray, Tr: np.ndarray):
+        """(diag, off) of the matrix int weight * u^(r-1) * hat_i * hat_j.
 
-        Gauss-only; intended for Newton matrices, where quadrature-level
-        accuracy is enough.  Subcells where u vanishes identically contribute
-        zero for negative r instead of a singular value.
+        T and Tr are u and u^r at the Gauss nodes, as `load_vector(u, r,
+        gauss)` left them, so nothing is raised to a power: u^(r-1) is u^r / u
+        where u > 0, and 0 where u vanishes.  Gauss-only; intended for Newton
+        matrices, where quadrature-level accuracy is enough.
         """
-        u = np.asarray(u, dtype=float)
-        ulo, uhi = self._sub_values(u)
-        Tr = self._gauss_powers(ulo, uhi - ulo, r)
-        left = self.L_gauss * Tr
-        diag = np.zeros(self.grid.n + 1)
-        off = np.zeros(self.grid.n)
-        for V, hat, target, idx in (
-            (left, self._hat_left, diag, self.parent),
-            (self.R_gauss * Tr, self._hat_right, diag, self.parent + 1),
-            (left, self._hat_right, off, self.parent),
-        ):
-            np.add.at(target, idx, self.wsub * ((V * hat) @ self.wg))
+        V = np.divide(Tr, T, out=np.zeros_like(T), where=T > 0)
+        left = self.L_gauss * V
+        both = np.concatenate([(left * self._hat_left) @ self.wg,
+                               (self.R_gauss * V * self._hat_right) @ self.wg])
+        diag = np.bincount(self._both_hats, np.tile(self.wsub, 2) * both, self.grid.n + 1)
+        off = np.bincount(self.parent, self.wsub * ((left * self._hat_right) @ self.wg), self.grid.n)
         return diag, off

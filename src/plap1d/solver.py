@@ -14,10 +14,11 @@ definite by construction, takes the step instead.
 Convergence is judged by the projected-gradient residual, so a node pinned
 at a bound counts as converged only when its multiplier has the right sign.
 
-For p < 2 the model's diffusion weight is the Kacanov weight |s|^{p-2} =
-phi_p(s)/s, the secant slope of phi_p, instead of Newton's (p-1)|s|^{p-2},
-which understates it where the slope s passes through zero at the solution's
-apex and makes the iteration crawl or diverge (see `solve_between`).
+For p < 2 the model's diffusion weight is Newton's (p-1)|s|^{p-2} only on
+settled cells; elsewhere it is the Kacanov weight |s|^{p-2} = phi_p(s)/s,
+since Newton's understates the secant slope of phi_p where s passes through
+zero at the solution's apex.  A step must lower the energy by more than its
+rounding, or the residual by a tenth (see `solve_between`).
 
 scipy is loaded only by the Newton solve (CLI `solve` and `sweep`), and
 multiprocessing only by `sweep` with more than one job.
@@ -28,6 +29,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +55,10 @@ from .verify import check_weak_subsolution, check_weak_supersolution, solution_r
 
 _ARMIJO = 1e-4
 _MAX_NEWTON = 600
+# the energy's rounding, relative to the sum of its terms' sizes
+_NOISE = 1e-14
+# a step that lowers the residual must cut its l2 norm by a tenth
+_SHRINK = 0.81
 
 
 @dataclass
@@ -86,22 +92,49 @@ def _reaction(grid: Grid, prob: Problem) -> list:
     return terms
 
 
-def _energy_and_grad(vals, grid, terms, p):
+class _Point(NamedTuple):
+    """Energy, gradient and the energy's rounding at one iterate, and per
+    reaction term u and u^r at its plan's Gauss nodes (`load_vector`)."""
+
+    e: float
+    g: np.ndarray
+    noise: float
+    gauss: list
+
+
+def _energy_and_grad(vals, grid, terms, p) -> _Point:
     # u is piecewise linear, u = sum_i u_i hat_i, so each reaction energy
     # sign/(r+1) int w u^{r+1} comes from the gradient's own load vector:
     # it equals sign/(r+1) sum_i u_i int w u^r hat_i, exactly, because the
-    # load vectors are exact to roundoff; one pass per term
+    # load vectors are exact to roundoff; one pass per term.  The terms
+    # nearly cancel at the solution, so the rounding scales with their sizes
     s = np.diff(vals) / grid.h
     flux = phi_p(s, p)
     e = float(np.sum(np.abs(s) ** p * grid.h)) / p
+    size = e
     g = np.zeros_like(vals)
     g[:-1] -= flux
     g[1:] += flux
+    gauss = []
     for plan, r, sign in terms:
-        load = plan.load_vector(vals, r)
-        e += sign * float(vals @ load) / (r + 1.0)
+        load = plan.load_vector(vals, r, gauss)
+        term = float(vals @ load) / (r + 1.0)
+        e += sign * term
+        size += abs(term)
         g += sign * load
-    return e, g
+    return _Point(e, g, _NOISE * size, gauss)
+
+
+def _diffusion_weight(s, s_prev, p, floor, h):
+    """The model's weight on cells of slope s (|s| floored), which had slope
+    s_prev before the last full step: Newton's (p - 1)|s|^(p-2) / h, but
+    for p < 2 only where s kept its sign and moved by at most a quarter of
+    itself, and the Kacanov |s|^(p-2) / h elsewhere."""
+    coef = p - 1.0
+    if p < 2.0:
+        settled = (s * s_prev > 0.0) & (np.abs(s - s_prev) <= 0.25 * np.abs(s))
+        coef = np.where(settled, coef, 1.0)
+    return coef * np.maximum(np.abs(s), floor) ** (p - 2.0) / h
 
 
 def _kkt_residual(g, vals, lo, hi, hbar, atol):
@@ -148,22 +181,33 @@ def solve_between(
     pins to a bound leaves the Newton system, but it rejoins as soon as its
     gradient points into the box; such releases cascade along a stretch of
     bound-hugging nodes, carried by steps that lower the energy while the
-    residual first grows.  Raises SolverError when the iteration stalls
-    above tol.
+    residual first grows.  A step is taken when it makes Armijo progress
+    on the energy by more than the energy's rounding (1e-14 times the sum
+    of its terms' sizes) or cuts the residual's l2 norm by a tenth; at the
+    rounding floor neither happens, and SolverError is raised, as whenever
+    the iteration stalls above tol.
 
-    The model's diffusion weight on a cell of slope s is
-    max(p - 1, 1) * |s|^(p-2) / h, with |s| floored: Newton's weight for
-    p >= 2 and the Kacanov (lagged-diffusivity) weight for p < 2.  There
-    Newton's (p-1)|s|^(p-2) understates the secant slope of phi_p near the
-    apex, where s passes through zero: a Newton step on phi_p(s) = t
-    multiplies the error by (2-p)/(p-1), which converges only linearly for
-    1.5 < p < 2 and diverges below.  The discrete problem and the stopping
-    rule do not depend on the weight.
+    The model's diffusion weight is Newton's, (p - 1)|s|^(p-2) / h on a
+    cell of slope s (`_diffusion_weight`), except where p < 2 and the cell
+    has not settled.  Near the apex, where s passes through zero, Newton's
+    weight understates the secant slope of phi_p: a Newton step on
+    phi_p(s) = t multiplies the error by (2-p)/(p-1), linear for
+    1.5 < p < 2 and divergent below.  The Kacanov (lagged-diffusivity)
+    weight |s|^(p-2) / h converges, but only by about (2 - p) per step.
+    So a cell keeps it until its slope kept its sign and moved by at most
+    a quarter of itself in a step the line search did not damp: on the
+    step weight, p = 1.5, 1.6 and 1.8 take 11, 9 and 7 evaluations, where
+    the Kacanov weight alone took 42, 31 and 17 and Newton's alone 137 at
+    p = 1.5; settling at half instead of a quarter crushed the p = 1.35
+    iterate toward zero while all slopes shrank alike.  The discrete
+    problem and the stopping rule do not depend on the weight.
 
     The reaction enters with its consistent Jacobian, the second derivative
     of the reaction energy: the sum of sign * r * M_w(u^(r-1)) over the
     terms sign * w u^r of `_reaction`, with M_w(v) the tridiagonal matrix
-    int w v hat_i hat_j.
+    int w v hat_i hat_j.  It is built from u and u^r at the Gauss nodes,
+    as the evaluation that accepted the iterate computed them
+    (`AssemblyPlan.mass_tridiag`), so it raises nothing to a power.
     Frozen nodes (the boundary and the cleanly pinned ones) keep an
     identity row, a zero right-hand side and no coupling, so the system
     stays symmetric, and banded Cholesky solves it.  Inside the window
@@ -200,8 +244,9 @@ def solve_between(
     vals[0] = vals[-1] = 0.0
     n = grid.n
     floor = 1e-10 * (np.max(vals) + 1.0) / grid.interval.length()
-    e, g = _energy_and_grad(vals, grid, terms, p)
-    rnorm = _kkt_residual(g, vals, lo, hi, hbar, atol)
+    cur = _energy_and_grad(vals, grid, terms, p)
+    rnorm = _kkt_residual(cur.g, vals, lo, hi, hbar, atol)
+    s_prev = np.zeros(n)  # no cell is settled at the start
     for _ in range(_MAX_NEWTON):
         if float(np.max(rnorm)) <= tol:
             break
@@ -212,14 +257,14 @@ def solve_between(
             (vals[1:-1] > lo[1:-1] + atol) & (vals[1:-1] < hi[1:-1] - atol)
         ) | (rnorm > 0.0)
         s = np.diff(vals) / grid.h
-        w = max(p - 1.0, 1.0) * np.maximum(np.abs(s), floor) ** (p - 2.0) / grid.h
+        w = _diffusion_weight(s, s_prev, p, floor, grid.h)
         diag = np.zeros(n + 1)
         diag[:-1] += w
         diag[1:] += w
         # the reaction's own second derivative, couplings included
         rdiag, roff = np.zeros(n + 1), np.zeros(n)
-        for plan, r, sign in terms:
-            mdiag, moff = plan.mass_tridiag(vals, r - 1.0)
+        for (plan, r, sign), gauss in zip(terms, cur.gauss):
+            mdiag, moff = plan.mass_tridiag(*gauss)
             rdiag += sign * r * mdiag
             roff += sign * r * moff
         # freeze the boundary and the cleanly pinned nodes: identity rows,
@@ -228,7 +273,7 @@ def solve_between(
         frozen[0] = frozen[-1] = True
         frozen[1:-1] = ~inactive
         coupled = ~(frozen[:-1] | frozen[1:])
-        rhs = np.where(frozen, 0.0, -g)
+        rhs = np.where(frozen, 0.0, -cur.g)
         ab = np.zeros((2, n + 1))  # upper form: off[j] sits in column j + 1
         ab[0, 1:] = np.where(coupled, roff - w, 0.0)
         ab[1] = np.where(frozen, 1.0, diag + rdiag)
@@ -249,9 +294,12 @@ def solve_between(
         if not np.all(np.isfinite(delta)):
             break
         # a step is good if it shrinks the l2 size of the projected gradient
-        # (terminal sharpening) or makes Armijo progress on the energy; the
-        # energy branch is what carries a cascade of bound releases, where
-        # the residual must get worse before the lifted region equilibrates
+        # by a tenth (terminal sharpening) or makes Armijo progress on the
+        # energy; the energy branch is what carries a cascade of bound
+        # releases, where the residual must get worse before the lifted
+        # region equilibrates.  Rounding alone moves neither by that much,
+        # so at the rounding floor the solve stops instead of stepping on
+        # noise
         theta = float(rnorm @ rnorm)
         t = 1.0
         improved = False
@@ -262,10 +310,15 @@ def solve_between(
             if not np.any(d):
                 # fully clipped: shrinking t cannot unclip anything
                 break
-            ec, gc = _energy_and_grad(cand, grid, terms, p)
-            rc = _kkt_residual(gc, cand, lo, hi, hbar, atol)
-            if float(rc @ rc) < theta or ec <= e + _ARMIJO * float(g @ d):
-                vals, e, g, rnorm = cand, ec, gc, rc
+            nxt = _energy_and_grad(cand, grid, terms, p)
+            rc = _kkt_residual(nxt.g, cand, lo, hi, hbar, atol)
+            if float(rc @ rc) < _SHRINK * theta or (
+                nxt.e <= cur.e + _ARMIJO * float(cur.g @ d) and cur.e - nxt.e > cur.noise
+            ):
+                # after a damped step, which says the model was too soft, no
+                # cell counts as settled
+                s_prev = s if t == 1.0 else np.zeros(n)
+                vals, cur, rnorm = cand, nxt, rc
                 improved = True
                 break
             t *= 0.5

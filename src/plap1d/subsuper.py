@@ -22,6 +22,7 @@ import numpy as np
 from .bvp import solve_g
 from .conditions import default_eps, outer_profile, tau_interval
 from .core_types import (
+    CertificateError,
     EpsTooLargeError,
     GlueError,
     Grid,
@@ -34,6 +35,20 @@ from .core_types import (
 from .eigen import EigenPair
 
 _EDGE_TOL = 1e-12
+
+
+def _power(name: str, base: float, exponent: float) -> float:
+    """base ** exponent, the factor `name` of a certificate.  The exponents
+    grow like 1/(p - 1 - q), so as q nears p - 1 the factor leaves the
+    floats: a value that overflows, or underflows to 0 and so would certify
+    nothing, raises CertificateError naming the factor."""
+    try:
+        value = base ** exponent
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise CertificateError(f"{name} leaves the floats: {base:.6g}^{exponent:.6g}")
+    return value
 
 
 @dataclass
@@ -264,7 +279,7 @@ def build_subsolution(
     u1 = _outer_piece("u1", prof.shape, theorem, prob, tau, eps, n_left) if has_left else None
     u3 = _outer_piece("u3", prof.shape, theorem, prob, tau, eps, n_right) if has_right else None
     raw, x_lo, x_hi = glue(u1, eig.phi, u3)
-    s = tau ** (-1.0 / (prob.p - 1.0 - prob.q))
+    s = _power("subsolution rescale", tau, -1.0 / (prob.p - 1.0 - prob.q))
     return Certificate(
         kind="subsolution",
         u=raw.scaled(s),
@@ -308,7 +323,7 @@ def build_supersolution(prob: Problem, grid: Grid) -> Certificate:
         raise NoSupersolutionError(
             "companion solution is not nonnegative"
         )
-    k = (1.0 + v.sup_norm()) ** (prob.q / (prob.p - 1.0 - prob.q))
+    k = _power("supersolution factor k", 1.0 + v.sup_norm(), prob.q / (prob.p - 1.0 - prob.q))
     w = GridFunction(grid, k * (v.values + 1.0))
     return Certificate(
         kind="supersolution",

@@ -410,6 +410,19 @@ class TestCertifyVerify:
         assert main(["certify", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "not certified: feasible tau range for thm2_i empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["certify", "solve"])
+    def test_a_factor_that_leaves_the_floats_is_exit_two(self, tmp_path, capsys, command):
+        # q near p - 1: cor holds, but the subsolution's rescale
+        # tau^(-1/(p-1-q)) underflows to 0 and the supersolution's
+        # k = (1 + |v|)^(q/(p-1-q)) overflows; this exited 1 with a bare
+        # OverflowError
+        cfg = write_config(tmp_path, q=0.9999, n=1024,
+                           m={"preset": "step", "inside": 1.0, "outside": -0.1})
+        assert main(["check", cfg, "--out", str(tmp_path / "c")]) == 0
+        capsys.readouterr()
+        assert main([command, cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "not certified: subsolution rescale leaves the floats" in capsys.readouterr().err
+
     def test_verify_rejects_wrong_csv_header(self, tmp_path):
         cfg = write_config(tmp_path)
         bad = tmp_path / "bad.csv"

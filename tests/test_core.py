@@ -681,7 +681,10 @@ def test_mass_tridiag_row_sums():
     g = Grid.uniform(UNIT, 16)
     u = 0.2 + g.nodes ** 2
     plan = AssemblyPlan(g, w)
-    diag, off = plan.mass_tridiag(u, 1.5)
+    # the matrix of u^1.5 from the Gauss-node values of u and u^2.5
+    gauss = []
+    plan.load_vector(u, 2.5, gauss)
+    diag, off = plan.mass_tridiag(*gauss[0])
     rows = diag.copy()
     rows[:-1] += off
     rows[1:] += off
@@ -770,7 +773,9 @@ def test_assembly_tables_match_per_subcell_polynomial_composition(name):
                              ("LR", off, plan.parent)):
         V = core_types._horner_rows(ref[key], plan.xi)
         np.add.at(target, idx, plan.wsub * ((V * Tr) @ plan.wg))
-    got_diag, got_off = plan.mass_tridiag(u, 0.5)
+    gauss = []
+    plan.load_vector(u, 1.5, gauss)
+    got_diag, got_off = plan.mass_tridiag(*gauss[0])
     scale = float(np.max(np.abs(diag)))
     np.testing.assert_allclose(got_diag, diag, rtol=1e-13, atol=1e-15 * scale)
     np.testing.assert_allclose(got_off, off, rtol=1e-13, atol=1e-15 * scale)

@@ -170,7 +170,10 @@ def test_bench_layers_counts_match_the_committed_file(tmp_path):
         }
 
     committed = counts(os.path.join(ROOT, "BENCH_layers.json"), 512)
-    assert len(committed) == 15
+    assert len(committed) == 20
+    # the Newton and fallback step counts of solve_between are gated too
+    assert all({"newton_steps", "fallback_steps"} <= committed[case, "solve_between"].keys()
+               for case in ("manufactured", "step", "step-p1.5", "two-bump"))
     assert counts(out, 512) == committed
 
 
@@ -185,4 +188,18 @@ def test_ab_rounds_times_two_trees_in_one_process(tmp_path):
     assert [ln.split(":")[0] for ln in lines[1:3]] == ["round   1 (base first)", "round   2 (change first)"]
     assert lines[3].startswith("base   median ") and lines[4].startswith("change median ")
     assert lines[-1] == "exit codes differ on 0 of 8 problems"
+    assert os.listdir(tmp_path) == []
+    # several seeds: each gets its own rounds and summary, and the last line
+    # pools them
+    proc = run_script("ab_rounds.py", ROOT, ROOT, "--workload", "certify-scan", "--seed", "0", "1",
+                      "--rounds", "2", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    heads = [ln for ln in lines if " problems per round" in ln]
+    assert [ln.split(":")[0] for ln in heads] == ["certify-scan seed 0", "certify-scan seed 1"]
+    summaries = [ln for ln in lines if ln.startswith("median change/base ")]
+    assert len(summaries) == 2 and all(ln.endswith(" of 2 rounds") for ln in summaries)
+    assert sum(ln.startswith("exit codes differ on 0 of ") for ln in lines) == 2
+    assert lines[-1].startswith("pooled over seeds 0 1: median change/base ")
+    assert lines[-1].endswith(" of 4 rounds")
     assert os.listdir(tmp_path) == []

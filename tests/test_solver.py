@@ -190,7 +190,7 @@ class TestSolveBetween:
         # the two nodes next to x = 0 float a few 1e-9 above lo, where the
         # discrete equation balances; everything else on the left is pinned
         assert float(np.max(np.abs(u.values - lo)[left])) < 1e-7
-        _, grad = _energy_and_grad(u.values, g, _reaction(g, prob), prob.p)
+        grad = _energy_and_grad(u.values, g, _reaction(g, prob), prob.p).g
         free = (u.values > lo + 1e-12) & (u.values < hi - 1e-12)
         free[0] = free[-1] = False
         assert np.any(free)
@@ -259,8 +259,9 @@ class TestSolveBetween:
 
     @pytest.mark.parametrize("p, n", [(1.4, 1024), (1.6, 2048), (1.8, 2048)])
     def test_sublinear_p_needs_few_energy_evaluations(self, monkeypatch, p, n):
-        # Newton's model weight stalls here (about 530-660 evaluations, and a
-        # SolverError at p = 1.4); the Kacanov weight takes 35-80
+        # Newton's model weight on every cell stalls here (about 530-660
+        # evaluations, and a SolverError at p = 1.4); the Kacanov weight took
+        # 63, 31 and 17, and Newton's weight on settled cells takes 34, 9, 7
         calls = []
 
         def counted(*args):
@@ -275,10 +276,12 @@ class TestSolveBetween:
         assert 0 < len(calls) <= 100
 
     @pytest.mark.parametrize("n", [512, 2048])
-    @pytest.mark.parametrize("p", [3.0, 5.0, 8.0])
+    @pytest.mark.parametrize("p", [1.5, 1.6, 1.8, 3.0, 5.0, 8.0])
     def test_step_solve_count_does_not_grow_with_p_or_n(self, monkeypatch, p, n):
-        # from the box midpoint these took 17/19, 31/36 and 52/61 evaluations
-        # at n = 512/2048; from the vanishing start 7, 9 and 11 at both n
+        # p >= 3: from the box midpoint these took 17/19, 31/36 and 52/61
+        # evaluations at n = 512/2048; from the vanishing start 7, 9 and 11
+        # at both n.  p < 2: the Kacanov weight on every cell took 42, 31
+        # and 17 at both n; Newton's weight on settled cells takes 11, 9, 7
         calls = []
 
         def counted(*args):
@@ -290,6 +293,40 @@ class TestSolveBetween:
         tol = 1e-8
         solve_full(prob, grid=prob.default_grid(n), tol=tol).require_certified(tol)
         assert 0 < len(calls) <= 12
+
+    def test_a_solve_at_the_rounding_floor_fails_fast(self, monkeypatch):
+        # the residual's rounding floor at p = 1.4, n = 2048 is 7.4e-8, above
+        # tol; once there, no step lowers the energy by more than its
+        # rounding or the residual by a tenth, so the solve stops (36
+        # evaluations) instead of taking steps on noise (163)
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return _energy_and_grad(*args)
+
+        monkeypatch.setattr(plap1d.solver, "_energy_and_grad", counted)
+        prob = step_problem(1.4, 0.2, 0.1)
+        with pytest.raises(SolverError, match="residual stagnation"):
+            solve_full(prob, grid=prob.default_grid(2048), tol=1e-8)
+        assert 0 < len(calls) <= 40
+
+    @pytest.mark.parametrize("p, csup", [(2.0, 0.0), (2.0, 0.5), (3.0, 0.0), (5.0, 0.5)])
+    def test_settled_cells_leave_p_from_two_up_unchanged(self, monkeypatch, p, csup):
+        # for p >= 2 Newton's weight is the only weight, on every cell, so the
+        # solve is the one the single weight max(p - 1, 1)|s|^(p-2) / h gave
+        prob = step_problem(p, 0.5 * (p - 1.0), 0.1, csup=csup)
+        g = prob.default_grid(512)
+        eig = eigen.window_eigenpair(prob, g)
+        theorem = plap1d.solver.select_theorem(plap1d.solver.check_all(prob, eig))
+        sub, sup = certify(prob, theorem, g, eig)
+        settled = solve_between(prob, sub, sup, g).values
+
+        def single(s, s_prev, p, floor, h):
+            return max(p - 1.0, 1.0) * np.maximum(np.abs(s), floor) ** (p - 2.0) / h
+
+        monkeypatch.setattr(plap1d.solver, "_diffusion_weight", single)
+        assert np.array_equal(solve_between(prob, sub, sup, g).values, settled)
 
     def test_large_mu_box_steps_through_the_clipped_fallback(self, monkeypatch):
         # mu = 4.6 sits just below the dead-core threshold 4.618 of

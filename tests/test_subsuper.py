@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from plap1d import (
     Certificate,
+    CertificateError,
     EpsTooLargeError,
     GlueError,
     Grid,
@@ -527,6 +528,13 @@ class TestBuildSupersolution:
         k = sup.construction["k"]
         assert float(np.min(sup.u.values)) >= k - 1e-12
         assert k > 1.0
+
+    def test_k_that_overflows_is_a_typed_failure(self):
+        # q = 0.9999 at p = 2: k = (1 + |v|)^9999, which raised a bare
+        # OverflowError
+        prob = step_problem(2.0, 0.9999, 0.1)
+        with pytest.raises(CertificateError, match="supersolution factor k leaves the floats"):
+            build_supersolution(prob, Grid.uniform(UNIT, 1024))
 
 
 class TestEnforceOrdering:
