@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .core_types import Grid, GridFunction, Weight, _compose_affine, phi_p
+from .core_types import Grid, GridFunction, Weight, _subcells, phi_p
 
 
 def hat_loads(g: Weight, grid: Grid) -> np.ndarray:
@@ -42,14 +42,8 @@ def hat_loads(g: Weight, grid: Grid) -> np.ndarray:
     xi, gets ((lo - x_j) I0 + w I1)/h and the left hat I0 minus that.
     """
     nodes = grid.nodes
-    span = nodes[-1] - nodes[0]
-    if not (g.domain.contains(nodes[0], 1e-12 * span) and g.domain.contains(nodes[-1], 1e-12 * span)):
-        raise ValueError("load weight must cover the grid interval")
-    pts = grid.with_points(g.breaks).nodes
-    lo, w = pts[:-1], np.diff(pts)
-    parent = np.clip(np.searchsorted(nodes, lo, side="right") - 1, 0, grid.n - 1)
-    piece = g.piece_index(lo + 0.5 * w)
-    C = _compose_affine(g.coefs[piece], lo - g.breaks[piece], w)
+    lo, hi, parent, C = _subcells(grid, g)
+    w = hi - lo
     k = np.arange(C.shape[1])
     I0 = w * np.sum(C / (k + 1.0), axis=1)
     I1 = w * np.sum(C / (k + 2.0), axis=1)

@@ -164,20 +164,23 @@ class OuterProfile:
         [window.a, b], side "left" or "right", at a point or an array of
         points x.
 
-        For thm1_* g is the eps-inflated negative mass integrated from the
-        reach's outer end, int_a^x M_a or int_x^b M_b with M_a(y) =
-        int_a^y (m^- + eps) and M_b(z) = int_z^b (m^- + eps), exactly, and s
-        is the reach's whole such mass to the power scale_power: 2 - p for
-        thm1_ii, since the profile's M^{p-2} factor is smallest at the
-        window edge for p <= 2, and 0, so s = 1, for thm1_i; a reach with no
-        mass gets s = 0.  For the other theorems s = 1 and g is d,
-        sinh(rate d) or expm1(rate d) at the distance d from the reach's
-        outer end.
+        The paper's A = 0 (m >= 0) makes sigma 0, so g = 0, and no sinh or
+        expm1 that a large c overflows is evaluated.  For thm1_* g is the
+        eps-inflated negative mass integrated from the reach's outer end,
+        int_a^x M_a or int_x^b M_b with M_a(y) = int_a^y (m^- + eps) and
+        M_b(z) = int_z^b (m^- + eps), exactly, and s is the reach's whole
+        such mass to the power scale_power: 2 - p for thm1_ii, as the
+        profile's M^{p-2} factor is smallest at the window edge for p <= 2,
+        and 0 (s = 1) for thm1_i; a reach with no mass gets s = 0.  The
+        other theorems ignore eps: s = 1 and g is d, sinh(rate d) or
+        expm1(rate d) at the distance d from the reach's outer end.
         """
         a, b = prob.domain.a, prob.domain.b
         left = side == "left"
+        d = x - a if left else b - x
+        if self.A == 0.0:
+            return 1.0, 0.0 * d
         if self.shape != "power":
-            d = x - a if left else b - x
             g = {"sinh": np.sinh, "exp": np.expm1}.get(self.shape)
             return 1.0, d if g is None else g(self.rate * d)
         F, G = _mass_integrals(prob.m, eps)
@@ -186,14 +189,17 @@ class OuterProfile:
         else:
             total = F(b)
             edge, g = total - F(prob.window.a), total * (b - x) - (G(b) - G(x))
-        return (edge**self.scale_power if edge > 0.0 else 0.0), g
+        try:  # M^(2-p) overflows only past thm1_ii's range p <= 2
+            return (edge**self.scale_power if edge > 0.0 else 0.0), g
+        except OverflowError:
+            return np.finfo(float).max, g
 
 
-def outer_profile(which: str, prob: Problem, eps: float = 0.0, check: bool = True) -> OuterProfile:
-    """The constants of the named theorem's outer profile; for cor and
-    thm2_* A floors ||m^-|| at eps, so a weight with no negative part still
-    has a finite tau range.  Raises ValueError naming the `applicability`
-    reason where the theorem does not apply to prob, unless check is False."""
+def outer_profile(which: str, prob: Problem, check: bool = True) -> OuterProfile:
+    """The named theorem's outer-profile constants, the paper's, with no eps:
+    A = ||m^-||/C for cor and ||m^-||/||c^+|| for thm2_*, 0 (no reach
+    contributes) where m >= 0.  ValueError names the `applicability` reason
+    where the theorem does not apply to prob, unless check is False."""
     reason = applicability(which, prob) if check else ""
     if reason:
         raise ValueError(f"{which}: {reason}")
@@ -205,7 +211,7 @@ def outer_profile(which: str, prob: Problem, eps: float = 0.0, check: bool = Tru
     if which == "thm1_ii":
         A = d ** (p - 1.0) / (p - 1.0) ** p
         return OuterProfile("power", (p - 1.0) / d, A, p - 1.0, scale_power=2.0 - p)
-    mminus = max(prob.m.neg_part().sup_norm(), eps)
+    mminus = prob.m.neg_part().sup_norm()
     C = c_pq(p, q)
     if which == "cor":
         return OuterProfile("linear", p / d, mminus / C, p)
@@ -217,19 +223,18 @@ def outer_profile(which: str, prob: Problem, eps: float = 0.0, check: bool = Tru
 def outer_bound(which: str, prob: Problem, eps: float = 0.0, check: bool = True) -> float:
     """L(eps), the max over the two reaches of A s g_end^r.
 
-    A and r come from `outer_profile(which, prob, eps, check)`, and s and
-    g_end, g at the reach's far end, from its `OuterProfile.on_reach`; a
-    reach with g_end = 0 or A s = 0 bounds nothing, even where g_end^r
-    overflows (thm2_* with no negative mass and a large c).  The
-    condition's lambda1 part is
-    L(0) <= 1/lambda1 (`check`) and the tau range is [lambda1, 1/L(eps)]
-    (`tau_interval`).
+    A, the paper's constant, and r come from `outer_profile`, and s and
+    g_end, g at the reach's far end, from `OuterProfile.on_reach`.  A reach
+    with g_end <= 0 bounds nothing: A = 0 gives g = 0, and rounding can
+    leave a thm1_* mass integral a hair below 0.  eps moves L only for
+    thm1_*.  The lambda1 part is L(0) <= 1/lambda1 (`check`) and the tau
+    range [lambda1, 1/L(eps)] (`tau_interval`).
     """
-    prof = outer_profile(which, prob, eps, check)
+    prof = outer_profile(which, prob, check)
     w = prob.window
     with np.errstate(over="ignore"):  # a large c overflows g or g^r: L = inf
         ends = (prof.on_reach(prob, eps, "left", w.b), prof.on_reach(prob, eps, "right", w.a))
-        return max(prof.A * s * g**prof.r if g > 0.0 and prof.A * s > 0.0 else 0.0 for s, g in ends)
+        return max(prof.A * s * g**prof.r if g > 0.0 else 0.0 for s, g in ends)
 
 
 def check(name: str, prob: Problem, eig: EigenPair) -> ConditionReport:
@@ -275,17 +280,17 @@ def tau_interval(which: str, prob: Problem, eig: EigenPair, eps: float) -> TauIn
     tau >= lambda1 lets the window eigenfunction certify the weight tau m,
     and tau <= 1/L(eps) keeps both outer pieces at or below 1, so the
     tallest piece the builders accept peaks at exactly 1.  One tau serves
-    both reaches and the rescale.  The upper end is capped at
-    TAU_CAP_FACTOR lambda1 so a problem with no negative mass still gets a
-    finite range.  A condition that does not apply raises ValueError naming
-    its `applicability` reason; an empty range raises EpsTooLargeError, and
-    the caller is expected to shrink eps and retry.
+    both reaches and the rescale.  The upper end is capped at TAU_CAP_FACTOR
+    lambda1, its only bound where the paper's A is 0 (no negative mass); eps
+    moves the range only for thm1_*.  A condition that does not apply raises
+    ValueError naming its `applicability` reason; an empty range raises
+    EpsTooLargeError, and the caller shrinks eps and retries.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     L = outer_bound(which, prob, eps)
     lo = eig.lambda1
-    hi = min(math.inf if L == 0.0 else 1.0 / L, TAU_CAP_FACTOR * lo)
+    hi = 1.0 / L if L * (TAU_CAP_FACTOR * lo) > 1.0 else TAU_CAP_FACTOR * lo
     if not lo <= hi:
         raise EpsTooLargeError(
             f"feasible tau range for {which} empty at eps={eps:g}: "

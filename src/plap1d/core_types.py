@@ -679,19 +679,30 @@ def _gauss_rule(degree: int):
 # ---------------------------------------------------------------------------
 # exact weak-form assembly
 
+def _subcells(grid: Grid, weight: Weight):
+    """The grid's cells cut at the weight's breaks, as (lo, hi, parent,
+    coefs): each subcell's ends, its cell's index, and the weight's piece
+    on it composed onto xi in [0, 1] by `_compose_affine`, whose batched
+    Horner steps are those of evaluating the piece's `Polynomial` at the
+    affine map, so the rows match the per-piece construction bit for bit.
+    Raises ValueError unless the weight covers the grid interval."""
+    nodes = grid.nodes
+    span = nodes[-1] - nodes[0]
+    if not (weight.domain.contains(nodes[0], 1e-12 * span) and weight.domain.contains(nodes[-1], 1e-12 * span)):
+        raise ValueError("weight must cover the grid interval")
+    pts = grid.with_points(weight.breaks).nodes
+    lo, hi = pts[:-1], pts[1:]
+    parent = np.clip(np.searchsorted(nodes, lo, side="right") - 1, 0, grid.n - 1)
+    piece = weight.piece_index(0.5 * (lo + hi))
+    return lo, hi, parent, _compose_affine(weight.coefs[piece], lo - weight.breaks[piece], hi - lo)
+
+
 class AssemblyPlan:
     """Precomputed tables for integrals of one weight * u^r * hat over one grid.
 
-    The grid cells are cut at the weight's breakpoints.  On each subcell the
-    weight piece is re-expressed in the local coordinate xi in [0, 1] and
-    multiplied by the two hat restrictions once, at construction time: the
-    coefficient tables `L` and `R` of weight * hat.  The weight's padded
-    `Weight.coefs` array is read as given, one row per subcell, and the
-    re-expression is one Horner composition batched over all subcells
-    (`_compose_affine`); it performs, subcell by subcell, the same
-    floating-point operations in the same order as evaluating the piece's
-    `numpy.polynomial.Polynomial` at the affine polynomial, so the tables are
-    identical to the per-piece construction.
+    On each subcell of `_subcells` the weight's piece, composed onto xi in
+    [0, 1], is multiplied by the two hat restrictions once, at construction
+    time: the coefficient tables `L` and `R` of weight * hat.
     Also built once: a Gauss rule sized from the tables' degree
     (`_gauss_rule`: 10 points for every preset weight), both tables at its
     nodes (`L_gauss`, `R_gauss`), and the two hats there, so a call
@@ -713,26 +724,14 @@ class AssemblyPlan:
 
     def __init__(self, grid: Grid, weight: Weight):
         self.grid = grid
-        nodes = grid.nodes
-        a, b = nodes[0], nodes[-1]
-        span = b - a
-        if not (weight.domain.contains(a, 1e-12 * span) and weight.domain.contains(b, 1e-12 * span)):
-            raise ValueError("assembly weight must cover the grid interval")
-        pts = grid.with_points(weight.breaks).nodes
-        self.sub_lo = pts[:-1]
-        self.sub_hi = pts[1:]
+        self.sub_lo, self.sub_hi, self.parent, WB = _subcells(grid, weight)
         self.wsub = self.sub_hi - self.sub_lo
-        self.parent = np.clip(
-            np.searchsorted(nodes, self.sub_lo, side="right") - 1, 0, grid.n - 1
-        )
         h = grid.h[self.parent]
-        xr = nodes[self.parent + 1]
+        xr = grid.nodes[self.parent + 1]
         phiL_lo = (xr - self.sub_lo) / h
         phiL_hi = (xr - self.sub_hi) / h
         dL = phiL_hi - phiL_lo
-        self._off_lo = self.sub_lo - nodes[self.parent]
-        piece = np.asarray(weight.piece_index(0.5 * (self.sub_lo + self.sub_hi)))
-        WB = _compose_affine(weight.coefs[piece], self.sub_lo - weight.breaks[piece], self.wsub)
+        self._off_lo = self.sub_lo - grid.nodes[self.parent]
         self.L = _mul_linear(WB, phiL_lo, dL)
         self.R = _mul_linear(WB, 1.0 - phiL_lo, -dL)
         self.xi, self.wg = _gauss_rule(self.L.shape[1] - 1)

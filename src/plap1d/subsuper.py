@@ -5,11 +5,11 @@ profile on the left reach [a, x1], the normalized principal eigenfunction on
 the window, and a falling profile on the right reach [x0, b].  Each outer
 profile is f^k, with f = sigma(tau s) g sampled from the theorem's
 `conditions.OuterProfile.on_reach` (`_profile`).  The negative-mass
-inflation eps halves only while the tau range is empty.  The pieces are
-glued where their difference changes sign strictly on a segment where
-both are linear, which makes every kink convex, as the weak inequality
-needs.  The glued function is rescaled so it certifies the original weight
-rather than the inflated one the profiles are built against.
+inflation eps of thm1_* halves only while the tau range is empty.  The
+pieces are glued where their difference changes sign strictly on a
+segment where both are linear, which makes every kink convex, as the weak
+inequality needs.  The glued function certifies tau m, and a rescale moves
+it to m.
 """
 
 from __future__ import annotations
@@ -246,13 +246,14 @@ def build_subsolution(
 
     eig is the principal eigenpair on the window, as `window_eigenpair`
     computes it for grid; its eigenfunction is the middle piece.  eps starts
-    at `default_eps` and halves, up to 20 times, only while the tau range
-    is empty (EpsTooLargeError); the last empty range raises.  The pieces
+    at `default_eps` and halves, up to 20 times, only while the tau range is
+    empty (EpsTooLargeError), a range eps moves only for thm1_*; the last
+    empty range raises.  The pieces, at the paper's A (zeros where A = 0),
     are then built once at one tau, the geometric mean of the range clamped
     into it, and glued once.  tau <= hi keeps each profile at or below 1,
     its value at the far end of its reach, and the junctions are admissible
-    by construction (`_junction`); a TauTooLargeError or GlueError that
-    does occur propagates.  The glued function certifies the weight tau m;
+    by construction (`_junction`); a TauTooLargeError or GlueError that does
+    occur propagates.  The glued function certifies the weight tau m;
     scaling it by tau^{-1/(p-1-q)} balances the degree-(p-1) left side
     against the degree-q right side exactly and moves it to m without
     spending any slack.  construction["sigma"] is sigma(tau); a thm1_ii

@@ -191,6 +191,17 @@ class TestThm1ii:
         rep = check("thm1_ii", prob, fake_eig(1.0))
         assert not rep.applicable and not rep.holds
 
+    def test_a_tiny_reach_mass_above_p2_reports_without_overflow(self):
+        # past thm1_ii's range the reach factor M^(2-p) of a subnormal mass
+        # overflows, and the report must still be a number
+        window = Interval(0.5, 0.75)
+        m = Weight([0.0, window.a, window.b, 1.0], [[0.0], [1.0], [-2.2250738585e-313]])
+        prob = Problem(p=3.0, q=1.0, domain=UNIT, m=m, c=Weight.constant(0.0, UNIT),
+                       window=window)
+        rep = check_all(prob, fake_eig(1.0))[1]
+        assert rep.name == "thm1_ii" and not rep.applicable
+        assert 0.0 <= rep.auxiliary["i3_lhs"] < math.inf
+
     def test_p2_coincides_with_first_branch(self):
         prob = step_problem(2.0, 0.5, 0.2, csup=0.3)
         eig = fake_eig(FOUR_PI_SQ)
@@ -209,8 +220,8 @@ class TestThm1ii:
 class TestThm2:
     @pytest.mark.parametrize("csup", [1.0, 3e6, 1e8])
     def test_no_negative_mass_holds(self, csup):
-        # A = ||m^-||/||c|| = 0, so the bound is 0 even where g_end^r
-        # overflows at a large c (it was 0 * inf = NaN, with a warning)
+        # A = ||m^-||/||c|| = 0, so the reaches contribute g = 0 and the
+        # bound is 0, with no sinh evaluated at a c where it would overflow
         prob = step_problem(2.0, 0.5, 0.0, csup=csup)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -357,6 +368,17 @@ class TestTauInterval:
         assert ti.lo == FOUR_PI_SQ
         assert ti.hi == 1e6 * FOUR_PI_SQ
 
+    @pytest.mark.parametrize("theorem", ["thm2_i", "thm2_ii"])
+    def test_a_subnormal_bound_hits_cap(self, theorem):
+        # a negative mass of 1e-313 gives a subnormal L at every eps, whose
+        # reciprocal overflows; the cap bounds the range instead
+        prob = step_problem(2.0, 0.5, 1e-313, csup=1.0)
+        eig = fake_eig(FOUR_PI_SQ)
+        assert 0.0 < outer_bound(theorem, prob) < 1e-300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tau_interval(theorem, prob, eig, 1e-3).hi == 1e6 * FOUR_PI_SQ
+
     def test_power_range_oracle_no_negative_mass(self):
         prob = step_problem(2.0, 0.5, 0.0)
         eps = 1e-6
@@ -430,7 +452,7 @@ class TestTauInterval:
         window, eps = Interval(0.2, 0.6), 1e-3
         prob = step_problem(p, (p - 1.0) / 2.0, 0.1, csup=csup, window=window)
         assert tau_interval(theorem, prob, fake_eig(1.0), eps).lo == 1.0
-        prof = outer_profile(theorem, prob, eps)
+        prof = outer_profile(theorem, prob)
         ends = (("left", window.b, 0.02 + 0.6 * eps, 0.01 + 0.18 * eps),
                 ("right", window.a, 0.04 + 0.8 * eps, 0.024 + 0.32 * eps))
         for side, x, M, I in ends:
@@ -469,32 +491,36 @@ class TestProperties:
     @given(
         p=st.floats(1.2, 3.0),
         frac=st.floats(0.2, 0.8),
-        left=st.floats(0.0, 2.0),
-        right=st.floats(0.0, 2.0),
+        left=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+        right=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
         x0=st.floats(0.05, 0.6),
         width=st.floats(0.1, 0.3),
         lam=st.floats(1.0, 50.0),
+        csup=st.one_of(st.just(0.0), st.floats(0.0, 1e8)),
     )
     def test_lambda1_part_holds_where_a_small_eps_leaves_a_tau(
-        self, p, frac, left, right, x0, width, lam
+        self, p, frac, left, right, x0, width, lam, csup
     ):
         # unequal negative masses on the two reaches; the lambda1 part and
-        # the tau range read one bound, so they agree up to the eps inflation
+        # the tau range read one bound.  thm1_* agree up to the eps
+        # inflation; cor and thm2_* take the paper's A at every eps, so they
+        # agree at the builder's first eps too, with or without negative mass
         window = Interval(x0, x0 + width)
         m = Weight([0.0, window.a, window.b, 1.0], [[-left], [1.0], [-right]])
         prob = Problem(p=p, q=frac * (p - 1.0), domain=UNIT, m=m,
-                       c=Weight.constant(0.0, UNIT), window=window)
+                       c=Weight.constant(csup, UNIT), window=window)
         eig = fake_eig(lam)
         for rep in check_all(prob, eig):
             if not rep.applicable:
                 continue
             part = {"thm1_i": "i1", "thm1_ii": "i3"}.get(rep.name)
             lhs = rep.auxiliary[f"{part}_lhs"] if part else rep.lhs
+            eps = 1e-12 if part else default_eps(m)
             if lhs * lam < 1.0 - 1e-6:
-                assert tau_interval(rep.name, prob, eig, 1e-12).lo == lam
+                assert tau_interval(rep.name, prob, eig, eps).lo == lam
             elif lhs * lam > 1.0 + 1e-6:
                 with pytest.raises(EpsTooLargeError):
-                    tau_interval(rep.name, prob, eig, 1e-12)
+                    tau_interval(rep.name, prob, eig, eps)
 
     @given(p=st.floats(1.6, 3.5), frac=st.floats(0.2, 0.8), mu=st.floats(0.01, 2.0))
     def test_reports_carry_consistent_margin(self, p, frac, mu):

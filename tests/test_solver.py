@@ -17,12 +17,14 @@ from plap1d import (
     Weight,
     build_supersolution,
     certify,
+    check_all,
     sin_power_weight,
     solution_residual,
     solve_between,
     solve_full,
     step_weight,
     sweep,
+    window_eigenpair,
 )
 import plap1d.solver
 from plap1d import core_types, eigen
@@ -394,6 +396,30 @@ class TestSolveBetween:
         assert list(loads.values()) == [len(calls)] * passes
         assert masses.keys() == loads.keys()
         assert len(set(masses.values())) == 1 and min(masses.values()) > 0
+
+
+def test_every_holding_condition_certifies_on_an_off_centre_window():
+    # the theorems build the subsolution from the numbers their conditions
+    # check, so each holding condition certifies: window (0.1, 0.4), m = 1
+    # there and -mu outside, q = (p - 1)/4, n = 512.  With mu = 0, A = 0 and
+    # c >= 1e3 the tau range is empty unless it takes the profile's A; at
+    # mu = 1e-6 a range sized for any other A misses at the window edge
+    window = Interval(0.1, 0.4)
+    holding = []
+    for mu in (0.0, 1e-6):
+        for csup in (0.5, 1e3, 1e5):
+            for p in (1.5, 2.0, 3.0):
+                prob = Problem(p=p, q=(p - 1.0) / 4.0, domain=UNIT,
+                               m=step_weight(UNIT, window, 1.0, -mu),
+                               c=Weight.constant(csup, UNIT), window=window)
+                grid = prob.default_grid(512)
+                eig = window_eigenpair(prob, grid)
+                for rep in check_all(prob, eig):
+                    if rep.holds:
+                        sub, sup = certify(prob, rep.name, grid, eig)
+                        holding.append((mu, csup, p, rep.name))
+                        assert sub.verified.passed and sup.verified.passed, holding[-1]
+    assert len(holding) == 25
 
 
 class TestSolveFull:
